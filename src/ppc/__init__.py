@@ -7,11 +7,11 @@ maj@k / pass@k plus preplan-perturbation probes.
 """
 
 from .clients import (
+    AttributionVerdict,
     ClientError,
     Facet,
     GenerationRequest,
     HttpChatClient,
-    JudgeVerdict,
     LlmClient,
     ProtocolError,
     RateLimited,

@@ -12,7 +12,6 @@ import argparse
 import json
 import logging
 import os
-import re
 import sys
 import time
 from pathlib import Path
@@ -40,7 +39,7 @@ from .synthesis import (
     build_dataset,
     load_problems,
 )
-from .trajectory import Trajectory, UnbalancedBraces, check_format, extract_boxed
+from .trajectory import Trajectory, check_format, read_trajectory
 
 log = logging.getLogger("ppc")
 
@@ -182,9 +181,6 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
-_PREPLAN_BLOCK = re.compile(r"<preplan>(.*?)</preplan>", re.DOTALL)
-
-
 def cmd_reward(args) -> int:
     config = _load_config(args)
     weights = config.weights
@@ -203,15 +199,10 @@ def cmd_reward(args) -> int:
         for row in _read_jsonl(getattr(args, "in")):
             text, gold = row["trajectory"], row["gold"]
             fmt = check_format(text)
-            m = _PREPLAN_BLOCK.search(text)
-            preplan = m.group(1).strip() if m else ""
-            try:
-                boxed = extract_boxed(text)
-            except UnbalancedBraces:
-                boxed = None
+            traj = read_trajectory(text)
             correct = row.get("correct")
             if correct is None:
-                correct = answers_equivalent(boxed, gold)
+                correct = answers_equivalent(traj.boxed_answer, gold)
             prox = row.get("prox")
             if not correct and prox is None:
                 log.warning("row %s: missing prox verdict; using grade 1", row.get("id"))
@@ -220,7 +211,7 @@ def cmd_reward(args) -> int:
             if adh is None:
                 log.warning("row %s: missing adh verdict; using grade 1", row.get("id"))
                 adh = 1
-            spoiler = spoiler_score(preplan, with_tau(config.spoiler, weights.tau_s))
+            spoiler = spoiler_score(traj.preplan, with_tau(config.spoiler, weights.tau_s))
             breakdown = composite_reward(correct, prox, adh, fmt, spoiler, weights)
             writer.row({"id": row.get("id"), **breakdown.to_dict()})
     finally:

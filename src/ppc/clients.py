@@ -16,7 +16,7 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -259,30 +259,13 @@ _FACET_ALIASES = {
     "pitfalls": Facet.PITFALLS,
 }
 
-_VERDICT_KINDS = ("proximity", "adherence", "equivalence", "attribution")
-
-
 @dataclass(frozen=True)
-class JudgeVerdict:
-    kind: str
-    raw_response: str
-    grade: int | None = None
-    boolean_verdict: bool | None = None
-    is_what_to_solve: bool | None = None
-    facet: Facet | None = None
+class AttributionVerdict:
+    """A parsed attribution verdict; `attribute_error` sets facet iff what-to-solve."""
 
-    def __post_init__(self):
-        if self.kind not in _VERDICT_KINDS:
-            raise ValueError(f"unknown verdict kind {self.kind!r}")
-        graded = self.kind in ("proximity", "adherence")
-        if graded != (self.grade is not None):
-            raise ValueError("grade is set exactly for graded verdict kinds")
-        if (self.kind == "equivalence") != (self.boolean_verdict is not None):
-            raise ValueError("boolean_verdict is set exactly for equivalence")
-        if (self.kind == "attribution") != (self.is_what_to_solve is not None):
-            raise ValueError("is_what_to_solve is set exactly for attribution")
-        if self.facet is not None and self.kind != "attribution":
-            raise ValueError("facet is set only for attribution")
+    raw_response: str
+    is_what_to_solve: bool
+    facet: Facet | None
 
 
 def _judge_request(prompt: str) -> GenerationRequest:
@@ -350,7 +333,7 @@ def _first_json_object(text: str) -> dict:
 
 def attribute_error(
     client: LlmClient, question: str, wrong_solution: str, gold: str
-) -> JudgeVerdict:
+) -> AttributionVerdict:
     """Root-cause attribution for an incorrect solution.
 
     Expects {"what_to_solve": bool, "facet": ...} somewhere in the response;
@@ -370,22 +353,5 @@ def attribute_error(
         facet = _FACET_ALIASES.get(raw_facet.strip().lower())
         if facet is None:
             raise UnparseableVerdict(f"unknown facet {raw_facet!r}")
-    return JudgeVerdict(
-        kind="attribution",
-        raw_response=response,
-        is_what_to_solve=what,
-        facet=facet,
-    )
+    return AttributionVerdict(raw_response=response, is_what_to_solve=what, facet=facet)
 
-
-def grade_or_minimum(judge_fn: Callable[..., int], *args, **kwargs) -> int:
-    """Pessimistic judge policy: any failure maps to the minimum grade."""
-    try:
-        return judge_fn(*args, **kwargs)
-    except (UnparseableVerdict, ClientError) as exc:
-        log.warning("judge failure (%s); falling back to grade 1", exc)
-        return 1
-
-
-def request_with(defaults: GenerationRequest, **overrides) -> GenerationRequest:
-    return replace(defaults, **overrides)

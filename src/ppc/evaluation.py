@@ -11,6 +11,7 @@ aggregation.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import random
@@ -24,22 +25,16 @@ from typing import Callable, Mapping, Sequence
 from . import prompts
 from ._text import count_tokens, split_sentences
 from .clients import (
+    AttributionVerdict,
     ClientError,
     Facet,
     GenerationRequest,
-    JudgeVerdict,
     LlmClient,
     judge_equivalence,
     run_parallel,
 )
 from .synthesis import ProblemRecord
-from .trajectory import (
-    MalformedTrajectory,
-    Trajectory,
-    UnbalancedBraces,
-    extract_boxed,
-    parse_trajectory,
-)
+from .trajectory import MalformedTrajectory, Trajectory, boxed_or_none, parse_trajectory
 
 log = logging.getLogger(__name__)
 
@@ -278,7 +273,6 @@ def perturb_preplan(
 class EvalRecord:
     problem: ProblemRecord
     samples: list[str]
-    parsed: list[Trajectory | None]
     answers: list[str | None]
     verdicts: list[bool]
     maj_correct: bool
@@ -325,21 +319,6 @@ class EvalReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-
-def _extract_answer(sample: str) -> str | None:
-    """Final answer from the last boxed group of a completion, if any."""
-    try:
-        return extract_boxed(sample)
-    except UnbalancedBraces:
-        return None
-
-
-def _parse_or_none(sample: str) -> Trajectory | None:
-    try:
-        return parse_trajectory(sample)
-    except MalformedTrajectory:
-        return None
 
 
 DEFAULT_EVAL_SAMPLING = GenerationRequest(
@@ -395,16 +374,17 @@ def evaluate(
                 forced_prefix=prefixes.get(problem.id),
             )
             samples = [client.generate(req) for _ in range(k)]
-        answers = [_extract_answer(s) for s in samples]
-        verdicts = [a is not None and equivalence(a, problem.gold_answer) for a in answers]
+        # The whole sample, not just its execute block: eval scores any final boxed answer.
+        answers = [boxed_or_none(s) for s in samples]
+        # One verdict per (pred, other) pair across verdicts, maj@k and pass@k.
+        judge = functools.cache(equivalence)
         return EvalRecord(
             problem=problem,
             samples=samples,
-            parsed=[_parse_or_none(s) for s in samples],
             answers=[None if a is None else normalize_answer(a) for a in answers],
-            verdicts=verdicts,
-            maj_correct=maj_at_k(answers, problem.gold_answer, equivalence),
-            pass_correct=pass_at_k(answers, problem.gold_answer, equivalence),
+            verdicts=[a is not None and judge(a, problem.gold_answer) for a in answers],
+            maj_correct=maj_at_k(answers, problem.gold_answer, judge),
+            pass_correct=pass_at_k(answers, problem.gold_answer, judge),
             token_counts=[count_tokens(s) for s in samples],
         )
 
@@ -450,11 +430,11 @@ def _base_preplans(
 
     def one(problem: ProblemRecord) -> tuple[str, str]:
         sample = client.generate(replace(params, user_prompt=problem.question))
-        parsed = _parse_or_none(sample)
-        if parsed is None:
+        try:
+            return problem.id, parse_trajectory(sample).preplan
+        except MalformedTrajectory:
             log.warning("base sample for %s is malformed; empty preplan", problem.id)
             return problem.id, ""
-        return problem.id, parsed.preplan
 
     return dict(run_parallel(one, problems, parallelism))
 
@@ -520,7 +500,7 @@ class AttributionCounts:
         }
 
 
-def aggregate_attribution(verdicts: Sequence[JudgeVerdict | None]) -> AttributionCounts:
+def aggregate_attribution(verdicts: Sequence[AttributionVerdict | None]) -> AttributionCounts:
     """Tally attribution verdicts; None entries count as unparseable."""
     facets = {facet.value: 0 for facet in Facet}
     what = how = unparseable = 0

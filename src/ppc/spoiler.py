@@ -186,6 +186,7 @@ class FilterDecision:
     reason: DropReason | None
     spoiler: SpoilerReport
     preplan_tokens: int
+    answer_correct: bool
 
     def __post_init__(self):
         if self.keep and self.reason is not None:
@@ -201,31 +202,33 @@ def filter_decision(
 ) -> FilterDecision:
     """Keep a trajectory iff its preplan is clean, the answer is right and
     the preplan length is in bounds; the reason is the first failing check
-    in that order. A missing boxed answer drops as NO_ANSWER.
+    in that order. A missing boxed answer drops as NO_ANSWER. Correctness is
+    judged once, whatever the outcome, and returned as `answer_correct`.
     """
     if equivalence is None:
         raise TypeError("filter_decision requires an equivalence checker")
     if not gold:
         raise ValueError("gold answer must be non-empty")
 
+    correct = t.boxed_answer is not None and equivalence(t.boxed_answer, gold)
     report = spoiler_score(t.preplan, cfg)
     tokens = count_tokens(t.preplan)
 
     def drop(reason: DropReason) -> FilterDecision:
-        return FilterDecision(False, reason, report, tokens)
+        return FilterDecision(False, reason, report, tokens, correct)
 
     if report.score > cfg.tau_s:
         return drop(DropReason.SPOILER)
     if t.boxed_answer is None:
         return drop(DropReason.NO_ANSWER)
-    if not equivalence(t.boxed_answer, gold):
+    if not correct:
         return drop(DropReason.WRONG_ANSWER)
     lo, hi = len_bounds
     if tokens < lo:
         return drop(DropReason.TOO_SHORT)
     if tokens > hi:
         return drop(DropReason.TOO_LONG)
-    return FilterDecision(True, None, report, tokens)
+    return FilterDecision(True, None, report, tokens, correct)
 
 
 def with_tau(cfg: SpoilerConfig, tau_s: int) -> SpoilerConfig:

@@ -26,13 +26,7 @@ from .spoiler import (
     SpoilerReport,
     filter_decision,
 )
-from .trajectory import (
-    Trajectory,
-    UnbalancedBraces,
-    check_format,
-    extract_boxed,
-    render_trajectory,
-)
+from .trajectory import Trajectory, check_format, render_trajectory
 
 log = logging.getLogger(__name__)
 
@@ -132,17 +126,6 @@ def synthesize(
     return record
 
 
-def _ends_with_boxed(execute: str) -> bool:
-    text = execute.rstrip()
-    try:
-        content = extract_boxed(text)
-    except UnbalancedBraces:
-        return False
-    if content is None:
-        return False
-    return text.endswith("\\boxed{" + content + "}")
-
-
 def apply_filter(
     rec: SynthesisRecord,
     cfg: SpoilerConfig = DEFAULT_SPOILER_CONFIG,
@@ -164,16 +147,14 @@ def apply_filter(
         traj, rec.problem.gold_answer, cfg, bounds, equivalence=equivalence
     )
     rec.spoiler = decision.spoiler
-    rec.answer_correct = (
-        traj.boxed_answer is not None
-        and equivalence(traj.boxed_answer, rec.problem.gold_answer)
-    )
+    rec.answer_correct = decision.answer_correct
 
     if not decision.keep:
         rec.kept = False
         rec.drop_reason = decision.reason
         return rec
-    if not _ends_with_boxed(rec.execute):
+    # A kept decision has a boxed answer; it must close the execute text.
+    if not rec.execute.rstrip().endswith(f"\\boxed{{{traj.boxed_answer}}}"):
         rec.kept = False
         rec.drop_reason = DropReason.NOT_BOXED_FINAL
         return rec

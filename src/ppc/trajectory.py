@@ -9,7 +9,9 @@ A completion is expected to carry exactly three tagged blocks,
 in that order, with the final answer inside a ``\\boxed{...}`` group in the
 execute block and nothing but whitespace after ``</execute>``. The guard and
 the parser agree exactly: ``parse_trajectory`` succeeds iff
-``check_format`` reports the text as well formed.
+``check_format`` reports the text as well formed. ``read_trajectory`` is the
+lenient reader for text the guard may reject: it never raises, and on
+well-formed text it returns what ``parse_trajectory`` returns.
 """
 
 from __future__ import annotations
@@ -88,11 +90,7 @@ class Trajectory:
     @classmethod
     def from_parts(cls, preplan: str, plan: str, execute: str) -> "Trajectory":
         """Build from segment texts, deriving the boxed answer from execute."""
-        try:
-            boxed = extract_boxed(execute)
-        except UnbalancedBraces:
-            boxed = None
-        return cls(preplan=preplan, plan=plan, execute=execute, boxed_answer=boxed)
+        return cls(preplan, plan, execute, boxed_or_none(execute))
 
     def to_dict(self) -> dict:
         return {
@@ -138,11 +136,12 @@ def extract_boxed(text: str) -> str | None:
     raise UnbalancedBraces(f"boxed group opened at offset {start} never closes")
 
 
-def _has_final_answer(execute_body: str) -> bool:
+def boxed_or_none(text: str) -> str | None:
+    """``extract_boxed``, except that a group that never closes reads as no answer."""
     try:
-        return extract_boxed(execute_body) is not None
+        return extract_boxed(text)
     except UnbalancedBraces:
-        return False
+        return None
 
 
 def _scan(text: str) -> list[tuple[int, Violation, str]]:
@@ -177,7 +176,7 @@ def _scan(text: str) -> list[tuple[int, Violation, str]]:
     close_exec = positions["</execute>"]
     if len(open_exec) == 1 and len(close_exec) == 1 and open_exec[0] < close_exec[0]:
         body = text[open_exec[0] + len("<execute>") : close_exec[0]]
-        if not _has_final_answer(body):
+        if boxed_or_none(body) is None:
             findings.append(
                 (close_exec[0], Violation.NO_BOXED, "no closed boxed group in execute")
             )
@@ -202,6 +201,23 @@ def check_format(text: str) -> FormatVerdict:
     )
 
 
+def read_trajectory(text: str) -> Trajectory:
+    """Lenient parse that never raises.
+
+    Each block runs from its first opening tag to the next closing tag and
+    is trimmed at both ends; a block without both tags reads as "". The
+    boxed answer comes from the execute block.
+    """
+    segments = []
+    for name in TAG_NAMES:
+        open_tok, close_tok = f"<{name}>", f"</{name}>"
+        start = text.find(open_tok)
+        end = text.find(close_tok, start + len(open_tok)) if start != -1 else -1
+        segments.append(text[start + len(open_tok) : end].strip() if end != -1 else "")
+    preplan, plan, execute = segments
+    return Trajectory(preplan, plan, execute, boxed_or_none(execute), raw=text)
+
+
 def parse_trajectory(text: str) -> Trajectory:
     """Parse a tagged completion into a Trajectory.
 
@@ -211,21 +227,7 @@ def parse_trajectory(text: str) -> Trajectory:
     findings = _scan(text)
     if findings:
         raise MalformedTrajectory(findings)
-
-    segments = {}
-    for name in TAG_NAMES:
-        open_tok, close_tok = f"<{name}>", f"</{name}>"
-        start = text.index(open_tok) + len(open_tok)
-        end = text.index(close_tok)
-        segments[name] = text[start:end].strip()
-
-    return Trajectory(
-        preplan=segments["preplan"],
-        plan=segments["plan"],
-        execute=segments["execute"],
-        boxed_answer=extract_boxed(segments["execute"]),
-        raw=text,
-    )
+    return read_trajectory(text)
 
 
 def render_trajectory(t: Trajectory) -> str:

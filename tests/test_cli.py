@@ -158,6 +158,15 @@ class TestReward:
         assert near["r_out"] == 0.25
         assert near["correct"] is False
 
+    def test_boxed_outside_execute_is_no_answer(self, tmp_path, capsys):
+        text = GOOD_TRAJECTORY.replace("work \\boxed{7}</execute>", "work</execute> \\boxed{7}")
+        path = tmp_path / "rows.jsonl"
+        write_jsonl(path, [{"id": "x", "trajectory": text, "gold": "7", "prox": 1, "adh": 1}])
+        assert main(["reward", "--in", str(path)]) == 0
+        row = read_jsonl(capsys.readouterr().out)[0]
+        assert row["correct"] is False
+        assert row["r_fmt"] == 0
+
     def test_weight_flags(self, tmp_path, capsys):
         path = tmp_path / "rows.jsonl"
         write_jsonl(path, [{"id": "x", "trajectory": GOOD_TRAJECTORY, "gold": "7", "adh": 1}])

@@ -14,7 +14,6 @@ from ppc.clients import (
     Timeout,
     UnparseableVerdict,
     attribute_error,
-    grade_or_minimum,
     judge_adherence,
     judge_equivalence,
     judge_proximity,
@@ -285,10 +284,6 @@ class TestJudges:
         client = ScriptedClient([("", '{"what_to_solve": true}')])
         with pytest.raises(UnparseableVerdict):
             attribute_error(client, "q", "bad", "7")
-
-    def test_grade_or_minimum(self):
-        assert grade_or_minimum(judge_proximity, ScriptedClient([("", "nope")]), "q", "a", "g") == 1
-        assert grade_or_minimum(judge_proximity, ScriptedClient([("", "4")]), "q", "a", "g") == 4
 
 
 class TestRunParallel:

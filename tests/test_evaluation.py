@@ -3,7 +3,7 @@ import random
 import pytest
 from conftest import make_problem
 
-from ppc.clients import JudgeVerdict, Facet, ScriptedClient
+from ppc.clients import AttributionVerdict, Facet, ScriptedClient
 from ppc.evaluation import (
     PerturbationMode,
     PerturbationSpec,
@@ -230,6 +230,21 @@ class TestEvaluate:
         for rec in report.records:
             assert rec.maj_correct == rec.pass_correct
 
+    @pytest.mark.parametrize("interleaved", [False, True])
+    def test_one_judge_call_per_answer_pair(self, interleaved):
+        # 8 distinct wrong spellings, each twice: 8 verdicts + C(8, 2) linkage pairs
+        wrong = [f"x_{i}" for i in range(8)]
+        spellings = wrong * 2 if interleaved else [w for w in wrong for _ in range(2)]
+        judge = ScriptedClient(lambda req: "NO")
+        report = evaluate(
+            [make_problem("p0", answer="7")],
+            16,
+            replay={"p0": [completion(s) for s in spellings]},
+            equivalence=lambda pred, gold: answers_equivalent(pred, gold, fallback=judge),
+        )
+        assert report.records[0].verdicts == [False] * 16
+        assert len(judge.calls) == 36
+
     def test_scripted_client_deterministic_report(self):
         problems = [make_problem("p0", answer="7")]
         client = ScriptedClient([("question", completion("7"))])
@@ -269,9 +284,7 @@ class TestEvaluate:
 
 class TestAttributionAggregate:
     def make(self, what, facet=None):
-        return JudgeVerdict(
-            kind="attribution", raw_response="", is_what_to_solve=what, facet=facet
-        )
+        return AttributionVerdict(raw_response="", is_what_to_solve=what, facet=facet)
 
     def test_empty(self):
         counts = aggregate_attribution([])

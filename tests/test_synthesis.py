@@ -135,6 +135,17 @@ class TestApplyFilter:
         )
         assert rec.drop_reason == DropReason.MALFORMED
 
+    def test_answer_judged_once(self):
+        calls = []
+
+        def counting(pred, gold):
+            calls.append((pred, gold))
+            return answers_equivalent(pred, gold)
+
+        rec = synth_one(make_problem("p1"))
+        assert apply_filter(rec, bounds=BOUNDS, equivalence=counting).kept
+        assert calls == [("7", "7")]
+
     def test_gen_fail_record_passes_through(self):
         rec = SynthesisRecord(
             problem=make_problem("p1"), kept=False, drop_reason=DropReason.GEN_FAIL

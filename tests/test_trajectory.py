@@ -8,9 +8,11 @@ from ppc.trajectory import (
     Trajectory,
     UnbalancedBraces,
     Violation,
+    boxed_or_none,
     check_format,
     extract_boxed,
     parse_trajectory,
+    read_trajectory,
     render_trajectory,
 )
 
@@ -51,6 +53,10 @@ class TestParse:
         with pytest.raises(MalformedTrajectory) as err:
             parse_trajectory(text)
         assert str(err.value).startswith("FOREIGN_TAG")
+
+    def test_lenient_reader_reads_missing_block_as_empty(self):
+        t = read_trajectory("<preplan> A </preplan><execute>C \\boxed{7}</execute> tail")
+        assert t == Trajectory("A", "", "C \\boxed{7}", "7")
 
 
 class TestCheckFormat:
@@ -113,7 +119,7 @@ class TestCheckFormat:
         for text in cases:
             ok = check_format(text).well_formed
             try:
-                parse_trajectory(text)
+                assert read_trajectory(text) == parse_trajectory(text), repr(text)
                 parsed = True
             except MalformedTrajectory:
                 parsed = False
@@ -130,7 +136,7 @@ class TestCheckFormat:
             text = "".join(rng.choices(pieces, k=rng.randint(0, 12)))
             ok = check_format(text).well_formed
             try:
-                parse_trajectory(text)
+                assert read_trajectory(text) == parse_trajectory(text), repr(text)
                 parsed = True
             except MalformedTrajectory:
                 parsed = False
@@ -147,6 +153,7 @@ class TestExtractBoxed:
     def test_unbalanced_raises(self):
         with pytest.raises(UnbalancedBraces):
             extract_boxed("\\boxed{\\text{a}")
+        assert boxed_or_none("\\boxed{\\text{a}") is None
 
     def test_absent_is_none(self):
         assert extract_boxed("no marker") is None
