@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import prompts
@@ -31,8 +32,8 @@ from .evaluation import (
     write_transcripts,
 )
 from .grpo import GrpoConfig, RolloutGroup, grpo_objective
-from .rewards import RewardWeights, composite_reward
-from .spoiler import spoiler_score, with_tau
+from .rewards import composite_reward
+from .spoiler import spoiler_score
 from .synthesis import (
     DuplicateId,
     GeneratorSuite,
@@ -128,14 +129,16 @@ def _config_dir(args) -> Path | None:
     return None
 
 
+def _override(base, **flags):
+    """`base` with each field whose flag was given (not None) replaced."""
+    return replace(base, **{k: v for k, v in flags.items() if v is not None})
+
+
 # --- subcommands -------------------------------------------------------------
 
 
 def cmd_lint(args) -> int:
-    config = _load_config(args)
-    cfg = config.spoiler
-    if args.tau_s is not None:
-        cfg = with_tau(cfg, args.tau_s)
+    cfg = _load_config(args).spoiler
     histogram = {str(s): 0 for s in range(7)}
     writer = _Writer(args.out)
     count = 0
@@ -183,16 +186,13 @@ def cmd_synthesize(args) -> int:
 
 def cmd_reward(args) -> int:
     config = _load_config(args)
-    weights = config.weights
-    overrides = {
-        "lambda_a": args.lambda_a,
-        "lambda_f": args.lambda_f,
-        "lambda_s": args.lambda_s,
-        "tau_s": args.tau_s,
-    }
-    merged = weights.to_dict()
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    weights = RewardWeights.from_dict(merged)
+    weights = _override(
+        config.weights,
+        lambda_a=args.lambda_a,
+        lambda_f=args.lambda_f,
+        lambda_s=args.lambda_s,
+        tau_s=args.tau_s,
+    )
 
     writer = _Writer(args.out)
     try:
@@ -211,7 +211,7 @@ def cmd_reward(args) -> int:
             if adh is None:
                 log.warning("row %s: missing adh verdict; using grade 1", row.get("id"))
                 adh = 1
-            spoiler = spoiler_score(traj.preplan, with_tau(config.spoiler, weights.tau_s))
+            spoiler = spoiler_score(traj.preplan, config.spoiler)
             breakdown = composite_reward(correct, prox, adh, fmt, spoiler, weights)
             writer.row({"id": row.get("id"), **breakdown.to_dict()})
     finally:
@@ -222,12 +222,11 @@ def cmd_reward(args) -> int:
 def cmd_grpo_check(args) -> int:
     with open(getattr(args, "in"), "r", encoding="utf-8") as f:
         group = RolloutGroup.from_dict(json.load(f))
-    config = _load_config(args)
-    base = config.grpo or GrpoConfig()
-    cfg = GrpoConfig(
-        epsilon_clip=args.epsilon if args.epsilon is not None else base.epsilon_clip,
-        beta_kl=args.beta if args.beta is not None else base.beta_kl,
-        std_floor=args.std_floor if args.std_floor is not None else base.std_floor,
+    cfg = _override(
+        _load_config(args).grpo or GrpoConfig(),
+        epsilon_clip=args.epsilon,
+        beta_kl=args.beta,
+        std_floor=args.std_floor,
     )
     result = grpo_objective(group, cfg)
     print(json.dumps(result.to_dict(), sort_keys=True))
@@ -348,7 +347,6 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--in", required=True, help="input JSONL ('-' for stdin)")
     p.add_argument("--out", help="output JSONL (default stdout)")
-    p.add_argument("--tau-s", type=int, help="override spoiler threshold")
     p.set_defaults(fn=cmd_lint)
 
     p = sub.add_parser("synthesize", help="run the three-stage synthesis over a corpus")

@@ -9,7 +9,7 @@ scripted response file for fully offline runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -43,20 +43,7 @@ class RoleConfig:
             raise ConfigError("scripted role needs a script file or default_response")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "endpoint": self.endpoint,
-            "model": self.model,
-            "api_key_env": self.api_key_env,
-            "script": self.script,
-            "default_response": self.default_response,
-            "max_attempts": self.max_attempts,
-            "timeout": self.timeout,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RoleConfig":
-        return cls(**data)
+        return asdict(self)
 
 
 @dataclass
@@ -83,53 +70,31 @@ class PipelineConfig:
         return (self.filter_min_tokens, self.filter_max_tokens)
 
     def to_dict(self) -> dict:
-        return {
-            "roles": {name: rc.to_dict() for name, rc in sorted(self.roles.items())},
-            "temperature": self.temperature,
-            "top_p": self.top_p,
-            "max_tokens": self.max_tokens,
-            "spoiler": self.spoiler.to_dict(),
-            "weights": self.weights.to_dict(),
-            "grpo": self.grpo.to_dict() if self.grpo else None,
-            "filter_min_tokens": self.filter_min_tokens,
-            "filter_max_tokens": self.filter_max_tokens,
-            "parallelism": self.parallelism,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PipelineConfig":
-        data = dict(data)
-        roles = {
-            name: RoleConfig.from_dict(rc)
-            for name, rc in (data.get("roles") or {}).items()
-        }
-        grpo_data = data.get("grpo")
-        grpo = None
-        if grpo_data is not None:
-            # No silent hyperparameter drift: config files must pin both.
-            for key in ("epsilon_clip", "beta_kl"):
-                if key not in grpo_data:
-                    raise ConfigError(f"grpo config must set {key!r} explicitly")
-            grpo = GrpoConfig.from_dict(grpo_data)
+        """Build from a parsed config document; field defaults fill the gaps.
+
+        An unknown key at any level, a section that is not an object, or an
+        invalid value is a ConfigError.
+        """
         try:
-            spoiler = SpoilerConfig.from_dict(data.get("spoiler") or {})
-            weights = RewardWeights.from_dict(data.get("weights") or {})
+            data = dict(data)
+            roles = dict(data.get("roles") or {})
+            data["roles"] = {name: RoleConfig(**rc) for name, rc in roles.items()}
+            grpo = data.get("grpo")
+            if grpo is not None:
+                # No silent hyperparameter drift: config files must pin both.
+                for key in ("epsilon_clip", "beta_kl"):
+                    if key not in grpo:
+                        raise ConfigError(f"grpo config must set {key!r} explicitly")
+                data["grpo"] = GrpoConfig.from_dict(grpo)
+            data["spoiler"] = SpoilerConfig.from_dict(data.get("spoiler") or {})
+            data["weights"] = RewardWeights.from_dict(data.get("weights") or {})
+            return cls(**data)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        return cls(
-            roles=roles,
-            temperature=data.get("temperature", 1.0),
-            top_p=data.get("top_p", 0.95),
-            max_tokens=data.get("max_tokens", 4096),
-            spoiler=spoiler,
-            weights=weights,
-            grpo=grpo,
-            filter_min_tokens=data.get("filter_min_tokens", DEFAULT_LENGTH_BOUNDS[0]),
-            filter_max_tokens=data.get("filter_max_tokens", DEFAULT_LENGTH_BOUNDS[1]),
-            parallelism=data.get("parallelism", 1),
-            seed=data.get("seed"),
-        )
 
     @classmethod
     def from_file(cls, path: Path) -> "PipelineConfig":

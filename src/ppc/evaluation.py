@@ -16,7 +16,7 @@ import json
 import logging
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -179,13 +179,6 @@ class TokenStats:
     counts: tuple[int, ...]
     mean: float | None
     mean_thousands: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "counts": list(self.counts),
-            "mean": self.mean,
-            "mean_thousands": self.mean_thousands,
-        }
 
 
 def token_stats(completions: Sequence[str]) -> TokenStats:
@@ -491,13 +484,7 @@ class AttributionCounts:
     unparseable: int
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "what_to_solve": self.what_to_solve,
-            "how_to_solve": self.how_to_solve,
-            "facets": dict(self.facets),
-            "unparseable": self.unparseable,
-        }
+        return asdict(self)
 
 
 def aggregate_attribution(verdicts: Sequence[AttributionVerdict | None]) -> AttributionCounts:

@@ -9,7 +9,7 @@ objective value. It computes numbers only; no gradients, no models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence, Union
 
 Logp = Union[float, Sequence[float]]
@@ -38,11 +38,7 @@ class GrpoConfig:
             raise ValueError("std_floor must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon_clip": self.epsilon_clip,
-            "beta_kl": self.beta_kl,
-            "std_floor": self.std_floor,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "GrpoConfig":
@@ -86,9 +82,6 @@ class RolloutGroup:
                 raise ValueError(f"rollout {i}: mixed scalar/token log-probs")
             if shapes == {True} and len({len(v) for v in triple}) != 1:
                 raise ValueError(f"rollout {i}: token lists differ in length")
-            for v in triple:
-                _require_finite(_flatten(v), f"rollout {i} log-probs")
-        _require_finite(self.rewards, "rewards")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RolloutGroup":
@@ -192,14 +185,7 @@ class GrpoResult:
     mean_kl: float
 
     def to_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "advantages": self.advantages,
-            "surrogates": self.surrogates,
-            "kl_values": self.kl_values,
-            "clip_fraction": self.clip_fraction,
-            "mean_kl": self.mean_kl,
-        }
+        return asdict(self)
 
 
 def grpo_objective(

@@ -10,7 +10,7 @@ don't require re-judging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .spoiler import SpoilerReport, style_penalty
 from .trajectory import FormatVerdict
@@ -36,12 +36,7 @@ class RewardWeights:
             raise ValueError("all reward weights must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "lambda_a": self.lambda_a,
-            "lambda_f": self.lambda_f,
-            "lambda_s": self.lambda_s,
-            "tau_s": self.tau_s,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RewardWeights":
@@ -61,14 +56,7 @@ class RewardBreakdown:
     correct: bool
 
     def to_dict(self) -> dict:
-        return {
-            "r_out": self.r_out,
-            "r_adh_raw": self.r_adh_raw,
-            "r_fmt": self.r_fmt,
-            "r_sty_raw": self.r_sty_raw,
-            "total": self.total,
-            "correct": self.correct,
-        }
+        return asdict(self)
 
 
 def _check_grade(grade: int) -> int:

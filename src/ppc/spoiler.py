@@ -9,7 +9,7 @@ computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -77,16 +77,7 @@ class SpoilerConfig:
                 raise ValueError(f"{name} must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "derivation_phrases": list(self.derivation_phrases),
-            "answer_phrases": list(self.answer_phrases),
-            "equality_threshold": self.equality_threshold,
-            "long_span_min_chars": self.long_span_min_chars,
-            "long_span_min_count": self.long_span_min_count,
-            "digit_min": self.digit_min,
-            "span_count_threshold": self.span_count_threshold,
-            "tau_s": self.tau_s,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpoilerConfig":
@@ -185,7 +176,6 @@ class FilterDecision:
     keep: bool
     reason: DropReason | None
     spoiler: SpoilerReport
-    preplan_tokens: int
     answer_correct: bool
 
     def __post_init__(self):
@@ -215,7 +205,7 @@ def filter_decision(
     tokens = count_tokens(t.preplan)
 
     def drop(reason: DropReason) -> FilterDecision:
-        return FilterDecision(False, reason, report, tokens, correct)
+        return FilterDecision(False, reason, report, correct)
 
     if report.score > cfg.tau_s:
         return drop(DropReason.SPOILER)
@@ -228,8 +218,4 @@ def filter_decision(
         return drop(DropReason.TOO_SHORT)
     if tokens > hi:
         return drop(DropReason.TOO_LONG)
-    return FilterDecision(True, None, report, tokens, correct)
-
-
-def with_tau(cfg: SpoilerConfig, tau_s: int) -> SpoilerConfig:
-    return replace(cfg, tau_s=tau_s)
+    return FilterDecision(True, None, report, correct)

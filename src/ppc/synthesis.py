@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -176,13 +176,7 @@ class DatasetSummary:
     drop_reasons: dict[str, int]
 
     def to_dict(self) -> dict:
-        return {
-            "problems": self.problems,
-            "kept": self.kept,
-            "retention": self.retention,
-            "score_histogram": self.score_histogram,
-            "drop_reasons": self.drop_reasons,
-        }
+        return asdict(self)
 
 
 def _sft_row(rec: SynthesisRecord) -> dict:

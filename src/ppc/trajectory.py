@@ -17,7 +17,7 @@ well-formed text it returns what ``parse_trajectory`` returns.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 TAG_NAMES = ("preplan", "plan", "execute")
@@ -93,23 +93,11 @@ class Trajectory:
         return cls(preplan, plan, execute, boxed_or_none(execute))
 
     def to_dict(self) -> dict:
-        return {
-            "preplan": self.preplan,
-            "plan": self.plan,
-            "execute": self.execute,
-            "boxed_answer": self.boxed_answer,
-            "raw": self.raw,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Trajectory":
-        return cls(
-            preplan=data["preplan"],
-            plan=data["plan"],
-            execute=data["execute"],
-            boxed_answer=data.get("boxed_answer"),
-            raw=data.get("raw", ""),
-        )
+        return cls(**data)
 
 
 def extract_boxed(text: str) -> str | None:

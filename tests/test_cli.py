@@ -80,6 +80,20 @@ class TestLint:
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["lint", "--in", str(tmp_path / "nope.jsonl")]) == 2
 
+    def test_unknown_config_key_is_config_error(self, tmp_path):
+        path = tmp_path / "preplans.jsonl"
+        write_jsonl(path, [{"id": "a", "preplan": "clean analysis."}])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"roles": {"judge": {"kind": "http", "modle": "m"}}}))
+        assert main(["lint", "--config", str(config), "--in", str(path)]) == 2
+
+    def test_tau_s_is_not_an_option(self, tmp_path, capsys):
+        # spoiler_score never reads tau_s, so lint has no threshold to set
+        path = tmp_path / "preplans.jsonl"
+        write_jsonl(path, [{"id": "a", "preplan": "clean analysis."}])
+        assert main(["lint", "--in", str(path), "--tau-s", "3"]) == 1
+        assert "--tau-s" in capsys.readouterr().err
+
 
 class TestSynthesize:
     def test_scripted_end_to_end(self, tmp_path, capsys):
@@ -205,6 +219,17 @@ class TestGrpoCheck:
     def test_bad_group_is_data_error(self, tmp_path):
         path = tmp_path / "group.json"
         path.write_text(json.dumps({"rewards": [1.0]}))
+        assert main(["grpo-check", "--in", str(path)]) == 2
+
+    def test_non_finite_logp_ref_is_data_error(self, tmp_path):
+        group = {
+            "rewards": [1.0, 0.0],
+            "logp_new": [-1.0, -2.0],
+            "logp_old": [-1.0, -2.0],
+            "logp_ref": [-1.0, float("nan")],
+        }
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(group))
         assert main(["grpo-check", "--in", str(path)]) == 2
 
 

@@ -52,6 +52,29 @@ class TestValidation:
         config = PipelineConfig.from_dict({"grpo": {"epsilon_clip": 0.2, "beta_kl": 0.0}})
         assert config.grpo == GrpoConfig(epsilon_clip=0.2, beta_kl=0.0)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"roles": {"judge": {"kind": "http", "modle": "m"}}},
+            {"grpo": {"epsilon_clip": 0.2, "beta_kl": 0.04, "clip": 0.3}},
+            {"temprature": 0.7},
+            {"weights": {"lambda_x": 0.1}},
+        ],
+        ids=["role", "grpo", "top-level", "weights"],
+    )
+    def test_unknown_key(self, doc):
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [5, {"roles": ["judge"]}, {"roles": {"judge": "http"}}, {"weights": 0.1}],
+        ids=["document", "roles", "role", "weights"],
+    )
+    def test_section_not_an_object(self, doc):
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_dict(doc)
+
     def test_scripted_role_needs_script_or_default(self):
         with pytest.raises(ConfigError):
             RoleConfig(kind="scripted")

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 
@@ -178,6 +179,20 @@ class TestObjective:
         g = make_group([1.0, 0.0], [-0.5, -2.0], [-1.5, -2.0], [-0.5, -2.0])
         result = grpo_objective(g, GrpoConfig(epsilon_clip=0.2))
         assert result.clip_fraction == 0.5
+
+    @pytest.mark.parametrize("tokenwise", [False, True], ids=["scalar", "token"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["rewards", "logp_new", "logp_old", "logp_ref"])
+    def test_non_finite_input(self, field, bad, tokenwise):
+        logps = [[-1.0, -2.0], [-1.5, -0.5]] if tokenwise else [-1.0, -2.0]
+        values = {name: copy.deepcopy(logps) for name in ("logp_new", "logp_old", "logp_ref")}
+        values["rewards"] = [1.0, 0.0]
+        if isinstance(values[field][1], list):
+            values[field][1][-1] = bad
+        else:
+            values[field][1] = bad
+        with pytest.raises(NonFiniteInput):
+            grpo_objective(RolloutGroup(**values), GrpoConfig())
 
 
 class TestConfig:

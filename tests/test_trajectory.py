@@ -3,6 +3,11 @@ import random
 
 import pytest
 
+from ppc.config import PipelineConfig
+from ppc.evaluation import aggregate_attribution
+from ppc.grpo import GrpoConfig, RolloutGroup, grpo_objective
+from ppc.rewards import RewardBreakdown
+from ppc.synthesis import DatasetSummary
 from ppc.trajectory import (
     MalformedTrajectory,
     Trajectory,
@@ -17,6 +22,78 @@ from ppc.trajectory import (
 )
 
 CANONICAL = "<preplan>A</preplan><plan>B</plan><execute>C \\boxed{7}</execute>"
+
+CONFIG = PipelineConfig.from_dict(
+    {
+        "roles": {"judge": {"kind": "http", "endpoint": "http://h/v1", "model": "m"}},
+        "grpo": {"epsilon_clip": 0.2, "beta_kl": 0.04},
+    }
+)
+GROUP = RolloutGroup(rewards=[1.0, 0.0], logp_new=[-1.0, -2.0], logp_old=[-1.0, -2.0], logp_ref=[-1.0, -2.0])
+
+# The keys that `ppc reward`, `grpo-check`, `attribute`, `synthesize` and
+# saved configs expose; downstream readers depend on them.
+SERIALIZED_KEYS = [
+    pytest.param(
+        lambda: parse_trajectory(CANONICAL).to_dict(),
+        {"preplan", "plan", "execute", "boxed_answer", "raw"},
+        id="Trajectory",
+    ),
+    pytest.param(
+        lambda: RewardBreakdown(1.0, 1.0, 1, 0, 1.4, True).to_dict(),
+        {"r_out", "r_adh_raw", "r_fmt", "r_sty_raw", "total", "correct"},
+        id="RewardBreakdown",
+    ),
+    pytest.param(
+        lambda: grpo_objective(GROUP, GrpoConfig()).to_dict(),
+        {"objective", "advantages", "surrogates", "kl_values", "clip_fraction", "mean_kl"},
+        id="GrpoResult",
+    ),
+    pytest.param(
+        lambda: DatasetSummary(1, 1, 1.0, {"0": 1}, {}).to_dict(),
+        {"problems", "kept", "retention", "score_histogram", "drop_reasons"},
+        id="DatasetSummary",
+    ),
+    pytest.param(
+        lambda: aggregate_attribution([None]).to_dict(),
+        {"total", "what_to_solve", "how_to_solve", "facets", "unparseable"},
+        id="AttributionCounts",
+    ),
+    pytest.param(
+        lambda: CONFIG.to_dict(),
+        {
+            "roles", "temperature", "top_p", "max_tokens", "spoiler", "weights", "grpo",
+            "filter_min_tokens", "filter_max_tokens", "parallelism", "seed",
+        },
+        id="PipelineConfig",
+    ),
+    pytest.param(
+        lambda: CONFIG.to_dict()["roles"]["judge"],
+        {
+            "kind", "endpoint", "model", "api_key_env", "script", "default_response",
+            "max_attempts", "timeout",
+        },
+        id="PipelineConfig.roles",
+    ),
+    pytest.param(
+        lambda: CONFIG.to_dict()["spoiler"],
+        {
+            "derivation_phrases", "answer_phrases", "equality_threshold", "long_span_min_chars",
+            "long_span_min_count", "digit_min", "span_count_threshold", "tau_s",
+        },
+        id="PipelineConfig.spoiler",
+    ),
+    pytest.param(
+        lambda: CONFIG.to_dict()["weights"],
+        {"lambda_a", "lambda_f", "lambda_s", "tau_s"},
+        id="PipelineConfig.weights",
+    ),
+    pytest.param(
+        lambda: CONFIG.to_dict()["grpo"],
+        {"epsilon_clip", "beta_kl", "std_floor"},
+        id="PipelineConfig.grpo",
+    ),
+]
 
 
 def make(preplan="A", plan="B", execute="C \\boxed{7}"):
@@ -207,6 +284,6 @@ class TestSerialization:
         assert again == t
         assert again.raw == t.raw
 
-    def test_dict_keys(self):
-        t = parse_trajectory(CANONICAL)
-        assert set(t.to_dict()) == {"preplan", "plan", "execute", "boxed_answer", "raw"}
+    @pytest.mark.parametrize("make, keys", SERIALIZED_KEYS)
+    def test_dict_keys(self, make, keys):
+        assert set(make()) == keys
