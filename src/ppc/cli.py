@@ -40,7 +40,7 @@ from .synthesis import (
     build_dataset,
     load_problems,
 )
-from .trajectory import Trajectory, check_format, read_trajectory
+from .trajectory import check_format, read_trajectory
 
 log = logging.getLogger("ppc")
 
@@ -286,18 +286,13 @@ def cmd_eval(args) -> int:
 
 def cmd_perturb(args) -> int:
     rows = list(_read_jsonl(getattr(args, "in")))
-    pool = tuple((str(r["id"]), r["preplan"]) for r in rows)
-    spec = PerturbationSpec(
-        mode=PerturbationMode(args.mode),
-        seed=args.seed,
-        pool=pool if args.mode == "mismatched" else None,
-    )
+    spec = PerturbationSpec(mode=PerturbationMode(args.mode), seed=args.seed)
+    ids = [r["id"] for r in rows]
+    prefixes = perturb_preplan([r["preplan"] for r in rows], spec)
     writer = _Writer(args.out)
     try:
-        for row in rows:
-            original = Trajectory(preplan=row["preplan"], plan="", execute="")
-            prefix = perturb_preplan(original, spec, problem_id=str(row["id"]))
-            writer.row({"id": row["id"], "forced_prefix": prefix})
+        for pid, prefix in zip(ids, prefixes):
+            writer.row({"id": pid, "forced_prefix": prefix})
     finally:
         writer.close()
     return EXIT_OK

@@ -64,6 +64,12 @@ class PipelineConfig:
         for name in self.roles:
             if name not in ROLE_NAMES:
                 raise ConfigError(f"unknown role {name!r}; valid: {ROLE_NAMES}")
+        # The paper has one threshold; the filter reads one copy, the reward the other.
+        if self.spoiler.tau_s != self.weights.tau_s:
+            raise ConfigError(
+                f"spoiler.tau_s ({self.spoiler.tau_s}) and weights.tau_s "
+                f"({self.weights.tau_s}) must agree"
+            )
 
     @property
     def length_bounds(self) -> tuple[int, int]:

@@ -34,7 +34,7 @@ from .clients import (
     run_parallel,
 )
 from .synthesis import ProblemRecord
-from .trajectory import MalformedTrajectory, Trajectory, boxed_or_none, parse_trajectory
+from .trajectory import MalformedTrajectory, boxed_or_none, parse_trajectory
 
 log = logging.getLogger(__name__)
 
@@ -203,17 +203,6 @@ class PerturbationMode(str, Enum):
 class PerturbationSpec:
     mode: PerturbationMode
     seed: int
-    # (problem_id, preplan) pairs; None defers to the evaluated problems
-    pool: tuple[tuple[str, str], ...] | None = None
-    generic_text: str = prompts.GENERIC_PREPLAN
-
-    def __post_init__(self):
-        if (
-            self.mode == PerturbationMode.MISMATCHED
-            and self.pool is not None
-            and len(self.pool) < 2
-        ):
-            raise PoolTooSmall("mismatched perturbation needs a pool of >= 2")
 
 
 def _derangement(n: int, rng: random.Random) -> list[int]:
@@ -230,33 +219,27 @@ def forced_prefix_for(preplan: str) -> str:
     return f"<preplan>{preplan}</preplan>\n<plan>"
 
 
-def perturb_preplan(
-    original: Trajectory, spec: PerturbationSpec, problem_id: str | None = None
-) -> str:
-    """Forced prefix with the preplan replaced per the perturbation mode.
+def perturb_preplan(preplans: Sequence[str], spec: PerturbationSpec) -> list[str]:
+    """One forced prefix per preplan, in input order, perturbed per the mode.
 
-    shuffled: the original preplan's sentences in a seeded random order;
-    mismatched: the preplan of a different problem, assigned by a seeded
-    derangement over the pool (no problem keeps its own); generic: the
+    shuffled: each preplan's sentences in a seeded random order;
+    mismatched: the preplan at another position, assigned by one seeded
+    derangement over the list (no position keeps its own); generic: the
     fixed content-free text.
     """
     if spec.mode == PerturbationMode.SHUFFLED:
-        sentences = split_sentences(original.preplan)
-        rng = random.Random(spec.seed)
-        rng.shuffle(sentences)
-        return forced_prefix_for(" ".join(sentences))
+        prefixes = []
+        for preplan in preplans:
+            sentences = split_sentences(preplan)
+            random.Random(spec.seed).shuffle(sentences)
+            prefixes.append(forced_prefix_for(" ".join(sentences)))
+        return prefixes
     if spec.mode == PerturbationMode.MISMATCHED:
-        if spec.pool is None or len(spec.pool) < 2:
-            raise PoolTooSmall("mismatched perturbation needs a pool of >= 2")
-        if problem_id is None:
-            raise ValueError("mismatched perturbation needs the problem id")
-        ids = [pid for pid, _ in spec.pool]
-        if problem_id not in ids:
-            raise ValueError(f"problem id {problem_id!r} not in pool")
-        mapping = _derangement(len(ids), random.Random(spec.seed))
-        donor = spec.pool[mapping[ids.index(problem_id)]]
-        return forced_prefix_for(donor[1])
-    return forced_prefix_for(spec.generic_text)
+        if len(preplans) < 2:
+            raise PoolTooSmall("mismatched perturbation needs >= 2 preplans")
+        mapping = _derangement(len(preplans), random.Random(spec.seed))
+        return [forced_prefix_for(preplans[j]) for j in mapping]
+    return [forced_prefix_for(prompts.GENERIC_PREPLAN)] * len(preplans)
 
 
 # --- evaluation loop ------------------------------------------------------------
@@ -336,24 +319,21 @@ def evaluate(
     Samples come from `replay` transcripts when given (fully offline),
     otherwise from the client. With a perturbation spec, one unforced base
     sample per problem supplies the original preplan; generation then
-    restarts from the perturbed prefill. Problems whose generation fails
-    entirely are counted separately and excluded from the metric
-    denominators.
+    restarts from the perturbed prefill, so a spec together with `replay`
+    is a ValueError. Problems whose generation fails entirely are counted
+    separately and excluded from the metric denominators.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if replay is None and client is None:
         raise ValueError("need a client or replay transcripts")
+    if mode is not None and replay is not None:
+        raise ValueError("a perturbation needs live generation, not replay transcripts")
 
-    spec = mode
     prefixes: dict[str, str] = {}
-    if spec is not None and replay is None:
+    if mode is not None:
         base = _base_preplans(problems, client, params, parallelism)
-        if spec.mode == PerturbationMode.MISMATCHED and spec.pool is None:
-            spec = replace(spec, pool=tuple((p.id, base[p.id]) for p in problems))
-        for p in problems:
-            original = Trajectory(preplan=base[p.id], plan="", execute="")
-            prefixes[p.id] = perturb_preplan(original, spec, problem_id=p.id)
+        prefixes = dict(zip((p.id for p in problems), perturb_preplan(base, mode)))
 
     def run_problem(problem: ProblemRecord):
         if replay is not None:
@@ -418,18 +398,18 @@ def _base_preplans(
     client: LlmClient,
     params: GenerationRequest,
     parallelism: int,
-) -> dict[str, str]:
-    """One unforced sample per problem; its preplan seeds the perturbation."""
+) -> list[str]:
+    """One unforced sample per problem; its preplan, in problem order, seeds the perturbation."""
 
-    def one(problem: ProblemRecord) -> tuple[str, str]:
+    def one(problem: ProblemRecord) -> str:
         sample = client.generate(replace(params, user_prompt=problem.question))
         try:
-            return problem.id, parse_trajectory(sample).preplan
+            return parse_trajectory(sample).preplan
         except MalformedTrajectory:
             log.warning("base sample for %s is malformed; empty preplan", problem.id)
-            return problem.id, ""
+            return ""
 
-    return dict(run_parallel(one, problems, parallelism))
+    return run_parallel(one, problems, parallelism)
 
 
 def format_report_table(reports: Sequence[EvalReport]) -> str:

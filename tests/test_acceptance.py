@@ -555,28 +555,21 @@ def test_criterion_9_perturbation_properties():
         ]
         preplan = " ".join(sentences)
         spec = PerturbationSpec(mode=PerturbationMode.SHUFFLED, seed=case)
-        t = Trajectory(preplan=preplan, plan="", execute="")
-        prefix = perturb_preplan(t, spec)
+        [prefix] = perturb_preplan([preplan], spec)
         inner = prefix[len("<preplan>") : -len("</preplan>\n<plan>")]
         assert sorted(split_sentences(inner)) == sorted(sentences)
-        assert perturb_preplan(t, spec) == prefix  # seeded reproducibility
+        assert perturb_preplan([preplan], spec) == [prefix]  # seeded reproducibility
 
     for size in range(2, 51):
-        pool = tuple((f"p{i}", f"preplan {i}") for i in range(size))
-        spec = PerturbationSpec(mode=PerturbationMode.MISMATCHED, seed=size, pool=pool)
+        pool = [f"preplan {i}" for i in range(size)]
+        spec = PerturbationSpec(mode=PerturbationMode.MISMATCHED, seed=size)
         mapping = _derangement(size, random.Random(size))
         assert all(i != j for i, j in enumerate(mapping))
-        for pid, own in pool:
-            donor = perturb_preplan(
-                Trajectory(preplan=own, plan="", execute=""), spec, problem_id=pid
-            )
+        for own, donor in zip(pool, perturb_preplan(pool, spec)):
             assert f">{own}<" not in donor.replace("</preplan>", "<")
 
     generic = PerturbationSpec(mode=PerturbationMode.GENERIC, seed=0)
-    outputs = {
-        perturb_preplan(Trajectory(preplan=f"text {i}", plan="", execute=""), generic)
-        for i in range(20)
-    }
+    outputs = set(perturb_preplan([f"text {i}" for i in range(20)], generic))
     assert len(outputs) == 1
 
     report_pass(

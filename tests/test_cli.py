@@ -87,6 +87,14 @@ class TestLint:
         config.write_text(json.dumps({"roles": {"judge": {"kind": "http", "modle": "m"}}}))
         assert main(["lint", "--config", str(config), "--in", str(path)]) == 2
 
+    def test_tau_s_disagreement_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "preplans.jsonl"
+        write_jsonl(path, [{"id": "a", "preplan": "clean analysis."}])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"spoiler": {"tau_s": 3}, "weights": {"tau_s": 1}}))
+        assert main(["lint", "--config", str(config), "--in", str(path)]) == 2
+        assert "tau_s" in capsys.readouterr().err
+
     def test_tau_s_is_not_an_option(self, tmp_path, capsys):
         # spoiler_score never reads tau_s, so lint has no threshold to set
         path = tmp_path / "preplans.jsonl"
@@ -320,6 +328,15 @@ class TestEval:
         )
         assert code == 0
 
+    def test_perturb_with_replay_is_data_error(self, tmp_path, capsys):
+        bench, config = eval_setup(tmp_path, {"a": "7", "b": "7"})
+        live = ["eval", "--config", str(config), "--bench", str(bench), "--k", "2", "--seed", "5"]
+        assert main(live + ["--out", str(tmp_path / "run")]) == 0
+        replayed = ["--out", str(tmp_path / "p"), "--replay", str(tmp_path / "run")]
+        assert main(live + replayed + ["--perturb", "mismatched"]) == 2
+        assert "replay" in capsys.readouterr().err
+        assert not (tmp_path / "p" / "mini.report.json").exists()
+
 
 class TestPerturbCommand:
     def test_mismatched_outputs_prefixes(self, tmp_path, capsys):
@@ -335,6 +352,20 @@ class TestPerturbCommand:
             assert row["forced_prefix"].startswith("<preplan>")
             assert row["forced_prefix"].endswith("</preplan>\n<plan>")
             assert f"analysis number {i}." not in row["forced_prefix"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mismatched_duplicate_ids(self, tmp_path, capsys, seed):
+        # the donor is picked by row position, so a repeated id is no problem
+        path = tmp_path / "preplans.jsonl"
+        rows = [{"id": "a", "preplan": "x"}, {"id": "a", "preplan": "y"}, {"id": "b", "preplan": "z"}]
+        write_jsonl(path, rows)
+        assert main(["perturb", "--in", str(path), "--mode", "mismatched", "--seed", str(seed)]) == 0
+        out = read_jsonl(capsys.readouterr().out)
+        assert [r["id"] for r in out] == ["a", "a", "b"]
+        donors = [r["forced_prefix"][len("<preplan>") : -len("</preplan>\n<plan>")] for r in out]
+        assert sorted(donors) == ["x", "y", "z"]
+        for row, donor in zip(rows, donors):
+            assert donor != row["preplan"]
 
 
 class TestAttributeCommand:

@@ -75,6 +75,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict(doc)
 
+    def test_tau_s_must_agree(self):
+        with pytest.raises(ConfigError, match="tau_s"):
+            PipelineConfig.from_dict({"spoiler": {"tau_s": 3}, "weights": {"tau_s": 1}})
+        with pytest.raises(ConfigError, match="tau_s"):
+            PipelineConfig.from_dict({"spoiler": {"tau_s": 3}})
+        config = PipelineConfig.from_dict({"spoiler": {"tau_s": 3}, "weights": {"tau_s": 3}})
+        assert config.spoiler.tau_s == config.weights.tau_s == 3
+
     def test_scripted_role_needs_script_or_default(self):
         with pytest.raises(ConfigError):
             RoleConfig(kind="scripted")

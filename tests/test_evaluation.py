@@ -3,6 +3,7 @@ import random
 import pytest
 from conftest import make_problem
 
+from ppc import prompts
 from ppc.clients import AttributionVerdict, Facet, ScriptedClient
 from ppc.evaluation import (
     PerturbationMode,
@@ -18,7 +19,6 @@ from ppc.evaluation import (
     perturb_preplan,
     token_stats,
 )
-from ppc.trajectory import Trajectory
 
 
 class TestNormalize:
@@ -137,15 +137,11 @@ class TestTokenStats:
         assert stats.mean_thousands == 2.41
 
 
-def original(preplan):
-    return Trajectory(preplan=preplan, plan="", execute="")
-
-
 class TestPerturbations:
     def test_shuffled_preserves_sentence_multiset(self):
         text = "First point. Second point! Third point? Fourth."
         spec = PerturbationSpec(mode=PerturbationMode.SHUFFLED, seed=5)
-        prefix = perturb_preplan(original(text), spec)
+        [prefix] = perturb_preplan([text], spec)
         assert prefix.startswith("<preplan>") and prefix.endswith("</preplan>\n<plan>")
         inner = prefix[len("<preplan>") : -len("</preplan>\n<plan>")]
         assert sorted(inner.replace("! ", "!|").replace("? ", "?|").replace(". ", ".|").split("|")) == sorted(
@@ -154,39 +150,26 @@ class TestPerturbations:
 
     def test_shuffled_deterministic(self):
         spec = PerturbationSpec(mode=PerturbationMode.SHUFFLED, seed=5)
-        t = original("A one. B two. C three. D four. E five.")
+        t = ["A one. B two. C three. D four. E five."]
         assert perturb_preplan(t, spec) == perturb_preplan(t, spec)
 
     def test_mismatched_is_a_derangement(self):
-        pool = tuple((f"p{i}", f"preplan number {i}.") for i in range(6))
-        spec = PerturbationSpec(mode=PerturbationMode.MISMATCHED, seed=3, pool=pool)
-        for pid, own in pool:
-            prefix = perturb_preplan(original(own), spec, problem_id=pid)
+        pool = [f"preplan number {i}." for i in range(6)]
+        spec = PerturbationSpec(mode=PerturbationMode.MISMATCHED, seed=3)
+        for own, prefix in zip(pool, perturb_preplan(pool, spec)):
             assert own not in prefix
 
     def test_mismatched_needs_pool(self):
-        with pytest.raises(PoolTooSmall):
-            PerturbationSpec(
-                mode=PerturbationMode.MISMATCHED, seed=1, pool=(("a", "x"),)
-            )
-        deferred = PerturbationSpec(mode=PerturbationMode.MISMATCHED, seed=1)
-        with pytest.raises(PoolTooSmall):
-            perturb_preplan(original("x"), deferred, problem_id="a")
-
-    def test_mismatched_needs_problem_id(self):
-        pool = (("a", "x"), ("b", "y"))
-        spec = PerturbationSpec(mode=PerturbationMode.MISMATCHED, seed=1, pool=pool)
-        with pytest.raises(ValueError):
-            perturb_preplan(original("x"), spec)
+        spec = PerturbationSpec(mode=PerturbationMode.MISMATCHED, seed=1)
+        for preplans in ([], ["x"]):
+            with pytest.raises(PoolTooSmall):
+                perturb_preplan(preplans, spec)
 
     def test_generic_constant(self):
         spec = PerturbationSpec(mode=PerturbationMode.GENERIC, seed=0)
-        prefixes = {
-            perturb_preplan(original(f"text {i}"), spec, problem_id=str(i))
-            for i in range(5)
-        }
+        prefixes = set(perturb_preplan([f"text {i}" for i in range(5)], spec))
         assert len(prefixes) == 1
-        assert prefixes.pop() == forced_prefix_for(spec.generic_text)
+        assert prefixes.pop() == forced_prefix_for(prompts.GENERIC_PREPLAN)
 
 
 def completion(answer, preplan="short analysis."):
@@ -275,6 +258,13 @@ class TestEvaluate:
             own = f"own analysis {call.user_prompt.split()[-1]}."
             assert own not in call.forced_prefix
             assert call.forced_prefix.startswith("<preplan>")
+
+    def test_perturbation_needs_live_generation(self):
+        problems = [make_problem(f"p{i}", answer="7") for i in range(2)]
+        replay = {p.id: [completion("7")] for p in problems}
+        spec = PerturbationSpec(mode=PerturbationMode.MISMATCHED, seed=1)
+        with pytest.raises(ValueError, match="replay"):
+            evaluate(problems, 1, mode=spec, replay=replay)
 
     def test_samples_required_in_replay(self):
         problems = [make_problem("p0")]
