@@ -38,7 +38,6 @@ from .evaluation import (
     normalize_answer,
     pass_at_k,
     perturb_preplan,
-    token_stats,
 )
 from .grpo import (
     GroupTooSmall,

@@ -2,12 +2,19 @@
 
 Everything here is deliberately tokenizer-free: token counts are whitespace
 splits, "word" boundaries are ASCII-alphanumeric neighbourhood checks, and
-sentence splitting is naive punctuation splitting.
+sentence splitting is naive punctuation splitting. The JSON-lines reader
+and writer below are the only place the row format is spelled out.
 """
 
 from __future__ import annotations
 
+import json
 import re
+import sys
+from contextlib import nullcontext
+from typing import Callable, Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
 
 _ASCII_ALNUM = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
@@ -88,3 +95,37 @@ def math_spans(text: str) -> list[str]:
 def split_sentences(text: str) -> list[str]:
     """Split at every '.', '!' or '?' (abbreviation-naive), dropping blanks."""
     return [part.strip() for part in _SENTENCE.findall(text) if part.strip()]
+
+
+def read_jsonl(path, convert: Callable[[dict], T] = dict) -> Iterator[T]:
+    """Yield `convert(row)` for each JSON-object line; '-' or None reads stdin.
+
+    Blank lines are skipped. Invalid JSON, a line that is not an object, or a
+    KeyError/ValueError raised by `convert` is a ValueError "<path>:<line>: ...".
+    """
+    std = path in (None, "-")
+    name = "<stdin>" if std else str(path)
+    with nullcontext(sys.stdin) if std else open(path, encoding="utf-8") as stream:
+        for line_no, line in enumerate(stream, 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise ValueError(f"expected a JSON object, got {type(row).__name__}")
+                value = convert(row)
+            except json.JSONDecodeError as exc:
+                detail = f"invalid JSON at column {exc.pos + 1}: {exc.msg}"
+                raise ValueError(f"{name}:{line_no}: {detail}") from exc
+            except KeyError as exc:
+                raise ValueError(f"{name}:{line_no}: missing field {exc}") from exc
+            except ValueError as exc:
+                raise ValueError(f"{name}:{line_no}: {exc}") from exc
+            yield value
+
+
+def write_jsonl(path, rows: Iterable[dict]) -> None:
+    """One sorted-key JSON object per line, non-ASCII kept; '-' or None writes stdout."""
+    with nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", encoding="utf-8") as f:
+        for row in rows:
+            f.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")

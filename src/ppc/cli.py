@@ -18,6 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import prompts
+from ._text import read_jsonl, write_jsonl
 from .clients import ClientError, GenerationRequest, UnparseableVerdict, attribute_error
 from .config import ConfigError, PipelineConfig, build_client
 from .evaluation import (
@@ -78,35 +79,6 @@ def _setup_logging(verbose: bool) -> None:
     root.setLevel(logging.DEBUG if verbose else logging.INFO)
 
 
-def _read_jsonl(path: str | None):
-    stream = sys.stdin if path in (None, "-") else open(path, "r", encoding="utf-8")
-    try:
-        for line_no, line in enumerate(stream, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_no}: invalid JSON ({exc})") from exc
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
-
-
-class _Writer:
-    def __init__(self, path: str | None):
-        self._own = path not in (None, "-")
-        self._stream = open(path, "w", encoding="utf-8") if self._own else sys.stdout
-
-    def row(self, obj: dict) -> None:
-        self._stream.write(json.dumps(obj, sort_keys=True, ensure_ascii=False) + "\n")
-
-    def close(self) -> None:
-        if self._own:
-            self._stream.close()
-
-
 def _load_config(args) -> PipelineConfig:
     if getattr(args, "config", None):
         return PipelineConfig.from_file(Path(args.config))
@@ -140,17 +112,15 @@ def _override(base, **flags):
 def cmd_lint(args) -> int:
     cfg = _load_config(args).spoiler
     histogram = {str(s): 0 for s in range(7)}
-    writer = _Writer(args.out)
-    count = 0
-    try:
-        for row in _read_jsonl(getattr(args, "in")):
-            report = spoiler_score(row["preplan"], cfg)
-            histogram[str(report.score)] += 1
-            count += 1
-            writer.row({"id": row.get("id"), **report.to_dict()})
-    finally:
-        writer.close()
-    log.info("lint summary: %s", json.dumps({"count": count, "histogram": histogram}))
+
+    def lint(row: dict) -> dict:
+        report = spoiler_score(row["preplan"], cfg)
+        histogram[str(report.score)] += 1
+        return {"id": row.get("id"), **report.to_dict()}
+
+    write_jsonl(args.out, read_jsonl(getattr(args, "in"), lint))
+    summary = {"count": sum(histogram.values()), "histogram": histogram}
+    log.info("lint summary: %s", json.dumps(summary))
     return EXIT_OK
 
 
@@ -194,28 +164,26 @@ def cmd_reward(args) -> int:
         tau_s=args.tau_s,
     )
 
-    writer = _Writer(args.out)
-    try:
-        for row in _read_jsonl(getattr(args, "in")):
-            text, gold = row["trajectory"], row["gold"]
-            fmt = check_format(text)
-            traj = read_trajectory(text)
-            correct = row.get("correct")
-            if correct is None:
-                correct = answers_equivalent(traj.boxed_answer, gold)
-            prox = row.get("prox")
-            if not correct and prox is None:
-                log.warning("row %s: missing prox verdict; using grade 1", row.get("id"))
-                prox = 1
-            adh = row.get("adh")
-            if adh is None:
-                log.warning("row %s: missing adh verdict; using grade 1", row.get("id"))
-                adh = 1
-            spoiler = spoiler_score(traj.preplan, config.spoiler)
-            breakdown = composite_reward(correct, prox, adh, fmt, spoiler, weights)
-            writer.row({"id": row.get("id"), **breakdown.to_dict()})
-    finally:
-        writer.close()
+    def reward(row: dict) -> dict:
+        text, gold = row["trajectory"], row["gold"]
+        fmt = check_format(text)
+        traj = read_trajectory(text)
+        correct = row.get("correct")
+        if correct is None:
+            correct = answers_equivalent(traj.boxed_answer, gold)
+        prox = row.get("prox")
+        if not correct and prox is None:
+            log.warning("row %s: missing prox verdict; using grade 1", row.get("id"))
+            prox = 1
+        adh = row.get("adh")
+        if adh is None:
+            log.warning("row %s: missing adh verdict; using grade 1", row.get("id"))
+            adh = 1
+        spoiler = spoiler_score(traj.preplan, config.spoiler)
+        breakdown = composite_reward(correct, prox, adh, fmt, spoiler, weights)
+        return {"id": row.get("id"), **breakdown.to_dict()}
+
+    write_jsonl(args.out, read_jsonl(getattr(args, "in"), reward))
     return EXIT_OK
 
 
@@ -271,9 +239,9 @@ def cmd_eval(args) -> int:
         )
         reports.append(report)
         write_transcripts(out_dir / f"{bench_path.stem}.transcripts.jsonl", report)
-        with (out_dir / f"{bench_path.stem}.records.jsonl").open("w", encoding="utf-8") as f:
-            for rec in report.records:
-                f.write(json.dumps(rec.to_dict(), sort_keys=True, ensure_ascii=False) + "\n")
+        write_jsonl(
+            out_dir / f"{bench_path.stem}.records.jsonl", (rec.to_dict() for rec in report.records)
+        )
         (out_dir / f"{bench_path.stem}.report.json").write_text(
             report.to_json() + "\n", encoding="utf-8"
         )
@@ -285,16 +253,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    rows = list(_read_jsonl(getattr(args, "in")))
+    rows = list(read_jsonl(getattr(args, "in"), lambda row: (row["id"], row["preplan"])))
     spec = PerturbationSpec(mode=PerturbationMode(args.mode), seed=args.seed)
-    ids = [r["id"] for r in rows]
-    prefixes = perturb_preplan([r["preplan"] for r in rows], spec)
-    writer = _Writer(args.out)
-    try:
-        for pid, prefix in zip(ids, prefixes):
-            writer.row({"id": pid, "forced_prefix": prefix})
-    finally:
-        writer.close()
+    prefixes = perturb_preplan([preplan for _, preplan in rows], spec)
+    write_jsonl(
+        args.out,
+        ({"id": pid, "forced_prefix": prefix} for (pid, _), prefix in zip(rows, prefixes)),
+    )
     return EXIT_OK
 
 
@@ -302,25 +267,22 @@ def cmd_attribute(args) -> int:
     config = _load_config(args)
     judge = build_client(config, "judge", os.environ, _config_dir(args))
     verdicts = []
-    writer = _Writer(args.out)
-    try:
-        for row in _read_jsonl(getattr(args, "in")):
-            try:
-                verdict = attribute_error(judge, row["question"], row["solution"], row["gold"])
-            except UnparseableVerdict as exc:
-                log.warning("row %s: %s", row.get("id"), exc)
-                verdict = None
-            verdicts.append(verdict)
-            writer.row(
-                {
-                    "id": row.get("id"),
-                    "what_to_solve": None if verdict is None else verdict.is_what_to_solve,
-                    "facet": None if verdict is None or verdict.facet is None else verdict.facet.value,
-                    "unparseable": verdict is None,
-                }
-            )
-    finally:
-        writer.close()
+
+    def attribute(row: dict) -> dict:
+        try:
+            verdict = attribute_error(judge, row["question"], row["solution"], row["gold"])
+        except UnparseableVerdict as exc:
+            log.warning("row %s: %s", row.get("id"), exc)
+            verdict = None
+        verdicts.append(verdict)
+        return {
+            "id": row.get("id"),
+            "what_to_solve": None if verdict is None else verdict.is_what_to_solve,
+            "facet": None if verdict is None or verdict.facet is None else verdict.facet.value,
+            "unparseable": verdict is None,
+        }
+
+    write_jsonl(args.out, read_jsonl(getattr(args, "in"), attribute))
     print(json.dumps(aggregate_attribution(verdicts).to_dict(), sort_keys=True))
     return EXIT_OK
 

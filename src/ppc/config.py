@@ -58,7 +58,6 @@ class PipelineConfig:
     filter_min_tokens: int = DEFAULT_LENGTH_BOUNDS[0]
     filter_max_tokens: int = DEFAULT_LENGTH_BOUNDS[1]
     parallelism: int = 1
-    seed: int | None = None
 
     def __post_init__(self):
         for name in self.roles:

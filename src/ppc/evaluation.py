@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from . import prompts
-from ._text import count_tokens, split_sentences
+from ._text import count_tokens, read_jsonl, split_sentences, write_jsonl
 from .clients import (
     AttributionVerdict,
     ClientError,
@@ -34,7 +34,7 @@ from .clients import (
     run_parallel,
 )
 from .synthesis import ProblemRecord
-from .trajectory import MalformedTrajectory, boxed_or_none, parse_trajectory
+from .trajectory import boxed_or_none, read_trajectory
 
 log = logging.getLogger(__name__)
 
@@ -172,22 +172,6 @@ def pass_at_k(
     if not answers:
         raise ValueError("need at least one answer")
     return any(a is not None and equivalence(a, gold) for a in answers)
-
-
-@dataclass(frozen=True)
-class TokenStats:
-    counts: tuple[int, ...]
-    mean: float | None
-    mean_thousands: float | None
-
-
-def token_stats(completions: Sequence[str]) -> TokenStats:
-    """Whitespace token counts; the mean is also given in thousands (2 dp)."""
-    counts = tuple(count_tokens(c) for c in completions)
-    if not counts:
-        return TokenStats(counts=(), mean=None, mean_thousands=None)
-    mean = sum(counts) / len(counts)
-    return TokenStats(counts=counts, mean=mean, mean_thousands=round(mean / 1000.0, 2))
 
 
 # --- faithfulness perturbations ------------------------------------------------
@@ -375,8 +359,9 @@ def evaluate(
     if records:
         maj = round(100.0 * sum(r.maj_correct for r in records) / len(records), 2)
         cov = round(100.0 * sum(r.pass_correct for r in records) / len(records), 2)
-        stats = token_stats([s for r in records for s in r.samples])
-        mean_tokens, mean_k = stats.mean, stats.mean_thousands
+        counts = [c for r in records for c in r.token_counts]
+        mean_tokens = sum(counts) / len(counts)
+        mean_k = round(mean_tokens / 1000.0, 2)
     else:
         maj = cov = mean_tokens = mean_k = None
 
@@ -399,15 +384,12 @@ def _base_preplans(
     params: GenerationRequest,
     parallelism: int,
 ) -> list[str]:
-    """One unforced sample per problem; its preplan, in problem order, seeds the perturbation."""
+    """One unforced sample per problem; its preplan, read leniently and in problem
+    order, seeds the perturbation (a sample cut off before its answer still has one)."""
 
     def one(problem: ProblemRecord) -> str:
         sample = client.generate(replace(params, user_prompt=problem.question))
-        try:
-            return parse_trajectory(sample).preplan
-        except MalformedTrajectory:
-            log.warning("base sample for %s is malformed; empty preplan", problem.id)
-            return ""
+        return read_trajectory(sample).preplan
 
     return run_parallel(one, problems, parallelism)
 
@@ -435,21 +417,11 @@ def format_report_table(reports: Sequence[EvalReport]) -> str:
 
 def write_transcripts(path: Path, report: EvalReport) -> None:
     """Persist raw samples per problem for later --replay runs."""
-    with Path(path).open("w", encoding="utf-8") as f:
-        for rec in report.records:
-            row = {"id": rec.problem.id, "samples": rec.samples}
-            f.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
+    write_jsonl(path, ({"id": rec.problem.id, "samples": rec.samples} for rec in report.records))
 
 
 def read_transcripts(path: Path) -> dict[str, list[str]]:
-    transcripts: dict[str, list[str]] = {}
-    with Path(path).open("r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                row = json.loads(line)
-                transcripts[str(row["id"])] = list(row["samples"])
-    return transcripts
+    return dict(read_jsonl(path, lambda row: (str(row["id"]), list(row["samples"]))))
 
 
 # --- error attribution ----------------------------------------------------------

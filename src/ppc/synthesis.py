@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import prompts
+from ._text import read_jsonl, write_jsonl
 from .clients import ClientError, GenerationRequest, LlmClient, run_parallel
 from .spoiler import (
     DEFAULT_LENGTH_BOUNDS,
@@ -29,8 +30,6 @@ from .spoiler import (
 from .trajectory import Trajectory, check_format, render_trajectory
 
 log = logging.getLogger(__name__)
-
-STAGES = ("preplan", "plan", "raw_solution", "execute")
 
 
 class DuplicateId(ValueError):
@@ -198,10 +197,6 @@ def _reject_row(rec: SynthesisRecord) -> dict:
     }
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False)
-
-
 def build_dataset(
     problems: Sequence[ProblemRecord],
     generators: GeneratorSuite,
@@ -250,12 +245,8 @@ def build_dataset(
     kept = [r for r in records if r.kept]
     dropped = [r for r in records if not r.kept]
 
-    with (out_dir / "sft.jsonl").open("w", encoding="utf-8") as f:
-        for rec in kept:
-            f.write(_dump(_sft_row(rec)) + "\n")
-    with (out_dir / "rejects.jsonl").open("w", encoding="utf-8") as f:
-        for rec in dropped:
-            f.write(_dump(_reject_row(rec)) + "\n")
+    write_jsonl(out_dir / "sft.jsonl", map(_sft_row, kept))
+    write_jsonl(out_dir / "rejects.jsonl", map(_reject_row, dropped))
 
     histogram = {str(s): 0 for s in range(7)}
     for rec in records:
@@ -316,22 +307,13 @@ def split_corpus(
 
 def load_problems(path: Path) -> list[ProblemRecord]:
     """Read a {id, question, answer[, difficulty]} JSONL corpus."""
-    records = []
-    with Path(path).open("r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            try:
-                records.append(
-                    ProblemRecord(
-                        id=str(row["id"]),
-                        question=row["question"],
-                        gold_answer=str(row["answer"]),
-                        difficulty=row.get("difficulty"),
-                    )
-                )
-            except KeyError as exc:
-                raise ValueError(f"{path}:{line_no}: missing field {exc}") from exc
-    return records
+    return list(read_jsonl(path, _problem_from_row))
+
+
+def _problem_from_row(row: dict) -> ProblemRecord:
+    return ProblemRecord(
+        id=str(row["id"]),
+        question=row["question"],
+        gold_answer=str(row["answer"]),
+        difficulty=row.get("difficulty"),
+    )

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -403,3 +404,46 @@ class TestAttributeCommand:
         assert counts["facets"]["pitfalls"] == 1
         verdicts = read_jsonl(out_file.read_text())
         assert verdicts[2]["unparseable"] is True
+
+
+VALID_ROWS = {
+    "lint": ({"id": "a", "preplan": "clean analysis."}, []),
+    "reward": ({"id": "x", "trajectory": GOOD_TRAJECTORY, "gold": "7", "adh": 1}, []),
+    "perturb": ({"id": "a", "preplan": "some analysis."}, ["--mode", "generic", "--seed", "1"]),
+}
+
+
+class TestMalformedRows:
+    """A malformed JSONL row is a data error (exit 2) naming its file and line."""
+
+    @pytest.mark.parametrize("bad_line", ["[1, 2]", '{"id": "b", '], ids=["array", "bad-json"])
+    @pytest.mark.parametrize("command", sorted(VALID_ROWS))
+    def test_row_commands(self, tmp_path, capsys, command, bad_line):
+        row, extra = VALID_ROWS[command]
+        path = tmp_path / "rows.jsonl"
+        path.write_text(json.dumps(row) + "\n" + bad_line + "\n", encoding="utf-8")
+        assert main([command, "--in", str(path)] + extra) == 2
+        assert "rows.jsonl:2: " in capsys.readouterr().err
+
+    def test_eval_bench_bad_json(self, tmp_path, capsys):
+        bench, config = eval_setup(tmp_path, {"a": "7"})
+        bench.write_text(bench.read_text(encoding="utf-8") + "{oops\n", encoding="utf-8")
+        argv = ["eval", "--config", str(config), "--bench", str(bench), "--seed", "5"]
+        assert main(argv + ["--k", "1", "--out", str(tmp_path / "run")]) == 2
+        assert "mini.jsonl:2: invalid JSON" in capsys.readouterr().err
+
+    def test_eval_replay_row_without_samples(self, tmp_path, capsys):
+        bench, _ = eval_setup(tmp_path, {"a": "7", "b": "7"})
+        run = tmp_path / "run"
+        run.mkdir()
+        write_jsonl(run / "mini.transcripts.jsonl", [{"id": "a", "samples": ["x"]}, {"id": "b"}])
+        argv = ["eval", "--bench", str(bench), "--k", "1", "--seed", "5", "--replay", str(run)]
+        assert main(argv + ["--out", str(tmp_path / "again")]) == 2
+        assert "mini.transcripts.jsonl:2: missing field 'samples'" in capsys.readouterr().err
+
+    def test_lint_reads_stdin(self, monkeypatch, capsys):
+        rows = [{"id": "a", "preplan": "clean analysis."}, {"id": "b", "preplan": "more analysis."}]
+        text = "".join(json.dumps(r) + "\n" for r in rows)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text + "\n"))
+        assert main(["lint", "--in", "-"]) == 0
+        assert [r["id"] for r in read_jsonl(capsys.readouterr().out)] == ["a", "b"]

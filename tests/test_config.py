@@ -19,7 +19,6 @@ def sample_config_dict():
         },
         "temperature": 0.7,
         "grpo": {"epsilon_clip": 0.2, "beta_kl": 0.04},
-        "seed": 11,
     }
 
 

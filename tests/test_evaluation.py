@@ -17,8 +17,8 @@ from ppc.evaluation import (
     normalize_answer,
     pass_at_k,
     perturb_preplan,
-    token_stats,
 )
+from ppc.trajectory import Violation, check_format
 
 
 class TestNormalize:
@@ -119,22 +119,6 @@ class TestMajPass:
             a = [rng.choice(answers)]
             gold = rng.choice(["1", "2", "3"])
             assert maj_at_k(a, gold) == pass_at_k(a, gold)
-
-
-class TestTokenStats:
-    def test_basic(self):
-        assert token_stats(["a b c"]).mean == 3
-
-    def test_empty(self):
-        stats = token_stats([])
-        assert stats.mean is None and stats.mean_thousands is None
-
-    def test_mean_across_samples(self):
-        assert token_stats(["a b", "c d e f"]).mean == 3.0
-
-    def test_thousands_rounding(self):
-        stats = token_stats([" ".join(["w"] * 2410)])
-        assert stats.mean_thousands == 2.41
 
 
 class TestPerturbations:
@@ -266,10 +250,48 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="replay"):
             evaluate(problems, 1, mode=spec, replay=replay)
 
+    def test_base_preplan_read_without_boxed_answer(self):
+        # A base sample cut off before its \boxed (NO_BOXED) still carries a complete preplan.
+        problems = [make_problem(f"p{i}", answer="7") for i in range(2)]
+        base = {
+            p.question: completion("7", preplan=f"own analysis {p.id}.").replace("\\boxed{7}", "")
+            for p in problems
+        }
+        client = ScriptedClient(lambda req: (
+            "rest</plan><execute>\\boxed{7}</execute>" if req.forced_prefix else base[req.user_prompt]
+        ))
+        spec = PerturbationSpec(mode=PerturbationMode.SHUFFLED, seed=1)
+        assert all(check_format(b).violations == (Violation.NO_BOXED,) for b in base.values())
+        evaluate(problems, 1, client, mode=spec)
+        forced = sorted(r.forced_prefix for r in client.calls if r.forced_prefix)
+        assert forced == [forced_prefix_for(f"own analysis {p.id}.") for p in problems]
+
     def test_samples_required_in_replay(self):
         problems = [make_problem("p0")]
         with pytest.raises(ValueError):
             evaluate(problems, 4, replay={"p0": [completion("7")]})
+
+
+class TestReportTokens:
+    """Report token means come from the records' whitespace token counts."""
+
+    def report(self, samples):
+        problems = [make_problem("p0")]
+        return evaluate(problems, len(samples), replay={"p0": samples})
+
+    def test_basic(self):
+        assert self.report(["a b c"]).mean_tokens == 3
+
+    def test_empty(self):
+        report = evaluate([], 1, replay={})
+        assert report.mean_tokens is None and report.mean_tokens_thousands is None
+
+    def test_mean_across_samples(self):
+        assert self.report(["a b", "c d e f"]).mean_tokens == 3.0
+
+    def test_thousands_rounding(self):
+        report = self.report([" ".join(["w"] * 2410)])
+        assert report.mean_tokens_thousands == 2.41
 
 
 class TestAttributionAggregate:

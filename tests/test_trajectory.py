@@ -63,7 +63,7 @@ SERIALIZED_KEYS = [
         lambda: CONFIG.to_dict(),
         {
             "roles", "temperature", "top_p", "max_tokens", "spoiler", "weights", "grpo",
-            "filter_min_tokens", "filter_max_tokens", "parallelism", "seed",
+            "filter_min_tokens", "filter_max_tokens", "parallelism",
         },
         id="PipelineConfig",
     ),
