@@ -9,9 +9,11 @@ and writer below are the only place the row format is spelled out.
 from __future__ import annotations
 
 import json
+import os
 import re
+import secrets
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
@@ -124,8 +126,38 @@ def read_jsonl(path, convert: Callable[[dict], T] = dict) -> Iterator[T]:
             yield value
 
 
+def typed_field(row: dict, key: str, kind: type = str, item: type | None = None):
+    """row[key], a ValueError unless it is a `kind` (whose elements are `item`s)."""
+    value = row[key]
+    if not isinstance(value, kind) or item and not all(isinstance(v, item) for v in value):
+        of = f" of {item.__name__}" if item else ""
+        raise ValueError(f"field {key!r} must be {kind.__name__}{of}, got {value!r:.60}")
+    return value
+
+
+@contextmanager
+def atomic_open(path):
+    """A text file that replaces `path` only when the block succeeds.
+
+    It is written beside `path` under a temporary name and renamed over it
+    with os.replace; on any exception it is removed and `path` is untouched.
+    """
+    tmp = f"{os.fspath(path)}.{secrets.token_hex(4)}.tmp"
+    f = open(tmp, "x", encoding="utf-8")
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_jsonl(path, rows: Iterable[dict]) -> None:
-    """One sorted-key JSON object per line, non-ASCII kept; '-' or None writes stdout."""
-    with nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", encoding="utf-8") as f:
+    """One sorted-key JSON object per line, non-ASCII kept; '-' or None writes stdout.
+
+    A file is written atomically (see atomic_open).
+    """
+    with nullcontext(sys.stdout) if path in (None, "-") else atomic_open(path) as f:
         for row in rows:
             f.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")

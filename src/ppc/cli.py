@@ -18,7 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import prompts
-from ._text import read_jsonl, write_jsonl
+from ._text import atomic_open, read_jsonl, typed_field, write_jsonl
 from .clients import ClientError, GenerationRequest, UnparseableVerdict, attribute_error
 from .config import ConfigError, PipelineConfig, build_client
 from .evaluation import (
@@ -114,7 +114,7 @@ def cmd_lint(args) -> int:
     histogram = {str(s): 0 for s in range(7)}
 
     def lint(row: dict) -> dict:
-        report = spoiler_score(row["preplan"], cfg)
+        report = spoiler_score(typed_field(row, "preplan"), cfg)
         histogram[str(report.score)] += 1
         return {"id": row.get("id"), **report.to_dict()}
 
@@ -165,7 +165,7 @@ def cmd_reward(args) -> int:
     )
 
     def reward(row: dict) -> dict:
-        text, gold = row["trajectory"], row["gold"]
+        text, gold = typed_field(row, "trajectory"), typed_field(row, "gold")
         fmt = check_format(text)
         traj = read_trajectory(text)
         correct = row.get("correct")
@@ -242,9 +242,8 @@ def cmd_eval(args) -> int:
         write_jsonl(
             out_dir / f"{bench_path.stem}.records.jsonl", (rec.to_dict() for rec in report.records)
         )
-        (out_dir / f"{bench_path.stem}.report.json").write_text(
-            report.to_json() + "\n", encoding="utf-8"
-        )
+        with atomic_open(out_dir / f"{bench_path.stem}.report.json") as f:
+            f.write(report.to_json() + "\n")
     print(format_report_table(reports))
     if any(r.failed and not r.problems for r in reports):
         log.error("a benchmark failed entirely at generation; endpoint unusable")
@@ -253,7 +252,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    rows = list(read_jsonl(getattr(args, "in"), lambda row: (row["id"], row["preplan"])))
+    rows = list(read_jsonl(getattr(args, "in"), lambda row: (row["id"], typed_field(row, "preplan"))))
     spec = PerturbationSpec(mode=PerturbationMode(args.mode), seed=args.seed)
     prefixes = perturb_preplan([preplan for _, preplan in rows], spec)
     write_jsonl(

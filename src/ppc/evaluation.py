@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from . import prompts
-from ._text import count_tokens, read_jsonl, split_sentences, write_jsonl
+from ._text import count_tokens, read_jsonl, split_sentences, typed_field, write_jsonl
 from .clients import (
     AttributionVerdict,
     ClientError,
@@ -421,7 +421,7 @@ def write_transcripts(path: Path, report: EvalReport) -> None:
 
 
 def read_transcripts(path: Path) -> dict[str, list[str]]:
-    return dict(read_jsonl(path, lambda row: (str(row["id"]), list(row["samples"]))))
+    return dict(read_jsonl(path, lambda row: (str(row["id"]), typed_field(row, "samples", list, str))))
 
 
 # --- error attribution ----------------------------------------------------------

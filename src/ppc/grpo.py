@@ -49,14 +49,19 @@ def _is_tokenwise(value: Logp) -> bool:
     return isinstance(value, (list, tuple))
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _tokens(value: Logp) -> Sequence[float]:
+    """A rollout's token log-probs; a sequence-level value is one token."""
+    return value if _is_tokenwise(value) else (value,)
+
+
 def _require_finite(values, what: str):
     for v in values:
         if not math.isfinite(v):
             raise NonFiniteInput(f"{what} contains non-finite value {v!r}")
-
-
-def _flatten(value: Logp) -> list[float]:
-    return list(value) if _is_tokenwise(value) else [value]
 
 
 @dataclass
@@ -85,13 +90,20 @@ class RolloutGroup:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RolloutGroup":
-        return cls(
-            rewards=list(data["rewards"]),
-            logp_new=list(data["logp_new"]),
-            logp_old=list(data["logp_old"]),
-            logp_ref=list(data["logp_ref"]),
-            G=data.get("G", 0),
-        )
+        """Build from JSON data; a field that is not a list, or a reward or
+        log-prob that is not a number, is a ValueError naming it."""
+        fields = {}
+        for name in ("rewards", "logp_new", "logp_old", "logp_ref"):
+            values = data[name]
+            if not isinstance(values, list):
+                raise ValueError(f"{name} must be a list, got {type(values).__name__}")
+            for i, v in enumerate(values):
+                tokens = name != "rewards" and _is_tokenwise(v)
+                if not (all(map(_is_number, v)) if tokens else _is_number(v)):
+                    kind = "a number" if name == "rewards" else "a number or a list of numbers"
+                    raise ValueError(f"rollout {i}: {name} must be {kind}, got {v!r}")
+            fields[name] = list(values)
+        return cls(**fields, G=data.get("G", 0))
 
 
 def group_advantages(
@@ -123,56 +135,38 @@ def group_advantages(
 
 def importance_ratio(logp_new: Logp, logp_old: Logp):
     """exp(logp_new - logp_old), per rollout or per token."""
-    if _is_tokenwise(logp_new) != _is_tokenwise(logp_old):
+    news, olds = _tokens(logp_new), _tokens(logp_old)
+    if _is_tokenwise(logp_new) != _is_tokenwise(logp_old) or len(news) != len(olds):
         raise ValueError("logp_new and logp_old must share a shape")
-    if _is_tokenwise(logp_new):
-        if len(logp_new) != len(logp_old):
-            raise ValueError("token lists differ in length")
-        _require_finite(logp_new, "logp_new")
-        _require_finite(logp_old, "logp_old")
-        return [math.exp(n - o) for n, o in zip(logp_new, logp_old)]
-    _require_finite([logp_new], "logp_new")
-    _require_finite([logp_old], "logp_old")
-    return math.exp(logp_new - logp_old)
+    _require_finite(news, "logp_new")
+    _require_finite(olds, "logp_old")
+    ratios = [math.exp(n - o) for n, o in zip(news, olds)]
+    return ratios if _is_tokenwise(logp_new) else ratios[0]
 
 
-def clipped_surrogate(rho, advantage: float, epsilon: float):
-    """min(rho * A, clip(rho, 1 - eps, 1 + eps) * A), elementwise on lists."""
+def clipped_surrogate(rho: float, advantage: float, epsilon: float) -> float:
+    """min(rho * A, clip(rho, 1 - eps, 1 + eps) * A)."""
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    if isinstance(rho, (list, tuple)):
-        return [clipped_surrogate(r, advantage, epsilon) for r in rho]
     clipped = min(max(rho, 1 - epsilon), 1 + epsilon)
     return min(rho * advantage, clipped * advantage)
 
 
-def kl_term(logp_new: Logp, logp_ref: Logp, estimator: str = "nonneg") -> float:
-    """KL estimate between the current and reference policies.
+def kl_term(logp_new: Logp, logp_ref: Logp) -> float:
+    """k3 estimate of KL(current || reference) (DeepSeekMath's GRPO).
 
-    "nonneg" uses r - log(r) - 1 with r = exp(logp_ref - logp_new), which is
-    zero iff the log-probs agree and never negative; "logratio" is the plain
-    logp_new - logp_ref sample. Token lists are summed.
+    r - log(r) - 1 with r = exp(logp_ref - logp_new): zero iff the log-probs
+    agree and never negative. Token lists are summed.
     """
-    if estimator not in ("nonneg", "logratio"):
-        raise ValueError(f"unknown estimator {estimator!r}")
-    news = _flatten(logp_new)
-    refs = _flatten(logp_ref)
+    news, refs = _tokens(logp_new), _tokens(logp_ref)
     if _is_tokenwise(logp_new) != _is_tokenwise(logp_ref) or len(news) != len(refs):
         raise ValueError("logp_new and logp_ref must share a shape")
     _require_finite(news, "logp_new")
     _require_finite(refs, "logp_ref")
     total = 0.0
     for n, ref in zip(news, refs):
-        if estimator == "nonneg":
-            r = math.exp(ref - n)
-            total += r - (ref - n) - 1.0
-        else:
-            total += n - ref
+        total += math.exp(ref - n) - (ref - n) - 1.0
     return total
-
-
-def _outside_clip(rho: float, epsilon: float) -> bool:
-    return rho < 1 - epsilon or rho > 1 + epsilon
 
 
 @dataclass(frozen=True)
@@ -188,44 +182,59 @@ class GrpoResult:
         return asdict(self)
 
 
-def grpo_objective(
-    group: RolloutGroup,
-    cfg: GrpoConfig,
-    sample_std: bool = False,
-    kl_estimator: str = "nonneg",
-) -> GrpoResult:
-    """Objective value: mean clipped surrogate minus beta * mean KL.
+def grpo_objective(group: RolloutGroup, cfg: GrpoConfig, sample_std: bool = False) -> GrpoResult:
+    """Objective value: mean clipped surrogate minus beta * mean k3 KL.
 
-    Sequence-level ratios by default. When a rollout carries token lists,
-    its surrogate is the token mean (with the rollout's scalar advantage)
-    and its KL the token sum. Summation is left-to-right over rollout index
-    for bit-reproducibility.
+    One pass per rollout over its tokens (a sequence-level rollout is one
+    token): its surrogate is the token mean of clipped_surrogate with the
+    rollout's scalar advantage, its KL the token sum of kl_term. Every sum
+    runs left to right, over tokens and then rollouts, for bit-reproducibility.
+    A non-finite log-prob, or a log-ratio too large for exp(), raises
+    NonFiniteInput naming the rollout.
     """
     advantages = group_advantages(group.rewards, cfg.std_floor, sample_std)
-    surrogates: list[float] = []
-    kl_values: list[float] = []
-    clip_flags: list[bool] = []
+    lo, hi = 1 - cfg.epsilon_clip, 1 + cfg.epsilon_clip
+    exp, isfinite = math.exp, math.isfinite
+    surrogates, kl_values = [], []
+    surrogate_total = kl_total = 0.0
+    clipped = tokens = 0
 
-    for i in range(group.G):
-        new, old, ref = group.logp_new[i], group.logp_old[i], group.logp_ref[i]
-        rho = importance_ratio(new, old)
-        if isinstance(rho, list):
-            per_token = clipped_surrogate(rho, advantages[i], cfg.epsilon_clip)
-            surrogates.append(sum(per_token) / len(per_token))
-            clip_flags.extend(_outside_clip(r, cfg.epsilon_clip) for r in rho)
-        else:
-            surrogates.append(clipped_surrogate(rho, advantages[i], cfg.epsilon_clip))
-            clip_flags.append(_outside_clip(rho, cfg.epsilon_clip))
-        kl_values.append(kl_term(new, ref, kl_estimator))
+    for i, adv in enumerate(advantages):
+        new, old, ref = (_tokens(v[i]) for v in (group.logp_new, group.logp_old, group.logp_ref))
+        surrogate = kl = logratio = 0.0
+        try:
+            for n, o, r in zip(new, old, ref):
+                d = n - o
+                logratio += d  # logp_old = +inf gives rho = 0 and finite other sums
+                rho = exp(d)
+                if lo <= rho <= hi:
+                    surrogate += rho * adv
+                else:
+                    clipped += 1
+                    s, c = rho * adv, (lo if rho < lo else hi) * adv
+                    surrogate += c if c < s else s
+                x = r - n
+                kl += exp(x) - x - 1.0
+            finite = isfinite(surrogate) and isfinite(kl) and isfinite(logratio)
+        except OverflowError:
+            finite = False
+        if not finite:  # rescan this rollout only, to name its bad input
+            for what, values in (("logp_new", new), ("logp_old", old), ("logp_ref", ref)):
+                _require_finite(values, f"rollout {i}: {what}")
+            raise NonFiniteInput(f"rollout {i}: log-ratio too large for a finite objective")
+        tokens += len(new)
+        surrogate /= len(new)
+        surrogates.append(surrogate)
+        kl_values.append(kl)
+        surrogate_total += surrogate
+        kl_total += kl
 
-    mean_kl = sum(kl_values) / group.G
-    objective = sum(surrogates) / group.G - cfg.beta_kl * mean_kl
-    clip_fraction = sum(clip_flags) / len(clip_flags) if clip_flags else 0.0
+    mean_kl = kl_total / group.G
     return GrpoResult(
-        objective=objective,
+        objective=surrogate_total / group.G - cfg.beta_kl * mean_kl,
         advantages=advantages,
         surrogates=surrogates,
         kl_values=kl_values,
-        clip_fraction=clip_fraction,
+        clip_fraction=clipped / tokens,
         mean_kl=mean_kl,
     )

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import prompts
-from ._text import read_jsonl, write_jsonl
+from ._text import atomic_open, read_jsonl, write_jsonl
 from .clients import ClientError, GenerationRequest, LlmClient, run_parallel
 from .spoiler import (
     DEFAULT_LENGTH_BOUNDS,
@@ -264,9 +264,8 @@ def build_dataset(
         score_histogram=histogram,
         drop_reasons=dict(sorted(reasons.items())),
     )
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    with atomic_open(out_dir / "summary.json") as f:
+        f.write(json.dumps(summary.to_dict(), sort_keys=True, indent=2) + "\n")
     return summary
 
 

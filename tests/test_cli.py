@@ -241,6 +241,41 @@ class TestGrpoCheck:
         path.write_text(json.dumps(group))
         assert main(["grpo-check", "--in", str(path)]) == 2
 
+    def test_overflowing_log_ratio_is_data_error(self, tmp_path, capsys):
+        group = {
+            "rewards": [1.0, 0.0],
+            "logp_new": [[-1.0, -1.0], [-1.0, 800.0]],
+            "logp_old": [[-1.0, -1.0], [-1.0, -1.0]],
+            "logp_ref": [[-1.0, -1.0], [-1.0, -1.0]],
+        }
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(group))
+        assert main(["grpo-check", "--in", str(path)]) == 2
+        assert "rollout 1: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("logp_new", [-1.0, "-2.0"], "rollout 1: logp_new"),
+            ("logp_old", [-1.0, [-2.0, None]], "rollout 1: logp_old"),
+            ("rewards", [1.0, "0"], "rollout 1: rewards"),
+            ("logp_ref", 5, "logp_ref must be a list"),
+        ],
+        ids=["string-logp", "null-token", "string-reward", "not-a-list"],
+    )
+    def test_wrong_type_is_data_error(self, tmp_path, capsys, field, value, named):
+        group = {
+            "rewards": [1.0, 0.0],
+            "logp_new": [-1.0, -2.0],
+            "logp_old": [-1.0, -2.0],
+            "logp_ref": [-1.0, -2.0],
+            field: value,
+        }
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(group))
+        assert main(["grpo-check", "--in", str(path)]) == 2
+        assert named in capsys.readouterr().err
+
 
 def eval_setup(tmp_path, answers_by_problem):
     problems = list(answers_by_problem)
@@ -441,9 +476,39 @@ class TestMalformedRows:
         assert main(argv + ["--out", str(tmp_path / "again")]) == 2
         assert "mini.transcripts.jsonl:2: missing field 'samples'" in capsys.readouterr().err
 
+    def test_lint_preplan_not_a_string(self, tmp_path, capsys):
+        path = tmp_path / "rows.jsonl"
+        write_jsonl(path, [VALID_ROWS["lint"][0], {"id": "a", "preplan": 5}])
+        assert main(["lint", "--in", str(path)]) == 2
+        assert "rows.jsonl:2: field 'preplan' must be str, got 5" in capsys.readouterr().err
+
+    def test_eval_replay_samples_not_a_list(self, tmp_path, capsys):
+        bench, _ = eval_setup(tmp_path, {"a": "7", "b": "7"})
+        run = tmp_path / "run"
+        run.mkdir()
+        write_jsonl(run / "mini.transcripts.jsonl", [{"id": "a", "samples": ["x"]}, {"id": "b", "samples": 5}])
+        argv = ["eval", "--bench", str(bench), "--k", "1", "--seed", "5", "--replay", str(run)]
+        assert main(argv + ["--out", str(tmp_path / "again")]) == 2
+        assert "mini.transcripts.jsonl:2: field 'samples' must be list of str" in capsys.readouterr().err
+
     def test_lint_reads_stdin(self, monkeypatch, capsys):
         rows = [{"id": "a", "preplan": "clean analysis."}, {"id": "b", "preplan": "more analysis."}]
         text = "".join(json.dumps(r) + "\n" for r in rows)
         monkeypatch.setattr("sys.stdin", io.StringIO(text + "\n"))
         assert main(["lint", "--in", "-"]) == 0
         assert [r["id"] for r in read_jsonl(capsys.readouterr().out)] == ["a", "b"]
+
+
+class TestAtomicOutput:
+    """A failed run leaves an existing --out file as it was, and no temporary file."""
+
+    @pytest.mark.parametrize("broken", ["missing-input", "bad-line-2"])
+    def test_failed_lint_keeps_existing_out(self, tmp_path, broken):
+        out = tmp_path / "out.jsonl"
+        out.write_bytes(b'{"id": "old"}\n')
+        rows = tmp_path / "rows.jsonl"
+        if broken == "bad-line-2":
+            rows.write_text(json.dumps(VALID_ROWS["lint"][0]) + "\n[1, 2]\n", encoding="utf-8")
+        assert main(["lint", "--in", str(rows), "--out", str(out)]) == 2
+        assert out.read_bytes() == b'{"id": "old"}\n'
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith("out.jsonl")] == ["out.jsonl"]

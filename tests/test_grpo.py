@@ -7,6 +7,7 @@ import pytest
 from ppc.grpo import (
     GroupTooSmall,
     GrpoConfig,
+    GrpoResult,
     NonFiniteInput,
     RolloutGroup,
     clipped_surrogate,
@@ -117,11 +118,6 @@ class TestKlTerm:
         total = kl_term([-1.0, -1.0], [-2.0, -1.0])
         assert total == pytest.approx(math.exp(-1.0), abs=1e-12)
 
-    def test_logratio_estimator(self):
-        assert kl_term(-1.0, -2.0, estimator="logratio") == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            kl_term(-1.0, -2.0, estimator="bogus")
-
 
 def make_group(rewards, new, old, ref):
     return RolloutGroup(rewards=rewards, logp_new=new, logp_old=old, logp_ref=ref)
@@ -193,6 +189,67 @@ class TestObjective:
             values[field][1] = bad
         with pytest.raises(NonFiniteInput):
             grpo_objective(RolloutGroup(**values), GrpoConfig())
+
+
+def as_tokens(logp):
+    return logp if isinstance(logp, list) else [logp]
+
+
+def reference_objective(group, cfg):
+    """grpo_objective composed from the public per-value functions, every sum left to right."""
+    advantages = group_advantages(group.rewards, cfg.std_floor)
+    surrogates, kl_values, rhos_seen = [], [], []
+    for new, old, ref, adv in zip(group.logp_new, group.logp_old, group.logp_ref, advantages):
+        rhos = importance_ratio(as_tokens(new), as_tokens(old))
+        total = 0.0
+        for rho in rhos:
+            total += clipped_surrogate(rho, adv, cfg.epsilon_clip)
+        surrogates.append(total / len(rhos))
+        kl_values.append(kl_term(new, ref))
+        rhos_seen += rhos
+    surrogate_total = kl_total = 0.0
+    for surrogate, kl in zip(surrogates, kl_values):
+        surrogate_total += surrogate
+        kl_total += kl
+    mean_kl = kl_total / group.G
+    lo, hi = 1 - cfg.epsilon_clip, 1 + cfg.epsilon_clip
+    return GrpoResult(
+        objective=surrogate_total / group.G - cfg.beta_kl * mean_kl,
+        advantages=advantages,
+        surrogates=surrogates,
+        kl_values=kl_values,
+        clip_fraction=sum(not lo <= rho <= hi for rho in rhos_seen) / len(rhos_seen),
+        mean_kl=mean_kl,
+    )
+
+
+class TestFusedPass:
+    """grpo_objective equals the per-value reference arithmetic, bit for bit."""
+
+    @pytest.mark.parametrize("epsilon", [0.2, 0.01])
+    @pytest.mark.parametrize("shape", ["token", "scalar", "mixed"])
+    def test_matches_reference(self, shape, epsilon):
+        rng = random.Random(f"{shape}/{epsilon}")
+        clipped_low = clipped_high = 0
+        for _ in range(50):
+            G = rng.randint(2, 8)
+            new, old, ref = [], [], []
+            for g in range(G):
+                tokenwise = shape == "token" or (shape == "mixed" and g % 2 == 0)
+                n = [rng.uniform(-6, 0) for _ in range(rng.randint(1, 40))]
+                o = [v + rng.gauss(0, 0.1) for v in n]
+                r = [v + rng.gauss(0, 0.5) for v in n]
+                if not tokenwise:
+                    n, o, r = n[0], o[0], r[0]
+                new.append(n), old.append(o), ref.append(r)
+            group = make_group([rng.uniform(-0.4, 1.4) for _ in range(G)], new, old, ref)
+            cfg = GrpoConfig(epsilon_clip=epsilon, beta_kl=rng.choice([0.0, 0.04, 0.5]))
+            assert grpo_objective(group, cfg) == reference_objective(group, cfg)
+            for n, o in zip(new, old):
+                rhos = importance_ratio(as_tokens(n), as_tokens(o))
+                clipped_low += sum(rho < 1 - epsilon for rho in rhos)
+                clipped_high += sum(rho > 1 + epsilon for rho in rhos)
+        assert clipped_low and clipped_high
 
 
 class TestConfig:
