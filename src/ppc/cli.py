@@ -210,7 +210,7 @@ def cmd_eval(args) -> int:
     client = None
     if args.replay is None:
         client = build_client(config, "policy", env, _config_dir(args))
-    equivalence = answers_equivalent
+    equivalence = None
     if args.judge_fallback:
         judge = build_client(config, "judge", env, _config_dir(args))
         equivalence = lambda pred, gold: answers_equivalent(pred, gold, fallback=judge)

@@ -11,7 +11,6 @@ aggregation.
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import random
@@ -230,6 +229,61 @@ def perturb_preplan(preplans: Sequence[str], spec: PerturbationSpec) -> list[str
 
 
 @dataclass
+class _Form:
+    """One distinct normalized answer of a problem."""
+
+    form: str
+    raw: str  # the first raw spelling
+    first: int  # index of that spelling among the k answers
+    count: int = 0
+
+
+def _score_answers(
+    answers: Sequence[str | None], gold: str, equivalence: Equivalence | None
+) -> tuple[list[str | None], list[bool], bool, bool]:
+    """Normalized answers, per-answer verdicts, maj@k and pass@k of one problem.
+
+    Each distinct spelling is normalized once and equal forms collapse into
+    one table row, in first-occurrence order. The majority vote is `maj_at_k`'s
+    first-match linkage run over the distinct forms, with their counts.
+    """
+    form_of = {a: normalize_answer(a) for a in set(answers) - {None}}
+    forms = [form_of.get(a) for a in answers]
+    table: dict[str, _Form] = {}
+    for index, (raw, form) in enumerate(zip(answers, forms)):
+        if form is not None:
+            table.setdefault(form, _Form(form, raw, index)).count += 1
+    gold_row = _Form(normalize_answer(gold), gold, -1)
+    memo: dict[tuple[str, str], bool] = {}
+
+    def same(a: _Form, b: _Form) -> bool:
+        if a.form == b.form:
+            return True
+        if equivalence is None:
+            return False
+        key = (a.form, b.form)
+        if key not in memo:
+            memo[key] = equivalence(a.raw, b.raw)
+        return memo[key]
+
+    correct = {form: same(row, gold_row) for form, row in table.items()}
+    verdicts = [form is not None and correct[form] for form in forms]
+    classes = list(table.values())
+    if equivalence is not None:
+        linked: list[_Form] = []
+        for row in classes:
+            for cls in linked:
+                if same(row, cls):
+                    cls.count += row.count
+                    break
+            else:
+                linked.append(replace(row))
+        classes = linked
+    winner = max(classes, key=lambda c: (c.count, -c.first), default=None)
+    return forms, verdicts, winner is not None and correct[winner.form], any(correct.values())
+
+
+@dataclass
 class EvalRecord:
     problem: ProblemRecord
     samples: list[str]
@@ -292,7 +346,7 @@ def evaluate(
     client: LlmClient | None = None,
     *,
     mode: PerturbationSpec | None = None,
-    equivalence: Equivalence = answers_equivalent,
+    equivalence: Equivalence | None = None,
     replay: Mapping[str, Sequence[str]] | None = None,
     params: GenerationRequest = DEFAULT_EVAL_SAMPLING,
     parallelism: int = 1,
@@ -306,6 +360,14 @@ def evaluate(
     restarts from the perturbed prefill, so a spec together with `replay`
     is a ValueError. Problems whose generation fails entirely are counted
     separately and excluded from the metric denominators.
+
+    Answers with equal normalized forms are the same answer, with no call
+    made. `equivalence` is a fallback consulted only for answers whose
+    normalized forms differ: at most once per pair of forms per problem,
+    with each form's first raw spelling. None (the default) means the
+    normalization rules only. When the fallback's verdict depends only on
+    the normalized forms, the results equal `maj_at_k` and `pass_at_k`
+    over the raw answers with `answers_equivalent` plus that fallback.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -333,15 +395,14 @@ def evaluate(
             samples = [client.generate(req) for _ in range(k)]
         # The whole sample, not just its execute block: eval scores any final boxed answer.
         answers = [boxed_or_none(s) for s in samples]
-        # One verdict per (pred, other) pair across verdicts, maj@k and pass@k.
-        judge = functools.cache(equivalence)
+        forms, verdicts, maj, passed = _score_answers(answers, problem.gold_answer, equivalence)
         return EvalRecord(
             problem=problem,
             samples=samples,
-            answers=[None if a is None else normalize_answer(a) for a in answers],
-            verdicts=[a is not None and judge(a, problem.gold_answer) for a in answers],
-            maj_correct=maj_at_k(answers, problem.gold_answer, judge),
-            pass_correct=pass_at_k(answers, problem.gold_answer, judge),
+            answers=forms,
+            verdicts=verdicts,
+            maj_correct=maj,
+            pass_correct=passed,
             token_counts=[count_tokens(s) for s in samples],
         )
 

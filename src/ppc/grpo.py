@@ -85,8 +85,12 @@ class RolloutGroup:
             shapes = {_is_tokenwise(v) for v in triple}
             if len(shapes) != 1:
                 raise ValueError(f"rollout {i}: mixed scalar/token log-probs")
-            if shapes == {True} and len({len(v) for v in triple}) != 1:
-                raise ValueError(f"rollout {i}: token lists differ in length")
+            if shapes == {True}:
+                lengths = {len(v) for v in triple}
+                if len(lengths) != 1:
+                    raise ValueError(f"rollout {i}: token lists differ in length")
+                if lengths == {0}:
+                    raise ValueError(f"rollout {i}: token lists are empty")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RolloutGroup":

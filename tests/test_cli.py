@@ -4,7 +4,10 @@ import json
 import pytest
 from conftest import default_stage_texts, make_problem
 
+import ppc.cli
+import ppc.evaluation
 from ppc.cli import main
+from ppc.evaluation import answers_equivalent
 
 GOOD_TRAJECTORY = (
     "<preplan>plain analysis</preplan>\n"
@@ -253,6 +256,18 @@ class TestGrpoCheck:
         assert main(["grpo-check", "--in", str(path)]) == 2
         assert "rollout 1: " in capsys.readouterr().err
 
+    def test_empty_token_lists_are_data_error(self, tmp_path, capsys):
+        group = {
+            "rewards": [1.0, 0.0],
+            "logp_new": [[], [-1.0]],
+            "logp_old": [[], [-1.0]],
+            "logp_ref": [[], [-1.0]],
+        }
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(group))
+        assert main(["grpo-check", "--in", str(path)]) == 2
+        assert "rollout 0: token lists are empty" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "field, value, named",
         [
@@ -342,6 +357,33 @@ class TestEval:
         )
         assert code == 0
         assert (replay_dir / "mini.report.json").read_bytes() == report_live
+
+    def test_rules_only_replay_calls_no_equivalence(self, tmp_path, monkeypatch):
+        bench, _ = eval_setup(tmp_path, {"a": "7", "b": "7"})
+        replay_dir = tmp_path / "replay"
+        replay_dir.mkdir()
+        spellings = ["7", "7.0", "{7}", "3", "1/2", "0.5", "x"]
+        samples = [
+            f"<preplan>analysis.</preplan>\n<plan>1. go.</plan>\n<execute>\\boxed{{{s}}}</execute>"
+            for s in spellings
+        ]
+        write_jsonl(replay_dir / "mini.transcripts.jsonl", [{"id": pid, "samples": samples} for pid in "ab"])
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return answers_equivalent(*args, **kwargs)
+
+        monkeypatch.setattr(ppc.cli, "answers_equivalent", counting)
+        monkeypatch.setattr(ppc.evaluation, "answers_equivalent", counting)
+        out_dir = tmp_path / "out"
+        argv = ["eval", "--bench", str(bench), "--k", "7", "--out", str(out_dir), "--seed", "5"]
+        argv += ["--replay", str(replay_dir)]
+        assert main(argv) == 0
+        assert calls == []
+        records = read_jsonl((out_dir / "mini.records.jsonl").read_text())
+        assert [r["verdicts"] for r in records] == [[True] * 3 + [False] * 4] * 2
+        assert [(r["maj_correct"], r["pass_correct"]) for r in records] == [(True, True)] * 2
 
     def test_perturb_flag_runs(self, tmp_path, capsys):
         bench, config = eval_setup(tmp_path, {"a": "7", "b": "7"})

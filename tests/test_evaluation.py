@@ -212,6 +212,26 @@ class TestEvaluate:
         assert report.records[0].verdicts == [False] * 16
         assert len(judge.calls) == 36
 
+    def test_judge_memo_keyed_by_normalized_pair(self):
+        # 1/2 spelled three rule-equal ways beside five distinct wrong values:
+        # 6 forms, so 6 verdicts + C(6, 2) linkage pairs
+        spellings = ["x_0", "0.5", "x_1", "1/2", "x_2", "\\frac{1}{2}", "x_3", "0.5"]
+        spellings += ["x_4", "1/2", "x_0", "\\frac{1}{2}", "x_1", "x_2", "x_3", "x_4"]
+        judge = ScriptedClient(lambda req: "NO")
+        report = evaluate(
+            [make_problem("p0", answer="7")],
+            16,
+            replay={"p0": [completion(s) for s in spellings]},
+            equivalence=lambda pred, gold: answers_equivalent(pred, gold, fallback=judge),
+        )
+        record = report.records[0]
+        assert record.verdicts == [False] * 16
+        assert not record.maj_correct and not record.pass_correct
+        assert len(judge.calls) == 21
+        pairs = [judge_pair(req) for req in judge.calls]
+        assert ("0.5", "7") in pairs  # the form's first raw spelling
+        assert not {"1/2", "\\frac{1}{2}"} & {s for pair in pairs for s in pair}
+
     def test_scripted_client_deterministic_report(self):
         problems = [make_problem("p0", answer="7")]
         client = ScriptedClient([("question", completion("7"))])
@@ -270,6 +290,72 @@ class TestEvaluate:
         problems = [make_problem("p0")]
         with pytest.raises(ValueError):
             evaluate(problems, 4, replay={"p0": [completion("7")]})
+
+
+def judge_pair(req):
+    """(Answer A, Answer B) of an equivalence prompt."""
+    lines = dict(line.split(": ", 1) for line in req.user_prompt.splitlines() if line.startswith("Answer "))
+    return lines["Answer A"], lines["Answer B"]
+
+
+# Rule-equal spellings of a few values, plus spellings only a judge can
+# settle; CLASS_OF maps each normalized form to its value.
+SPELLINGS = {
+    "half": ["0.5", "1/2", "\\frac{1}{2}", "{1/2}", "\\dfrac{2}{4}", "\\sqrt{1/4}"],
+    "three_quarters": ["0.75", "3/4", "\\frac{3}{4}", "{3/4}", "\\frac{\\sqrt{9}}{4}"],
+    "two": ["2", "2.0", "\\frac{4}{2}", "{2}", "\\sqrt{4}"],
+    "x_plus_one": ["x+1", "1+x", "{x+1}"],
+    "seven": ["7", "7.00", "$7$"],
+}
+CLASS_OF = {normalize_answer(s): value for value, group in SPELLINGS.items() for s in group}
+
+
+def class_map_judge():
+    return ScriptedClient(
+        lambda req: "YES" if len({CLASS_OF[normalize_answer(s)] for s in judge_pair(req)}) == 1 else "NO"
+    )
+
+
+def agreement_problems(count: int = 240):
+    """Seeded replay problems, k from 1 to 64: random answers, or two tied classes."""
+    rng = random.Random(7)
+    values = list(SPELLINGS)
+    out = []
+    for i in range(count):
+        if i % 3 == 0:
+            a, b = rng.sample(values, 2)
+            answers = [rng.choice(SPELLINGS[(a, b)[j % 2]]) for j in range(2 * rng.randint(1, 32))]
+            rng.shuffle(answers)
+        else:
+            pool = rng.sample(values, rng.randint(1, len(values)))
+            answers = [
+                None if rng.random() < 0.15 else rng.choice(SPELLINGS[rng.choice(pool)])
+                for _ in range(rng.randint(1, 64))
+            ]
+        gold = rng.choice(SPELLINGS[rng.choice(values)])
+        samples = [completion(a) if a is not None else "no final box" for a in answers]
+        out.append((make_problem(f"p{i}", answer=gold), answers, samples))
+    return out
+
+
+@pytest.mark.parametrize("with_judge", [False, True], ids=["rules-only", "class-map-judge"])
+def test_evaluate_agrees_with_reference_metrics(with_judge):
+    """The table scorer's verdicts, maj and pass equal answers_equivalent,
+    maj_at_k and pass_at_k over the raw answers."""
+    problems = agreement_problems()
+    for problem, answers, samples in problems:
+        reference = answers_equivalent
+        equivalence = None
+        if with_judge:
+            judge = class_map_judge()
+            equivalence = reference = lambda pred, gold: answers_equivalent(pred, gold, fallback=judge)
+        gold = problem.gold_answer
+        k = len(samples)
+        record = evaluate([problem], k, replay={problem.id: samples}, equivalence=equivalence).records[0]
+        assert record.answers == [None if a is None else normalize_answer(a) for a in answers]
+        assert record.verdicts == [a is not None and reference(a, gold) for a in answers], problem.id
+        assert record.maj_correct == maj_at_k(answers, gold, reference), problem.id
+        assert record.pass_correct == pass_at_k(answers, gold, reference), problem.id
 
 
 class TestReportTokens:
