@@ -9,6 +9,7 @@ go to stderr as line-delimited JSON. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -289,7 +290,9 @@ def cmd_attribute(args) -> int:
 # --- argument wiring -----------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The `ppc` parser, built once per process and shared by every `main` call."""
     parser = _Parser(prog="ppc", description=__doc__)
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")

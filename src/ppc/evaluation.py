@@ -15,6 +15,7 @@ import json
 import logging
 import random
 import re
+import threading
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -368,6 +369,13 @@ def evaluate(
     normalization rules only. When the fallback's verdict depends only on
     the normalized forms, the results equal `maj_at_k` and `pass_at_k`
     over the raw answers with `answers_equivalent` plus that fallback.
+
+    `parallelism` bounds the endpoint calls in flight. Live sampling spreads
+    (problem, sample) units over that many workers, so a problem's k samples
+    run side by side and each record still holds sample j at index j;
+    judge calls run inside the same workers. Rules-only replay makes no
+    call and runs in the caller's thread; replay with a fallback spreads
+    whole problems.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -381,39 +389,30 @@ def evaluate(
         base = _base_preplans(problems, client, params, parallelism)
         prefixes = dict(zip((p.id for p in problems), perturb_preplan(base, mode)))
 
-    def run_problem(problem: ProblemRecord):
-        if replay is not None:
-            samples = list(replay.get(problem.id, []))[:k]
-            if len(samples) < k:
-                raise ValueError(f"replay has {len(samples)} samples for {problem.id!r}, need {k}")
-        else:
-            req = replace(
-                params,
-                user_prompt=problem.question,
-                forced_prefix=prefixes.get(problem.id),
-            )
-            samples = [client.generate(req) for _ in range(k)]
-        # The whole sample, not just its execute block: eval scores any final boxed answer.
-        answers = [boxed_or_none(s) for s in samples]
-        forms, verdicts, maj, passed = _score_answers(answers, problem.gold_answer, equivalence)
-        return EvalRecord(
-            problem=problem,
-            samples=samples,
-            answers=forms,
-            verdicts=verdicts,
-            maj_correct=maj,
-            pass_correct=passed,
-            token_counts=[count_tokens(s) for s in samples],
-        )
-
-    def run_or_fail(problem: ProblemRecord):
+    def score(problem: ProblemRecord, samples: list[str]) -> EvalRecord | None:
         try:
-            return run_problem(problem)
+            return _record(problem, samples, equivalence)
         except ClientError as exc:
             log.warning("problem %s failed entirely: %s", problem.id, exc)
             return None
 
-    outcomes = run_parallel(run_or_fail, problems, parallelism)
+    if replay is not None:
+        batches = []
+        for problem in problems:
+            samples = list(replay.get(problem.id, []))[:k]
+            if len(samples) < k:
+                raise ValueError(f"replay has {len(samples)} samples for {problem.id!r}, need {k}")
+            batches.append((problem, samples))
+        if equivalence is None:  # rules only: no endpoint call for a thread to overlap
+            outcomes = [score(*batch) for batch in batches]
+        else:
+            outcomes = run_parallel(lambda batch: score(*batch), batches, parallelism)
+    else:
+        requests = [
+            replace(params, user_prompt=p.question, forced_prefix=prefixes.get(p.id))
+            for p in problems
+        ]
+        outcomes = _sample(problems, requests, k, client, score, parallelism)
     records = [r for r in outcomes if r is not None]
     failed = len(outcomes) - len(records)
 
@@ -437,6 +436,81 @@ def evaluate(
         mean_tokens_thousands=mean_k,
         records=records,
     )
+
+
+def _record(problem: ProblemRecord, samples: list[str], equivalence: Equivalence | None) -> EvalRecord:
+    # The whole sample, not just its execute block: eval scores any final boxed answer.
+    answers = [boxed_or_none(s) for s in samples]
+    forms, verdicts, maj, passed = _score_answers(answers, problem.gold_answer, equivalence)
+    return EvalRecord(
+        problem=problem,
+        samples=samples,
+        answers=forms,
+        verdicts=verdicts,
+        maj_correct=maj,
+        pass_correct=passed,
+        token_counts=[count_tokens(s) for s in samples],
+    )
+
+
+def _sample(
+    problems: Sequence[ProblemRecord],
+    requests: Sequence[GenerationRequest],
+    k: int,
+    client: LlmClient,
+    score: Callable[[ProblemRecord, list[str]], EvalRecord | None],
+    parallelism: int,
+) -> list[EvalRecord | None]:
+    """k samples per problem, scored; None for a problem whose generation failed.
+
+    The unit of work is one (problem, sample) call. `parallelism` workers take
+    units from one cursor in problem-major order, so a problem's k calls run
+    side by side. Sample j is stored at index j, whatever order calls finish
+    in, and the worker that lands a problem's last sample scores it. A
+    problem's first ClientError marks it failed; its units not yet started
+    make no call.
+    """
+    samples = [[""] * k for _ in problems]
+    missing = [k] * len(problems)
+    failed = [False] * len(problems)
+    outcomes: list[EvalRecord | None] = [None] * len(problems)
+    units = iter(range(len(problems) * k))
+    lock = threading.Lock()
+    stop = False
+
+    def work(_) -> None:
+        nonlocal stop
+        try:
+            while True:
+                with lock:
+                    unit = None if stop else next(units, None)
+                    if unit is None:
+                        return
+                    i, j = divmod(unit, k)
+                    if failed[i]:
+                        continue
+                try:
+                    text = client.generate(requests[i])
+                except ClientError as exc:
+                    with lock:
+                        first, failed[i] = not failed[i], True
+                    if first:
+                        log.warning("problem %s failed entirely: %s", problems[i].id, exc)
+                    continue
+                with lock:
+                    samples[i][j] = text
+                    missing[i] -= 1
+                    last = missing[i] == 0
+                if last:
+                    outcomes[i] = score(problems[i], samples[i])
+        except BaseException:
+            stop = True  # the other workers take no further unit
+            raise
+
+    # One long-lived loop per worker, not a task per unit.
+    workers = max(1, min(parallelism, len(problems) * k))
+    run_parallel(work, range(workers), workers)
+    return outcomes
 
 
 def _base_preplans(

@@ -1,10 +1,14 @@
+import logging
 import random
+import sys
+import threading
 
 import pytest
 from conftest import make_problem
 
+import ppc.clients
 from ppc import prompts
-from ppc.clients import AttributionVerdict, Facet, ScriptedClient
+from ppc.clients import AttributionVerdict, Facet, ProtocolError, ScriptedClient
 from ppc.evaluation import (
     PerturbationMode,
     PerturbationSpec,
@@ -290,6 +294,75 @@ class TestEvaluate:
         problems = [make_problem("p0")]
         with pytest.raises(ValueError):
             evaluate(problems, 4, replay={"p0": [completion("7")]})
+
+
+class TestScheduler:
+    """evaluate's pool spreads (problem, sample) units; rules-only replay runs unthreaded."""
+
+    def test_samples_of_one_problem_run_side_by_side(self):
+        barrier = threading.Barrier(4, timeout=5)
+
+        def meet(req):
+            barrier.wait()  # times out unless all four samples are in flight at once
+            return completion("7")
+
+        report = evaluate([make_problem("p0")], 4, ScriptedClient(meet), parallelism=4)
+        assert report.problems == 1 and report.records[0].verdicts == [True] * 4
+
+    def test_failed_problem_stops_its_samples(self, caplog):
+        barrier = threading.Barrier(4, timeout=5)
+
+        def answer(req):
+            if req.user_prompt.endswith("px"):
+                barrier.wait()  # all four workers fail px's first four samples together
+                raise ProtocolError("always down")
+            return completion("7")
+
+        client = ScriptedClient(answer)
+        problems = [make_problem("px"), make_problem("p0")]
+        with caplog.at_level(logging.WARNING, logger="ppc.evaluation"):
+            report = evaluate(problems, 16, client, parallelism=4)
+        assert report.failed == 1 and [r.problem.id for r in report.records] == ["p0"]
+        prompts_sent = [req.user_prompt for req in client.calls]
+        assert prompts_sent.count(problems[0].question) == 4  # the in-flight ones; 12 never sent
+        assert prompts_sent.count(problems[1].question) == 16
+        assert sum("failed entirely" in r.getMessage() for r in caplog.records) == 1
+
+    def test_parallelism_does_not_change_outputs(self):
+        problems = [make_problem(f"p{i}", answer=str(i % 3)) for i in range(12)]
+        problems.append(make_problem("px"))  # no script: every call fails
+        script = {p.question: completion(str(i % 4)) for i, p in enumerate(problems[:-1])}
+        judge = ScriptedClient(lambda req: "NO")
+
+        def run(parallelism):
+            report = evaluate(
+                problems,
+                8,
+                ScriptedClient(script),
+                equivalence=lambda pred, gold: answers_equivalent(pred, gold, fallback=judge),
+                parallelism=parallelism,
+            )
+            return report.to_json(), [r.to_dict() for r in report.records]
+
+        serial = run(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a lost update would show
+        try:
+            parallel = run(8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert parallel == serial
+        assert len(serial[1]) == 12
+
+    def test_rules_only_replay_starts_no_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("rules-only replay started a thread")
+
+        monkeypatch.setattr(ppc.clients, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        problems, replay = replay_fixture()
+        report = evaluate(problems, 16, replay=replay, parallelism=8)
+        assert report.maj_at_k == 75.00 and report.problems == 4
 
 
 def judge_pair(req):
