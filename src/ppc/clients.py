@@ -110,8 +110,6 @@ class HttpChatClient(LlmClient):
     Request body: {model, messages, temperature, top_p, max_tokens};
     the answer is read from choices[0].message.content. A forced prefix is
     sent as an assistant prefill message and prepended to the returned text.
-    Each thread posts through its own `requests.Session`, created on its
-    first call; an injected `session` is shared by all threads instead.
     """
 
     def __init__(
@@ -129,17 +127,8 @@ class HttpChatClient(LlmClient):
         self.api_key = api_key
         self.timeout = timeout
         self.retry = retry
-        self._shared_session = session
-        self._local = threading.local()
+        self._session = session or requests.Session()
         self._sleep = sleep
-
-    def _session(self):
-        if self._shared_session is not None:
-            return self._shared_session
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = self._local.session = requests.Session()
-        return session
 
     def generate(self, req: GenerationRequest) -> str:
         content = _with_retries(lambda: self._post(req), self.retry, self._sleep)
@@ -165,7 +154,7 @@ class HttpChatClient(LlmClient):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         try:
-            resp = self._session().post(
+            resp = self._session.post(
                 self.endpoint, json=payload, headers=headers, timeout=self.timeout
             )
         except (requests.Timeout, requests.ConnectionError) as exc:

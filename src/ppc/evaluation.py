@@ -16,6 +16,7 @@ import logging
 import random
 import re
 import threading
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -403,10 +404,9 @@ def evaluate(
             if len(samples) < k:
                 raise ValueError(f"replay has {len(samples)} samples for {problem.id!r}, need {k}")
             batches.append((problem, samples))
-        if equivalence is None:  # rules only: no endpoint call for a thread to overlap
-            outcomes = [score(*batch) for batch in batches]
-        else:
-            outcomes = run_parallel(lambda batch: score(*batch), batches, parallelism)
+        # Rules only makes no endpoint call for a thread to overlap.
+        workers = parallelism if equivalence is not None else 1
+        outcomes = run_parallel(lambda batch: score(*batch), batches, workers)
     else:
         requests = [
             replace(params, user_prompt=p.question, forced_prefix=prefixes.get(p.id))
@@ -468,7 +468,8 @@ def _sample(
     side by side. Sample j is stored at index j, whatever order calls finish
     in, and the worker that lands a problem's last sample scores it. A
     problem's first ClientError marks it failed; its units not yet started
-    make no call.
+    make no call. An exception in a worker, or one that interrupts the caller
+    while it waits (Ctrl-C), stops every worker after its current call.
     """
     samples = [[""] * k for _ in problems]
     missing = [k] * len(problems)
@@ -478,38 +479,42 @@ def _sample(
     lock = threading.Lock()
     stop = False
 
-    def work(_) -> None:
-        nonlocal stop
-        try:
-            while True:
-                with lock:
-                    unit = None if stop else next(units, None)
-                    if unit is None:
-                        return
-                    i, j = divmod(unit, k)
-                    if failed[i]:
-                        continue
-                try:
-                    text = client.generate(requests[i])
-                except ClientError as exc:
-                    with lock:
-                        first, failed[i] = not failed[i], True
-                    if first:
-                        log.warning("problem %s failed entirely: %s", problems[i].id, exc)
+    def work() -> None:
+        while True:
+            with lock:
+                unit = None if stop else next(units, None)
+                if unit is None:
+                    return
+                i, j = divmod(unit, k)
+                if failed[i]:
                     continue
+            try:
+                text = client.generate(requests[i])
+            except ClientError as exc:
                 with lock:
-                    samples[i][j] = text
-                    missing[i] -= 1
-                    last = missing[i] == 0
-                if last:
-                    outcomes[i] = score(problems[i], samples[i])
-        except BaseException:
-            stop = True  # the other workers take no further unit
-            raise
+                    first, failed[i] = not failed[i], True
+                if first:
+                    log.warning("problem %s failed entirely: %s", problems[i].id, exc)
+                continue
+            with lock:
+                samples[i][j] = text
+                missing[i] -= 1
+                last = missing[i] == 0
+            if last:
+                outcomes[i] = score(problems[i], samples[i])
 
+    workers = min(parallelism, len(problems) * k)
+    if workers <= 1:
+        work()
+        return outcomes
     # One long-lived loop per worker, not a task per unit.
-    workers = max(1, min(parallelism, len(problems) * k))
-    run_parallel(work, range(workers), workers)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            for future in as_completed([pool.submit(work) for _ in range(workers)]):
+                future.result()  # a worker's exception surfaces as soon as it is raised
+        except BaseException:
+            stop = True  # the workers take no further unit, before the pool joins them
+            raise
     return outcomes
 
 

@@ -220,45 +220,6 @@ class TestHttpChatClient:
             http_client(session).generate(req())
 
 
-class TestSessions:
-    def test_one_session_per_thread(self, monkeypatch):
-        made = []
-
-        class CountingSession(FakeSession):
-            def __init__(self):
-                super().__init__([FakeResponse(200, chat_body("ok"))] * 2)
-                made.append(self)
-
-        monkeypatch.setattr(requests, "Session", CountingSession)
-        client = HttpChatClient("http://example.test/v1/chat/completions", "m", sleep=lambda _: None)
-        barrier = threading.Barrier(3, timeout=5)
-        results = []
-
-        def call():
-            barrier.wait()  # all three threads alive at once
-            results.extend(client.generate(req()) for _ in range(2))
-
-        threads = [threading.Thread(target=call) for _ in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=5)
-        assert not any(t.is_alive() for t in threads)
-        assert results == ["ok"] * 6
-        assert len(made) == 3
-        assert [len(s.requests) for s in made] == [2, 2, 2]
-
-    def test_injected_session_shared_across_threads(self, monkeypatch):
-        def refuse():
-            raise AssertionError("built a session beside the injected one")
-
-        monkeypatch.setattr(requests, "Session", refuse)
-        session = FakeSession([FakeResponse(200, chat_body("ok"))] * 3)
-        client = http_client(session)
-        assert run_parallel(lambda _: client.generate(req()), range(3), parallelism=3) == ["ok"] * 3
-        assert len(session.requests) == 3
-
-
 class TestGradeParsing:
     def test_bare_grade(self):
         assert parse_grade("4") == 4

@@ -1,13 +1,17 @@
 import logging
 import random
+import signal
 import sys
 import threading
+import time
 
 import pytest
 from conftest import make_problem
 
 import ppc.clients
+import ppc.evaluation
 from ppc import prompts
+from ppc._text import count_tokens
 from ppc.clients import AttributionVerdict, Facet, ProtocolError, ScriptedClient
 from ppc.evaluation import (
     PerturbationMode,
@@ -22,7 +26,7 @@ from ppc.evaluation import (
     pass_at_k,
     perturb_preplan,
 )
-from ppc.trajectory import Violation, check_format
+from ppc.trajectory import Violation, boxed_or_none, check_format
 
 
 class TestNormalize:
@@ -328,6 +332,82 @@ class TestScheduler:
         assert prompts_sent.count(problems[1].question) == 16
         assert sum("failed entirely" in r.getMessage() for r in caplog.records) == 1
 
+    def test_last_sample_to_land_scores_the_problem(self):
+        entered = []
+        lock = threading.Lock()
+        third_entered = threading.Event()
+
+        def answer(req):
+            with lock:
+                entered.append(req)
+                n = len(entered)
+            if n == 1:
+                # The other worker enters a third call only after landing its
+                # p0 sample, so this first p0 call always lands p0's last sample.
+                assert third_entered.wait(timeout=5)
+            elif n == 3:
+                third_entered.set()
+            return completion(str(n))
+
+        problems = [make_problem("p0", answer="1"), make_problem("p1", answer="3")]
+        report = evaluate(problems, 2, ScriptedClient(answer), parallelism=2)
+        assert len(entered) == 4
+        for record, expected in zip(report.records, (["1", "2"], ["3", "4"])):
+            assert sorted(record.answers) == expected
+            assert record.answers == [boxed_or_none(s) for s in record.samples]
+            assert record.token_counts == [count_tokens(s) for s in record.samples]
+            assert record.verdicts == [a == record.problem.gold_answer for a in record.answers]
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+    def test_interrupted_caller_stops_the_workers(self):
+        class Interrupt(BaseException):
+            pass
+
+        calls, calls_at_interrupt = [], []
+        lock = threading.Lock()
+        main = threading.main_thread().ident
+
+        def interrupt(signum, frame):
+            calls_at_interrupt.append(len(calls))
+            raise Interrupt
+
+        def answer(req):
+            with lock:
+                calls.append(req)
+                first = len(calls) == 1
+            if first:
+                deadline = time.monotonic() + 5
+                while not waiting_for_workers(main) and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                signal.pthread_kill(main, signal.SIGUSR1)  # Ctrl-C while the caller waits
+            time.sleep(0.01)
+            return completion("7")
+
+        previous = signal.signal(signal.SIGUSR1, interrupt)
+        try:
+            with pytest.raises(Interrupt):
+                evaluate([make_problem(f"p{i}") for i in range(4)], 16, ScriptedClient(answer), parallelism=2)
+        finally:
+            signal.signal(signal.SIGUSR1, previous)
+        assert len(calls_at_interrupt) == 1
+        assert len(calls) - calls_at_interrupt[0] <= 2  # of 64 units, only calls already running finish
+
+    def test_unexpected_error_stops_the_workers(self):
+        calls = []
+
+        def answer(req):
+            calls.append(req)
+            # The pool's second thread runs the second-submitted worker; the
+            # caller must not wait on the first worker to see its error.
+            if threading.current_thread().name.endswith("_1"):
+                raise RuntimeError("not a client error")
+            time.sleep(0.01)
+            return completion("7")
+
+        with pytest.raises(RuntimeError):
+            evaluate([make_problem(f"p{i}") for i in range(4)], 16, ScriptedClient(answer), parallelism=2)
+        assert len(calls) <= 4  # of 64 units
+
     def test_parallelism_does_not_change_outputs(self):
         problems = [make_problem(f"p{i}", answer=str(i % 3)) for i in range(12)]
         problems.append(make_problem("px"))  # no script: every call fails
@@ -359,10 +439,21 @@ class TestScheduler:
             raise AssertionError("rules-only replay started a thread")
 
         monkeypatch.setattr(ppc.clients, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(ppc.evaluation, "ThreadPoolExecutor", refuse)
         monkeypatch.setattr(threading.Thread, "start", refuse)
         problems, replay = replay_fixture()
         report = evaluate(problems, 16, replay=replay, parallelism=8)
         assert report.maj_at_k == 75.00 and report.problems == 4
+
+
+def waiting_for_workers(thread_id):
+    """Whether the thread is blocked on a lock with every pool worker started."""
+    frame = sys._current_frames().get(thread_id)
+    if frame is None or frame.f_code.co_name != "wait":
+        return False
+    while frame is not None and frame.f_code.co_name != "submit":
+        frame = frame.f_back
+    return frame is None
 
 
 def judge_pair(req):
