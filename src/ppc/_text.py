@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import secrets
 import sys
 from contextlib import contextmanager, nullcontext
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -142,7 +141,7 @@ def atomic_open(path):
     It is written beside `path` under a temporary name and renamed over it
     with os.replace; on any exception it is removed and `path` is untouched.
     """
-    tmp = f"{os.fspath(path)}.{secrets.token_hex(4)}.tmp"
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
     f = open(tmp, "x", encoding="utf-8")
     try:
         with f:

@@ -13,14 +13,13 @@ from __future__ import annotations
 import json
 import logging
 import re
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence
-
-import requests
 
 from . import prompts
 from ._text import standalone_integers
@@ -110,6 +109,8 @@ class HttpChatClient(LlmClient):
     Request body: {model, messages, temperature, top_p, max_tokens};
     the answer is read from choices[0].message.content. A forced prefix is
     sent as an assistant prefill message and prepended to the returned text.
+    Without a `session`, the client opens a `requests.Session`; `requests` is
+    imported then, so offline work never loads the HTTP stack.
     """
 
     def __init__(
@@ -127,7 +128,11 @@ class HttpChatClient(LlmClient):
         self.api_key = api_key
         self.timeout = timeout
         self.retry = retry
-        self._session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self._session = session
         self._sleep = sleep
 
     def generate(self, req: GenerationRequest) -> str:
@@ -157,9 +162,13 @@ class HttpChatClient(LlmClient):
             resp = self._session.post(
                 self.endpoint, json=payload, headers=headers, timeout=self.timeout
             )
-        except (requests.Timeout, requests.ConnectionError) as exc:
-            raise Timeout(f"endpoint unreachable: {exc}") from exc
-        except requests.RequestException as exc:
+        except OSError as exc:
+            # requests' errors are OSErrors, and only a loaded requests raises them.
+            requests = sys.modules.get("requests")
+            if requests is None or not isinstance(exc, requests.RequestException):
+                raise
+            if isinstance(exc, (requests.Timeout, requests.ConnectionError)):
+                raise Timeout(f"endpoint unreachable: {exc}") from exc
             raise ProtocolError(f"transport failure: {exc}", retryable=True) from exc
 
         if resp.status_code == 429:

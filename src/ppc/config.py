@@ -118,10 +118,33 @@ def _env_for_role(env: Mapping[str, str], role: str, suffix: str) -> str | None:
 
 
 def _load_script(path: Path):
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    """A prompt -> response object, or an array of {"match", "response"} rules.
+
+    Any other shape, or a response that is not a string, is a ConfigError
+    naming the file.
+    """
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid script JSON in {path}: {exc}") from exc
     if isinstance(data, dict):
-        return data  # exact prompt -> response map
+        for prompt, response in data.items():
+            if not isinstance(response, str):
+                raise ConfigError(
+                    f"script file {path}: response to {prompt!r:.60} must be a string"
+                )
+        return data
     if isinstance(data, list):
+        for i, row in enumerate(data):
+            if not (
+                isinstance(row, dict)
+                and isinstance(row.get("match"), str)
+                and isinstance(row.get("response"), str)
+            ):
+                raise ConfigError(
+                    f"script file {path}: rule {i} must be an object with string "
+                    f"'match' and 'response', got {row!r:.60}"
+                )
         return [(row["match"], row["response"]) for row in data]
     raise ConfigError(f"script file {path} must hold a JSON object or array")
 

@@ -209,6 +209,26 @@ class TestHttpChatClient:
             http_client(session).generate(req())
         assert len(session.requests) == 3
 
+    def test_connection_error_is_a_timeout(self):
+        session = FakeSession([requests.ConnectionError("refused")] * 3)
+        with pytest.raises(Timeout):
+            http_client(session).generate(req())
+        assert len(session.requests) == 3
+
+    def test_other_transport_failure_retried(self):
+        cut = requests.exceptions.ChunkedEncodingError("connection cut mid-body")
+        session = FakeSession([cut, FakeResponse(200, chat_body("ok"))])
+        assert http_client(session).generate(req()) == "ok"
+        assert len(session.requests) == 2
+
+    def test_non_transport_error_propagates(self):
+        bug = RuntimeError("session bug")
+        session = FakeSession([bug, FakeResponse(200, chat_body("ok"))])
+        with pytest.raises(RuntimeError) as excinfo:
+            http_client(session).generate(req())
+        assert excinfo.value is bug
+        assert len(session.requests) == 1
+
     def test_malformed_body(self):
         session = FakeSession([FakeResponse(200, {"nope": []})])
         with pytest.raises(ProtocolError):

@@ -1,7 +1,9 @@
 import json
 
 import pytest
+import requests
 
+from ppc.cli import main
 from ppc.clients import HttpChatClient, ScriptedClient
 from ppc.config import ConfigError, PipelineConfig, RoleConfig, build_client
 from ppc.grpo import GrpoConfig
@@ -100,6 +102,7 @@ class TestBuildClient:
         assert isinstance(client, HttpChatClient)
         assert client.endpoint == "http://file.example/v1"
         assert client.model == "file-model"
+        assert isinstance(client._session, requests.Session)
 
     def test_env_overrides_file(self):
         config = PipelineConfig.from_dict(sample_config_dict())
@@ -153,3 +156,33 @@ class TestBuildClient:
     def test_unknown_role_rejected(self):
         with pytest.raises(ConfigError):
             build_client(PipelineConfig(), "nonsense", env={})
+
+
+BAD_SCRIPTS = {
+    "row-not-an-object": '["a", "b"]',
+    "row-without-response": '[{"match": "q"}]',
+    "rule-response-not-a-string": '[{"match": "q", "response": 5}]',
+    "map-response-not-a-string": '{"q?": 5}',
+    "invalid-json": '[{"match": "q",',
+}
+
+
+@pytest.mark.parametrize("text", BAD_SCRIPTS.values(), ids=BAD_SCRIPTS.keys())
+class TestBadScriptFile:
+    def config(self, tmp_path, text):
+        (tmp_path / "policy.script.json").write_text(text)
+        return {"roles": {"policy": {"kind": "scripted", "script": "policy.script.json"}}}
+
+    def test_build_client_names_the_file(self, tmp_path, text):
+        config = PipelineConfig.from_dict(self.config(tmp_path, text))
+        with pytest.raises(ConfigError, match="policy.script.json"):
+            build_client(config, "policy", env={}, base_dir=tmp_path)
+
+    def test_eval_exits_2(self, tmp_path, capsys, text):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.config(tmp_path, text)))
+        bench = tmp_path / "mini.jsonl"
+        bench.write_text(json.dumps({"id": "a", "question": "q?", "answer": "7"}) + "\n")
+        argv = ["eval", "--config", str(config), "--bench", str(bench), "--k", "1"]
+        assert main(argv + ["--out", str(tmp_path / "out"), "--seed", "1"]) == 2
+        assert "policy.script.json" in capsys.readouterr().err
