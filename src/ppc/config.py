@@ -9,7 +9,7 @@ scripted response file for fully offline runs.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -25,6 +25,20 @@ class ConfigError(ValueError):
     pass
 
 
+# Annotation of a scalar field -> the JSON value types it takes.
+_SCALAR_TYPES = {"str": (str,), "str | None": (str, type(None)), "int": (int,), "float": (int, float)}
+
+
+def _check_scalars(config) -> None:
+    """A ConfigError unless every scalar field holds its annotated type; a
+    float field takes an int, and no field takes a bool."""
+    for f in fields(config):
+        kinds = _SCALAR_TYPES.get(f.type)
+        value = getattr(config, f.name)
+        if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+            raise ConfigError(f"{f.name} must be {f.type}, got {value!r:.60}")
+
+
 @dataclass(frozen=True)
 class RoleConfig:
     kind: str = "http"  # "http" or "scripted"
@@ -37,6 +51,7 @@ class RoleConfig:
     timeout: float = 120.0
 
     def __post_init__(self):
+        _check_scalars(self)
         if self.kind not in ("http", "scripted"):
             raise ConfigError(f"unknown role kind {self.kind!r}")
         if self.kind == "scripted" and not self.script and self.default_response is None:
@@ -60,6 +75,7 @@ class PipelineConfig:
     parallelism: int = 1
 
     def __post_init__(self):
+        _check_scalars(self)
         for name in self.roles:
             if name not in ROLE_NAMES:
                 raise ConfigError(f"unknown role {name!r}; valid: {ROLE_NAMES}")

@@ -232,57 +232,79 @@ def perturb_preplan(preplans: Sequence[str], spec: PerturbationSpec) -> list[str
 
 @dataclass
 class _Form:
-    """One distinct normalized answer of a problem."""
+    """One distinct normalized answer of a problem; a form that joins no
+    earlier class heads its own."""
 
     form: str
     raw: str  # the first raw spelling
     first: int  # index of that spelling among the k answers
-    count: int = 0
+    count: int = 0  # answers in the class this form heads
 
 
-def _score_answers(
-    answers: Sequence[str | None], gold: str, equivalence: Equivalence | None
-) -> tuple[list[str | None], list[bool], bool, bool]:
-    """Normalized answers, per-answer verdicts, maj@k and pass@k of one problem.
+class _Scorer:
+    """Normalized answers, per-answer verdicts, maj@k and pass@k of one problem,
+    scored as its answers arrive in index order.
 
-    Each distinct spelling is normalized once and equal forms collapse into
-    one table row, in first-occurrence order. The majority vote is `maj_at_k`'s
-    first-match linkage run over the distinct forms, with their counts.
+    Each distinct spelling is normalized once, and answers with equal forms
+    share one table row. A new form first gets its gold verdict, then joins
+    the first class it matches (`maj_at_k`'s first-match linkage over the
+    distinct forms) or heads a new one. The fallback is asked at most once
+    per pair of forms, with each form's first raw spelling, so feeding the
+    answers in any chunks makes the same calls, in the same order, as feeding
+    them all at once.
     """
-    form_of = {a: normalize_answer(a) for a in set(answers) - {None}}
-    forms = [form_of.get(a) for a in answers]
-    table: dict[str, _Form] = {}
-    for index, (raw, form) in enumerate(zip(answers, forms)):
-        if form is not None:
-            table.setdefault(form, _Form(form, raw, index)).count += 1
-    gold_row = _Form(normalize_answer(gold), gold, -1)
-    memo: dict[tuple[str, str], bool] = {}
 
-    def same(a: _Form, b: _Form) -> bool:
+    def __init__(self, gold: str, equivalence: Equivalence | None):
+        self.gold = _Form(normalize_answer(gold), gold, -1)
+        self.equivalence = equivalence
+        self.memo: dict[tuple[str, str], bool] = {}
+        self.form_of: dict[str, str] = {}  # raw spelling -> normalized form
+        self.class_of: dict[str, tuple[bool, _Form]] = {}  # form -> (its verdict, its class)
+        self.classes: list[_Form] = []
+        self.forms: list[str | None] = []
+        self.verdicts: list[bool] = []
+
+    def extend(self, answers: Sequence[str | None]) -> None:
+        forms, verdicts, form_of, class_of = self.forms, self.verdicts, self.form_of, self.class_of
+        for raw in answers:
+            if raw is None:
+                forms.append(None)
+                verdicts.append(False)
+                continue
+            form = form_of.get(raw)
+            if form is None:
+                form = form_of[raw] = normalize_answer(raw)
+            entry = class_of.get(form)
+            if entry is None:
+                entry = class_of[form] = self._place(_Form(form, raw, len(forms)))
+            correct, cls = entry
+            cls.count += 1
+            forms.append(form)
+            verdicts.append(correct)
+
+    def result(self) -> tuple[list[str | None], list[bool], bool, bool]:
+        winner = max(self.classes, key=lambda c: (c.count, -c.first), default=None)
+        maj = winner is not None and self.class_of[winner.form][0]
+        return self.forms, self.verdicts, maj, any(self.verdicts)
+
+    def _place(self, row: _Form) -> tuple[bool, _Form]:
+        correct = self._same(row, self.gold)
+        if self.equivalence is not None:
+            for cls in self.classes:
+                if self._same(row, cls):
+                    return correct, cls
+        self.classes.append(row)
+        return correct, row
+
+    def _same(self, a: _Form, b: _Form) -> bool:
         if a.form == b.form:
             return True
-        if equivalence is None:
+        if self.equivalence is None:
             return False
         key = (a.form, b.form)
-        if key not in memo:
-            memo[key] = equivalence(a.raw, b.raw)
-        return memo[key]
-
-    correct = {form: same(row, gold_row) for form, row in table.items()}
-    verdicts = [form is not None and correct[form] for form in forms]
-    classes = list(table.values())
-    if equivalence is not None:
-        linked: list[_Form] = []
-        for row in classes:
-            for cls in linked:
-                if same(row, cls):
-                    cls.count += row.count
-                    break
-            else:
-                linked.append(replace(row))
-        classes = linked
-    winner = max(classes, key=lambda c: (c.count, -c.first), default=None)
-    return forms, verdicts, winner is not None and correct[winner.form], any(correct.values())
+        if key not in self.memo:
+            self.memo[key] = self.equivalence(a.raw, b.raw)
+        return self.memo[key]
 
 
 @dataclass
@@ -373,10 +395,13 @@ def evaluate(
 
     `parallelism` bounds the endpoint calls in flight. Live sampling spreads
     (problem, sample) units over that many workers, so a problem's k samples
-    run side by side and each record still holds sample j at index j;
-    judge calls run inside the same workers. Rules-only replay makes no
-    call and runs in the caller's thread; replay with a fallback spreads
-    whole problems.
+    run side by side and each record still holds sample j at index j.
+    Judge calls run inside the same workers and start as soon as a
+    problem's samples have landed in index order, while its later samples
+    are still being drawn; so a problem that fails after part of its
+    samples landed may already have paid judge calls for them. Rules-only
+    replay makes no call and runs in the caller's thread; replay with a
+    fallback spreads whole problems.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -391,11 +416,13 @@ def evaluate(
         prefixes = dict(zip((p.id for p in problems), perturb_preplan(base, mode)))
 
     def score(problem: ProblemRecord, samples: list[str]) -> EvalRecord | None:
+        scorer = _Scorer(problem.gold_answer, equivalence)
         try:
-            return _record(problem, samples, equivalence)
+            scorer.extend(_answers(samples))
         except ClientError as exc:
             log.warning("problem %s failed entirely: %s", problem.id, exc)
             return None
+        return _record(problem, samples, scorer)
 
     if replay is not None:
         batches = []
@@ -412,7 +439,7 @@ def evaluate(
             replace(params, user_prompt=p.question, forced_prefix=prefixes.get(p.id))
             for p in problems
         ]
-        outcomes = _sample(problems, requests, k, client, score, parallelism)
+        outcomes = _sample(problems, requests, k, client, equivalence, parallelism)
     records = [r for r in outcomes if r is not None]
     failed = len(outcomes) - len(records)
 
@@ -438,10 +465,13 @@ def evaluate(
     )
 
 
-def _record(problem: ProblemRecord, samples: list[str], equivalence: Equivalence | None) -> EvalRecord:
+def _answers(samples: Sequence[str]) -> list[str | None]:
     # The whole sample, not just its execute block: eval scores any final boxed answer.
-    answers = [boxed_or_none(s) for s in samples]
-    forms, verdicts, maj, passed = _score_answers(answers, problem.gold_answer, equivalence)
+    return [boxed_or_none(s) for s in samples]
+
+
+def _record(problem: ProblemRecord, samples: list[str], scorer: _Scorer) -> EvalRecord:
+    forms, verdicts, maj, passed = scorer.result()
     return EvalRecord(
         problem=problem,
         samples=samples,
@@ -453,12 +483,16 @@ def _record(problem: ProblemRecord, samples: list[str], equivalence: Equivalence
     )
 
 
+class _Stopped(Exception):
+    """A judge call refused because the run stopped or the problem failed."""
+
+
 def _sample(
     problems: Sequence[ProblemRecord],
     requests: Sequence[GenerationRequest],
     k: int,
     client: LlmClient,
-    score: Callable[[ProblemRecord, list[str]], EvalRecord | None],
+    equivalence: Equivalence | None,
     parallelism: int,
 ) -> list[EvalRecord | None]:
     """k samples per problem, scored; None for a problem whose generation failed.
@@ -466,18 +500,60 @@ def _sample(
     The unit of work is one (problem, sample) call. `parallelism` workers take
     units from one cursor in problem-major order, so a problem's k calls run
     side by side. Sample j is stored at index j, whatever order calls finish
-    in, and the worker that lands a problem's last sample scores it. A
-    problem's first ClientError marks it failed; its units not yet started
-    make no call. An exception in a worker, or one that interrupts the caller
-    while it waits (Ctrl-C), stops every worker after its current call.
+    in. A worker that lands a sample feeds the problem's landed prefix
+    (samples 0..m-1) to the problem's scorer, one worker per problem at a
+    time, so the problem's judge calls run while other workers keep
+    sampling; the record is built once the prefix reaches k. A problem's
+    first ClientError marks it failed: its units not yet started make no
+    call, and its scorer makes no further judge call. An exception in a
+    worker, or one that interrupts the caller while it waits (Ctrl-C), stops
+    every worker after its current call, judge calls included.
     """
-    samples = [[""] * k for _ in problems]
-    missing = [k] * len(problems)
+    samples: list[list[str | None]] = [[None] * k for _ in problems]
+    fed = [0] * len(problems)  # length of the prefix fed to the problem's scorer
+    busy = [False] * len(problems)  # a worker is feeding the problem's scorer
     failed = [False] * len(problems)
+    scorers: list[_Scorer | None] = [None] * len(problems)
     outcomes: list[EvalRecord | None] = [None] * len(problems)
     units = iter(range(len(problems) * k))
     lock = threading.Lock()
     stop = False
+
+    def fail(i: int, exc: ClientError) -> None:
+        with lock:
+            first, failed[i] = not failed[i], True
+        if first:
+            log.warning("problem %s failed entirely: %s", problems[i].id, exc)
+
+    def guarded(i: int) -> Equivalence | None:
+        if equivalence is None:
+            return None
+
+        def judge(pred: str, gold: str) -> bool:
+            if stop or failed[i]:
+                raise _Stopped
+            return equivalence(pred, gold)
+
+        return judge
+
+    def feed(i: int) -> None:
+        """Score problem i's landed prefix until none is left; the caller set busy[i]."""
+        while True:
+            with lock:
+                start = end = fed[i]
+                while end < k and samples[i][end] is not None:
+                    end += 1
+                if end == start:
+                    busy[i] = False
+                    return
+                fed[i] = end
+                landed = samples[i][start:end]
+            if scorers[i] is None:
+                scorers[i] = _Scorer(problems[i].gold_answer, guarded(i))
+            scorers[i].extend(_answers(landed))
+            if end == k:
+                outcomes[i] = _record(problems[i], samples[i], scorers[i])
+                return
 
     def work() -> None:
         while True:
@@ -491,17 +567,19 @@ def _sample(
             try:
                 text = client.generate(requests[i])
             except ClientError as exc:
-                with lock:
-                    first, failed[i] = not failed[i], True
-                if first:
-                    log.warning("problem %s failed entirely: %s", problems[i].id, exc)
+                fail(i, exc)
                 continue
             with lock:
                 samples[i][j] = text
-                missing[i] -= 1
-                last = missing[i] == 0
-            if last:
-                outcomes[i] = score(problems[i], samples[i])
+                if busy[i]:
+                    continue  # the feeding worker picks this sample up
+                busy[i] = True
+            try:
+                feed(i)
+            except _Stopped:
+                pass
+            except ClientError as exc:
+                fail(i, exc)
 
     workers = min(parallelism, len(problems) * k)
     if workers <= 1:
@@ -513,7 +591,7 @@ def _sample(
             for future in as_completed([pool.submit(work) for _ in range(workers)]):
                 future.result()  # a worker's exception surfaces as soon as it is raised
         except BaseException:
-            stop = True  # the workers take no further unit, before the pool joins them
+            stop = True  # the workers take no further unit or judge call, before the pool joins them
             raise
     return outcomes
 

@@ -186,3 +186,40 @@ class TestBadScriptFile:
         argv = ["eval", "--config", str(config), "--bench", str(bench), "--k", "1"]
         assert main(argv + ["--out", str(tmp_path / "out"), "--seed", "1"]) == 2
         assert "policy.script.json" in capsys.readouterr().err
+
+
+HTTP_POLICY = {"kind": "http", "endpoint": "http://file.example/v1", "model": "m"}
+SCRIPTED_POLICY = {"kind": "scripted", "default_response": "\\boxed{7}"}
+WRONG_TYPES = {
+    "default_response": {"roles": {"policy": {"kind": "scripted", "default_response": 5}}},
+    "parallelism": {"roles": {"policy": SCRIPTED_POLICY}, "parallelism": "2"},
+    "temperature": {"roles": {"policy": SCRIPTED_POLICY}, "temperature": "hot"},
+    "max_tokens": {"roles": {"policy": SCRIPTED_POLICY}, "max_tokens": "9"},
+    "max_attempts": {"roles": {"policy": {**HTTP_POLICY, "max_attempts": "3"}}},
+}
+
+
+@pytest.mark.parametrize("doc", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+class TestWrongScalarType:
+    def test_from_dict_names_the_field(self, request, doc):
+        field = request.node.callspec.id
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            PipelineConfig.from_dict(doc)
+
+    def test_eval_exits_2(self, tmp_path, capsys, request, doc):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        bench = tmp_path / "mini.jsonl"
+        bench.write_text(json.dumps({"id": "a", "question": "q?", "answer": "7"}) + "\n")
+        argv = ["eval", "--config", str(config), "--bench", str(bench), "--k", "1"]
+        assert main(argv + ["--out", str(tmp_path / "out"), "--seed", "1"]) == 2
+        assert f"{request.node.callspec.id} must be" in capsys.readouterr().err
+
+
+def test_scalar_types_accepted():
+    config = PipelineConfig.from_dict(
+        {"roles": {"policy": {**HTTP_POLICY, "timeout": 30}}, "temperature": 1, "top_p": 0.5}
+    )
+    assert config.roles["policy"].timeout == 30 and config.temperature == 1
+    with pytest.raises(ConfigError, match="parallelism must be int"):
+        PipelineConfig.from_dict({"parallelism": True})

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import random
 import signal
@@ -26,6 +27,7 @@ from ppc.evaluation import (
     pass_at_k,
     perturb_preplan,
 )
+from ppc.evaluation import _Scorer
 from ppc.trajectory import Violation, boxed_or_none, check_format
 
 
@@ -301,7 +303,8 @@ class TestEvaluate:
 
 
 class TestScheduler:
-    """evaluate's pool spreads (problem, sample) units; rules-only replay runs unthreaded."""
+    """evaluate's pool spreads (problem, sample) units and scores each problem's
+    landed prefix as it grows; rules-only replay runs unthreaded."""
 
     def test_samples_of_one_problem_run_side_by_side(self):
         barrier = threading.Barrier(4, timeout=5)
@@ -333,6 +336,9 @@ class TestScheduler:
         assert sum("failed entirely" in r.getMessage() for r in caplog.records) == 1
 
     def test_last_sample_to_land_scores_the_problem(self):
+        """The worker whose sample completes a problem's landed prefix builds
+        the record, and the record holds sample j at index j whichever call
+        lands last."""
         entered = []
         lock = threading.Lock()
         third_entered = threading.Event()
@@ -357,6 +363,136 @@ class TestScheduler:
             assert record.answers == [boxed_or_none(s) for s in record.samples]
             assert record.token_counts == [count_tokens(s) for s in record.samples]
             assert record.verdicts == [a == record.problem.gold_answer for a in record.answers]
+
+    def test_judge_calls_overlap_the_problems_sampling(self):
+        judging = threading.Event()
+        judging_when_sent = []
+        lock = threading.Lock()
+
+        def answer(req):
+            with lock:
+                judging_when_sent.append(judging.is_set())
+                n = len(judging_when_sent)
+            if n == 3:
+                # Held until the problem's first judge call has begun, so the
+                # fourth call, from either worker, is sent after it.
+                assert judging.wait(timeout=5)
+            return completion(f"x_{n}")
+
+        def verdict(req):
+            judging.set()
+            return "NO"
+
+        judge = ScriptedClient(verdict)
+        report = evaluate(
+            [make_problem("p0", answer="7")],
+            4,
+            ScriptedClient(answer),
+            equivalence=lambda pred, gold: answers_equivalent(pred, gold, fallback=judge),
+            parallelism=2,
+        )
+        assert judging_when_sent[3]
+        assert len(judge.calls) == 4 + 6  # 4 gold verdicts + C(4, 2) linkage pairs, as in one batch
+        assert report.records[0].verdicts == [False] * 4
+
+    def test_failed_problem_makes_no_judge_call_after_the_failure(self):
+        both_sent = threading.Barrier(2, timeout=5)
+        second_judge_call = threading.Event()
+        failure_logged = threading.Event()
+        failed_when_judged = []
+        entered = []
+        lock = threading.Lock()
+
+        class OnFailure(logging.Handler):
+            def emit(self, record):
+                if "failed entirely" in record.getMessage():
+                    failure_logged.set()
+
+        def answer(req):
+            with lock:
+                entered.append(req)
+                n = len(entered)
+            if n <= 2:
+                both_sent.wait()  # samples 0 and 1 are in flight before sample 2 is sent
+                return completion(f"x_{n}")
+            assert second_judge_call.wait(timeout=5)
+            raise ProtocolError("down")  # sample 2 fails while the landed prefix is judged
+
+        def verdict(req):
+            failed_when_judged.append(failure_logged.is_set())
+            if len(failed_when_judged) == 2:
+                # The second form's gold verdict; its linkage call would follow
+                # in any chunking of the prefix.
+                second_judge_call.set()
+                assert failure_logged.wait(timeout=5)
+            return "NO"
+
+        judge = ScriptedClient(verdict)
+        handler = OnFailure()
+        logging.getLogger("ppc.evaluation").addHandler(handler)
+        try:
+            report = evaluate(
+                [make_problem("p0", answer="7")],
+                3,
+                ScriptedClient(answer),
+                equivalence=lambda pred, gold: answers_equivalent(pred, gold, fallback=judge),
+                parallelism=2,
+            )
+        finally:
+            logging.getLogger("ppc.evaluation").removeHandler(handler)
+        assert report.failed == 1 and report.records == []
+        assert failed_when_judged == [False, False]  # the linkage call is never made
+
+    @pytest.mark.parametrize("stopper", ["interrupt", "worker-error"])
+    def test_stop_reaches_the_feeding_worker_between_judge_calls(self, stopper):
+        if stopper == "interrupt" and not hasattr(signal, "pthread_kill"):
+            pytest.skip("needs pthread_kill")
+
+        class Interrupt(BaseException):
+            pass
+
+        main = threading.main_thread().ident
+        second_judge_call = threading.Event()
+        judged, p1_calls = [], []
+        serial = itertools.count()
+
+        def answer(req):
+            if req.user_prompt.endswith("p0"):
+                return completion(f"x_{next(serial)}")  # two distinct wrong forms
+            p1_calls.append(req)
+            if len(p1_calls) > 1:
+                return completion("7")
+            assert second_judge_call.wait(timeout=5)  # p1's first sample, while p0 is being judged
+            if stopper == "worker-error":
+                raise RuntimeError("not a client error")
+            wait_until(lambda: waiting_for_workers(main))
+            signal.pthread_kill(main, signal.SIGUSR1)  # Ctrl-C while the caller waits
+            return completion("7")
+
+        def verdict(req):
+            judged.append(req)
+            if len(judged) == 2:
+                second_judge_call.set()
+                wait_until(lambda: joining_workers(main))  # in flight while the caller stops
+            return "NO"
+
+        def interrupt(signum, frame):
+            raise Interrupt
+
+        judge = ScriptedClient(verdict)
+        previous = signal.signal(signal.SIGUSR1, interrupt)
+        try:
+            with pytest.raises(Interrupt if stopper == "interrupt" else RuntimeError):
+                evaluate(
+                    [make_problem("p0", answer="7"), make_problem("p1", answer="7")],
+                    2,
+                    ScriptedClient(answer),
+                    equivalence=lambda pred, gold: answers_equivalent(pred, gold, fallback=judge),
+                    parallelism=2,
+                )
+        finally:
+            signal.signal(signal.SIGUSR1, previous)
+        assert len(judged) == 2  # p0's linkage call, after the stop, is never made
 
     @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
     def test_interrupted_caller_stops_the_workers(self):
@@ -434,6 +570,35 @@ class TestScheduler:
         assert parallel == serial
         assert len(serial[1]) == 12
 
+    def test_records_match_their_samples_under_contention(self):
+        # Every call draws the next spelling, so samples of one problem differ
+        # and a prefix fed out of order, twice or by two workers at once
+        # would misalign a record's answers with its samples.
+        serial = itertools.count()
+        spellings = [s for group in SPELLINGS.values() for s in group] + [None]
+
+        def answer(req):
+            spelling = spellings[next(serial) % len(spellings)]
+            return "no final box" if spelling is None else completion(spelling)
+
+        judge = class_map_judge()
+        equivalence = lambda pred, gold: answers_equivalent(pred, gold, fallback=judge)
+        problems = [make_problem(f"p{i}", answer=SPELLINGS["half"][i % 6]) for i in range(40)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = evaluate(problems, 16, ScriptedClient(answer), equivalence=equivalence, parallelism=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.problem.id for r in report.records] == [p.id for p in problems]
+        for record in report.records:
+            gold = record.problem.gold_answer
+            answers = [boxed_or_none(s) for s in record.samples]
+            assert record.answers == [None if a is None else normalize_answer(a) for a in answers]
+            assert record.verdicts == [a is not None and equivalence(a, gold) for a in answers]
+            assert record.maj_correct == maj_at_k(answers, gold, equivalence)
+            assert record.pass_correct == pass_at_k(answers, gold, equivalence)
+
     def test_rules_only_replay_starts_no_thread(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("rules-only replay started a thread")
@@ -454,6 +619,20 @@ def waiting_for_workers(thread_id):
     while frame is not None and frame.f_code.co_name != "submit":
         frame = frame.f_back
     return frame is None
+
+
+def joining_workers(thread_id):
+    """Whether the thread is inside the pool's shutdown, joining its workers."""
+    frame = sys._current_frames().get(thread_id)
+    while frame is not None and frame.f_code.co_name != "shutdown":
+        frame = frame.f_back
+    return frame is not None
+
+
+def wait_until(condition, timeout=5):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.001)
 
 
 def judge_pair(req):
@@ -520,6 +699,75 @@ def test_evaluate_agrees_with_reference_metrics(with_judge):
         assert record.verdicts == [a is not None and reference(a, gold) for a in answers], problem.id
         assert record.maj_correct == maj_at_k(answers, gold, reference), problem.id
         assert record.pass_correct == pass_at_k(answers, gold, reference), problem.id
+
+
+def chunkings(n, rng):
+    """Chunk sizes that sum to n: all at once, one by one, and three random splits."""
+    yield [n]
+    yield [1] * n
+    for _ in range(3):
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(rng.randint(1, n - sum(sizes)))
+        yield sizes
+
+
+def fed_in_chunks(gold, equivalence, answers, sizes):
+    scorer = _Scorer(gold, equivalence)
+    start = 0
+    for size in sizes:
+        scorer.extend(answers[start : start + size])
+        start += size
+    return scorer.result()
+
+
+class TestScorer:
+    """_Scorer gives the same table, verdicts, votes and judge calls however
+    a problem's answers are chunked."""
+
+    @pytest.mark.parametrize("with_judge", [False, True], ids=["rules-only", "class-map-judge"])
+    def test_every_chunking_agrees_with_reference_metrics(self, with_judge):
+        rng = random.Random(3)
+        for problem, answers, _ in agreement_problems(120):
+            gold = problem.gold_answer
+            equivalence, reference = None, answers_equivalent
+            if with_judge:
+                judge = class_map_judge()
+                equivalence = reference = lambda pred, gold: answers_equivalent(pred, gold, fallback=judge)
+            expected = (
+                [None if a is None else normalize_answer(a) for a in answers],
+                [a is not None and reference(a, gold) for a in answers],
+                maj_at_k(answers, gold, reference),
+                pass_at_k(answers, gold, reference),
+            )
+            for sizes in chunkings(len(answers), rng):
+                assert fed_in_chunks(gold, equivalence, answers, sizes) == expected, (problem.id, sizes)
+
+    def test_every_chunking_makes_the_batch_judge_calls(self):
+        calls = []
+
+        def verdict(pred, gold):
+            # Depends only on the normalized forms, but is not transitive.
+            calls.append((pred, gold))
+            return sum(map(ord, normalize_answer(pred) + normalize_answer(gold))) % 3 == 0
+
+        def reference(pred, gold):
+            return normalize_answer(pred) == normalize_answer(gold) or verdict(pred, gold)
+
+        rng = random.Random(4)
+        for problem, answers, _ in agreement_problems(120):
+            gold = problem.gold_answer
+            assert fed_in_chunks(gold, verdict, answers, [len(answers)])[2:] == (
+                maj_at_k(answers, gold, reference),
+                pass_at_k(answers, gold, reference),
+            )
+            calls = []
+            batch = fed_in_chunks(gold, verdict, answers, [len(answers)])
+            batch_calls = calls
+            for sizes in chunkings(len(answers), rng):
+                calls = []
+                assert fed_in_chunks(gold, verdict, answers, sizes) == batch, (problem.id, sizes)
+                assert calls == batch_calls, (problem.id, sizes)
 
 
 class TestReportTokens:
