@@ -61,6 +61,14 @@ class RoleConfig:
         return asdict(self)
 
 
+def _role(name: str, rc: Mapping) -> RoleConfig:
+    """One role entry; an invalid one is a ConfigError that names the role."""
+    try:
+        return RoleConfig(**rc)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"roles.{name}: {exc}") from exc
+
+
 @dataclass
 class PipelineConfig:
     roles: dict[str, RoleConfig] = field(default_factory=dict)
@@ -103,7 +111,7 @@ class PipelineConfig:
         try:
             data = dict(data)
             roles = dict(data.get("roles") or {})
-            data["roles"] = {name: RoleConfig(**rc) for name, rc in roles.items()}
+            data["roles"] = {name: _role(name, rc) for name, rc in roles.items()}
             grpo = data.get("grpo")
             if grpo is not None:
                 # No silent hyperparameter drift: config files must pin both.

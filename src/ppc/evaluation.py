@@ -141,16 +141,23 @@ def maj_at_k(
 ) -> bool:
     """Majority vote over k answers.
 
-    Answers join the first existing equivalence class they match (first-match
+    Each answer gets its own gold verdict, and the correct answers form one
+    class. A wrong answer joins the first wrong class it matches (first-match
     linkage, deterministic in input order); absent answers form no class.
     The largest class wins, ties broken by earliest first occurrence, and the
-    vote is correct when the winning class matches gold.
+    vote is correct when the correct class wins. For an equivalence relation
+    this is the plain partition of the answers; a non-transitive judge never
+    links a wrong answer to a correct one.
     """
     if not answers:
         raise ValueError("need at least one answer")
+    right: list[int] = []  # indices of the correct answers
     classes: list[dict] = []
     for index, answer in enumerate(answers):
         if answer is None:
+            continue
+        if equivalence(answer, gold):
+            right.append(index)
             continue
         for cls in classes:
             if equivalence(answer, cls["rep"]):
@@ -158,10 +165,9 @@ def maj_at_k(
                 break
         else:
             classes.append({"rep": answer, "count": 1, "first": index})
-    if not classes:
+    if not right:
         return False
-    winner = max(classes, key=lambda c: (c["count"], -c["first"]))
-    return equivalence(winner["rep"], gold)
+    return all((len(right), -right[0]) > (c["count"], -c["first"]) for c in classes)
 
 
 def pass_at_k(
@@ -232,40 +238,48 @@ def perturb_preplan(preplans: Sequence[str], spec: PerturbationSpec) -> list[str
 
 @dataclass
 class _Form:
-    """One distinct normalized answer of a problem; a form that joins no
-    earlier class heads its own."""
+    """One distinct normalized answer of a problem, its gold verdict and its answers."""
 
     form: str
     raw: str  # the first raw spelling
-    first: int  # index of that spelling among the k answers
-    count: int = 0  # answers in the class this form heads
+    first: int  # index of its first answer among the k
+    correct: bool
+    count: int = 0
 
 
 class _Scorer:
     """Normalized answers, per-answer verdicts, maj@k and pass@k of one problem,
-    scored as its answers arrive in index order.
+    scored as its answers arrive in index order, by `maj_at_k`'s rule.
 
     Each distinct spelling is normalized once, and answers with equal forms
-    share one table row. A new form first gets its gold verdict, then joins
-    the first class it matches (`maj_at_k`'s first-match linkage over the
-    distinct forms) or heads a new one. The fallback is asked at most once
-    per pair of forms, with each form's first raw spelling, so feeding the
-    answers in any chunks makes the same calls, in the same order, as feeding
-    them all at once.
+    share one table row. A new form gets its gold verdict at once: one call
+    per distinct form. The correct forms make one class with no call. The
+    wrong forms are linked (first-match, among wrong forms only) in
+    `result`, after the last answer, and only when the counts cannot decide
+    the vote: when the correct class neither outranks all wrong answers
+    together nor is outranked by one wrong form alone. Classes rank by
+    (count, -first). The fallback is asked at most once per pair of forms,
+    with each form's first raw spelling, so feeding the answers in any
+    chunks makes the same calls, in the same order, as feeding them all at
+    once.
     """
 
     def __init__(self, gold: str, equivalence: Equivalence | None):
-        self.gold = _Form(normalize_answer(gold), gold, -1)
+        self.gold = (normalize_answer(gold), gold)  # (form, raw spelling)
         self.equivalence = equivalence
         self.memo: dict[tuple[str, str], bool] = {}
         self.form_of: dict[str, str] = {}  # raw spelling -> normalized form
-        self.class_of: dict[str, tuple[bool, _Form]] = {}  # form -> (its verdict, its class)
-        self.classes: list[_Form] = []
+        self.rows: dict[str, _Form] = {}  # form -> its row, in order of first occurrence
         self.forms: list[str | None] = []
         self.verdicts: list[bool] = []
+        # Running tallies, so a rules-only vote is O(1).
+        self.right = 0  # correct answers
+        self.right_first = -1  # index of the first, once one lands
+        self.best: _Form | None = None  # the wrong form that ranks highest
 
     def extend(self, answers: Sequence[str | None]) -> None:
-        forms, verdicts, form_of, class_of = self.forms, self.verdicts, self.form_of, self.class_of
+        forms, verdicts, form_of, rows = self.forms, self.verdicts, self.form_of, self.rows
+        right, best = self.right, self.best
         for raw in answers:
             if raw is None:
                 forms.append(None)
@@ -274,36 +288,61 @@ class _Scorer:
             form = form_of.get(raw)
             if form is None:
                 form = form_of[raw] = normalize_answer(raw)
-            entry = class_of.get(form)
-            if entry is None:
-                entry = class_of[form] = self._place(_Form(form, raw, len(forms)))
-            correct, cls = entry
-            cls.count += 1
+            row = rows.get(form)
+            if row is None:
+                row = rows[form] = _Form(form, raw, len(forms), self._same(form, raw, *self.gold))
+                if row.correct and self.right_first < 0:
+                    self.right_first = row.first
+            row.count += 1
+            correct = row.correct
             forms.append(form)
             verdicts.append(correct)
+            if correct:
+                right += 1
+            else:
+                # (row.count, -row.first) > (best.count, -best.first), without the tuples
+                count = row.count
+                if best is None or count > best.count or (
+                    count == best.count and row.first < best.first
+                ):
+                    best = row
+        self.right, self.best = right, best
 
     def result(self) -> tuple[list[str | None], list[bool], bool, bool]:
-        winner = max(self.classes, key=lambda c: (c.count, -c.first), default=None)
-        maj = winner is not None and self.class_of[winner.form][0]
-        return self.forms, self.verdicts, maj, any(self.verdicts)
+        return self.forms, self.verdicts, self._vote(), self.right > 0
 
-    def _place(self, row: _Form) -> tuple[bool, _Form]:
-        correct = self._same(row, self.gold)
-        if self.equivalence is not None:
-            for cls in self.classes:
-                if self._same(row, cls):
-                    return correct, cls
-        self.classes.append(row)
-        return correct, row
+    def _vote(self) -> bool:
+        """Whether the correct class wins; links wrong forms only if the counts cannot tell."""
+        if not self.right:
+            return False
+        right, best = (self.right, -self.right_first), self.best
+        if best is not None and (best.count, -best.first) > right:
+            return False  # every class holding that wrong form wins
+        if best is None or self.equivalence is None:
+            return True  # no wrong answer, or each wrong form is its own class
+        wrong = [row for row in self.rows.values() if not row.correct]
+        if right > (sum(row.count for row in wrong), -wrong[0].first):
+            return True  # the correct class outranks all wrong answers together
+        heads: list[_Form] = []  # each wrong class's first form
+        sizes: list[int] = []  # and its number of answers
+        for row in wrong:
+            for n, head in enumerate(heads):
+                if self._same(row.form, row.raw, head.form, head.raw):
+                    sizes[n] += row.count
+                    break
+            else:
+                heads.append(row)
+                sizes.append(row.count)
+        return all(right > (size, -head.first) for head, size in zip(heads, sizes))
 
-    def _same(self, a: _Form, b: _Form) -> bool:
-        if a.form == b.form:
+    def _same(self, form: str, raw: str, other_form: str, other_raw: str) -> bool:
+        if form == other_form:
             return True
         if self.equivalence is None:
             return False
-        key = (a.form, b.form)
+        key = (form, other_form)
         if key not in self.memo:
-            self.memo[key] = self.equivalence(a.raw, b.raw)
+            self.memo[key] = self.equivalence(raw, other_raw)
         return self.memo[key]
 
 
@@ -387,21 +426,26 @@ def evaluate(
 
     Answers with equal normalized forms are the same answer, with no call
     made. `equivalence` is a fallback consulted only for answers whose
-    normalized forms differ: at most once per pair of forms per problem,
-    with each form's first raw spelling. None (the default) means the
-    normalization rules only. When the fallback's verdict depends only on
-    the normalized forms, the results equal `maj_at_k` and `pass_at_k`
-    over the raw answers with `answers_equivalent` plus that fallback.
+    normalized forms differ, at most once per pair of forms per problem,
+    with each form's first raw spelling: one gold verdict per distinct
+    form, and, only when the counts cannot decide the vote, linkage among
+    the wrong forms after the problem's last sample. None (the default)
+    means the normalization rules only. When the fallback's verdict depends
+    only on the normalized forms, the results equal `maj_at_k` and
+    `pass_at_k` over the raw answers with `answers_equivalent` plus that
+    fallback; they change with the linkage rule only for a judge that is
+    not transitive, which never links a wrong answer to a correct one.
 
     `parallelism` bounds the endpoint calls in flight. Live sampling spreads
     (problem, sample) units over that many workers, so a problem's k samples
     run side by side and each record still holds sample j at index j.
-    Judge calls run inside the same workers and start as soon as a
-    problem's samples have landed in index order, while its later samples
+    Judge calls run inside the same workers. Gold verdicts start as soon as
+    a problem's samples have landed in index order, while its later samples
     are still being drawn; so a problem that fails after part of its
     samples landed may already have paid judge calls for them. Rules-only
     replay makes no call and runs in the caller's thread; replay with a
-    fallback spreads whole problems.
+    fallback spreads whole problems. A ClientError from the fallback, gold
+    verdict or linkage, fails only that problem.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -419,10 +463,10 @@ def evaluate(
         scorer = _Scorer(problem.gold_answer, equivalence)
         try:
             scorer.extend(_answers(samples))
+            return _record(problem, samples, scorer)  # the vote may still link wrong answers
         except ClientError as exc:
             log.warning("problem %s failed entirely: %s", problem.id, exc)
             return None
-        return _record(problem, samples, scorer)
 
     if replay is not None:
         batches = []
@@ -502,12 +546,13 @@ def _sample(
     side by side. Sample j is stored at index j, whatever order calls finish
     in. A worker that lands a sample feeds the problem's landed prefix
     (samples 0..m-1) to the problem's scorer, one worker per problem at a
-    time, so the problem's judge calls run while other workers keep
-    sampling; the record is built once the prefix reaches k. A problem's
-    first ClientError marks it failed: its units not yet started make no
-    call, and its scorer makes no further judge call. An exception in a
-    worker, or one that interrupts the caller while it waits (Ctrl-C), stops
-    every worker after its current call, judge calls included.
+    time, so the problem's gold verdicts run while other workers keep
+    sampling; the record, with any linkage calls its vote needs, is built
+    once the prefix reaches k. A problem's first ClientError marks it
+    failed: its units not yet started make no call, and its scorer makes no
+    further judge call. An exception in a worker, or one that interrupts the
+    caller while it waits (Ctrl-C), stops every worker after its current
+    call, judge calls included.
     """
     samples: list[list[str | None]] = [[None] * k for _ in problems]
     fed = [0] * len(problems)  # length of the prefix fed to the problem's scorer

@@ -216,6 +216,36 @@ class TestWrongScalarType:
         assert f"{request.node.callspec.id} must be" in capsys.readouterr().err
 
 
+BAD_ROLES = {
+    "wrong-type": ("policy", {**HTTP_POLICY, "max_attempts": "3"}, "max_attempts must be int, got '3'"),
+    "unknown-key": ("judge", {"kind": "http", "modle": "m"}, "'modle'"),
+    "unknown-kind": ("cleanup", {"kind": "grpc"}, "unknown role kind 'grpc'"),
+    "scripted-without-script": ("executor", {"kind": "scripted"}, "needs a script file"),
+    "not-an-object": ("judge", "http", "must be a mapping"),
+}
+
+
+@pytest.mark.parametrize("role,entry,detail", BAD_ROLES.values(), ids=BAD_ROLES.keys())
+class TestBadRoleNamesTheRole:
+    def doc(self, role, entry):
+        return {"roles": {"policy": SCRIPTED_POLICY, role: entry}}
+
+    def test_from_dict(self, role, entry, detail):
+        with pytest.raises(ConfigError) as info:
+            PipelineConfig.from_dict(self.doc(role, entry))
+        assert str(info.value).startswith(f"roles.{role}: ") and detail in str(info.value)
+
+    def test_eval_exits_2(self, tmp_path, capsys, role, entry, detail):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.doc(role, entry)))
+        bench = tmp_path / "mini.jsonl"
+        bench.write_text(json.dumps({"id": "a", "question": "q?", "answer": "7"}) + "\n")
+        argv = ["eval", "--config", str(config), "--bench", str(bench), "--k", "1"]
+        assert main(argv + ["--out", str(tmp_path / "out"), "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"roles.{role}: " in err and detail in err
+
+
 def test_scalar_types_accepted():
     config = PipelineConfig.from_dict(
         {"roles": {"policy": {**HTTP_POLICY, "timeout": 30}}, "temperature": 1, "top_p": 0.5}

@@ -209,34 +209,41 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("interleaved", [False, True])
     def test_one_judge_call_per_answer_pair(self, interleaved):
-        # 8 distinct wrong spellings, each twice: 8 verdicts + C(8, 2) linkage pairs
+        # 8 distinct wrong spellings, each twice, after 3 gold answers: the gold
+        # class outranks each wrong form but not all 16 wrong answers, so the
+        # counts cannot decide and the wrong forms are linked pairwise:
+        # 8 verdicts + C(8, 2) linkage pairs
         wrong = [f"x_{i}" for i in range(8)]
-        spellings = wrong * 2 if interleaved else [w for w in wrong for _ in range(2)]
+        spellings = ["7"] * 3 + (wrong * 2 if interleaved else [w for w in wrong for _ in range(2)])
         judge = ScriptedClient(lambda req: "NO")
         report = evaluate(
             [make_problem("p0", answer="7")],
-            16,
+            19,
             replay={"p0": [completion(s) for s in spellings]},
             equivalence=lambda pred, gold: answers_equivalent(pred, gold, fallback=judge),
         )
-        assert report.records[0].verdicts == [False] * 16
+        assert report.records[0].verdicts == [True] * 3 + [False] * 16
+        assert report.records[0].maj_correct
         assert len(judge.calls) == 36
+        assert len({judge_pair(req) for req in judge.calls}) == 36
 
     def test_judge_memo_keyed_by_normalized_pair(self):
-        # 1/2 spelled three rule-equal ways beside five distinct wrong values:
-        # 6 forms, so 6 verdicts + C(6, 2) linkage pairs
-        spellings = ["x_0", "0.5", "x_1", "1/2", "x_2", "\\frac{1}{2}", "x_3", "0.5"]
+        # 1/2 spelled three rule-equal ways (6 answers) beside five distinct
+        # wrong values, after 7 gold answers that outrank each wrong form but
+        # not the 16 wrong answers together: 6 wrong forms, so 6 verdicts +
+        # C(6, 2) linkage pairs
+        spellings = ["7"] * 7 + ["x_0", "0.5", "x_1", "1/2", "x_2", "\\frac{1}{2}", "x_3", "0.5"]
         spellings += ["x_4", "1/2", "x_0", "\\frac{1}{2}", "x_1", "x_2", "x_3", "x_4"]
         judge = ScriptedClient(lambda req: "NO")
         report = evaluate(
             [make_problem("p0", answer="7")],
-            16,
+            23,
             replay={"p0": [completion(s) for s in spellings]},
             equivalence=lambda pred, gold: answers_equivalent(pred, gold, fallback=judge),
         )
         record = report.records[0]
-        assert record.verdicts == [False] * 16
-        assert not record.maj_correct and not record.pass_correct
+        assert record.verdicts == [True] * 7 + [False] * 16
+        assert record.maj_correct and record.pass_correct
         assert len(judge.calls) == 21
         pairs = [judge_pair(req) for req in judge.calls]
         assert ("0.5", "7") in pairs  # the form's first raw spelling
@@ -300,6 +307,17 @@ class TestEvaluate:
         problems = [make_problem("p0")]
         with pytest.raises(ValueError):
             evaluate(problems, 4, replay={"p0": [completion("7")]})
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_failed_linkage_call_fails_only_its_problem_in_replay(self, parallelism, caplog):
+        problems, replay = linkage_fixture()
+        with caplog.at_level(logging.WARNING, logger="ppc.evaluation"):
+            report = evaluate(
+                problems, 5, replay=replay, equivalence=down_on_linkage, parallelism=parallelism
+            )
+        assert report.failed == 1 and [r.problem.id for r in report.records] == ["p0", "p2"]
+        assert [r.maj_correct for r in report.records] == [True, False]
+        assert sum("p1 failed entirely" in r.getMessage() for r in caplog.records) == 1
 
 
 class TestScheduler:
@@ -377,7 +395,7 @@ class TestScheduler:
                 # Held until the problem's first judge call has begun, so the
                 # fourth call, from either worker, is sent after it.
                 assert judging.wait(timeout=5)
-            return completion(f"x_{n}")
+            return completion("7" if n in (3, 4) else f"x_{n}")
 
         def verdict(req):
             judging.set()
@@ -386,18 +404,30 @@ class TestScheduler:
         judge = ScriptedClient(verdict)
         report = evaluate(
             [make_problem("p0", answer="7")],
-            4,
+            5,
             ScriptedClient(answer),
             equivalence=lambda pred, gold: answers_equivalent(pred, gold, fallback=judge),
             parallelism=2,
         )
         assert judging_when_sent[3]
-        assert len(judge.calls) == 4 + 6  # 4 gold verdicts + C(4, 2) linkage pairs, as in one batch
-        assert report.records[0].verdicts == [False] * 4
+        # 2 gold answers outrank each of 3 wrong forms but not all 3 together,
+        # in any sample order: 3 gold verdicts + C(3, 2) linkage pairs, as in one batch
+        assert len(judge.calls) == 3 + 3
+        record = report.records[0]
+        assert record.verdicts == [a == "7" for a in record.answers] and sum(record.verdicts) == 2
+        assert record.maj_correct
 
     def test_failed_problem_makes_no_judge_call_after_the_failure(self):
-        both_sent = threading.Barrier(2, timeout=5)
-        second_judge_call = threading.Event()
+        """Samples 0-2 land as three distinct wrong forms; sample 3 fails while
+        the first of their gold verdicts is in flight. The other two gold
+        verdicts, in the chunk being fed or in the next one, are refused.
+
+        The feeder's first judge call blocks until the failure is logged, so
+        while it runs the other worker makes every later call, in unit order:
+        the 3rd call is sample 2 and the 4th is sample 3. A problem that fails
+        never has all k samples landed, so its record, and any linkage call,
+        is never built; the gold verdicts are what the guard must stop."""
+        first_judge_call = threading.Event()
         failure_logged = threading.Event()
         failed_when_judged = []
         entered = []
@@ -412,18 +442,15 @@ class TestScheduler:
             with lock:
                 entered.append(req)
                 n = len(entered)
-            if n <= 2:
-                both_sent.wait()  # samples 0 and 1 are in flight before sample 2 is sent
+            if n <= 3:
                 return completion(f"x_{n}")
-            assert second_judge_call.wait(timeout=5)
-            raise ProtocolError("down")  # sample 2 fails while the landed prefix is judged
+            assert first_judge_call.wait(timeout=5)
+            raise ProtocolError("down")  # sample 3 fails while the landed prefix is judged
 
         def verdict(req):
             failed_when_judged.append(failure_logged.is_set())
-            if len(failed_when_judged) == 2:
-                # The second form's gold verdict; its linkage call would follow
-                # in any chunking of the prefix.
-                second_judge_call.set()
+            if len(failed_when_judged) == 1:
+                first_judge_call.set()
                 assert failure_logged.wait(timeout=5)
             return "NO"
 
@@ -433,7 +460,7 @@ class TestScheduler:
         try:
             report = evaluate(
                 [make_problem("p0", answer="7")],
-                3,
+                4,
                 ScriptedClient(answer),
                 equivalence=lambda pred, gold: answers_equivalent(pred, gold, fallback=judge),
                 parallelism=2,
@@ -441,7 +468,26 @@ class TestScheduler:
         finally:
             logging.getLogger("ppc.evaluation").removeHandler(handler)
         assert report.failed == 1 and report.records == []
-        assert failed_when_judged == [False, False]  # the linkage call is never made
+        assert len(entered) == 4
+        assert failed_when_judged == [False]  # the 2nd and 3rd gold verdicts are never made
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_failed_linkage_call_fails_only_its_problem(self, parallelism, caplog):
+        problems, replay = linkage_fixture()
+        queues = {p.question: iter(replay[p.id]) for p in problems}
+        lock = threading.Lock()
+
+        def answer(req):
+            with lock:
+                return next(queues[req.user_prompt])
+
+        with caplog.at_level(logging.WARNING, logger="ppc.evaluation"):
+            report = evaluate(
+                problems, 5, ScriptedClient(answer), equivalence=down_on_linkage, parallelism=parallelism
+            )
+        assert report.failed == 1 and [r.problem.id for r in report.records] == ["p0", "p2"]
+        assert [r.maj_correct for r in report.records] == [True, False]
+        assert sum("p1 failed entirely" in r.getMessage() for r in caplog.records) == 1
 
     @pytest.mark.parametrize("stopper", ["interrupt", "worker-error"])
     def test_stop_reaches_the_feeding_worker_between_judge_calls(self, stopper):
@@ -452,17 +498,20 @@ class TestScheduler:
             pass
 
         main = threading.main_thread().ident
-        second_judge_call = threading.Event()
+        last_gold_verdict = threading.Event()
         judged, p1_calls = [], []
         serial = itertools.count()
 
         def answer(req):
             if req.user_prompt.endswith("p0"):
-                return completion(f"x_{next(serial)}")  # two distinct wrong forms
+                # 2 gold answers and 3 distinct wrong forms: in any sample order
+                # the counts cannot decide, so the wrong forms must be linked.
+                n = next(serial)
+                return completion("7" if n < 2 else f"x_{n}")
             p1_calls.append(req)
             if len(p1_calls) > 1:
                 return completion("7")
-            assert second_judge_call.wait(timeout=5)  # p1's first sample, while p0 is being judged
+            assert last_gold_verdict.wait(timeout=5)  # p1's first sample, while p0 is being judged
             if stopper == "worker-error":
                 raise RuntimeError("not a client error")
             wait_until(lambda: waiting_for_workers(main))
@@ -471,8 +520,8 @@ class TestScheduler:
 
         def verdict(req):
             judged.append(req)
-            if len(judged) == 2:
-                second_judge_call.set()
+            if len(judged) == 3:
+                last_gold_verdict.set()
                 wait_until(lambda: joining_workers(main))  # in flight while the caller stops
             return "NO"
 
@@ -485,14 +534,15 @@ class TestScheduler:
             with pytest.raises(Interrupt if stopper == "interrupt" else RuntimeError):
                 evaluate(
                     [make_problem("p0", answer="7"), make_problem("p1", answer="7")],
-                    2,
+                    5,
                     ScriptedClient(answer),
                     equivalence=lambda pred, gold: answers_equivalent(pred, gold, fallback=judge),
                     parallelism=2,
                 )
         finally:
             signal.signal(signal.SIGUSR1, previous)
-        assert len(judged) == 2  # p0's linkage call, after the stop, is never made
+        assert [judge_pair(req)[1] for req in judged] == ["7"] * 3  # p0's gold verdicts
+        assert len(judged) == 3  # p0's deferred linkage calls, after the stop, are never made
 
     @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
     def test_interrupted_caller_stops_the_workers(self):
@@ -641,6 +691,27 @@ def judge_pair(req):
     return lines["Answer A"], lines["Answer B"]
 
 
+def down_on_linkage(pred, gold):
+    """A custom fallback that says NO to every gold verdict and fails on any
+    pair of two wrong answers."""
+    if gold != "7":
+        raise ProtocolError("judge down")
+    return False
+
+
+def linkage_fixture():
+    """3 problems x 5 samples, gold 7. In any sample order, p1's counts cannot
+    decide its vote (2 gold answers, 3 distinct wrong ones), so it links its
+    wrong forms; p0 and p2's counts decide theirs."""
+    answers = {
+        "p0": ["7"] * 5,
+        "p1": ["7", "x_1", "7", "x_2", "x_3"],
+        "p2": ["x_1", "7", "x_1", "7", "x_1"],
+    }
+    problems = [make_problem(pid, answer="7") for pid in answers]
+    return problems, {pid: [completion(a) for a in group] for pid, group in answers.items()}
+
+
 # Rule-equal spellings of a few values, plus spellings only a judge can
 # settle; CLASS_OF maps each normalized form to its value.
 SPELLINGS = {
@@ -721,6 +792,27 @@ def fed_in_chunks(gold, equivalence, answers, sizes):
     return scorer.result()
 
 
+def scored_with_calls(gold, verdict, answers):
+    """The scorer's result over the answers in one batch, and the (pred, gold)
+    pairs it asked the fallback."""
+    calls = []
+
+    def counting(pred, other):
+        calls.append((pred, other))
+        return verdict(pred, other)
+
+    return fed_in_chunks(gold, counting, answers, [len(answers)]), calls
+
+
+def class_map(pred, gold):
+    return CLASS_OF[normalize_answer(pred)] == CLASS_OF[normalize_answer(gold)]
+
+
+def non_transitive(pred, gold):
+    """Depends only on the normalized forms, but is not transitive."""
+    return sum(map(ord, normalize_answer(pred) + normalize_answer(gold))) % 3 == 0
+
+
 class TestScorer:
     """_Scorer gives the same table, verdicts, votes and judge calls however
     a problem's answers are chunked."""
@@ -742,6 +834,29 @@ class TestScorer:
             )
             for sizes in chunkings(len(answers), rng):
                 assert fed_in_chunks(gold, equivalence, answers, sizes) == expected, (problem.id, sizes)
+
+    @pytest.mark.parametrize("with_judge", [False, True], ids=["rules-only", "class-map-judge"])
+    @pytest.mark.parametrize(
+        "answers,maj",
+        [
+            (["2", "7", "2", "7", "x+1", "x+1"], False),  # the first wrong form wins the 3-way tie
+            (["7", "2", "7", "2", "x+1", "x+1"], True),
+            (["x+1", "7", "2", "7", "2", "x+1", None], False),
+            (["2", "7", "7", "2", "2", "x+1", "7", "x+1", "x+1"], False),
+        ],
+    )
+    def test_a_tie_goes_to_the_earliest_class(self, answers, maj, with_judge):
+        """Two wrong forms tie the correct class, so which wrong form ranks
+        highest decides the vote: the earliest, not the last to reach the count."""
+        rng = random.Random(5)
+        equivalence = class_map if with_judge else None
+        reference = answers_equivalent
+        if with_judge:
+            judge = class_map_judge()
+            reference = lambda pred, gold: answers_equivalent(pred, gold, fallback=judge)  # noqa: E731
+        assert maj_at_k(answers, "7", reference) == maj
+        for sizes in chunkings(len(answers), rng):
+            assert fed_in_chunks("7", equivalence, answers, sizes)[2] == maj, sizes
 
     def test_every_chunking_makes_the_batch_judge_calls(self):
         calls = []
@@ -768,6 +883,41 @@ class TestScorer:
                 calls = []
                 assert fed_in_chunks(gold, verdict, answers, sizes) == batch, (problem.id, sizes)
                 assert calls == batch_calls, (problem.id, sizes)
+
+    @pytest.mark.parametrize(
+        "gold,answers",
+        [
+            # 4 correct answers (one judged) outrank the 2 wrong ones together
+            ("0.5", ["1/2", "\\sqrt{1/4}", "\\sqrt{1/4}", "{1/2}", "3/4", "x+1", None]),
+            # one wrong form (3 answers) outranks the only correct answer
+            ("7", ["x+1", "x+1", "1+x", "{x+1}", "7.00", "\\sqrt{4}", None]),
+        ],
+        ids=["gold-outranks-all-wrong", "one-wrong-form-outranks-gold"],
+    )
+    def test_counts_that_decide_make_one_call_per_distinct_form(self, gold, answers):
+        distinct = {normalize_answer(a) for a in answers if a is not None} - {normalize_answer(gold)}
+        for order in set(itertools.permutations(answers)):
+            _, calls = scored_with_calls(gold, class_map, list(order))
+            assert len(calls) == len(distinct), order
+            assert {b for _, b in calls} == {gold}, order  # gold verdicts only
+
+    @pytest.mark.parametrize("judge", ["class-map", "non-transitive"])
+    def test_calls_are_gold_verdicts_and_wrong_pairs_within_the_bound(self, judge):
+        verdict = class_map if judge == "class-map" else non_transitive
+        linked_problems = 0
+        for problem, answers, _ in agreement_problems(120):
+            gold = problem.gold_answer
+            (forms, verdicts, _, _), calls = scored_with_calls(gold, verdict, answers)
+            present = {f for f in forms if f is not None}
+            wrong = {f for f, right in zip(forms, verdicts) if f is not None and not right}
+            gold_calls = [pair for pair in calls if pair[1] == gold]
+            linkage = [pair for pair in calls if pair[1] != gold]
+            assert len(gold_calls) == len(present - {normalize_answer(gold)}), problem.id
+            for pair in linkage:  # no call pairs a wrong form with the correct class
+                assert {normalize_answer(s) for s in pair} <= wrong, (problem.id, pair)
+            assert len(calls) <= len(present) + len(wrong) * (len(wrong) - 1) // 2, problem.id
+            linked_problems += bool(linkage)
+        assert linked_problems  # the bound is exercised on linked problems, not only decided ones
 
 
 class TestReportTokens:
