@@ -23,7 +23,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import prompts
 from ._text import standalone_integers
-from .trajectory import Trajectory, render_trajectory
 
 log = logging.getLogger(__name__)
 
@@ -292,17 +291,9 @@ def parse_grade(text: str) -> int:
     return in_range[-1]
 
 
-def _attempt_text(trajectory: Trajectory | str) -> str:
-    if isinstance(trajectory, Trajectory):
-        return render_trajectory(trajectory)
-    return trajectory
-
-
-def judge_proximity(
-    client: LlmClient, question: str, trajectory: Trajectory | str, gold: str
-) -> int:
+def judge_proximity(client: LlmClient, question: str, attempt: str, gold: str) -> int:
     """Grade 1..5 for how close the solution path came to a correct one."""
-    prompt = prompts.proximity_prompt(question, _attempt_text(trajectory), gold)
+    prompt = prompts.proximity_prompt(question, attempt, gold)
     return parse_grade(client.generate(_judge_request(prompt)))
 
 

@@ -34,7 +34,7 @@ from .clients import (
     judge_equivalence,
     run_parallel,
 )
-from .synthesis import ProblemRecord
+from .synthesis import ProblemRecord, check_unique_ids
 from .trajectory import boxed_or_none, read_trajectory
 
 log = logging.getLogger(__name__)
@@ -421,8 +421,9 @@ def evaluate(
     otherwise from the client. With a perturbation spec, one unforced base
     sample per problem supplies the original preplan; generation then
     restarts from the perturbed prefill, so a spec together with `replay`
-    is a ValueError. Problems whose generation fails entirely are counted
-    separately and excluded from the metric denominators.
+    is a ValueError. A repeated problem id raises DuplicateId before any
+    call. Problems whose generation fails entirely are counted separately
+    and excluded from the metric denominators.
 
     Answers with equal normalized forms are the same answer, with no call
     made. `equivalence` is a fallback consulted only for answers whose
@@ -436,16 +437,18 @@ def evaluate(
     fallback; they change with the linkage rule only for a judge that is
     not transitive, which never links a wrong answer to a correct one.
 
-    `parallelism` bounds the endpoint calls in flight. Live sampling spreads
-    (problem, sample) units over that many workers, so a problem's k samples
-    run side by side and each record still holds sample j at index j.
-    Judge calls run inside the same workers. Gold verdicts start as soon as
-    a problem's samples have landed in index order, while its later samples
-    are still being drawn; so a problem that fails after part of its
-    samples landed may already have paid judge calls for them. Rules-only
-    replay makes no call and runs in the caller's thread; replay with a
-    fallback spreads whole problems. A ClientError from the fallback, gold
-    verdict or linkage, fails only that problem.
+    Live and replayed samples go through one scheduler; a replayed problem
+    is one unit that only scores it. `parallelism` bounds the endpoint
+    calls in flight. Live sampling spreads (problem, sample) units over that
+    many workers, so a problem's k samples run side by side and each record
+    still holds sample j at index j. Judge calls run inside the same
+    workers. Gold verdicts start as soon as a problem's samples have landed
+    in index order, while its later samples are still being drawn; so a
+    problem that fails after part of its samples landed may already have
+    paid judge calls for them. A ClientError from the fallback, gold verdict
+    or linkage, fails only that problem; any other exception, or Ctrl-C,
+    stops every worker after its current call, in replay too. Rules-only
+    replay makes no call and runs in the caller's thread.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -453,37 +456,27 @@ def evaluate(
         raise ValueError("need a client or replay transcripts")
     if mode is not None and replay is not None:
         raise ValueError("a perturbation needs live generation, not replay transcripts")
+    check_unique_ids(problems)
 
     prefixes: dict[str, str] = {}
     if mode is not None:
         base = _base_preplans(problems, client, params, parallelism)
         prefixes = dict(zip((p.id for p in problems), perturb_preplan(base, mode)))
 
-    def score(problem: ProblemRecord, samples: list[str]) -> EvalRecord | None:
-        scorer = _Scorer(problem.gold_answer, equivalence)
-        try:
-            scorer.extend(_answers(samples))
-            return _record(problem, samples, scorer)  # the vote may still link wrong answers
-        except ClientError as exc:
-            log.warning("problem %s failed entirely: %s", problem.id, exc)
-            return None
-
-    if replay is not None:
-        batches = []
-        for problem in problems:
-            samples = list(replay.get(problem.id, []))[:k]
-            if len(samples) < k:
-                raise ValueError(f"replay has {len(samples)} samples for {problem.id!r}, need {k}")
-            batches.append((problem, samples))
-        # Rules only makes no endpoint call for a thread to overlap.
-        workers = parallelism if equivalence is not None else 1
-        outcomes = run_parallel(lambda batch: score(*batch), batches, workers)
-    else:
+    if replay is None:
+        samples: list[list[str | None]] = [[None] * k for _ in problems]
         requests = [
             replace(params, user_prompt=p.question, forced_prefix=prefixes.get(p.id))
             for p in problems
         ]
-        outcomes = _sample(problems, requests, k, client, equivalence, parallelism)
+    else:
+        samples, requests = [list(replay.get(p.id, []))[:k] for p in problems], []
+        for problem, drawn in zip(problems, samples):
+            if len(drawn) < k:
+                raise ValueError(f"replay has {len(drawn)} samples for {problem.id!r}, need {k}")
+        if equivalence is None:
+            parallelism = 1  # rules only makes no endpoint call for a thread to overlap
+    outcomes = _sample(problems, samples, requests, client, equivalence, parallelism)
     records = [r for r in outcomes if r is not None]
     failed = len(outcomes) - len(records)
 
@@ -533,34 +526,37 @@ class _Stopped(Exception):
 
 def _sample(
     problems: Sequence[ProblemRecord],
+    samples: list[list[str | None]],
     requests: Sequence[GenerationRequest],
-    k: int,
-    client: LlmClient,
+    client: LlmClient | None,
     equivalence: Equivalence | None,
     parallelism: int,
 ) -> list[EvalRecord | None]:
-    """k samples per problem, scored; None for a problem whose generation failed.
+    """Each problem's k samples, scored; None for a problem whose generation failed.
 
-    The unit of work is one (problem, sample) call. `parallelism` workers take
-    units from one cursor in problem-major order, so a problem's k calls run
-    side by side. Sample j is stored at index j, whatever order calls finish
-    in. A worker that lands a sample feeds the problem's landed prefix
-    (samples 0..m-1) to the problem's scorer, one worker per problem at a
-    time, so the problem's gold verdicts run while other workers keep
-    sampling; the record, with any linkage calls its vote needs, is built
-    once the prefix reaches k. A problem's first ClientError marks it
-    failed: its units not yet started make no call, and its scorer makes no
-    further judge call. An exception in a worker, or one that interrupts the
-    caller while it waits (Ctrl-C), stops every worker after its current
-    call, judge calls included.
+    `samples[i][j]` is sample j of problem i, or None for one still to draw
+    with `client.generate(requests[i])`, stored at index j whatever order
+    calls finish in. The unit of work is one sample to draw; a problem with
+    none left to draw gets one unit, which only scores it. `parallelism`
+    workers take units from one cursor in problem-major order, so a
+    problem's calls run side by side. A worker that lands a sample, or takes
+    a scoring unit, feeds the problem's landed prefix (samples 0..m-1) to
+    its scorer, one worker per problem at a time, so gold verdicts run while
+    other workers keep sampling; the record, with any linkage calls its vote
+    needs, is built once the prefix reaches k. A problem's first ClientError
+    marks it failed: its units not yet started make no call, and its scorer
+    makes no further judge call. An exception in a worker, or one that
+    interrupts the caller while it waits (Ctrl-C), stops every worker after
+    its current call, judge calls included.
     """
-    samples: list[list[str | None]] = [[None] * k for _ in problems]
     fed = [0] * len(problems)  # length of the prefix fed to the problem's scorer
     busy = [False] * len(problems)  # a worker is feeding the problem's scorer
     failed = [False] * len(problems)
     scorers: list[_Scorer | None] = [None] * len(problems)
     outcomes: list[EvalRecord | None] = [None] * len(problems)
-    units = iter(range(len(problems) * k))
+    to_draw = [[j for j, s in enumerate(row) if s is None] or [None] for row in samples]
+    units = [(i, j) for i, js in enumerate(to_draw) for j in js]  # (i, None) only scores
+    cursor = iter(units)
     lock = threading.Lock()
     stop = False
 
@@ -583,39 +579,42 @@ def _sample(
 
     def feed(i: int) -> None:
         """Score problem i's landed prefix until none is left; the caller set busy[i]."""
+        row = samples[i]
+        k = len(row)
         while True:
             with lock:
                 start = end = fed[i]
-                while end < k and samples[i][end] is not None:
+                while end < k and row[end] is not None:
                     end += 1
                 if end == start:
                     busy[i] = False
                     return
                 fed[i] = end
-                landed = samples[i][start:end]
+                landed = row[start:end]
             if scorers[i] is None:
                 scorers[i] = _Scorer(problems[i].gold_answer, guarded(i))
             scorers[i].extend(_answers(landed))
             if end == k:
-                outcomes[i] = _record(problems[i], samples[i], scorers[i])
+                outcomes[i] = _record(problems[i], row, scorers[i])
                 return
 
     def work() -> None:
         while True:
             with lock:
-                unit = None if stop else next(units, None)
+                unit = None if stop else next(cursor, None)
                 if unit is None:
                     return
-                i, j = divmod(unit, k)
+                i, j = unit
                 if failed[i]:
                     continue
             try:
-                text = client.generate(requests[i])
+                text = None if j is None else client.generate(requests[i])
             except ClientError as exc:
                 fail(i, exc)
                 continue
             with lock:
-                samples[i][j] = text
+                if j is not None:
+                    samples[i][j] = text
                 if busy[i]:
                     continue  # the feeding worker picks this sample up
                 busy[i] = True
@@ -626,7 +625,7 @@ def _sample(
             except ClientError as exc:
                 fail(i, exc)
 
-    workers = min(parallelism, len(problems) * k)
+    workers = min(parallelism, len(units))
     if workers <= 1:
         work()
         return outcomes

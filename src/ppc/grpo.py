@@ -113,12 +113,11 @@ class RolloutGroup:
 def group_advantages(
     rewards: Sequence[float],
     std_floor: float = 1e-6,
-    sample_std: bool = False,
 ) -> list[float]:
     """Group-normalized advantages: (r - mean) / max(std, std_floor).
 
-    Population std by default (sample_std selects the n-1 convention). A
-    zero-variance group yields all-zero advantages instead of NaNs.
+    Population std. A zero-variance group yields all-zero advantages
+    instead of NaNs.
     """
     G = len(rewards)
     if G < 2:
@@ -128,8 +127,7 @@ def group_advantages(
         # exactly zero, not mean-rounding residue divided by the floor
         return [0.0] * G
     mean = sum(rewards) / G
-    denom_n = G - 1 if sample_std else G
-    var = sum((r - mean) ** 2 for r in rewards) / denom_n
+    var = sum((r - mean) ** 2 for r in rewards) / G
     std = math.sqrt(var)
     scale = max(std, std_floor)
     if scale == 0.0:
@@ -186,7 +184,7 @@ class GrpoResult:
         return asdict(self)
 
 
-def grpo_objective(group: RolloutGroup, cfg: GrpoConfig, sample_std: bool = False) -> GrpoResult:
+def grpo_objective(group: RolloutGroup, cfg: GrpoConfig) -> GrpoResult:
     """Objective value: mean clipped surrogate minus beta * mean k3 KL.
 
     One pass per rollout over its tokens (a sequence-level rollout is one
@@ -196,7 +194,7 @@ def grpo_objective(group: RolloutGroup, cfg: GrpoConfig, sample_std: bool = Fals
     A non-finite log-prob, or a log-ratio too large for exp(), raises
     NonFiniteInput naming the rollout.
     """
-    advantages = group_advantages(group.rewards, cfg.std_floor, sample_std)
+    advantages = group_advantages(group.rewards, cfg.std_floor)
     lo, hi = 1 - cfg.epsilon_clip, 1 + cfg.epsilon_clip
     exp, isfinite = math.exp, math.isfinite
     surrogates, kl_values = [], []

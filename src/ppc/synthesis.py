@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -34,6 +33,15 @@ log = logging.getLogger(__name__)
 
 class DuplicateId(ValueError):
     pass
+
+
+def check_unique_ids(problems: Sequence[ProblemRecord]) -> None:
+    """Raise DuplicateId for the first problem id seen twice."""
+    seen: set[str] = set()
+    for p in problems:
+        if p.id in seen:
+            raise DuplicateId(f"duplicate problem id {p.id!r}")
+        seen.add(p.id)
 
 
 class StageFailure(Exception):
@@ -68,8 +76,6 @@ class SynthesisRecord:
     answer_correct: bool | None = None
     kept: bool = False
     drop_reason: DropReason | None = None
-    # wall-clock seconds per stage; never serialized into dataset files
-    stage_timings: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -101,14 +107,10 @@ def synthesize(
     q = problem.question
 
     def run_stage(name: str, client: LlmClient, prompt: str) -> str:
-        started = time.monotonic()
         try:
-            text = client.generate(replace(params, user_prompt=prompt, forced_prefix=None))
+            return client.generate(replace(params, user_prompt=prompt, forced_prefix=None))
         except ClientError as exc:
             raise StageFailure(name, exc) from exc
-        finally:
-            record.stage_timings[name] = time.monotonic() - started
-        return text
 
     record.preplan = run_stage(
         "preplan", generators.preplan_gen, prompts.preplan_prompt(q)
@@ -214,13 +216,11 @@ def build_dataset(
 
     Rows are written in input order by a single writer, so runs with the
     same inputs, seed and scripted clients are byte-identical at any
-    parallelism. `retries` resamples the whole chain on filter failure.
+    parallelism. `retries` (>= 0) resamples the whole chain on filter failure.
     """
-    seen: set[str] = set()
-    for p in problems:
-        if p.id in seen:
-            raise DuplicateId(f"duplicate problem id {p.id!r}")
-        seen.add(p.id)
+    if retries < 0:
+        raise ValueError("retries must be >= 0")
+    check_unique_ids(problems)
 
     def run_chain(problem: ProblemRecord) -> SynthesisRecord:
         rec = None
@@ -273,13 +273,11 @@ def split_corpus(
     problems: Sequence[ProblemRecord],
     sft_fraction: float,
     seed: int,
-    proportions: dict[str, float] | None = None,
 ) -> tuple[list[ProblemRecord], list[ProblemRecord]]:
     """Disjoint SFT/RL split, stratified by difficulty label.
 
     Within each difficulty stratum a seeded shuffle takes `sft_fraction`
-    (scaled by the stratum's entry in `proportions`, default uniform) for
-    the SFT side; everything else goes to RL. Output order follows the
+    for the SFT side; everything else goes to RL. Output order follows the
     input corpus.
     """
     import random
@@ -295,8 +293,7 @@ def split_corpus(
     for level in sorted(by_level):
         indices = by_level[level][:]
         rng.shuffle(indices)
-        frac = sft_fraction * (proportions or {}).get(level, 1.0)
-        take = round(frac * len(indices))
+        take = round(sft_fraction * len(indices))
         sft_idx.update(indices[:take])
 
     sft = [p for i, p in enumerate(problems) if i in sft_idx]

@@ -5,6 +5,7 @@ import pytest
 from conftest import default_stage_texts, make_problem
 
 import ppc.cli
+import ppc.clients
 import ppc.evaluation
 from ppc.cli import main
 from ppc.evaluation import answers_equivalent
@@ -165,6 +166,18 @@ class TestSynthesize:
             ]
         )
         assert code == 3
+
+    def test_negative_retries_is_data_error(self, tmp_path, monkeypatch, capsys):
+        problems = [make_problem("p0")]
+        config = scripted_config(tmp_path, problems, default_stage_texts(problems))
+        bench = tmp_path / "problems.jsonl"
+        write_jsonl(bench, [{"id": "p0", "question": problems[0].question, "answer": "7"}])
+        calls = []
+        monkeypatch.setattr(ppc.clients.ScriptedClient, "generate", lambda self, req: calls.append(req))
+        argv = ["synthesize", "--config", str(config), "--in", str(bench), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--seed", "1", "--retries", "-1"]) == 2
+        assert "retries" in capsys.readouterr().err
+        assert calls == [] and not (tmp_path / "o").exists()
 
 
 class TestReward:
@@ -357,6 +370,27 @@ class TestEval:
         )
         assert code == 0
         assert (replay_dir / "mini.report.json").read_bytes() == report_live
+
+        # Replay with a judge fallback runs on the same workers as live sampling.
+        doc = json.loads(config.read_text())
+        doc["roles"]["judge"] = {"kind": "scripted", "default_response": "NO"}
+        config.write_text(json.dumps(doc))
+        judged_dir = tmp_path / "judgedout"
+        argv = ["eval", "--config", str(config), "--bench", str(bench), "--k", "4", "--seed", "5"]
+        argv += ["--out", str(judged_dir), "--replay", str(out_dir), "--judge-fallback", "--parallelism", "2"]
+        assert main(argv) == 0
+        for name in ("mini.report.json", "mini.records.jsonl", "mini.transcripts.jsonl"):
+            assert (judged_dir / name).read_bytes() == (out_dir / name).read_bytes()
+
+    def test_repeated_problem_id_is_data_error(self, tmp_path, monkeypatch, capsys):
+        bench, config = eval_setup(tmp_path, {"a": "7"})
+        write_jsonl(bench, [{"id": "a", "question": "question a", "answer": "7"}] * 2)
+        calls = []
+        monkeypatch.setattr(ppc.clients.ScriptedClient, "generate", lambda self, req: calls.append(req))
+        argv = ["eval", "--config", str(config), "--bench", str(bench), "--k", "2", "--seed", "5"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "duplicate problem id 'a'" in capsys.readouterr().err
+        assert calls == []
 
     def test_rules_only_replay_calls_no_equivalence(self, tmp_path, monkeypatch):
         bench, _ = eval_setup(tmp_path, {"a": "7", "b": "7"})

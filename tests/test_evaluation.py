@@ -28,6 +28,7 @@ from ppc.evaluation import (
     perturb_preplan,
 )
 from ppc.evaluation import _Scorer
+from ppc.synthesis import DuplicateId
 from ppc.trajectory import Violation, boxed_or_none, check_format
 
 
@@ -319,6 +320,22 @@ class TestEvaluate:
         assert [r.maj_correct for r in report.records] == [True, False]
         assert sum("p1 failed entirely" in r.getMessage() for r in caplog.records) == 1
 
+    @pytest.mark.parametrize("source", ["live", "replay", "perturb"])
+    def test_repeated_problem_id_rejected_before_any_call(self, source):
+        # Replay and perturbation look problems up by id, so a repeated id
+        # would score one problem's samples, or preplan, as the other's.
+        problems = [make_problem("q1", "first question", answer="7"), make_problem("q1", "second", answer="3")]
+        client = ScriptedClient(lambda req: completion("7"))
+        judged = []
+        kwargs = {
+            "live": {"client": client},
+            "replay": {"replay": {"q1": [completion("7"), completion("3")]}},
+            "perturb": {"client": client, "mode": PerturbationSpec(mode=PerturbationMode.MISMATCHED, seed=1)},
+        }[source]
+        with pytest.raises(DuplicateId, match="q1"):
+            evaluate(problems, 2, equivalence=lambda pred, gold: judged.append(pred) or False, **kwargs)
+        assert client.calls == [] and judged == []
+
 
 class TestScheduler:
     """evaluate's pool spreads (problem, sample) units and scores each problem's
@@ -544,6 +561,52 @@ class TestScheduler:
         assert [judge_pair(req)[1] for req in judged] == ["7"] * 3  # p0's gold verdicts
         assert len(judged) == 3  # p0's deferred linkage calls, after the stop, are never made
 
+    @pytest.mark.parametrize("stopper", ["interrupt", "worker-error"])
+    def test_stop_reaches_a_replayed_problem_between_judge_calls(self, stopper):
+        """Replay with a fallback runs on the same workers: p0 (16 distinct wrong
+        forms) is being judged when p1's first judge call stops the run, and
+        p0's first gold verdict is the last one it makes."""
+        if stopper == "interrupt" and not hasattr(signal, "pthread_kill"):
+            pytest.skip("needs pthread_kill")
+
+        class Interrupt(BaseException):
+            pass
+
+        main = threading.main_thread().ident
+        p0_judging = threading.Event()
+        p0_calls, p1_calls = [], []
+
+        def equivalence(pred, gold):
+            if gold == "7":  # p0
+                p0_calls.append(pred)
+                p0_judging.set()
+                wait_until(lambda: joining_workers(main))  # in flight while the caller stops
+                return False
+            p1_calls.append(pred)
+            if len(p1_calls) == 1:
+                assert p0_judging.wait(timeout=5)
+                if stopper == "worker-error":
+                    raise RuntimeError("not a client error")
+                wait_until(lambda: waiting_for_workers(main))
+                signal.pthread_kill(main, signal.SIGUSR1)  # Ctrl-C while the caller waits
+            return False
+
+        def interrupt(signum, frame):
+            raise Interrupt
+
+        problems = [make_problem("p0", answer="7"), make_problem("p1", answer="8")]
+        replay = {
+            "p0": [completion(f"x_{j}") for j in range(16)],
+            "p1": [completion(f"y_{j}") for j in range(16)],
+        }
+        previous = signal.signal(signal.SIGUSR1, interrupt)
+        try:
+            with pytest.raises(Interrupt if stopper == "interrupt" else RuntimeError):
+                evaluate(problems, 16, replay=replay, equivalence=equivalence, parallelism=2)
+        finally:
+            signal.signal(signal.SIGUSR1, previous)
+        assert p0_calls == ["x_0"]  # of its 16 gold verdicts, only the one in flight
+
     @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
     def test_interrupted_caller_stops_the_workers(self):
         class Interrupt(BaseException):
@@ -610,15 +673,28 @@ class TestScheduler:
             )
             return report.to_json(), [r.to_dict() for r in report.records]
 
+        def replay(parallelism):
+            transcripts = {r["id"]: r["samples"] for r in serial[1]}
+            report = evaluate(
+                problems[:-1],
+                8,
+                replay=transcripts,
+                equivalence=lambda pred, gold: answers_equivalent(pred, gold, fallback=judge),
+                parallelism=parallelism,
+            )
+            return [r.to_dict() for r in report.records]
+
         serial = run(1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, so a lost update would show
         try:
             parallel = run(8)
+            replayed = [replay(1), replay(8)]
         finally:
             sys.setswitchinterval(interval)
         assert parallel == serial
         assert len(serial[1]) == 12
+        assert replayed == [serial[1]] * 2
 
     def test_records_match_their_samples_under_contention(self):
         # Every call draws the next spelling, so samples of one problem differ

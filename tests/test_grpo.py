@@ -38,11 +38,6 @@ class TestAdvantages:
         with pytest.raises(NonFiniteInput):
             group_advantages([1.0, float("nan")])
 
-    def test_sample_std_flag(self):
-        adv = group_advantages([1.4, 0.6], sample_std=True)
-        # sample std of [1.4, 0.6] is 0.4 * sqrt(2)
-        assert adv == pytest.approx([1 / math.sqrt(2), -1 / math.sqrt(2)], abs=1e-9)
-
     def test_zero_floor_identical_rewards(self):
         assert group_advantages([2.0, 2.0], std_floor=0.0) == [0.0, 0.0]
 
