@@ -19,7 +19,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -48,7 +48,7 @@ class PoolTooSmall(ValueError):
 
 _LEFT_RIGHT = re.compile(r"\\(left|right)(?![a-zA-Z])")
 _INT = re.compile(r"^[+-]?[0-9]+$")
-_DECIMAL = re.compile(r"^[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+)$")
+_DECIMAL = re.compile(r"^([+-]?)(?=\.?[0-9])([0-9]*)\.([0-9]*)$")
 _SLASH = re.compile(r"^([+-]?[0-9]+)\s*/\s*([+-]?[0-9]+)$")
 _FRAC = re.compile(r"^([+-])?\\frac\{([+-]?[0-9]+)\}\{([+-]?[0-9]+)\}$")
 
@@ -68,44 +68,45 @@ def _strip_outer_braces(text: str) -> str:
     return text
 
 
-def _as_rational(text: str) -> Fraction | None:
-    try:
-        if _INT.match(text):
-            return Fraction(int(text))
-        if _DECIMAL.match(text):
-            return Fraction(text)
-        m = _SLASH.match(text)
-        if m:
-            return Fraction(int(m.group(1)), int(m.group(2)))
-        m = _FRAC.match(text)
-        if m:
-            value = Fraction(int(m.group(2)), int(m.group(3)))
-            return -value if m.group(1) == "-" else value
-    except (ValueError, ZeroDivisionError):
-        return None
-    return None
-
-
 def normalize_answer(text: str) -> str:
     """Canonical comparison form of a final answer.
 
     Pipeline: trim, collapse whitespace, strip surrounding dollar signs,
     drop \\left/\\right, map \\dfrac/\\tfrac to \\frac, strip one layer of
-    redundant outer braces, then canonicalize exact rationals (integers and
-    reduced fractions share one spelling).
+    redundant outer braces, then canonicalize exact rationals (integers,
+    a/b, \\frac{a}{b} and decimals) in integer arithmetic: "n" when the
+    value is whole, else "n/d" in lowest terms with d > 0. A rational with
+    a zero denominator, or with a digit run longer than `int` parses, is
+    left as it is.
     """
-    s = text.strip()
-    s = re.sub(r"\s+", " ", s)
-    s = s.strip("$").strip()
-    s = _LEFT_RIGHT.sub("", s)
-    s = s.replace("\\dfrac", "\\frac").replace("\\tfrac", "\\frac")
+    s = " ".join(text.split()).strip("$").strip()
+    if "\\" in s:
+        s = _LEFT_RIGHT.sub("", s).replace("\\dfrac", "\\frac").replace("\\tfrac", "\\frac")
     s = _strip_outer_braces(s).strip()
-    value = _as_rational(s)
-    if value is not None:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    return s
+    try:
+        if _INT.match(s):
+            return str(int(s))
+        if m := _DECIMAL.match(s):
+            sign, whole, digits = m.groups()
+            den = 10 ** len(digits)
+            num = int(whole or "0") * den + int(digits or "0")
+        elif m := _SLASH.match(s):
+            sign, num, den = "", int(m[1]), int(m[2])
+        elif m := _FRAC.match(s):
+            sign, num, den = m[1], int(m[2]), int(m[3])
+        else:
+            return s
+    except ValueError:
+        return s  # a digit run longer than sys.get_int_max_str_digits()
+    if not den:
+        return s
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    if den < 0:
+        num, den = -num, -den
+    if sign == "-":
+        num = -num
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def answers_equivalent(
@@ -421,9 +422,13 @@ def evaluate(
     otherwise from the client. With a perturbation spec, one unforced base
     sample per problem supplies the original preplan; generation then
     restarts from the perturbed prefill, so a spec together with `replay`
-    is a ValueError. A repeated problem id raises DuplicateId before any
-    call. Problems whose generation fails entirely are counted separately
-    and excluded from the metric denominators.
+    is a ValueError. The generic mode reads no preplan and draws no base
+    sample. A repeated problem id raises DuplicateId before any call.
+    Problems whose generation fails entirely are counted separately and
+    excluded from the metric denominators. In a perturbed eval, a problem
+    whose base sample fails is such a problem: it makes no further call and
+    is left out of the perturbation pool, so a mismatched pool left with
+    fewer than two preplans raises PoolTooSmall.
 
     Answers with equal normalized forms are the same answer, with no call
     made. `equivalence` is a fallback consulted only for answers whose
@@ -459,9 +464,16 @@ def evaluate(
     check_unique_ids(problems)
 
     prefixes: dict[str, str] = {}
+    failed = 0
     if mode is not None:
-        base = _base_preplans(problems, client, params, parallelism)
-        prefixes = dict(zip((p.id for p in problems), perturb_preplan(base, mode)))
+        if mode.mode == PerturbationMode.GENERIC:
+            base: list[str | None] = [""] * len(problems)  # the generic prefix reads no preplan
+        else:
+            base = _base_preplans(problems, client, params, parallelism)
+        pool = [(p, preplan) for p, preplan in zip(problems, base) if preplan is not None]
+        failed = len(problems) - len(pool)
+        problems = [p for p, _ in pool]
+        prefixes = dict(zip((p.id for p in problems), perturb_preplan([b for _, b in pool], mode)))
 
     if replay is None:
         samples: list[list[str | None]] = [[None] * k for _ in problems]
@@ -478,7 +490,7 @@ def evaluate(
             parallelism = 1  # rules only makes no endpoint call for a thread to overlap
     outcomes = _sample(problems, samples, requests, client, equivalence, parallelism)
     records = [r for r in outcomes if r is not None]
-    failed = len(outcomes) - len(records)
+    failed += len(outcomes) - len(records)
 
     if records:
         maj = round(100.0 * sum(r.maj_correct for r in records) / len(records), 2)
@@ -645,12 +657,17 @@ def _base_preplans(
     client: LlmClient,
     params: GenerationRequest,
     parallelism: int,
-) -> list[str]:
+) -> list[str | None]:
     """One unforced sample per problem; its preplan, read leniently and in problem
-    order, seeds the perturbation (a sample cut off before its answer still has one)."""
+    order, seeds the perturbation (a sample cut off before its answer still has one).
+    None for a problem whose base call raised a ClientError."""
 
-    def one(problem: ProblemRecord) -> str:
-        sample = client.generate(replace(params, user_prompt=problem.question))
+    def one(problem: ProblemRecord) -> str | None:
+        try:
+            sample = client.generate(replace(params, user_prompt=problem.question))
+        except ClientError as exc:
+            log.warning("problem %s failed entirely (base sample): %s", problem.id, exc)
+            return None
         return read_trajectory(sample).preplan
 
     return run_parallel(one, problems, parallelism)
@@ -683,7 +700,18 @@ def write_transcripts(path: Path, report: EvalReport) -> None:
 
 
 def read_transcripts(path: Path) -> dict[str, list[str]]:
-    return dict(read_jsonl(path, lambda row: (str(row["id"]), typed_field(row, "samples", list, str))))
+    """Samples per problem id; a repeated id is a ValueError naming its line."""
+    transcripts: dict[str, list[str]] = {}
+
+    def add(row: dict) -> None:
+        pid = str(row["id"])
+        if pid in transcripts:
+            raise ValueError(f"repeated id {pid!r}")
+        transcripts[pid] = typed_field(row, "samples", list, str)
+
+    for _ in read_jsonl(path, add):
+        pass
+    return transcripts
 
 
 # --- error attribution ----------------------------------------------------------

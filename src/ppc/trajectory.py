@@ -110,17 +110,14 @@ def extract_boxed(text: str) -> str | None:
     start = text.rfind(_BOXED)
     if start == -1:
         return None
+    begin = i = start + len(_BOXED)
     depth = 1
-    i = start + len(_BOXED)
-    while i < len(text):
-        ch = text[i]
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return text[start + len(_BOXED) : i]
-        i += 1
+    # Jump from one closing brace to the next, counting the braces opened on the way.
+    while (close := text.find("}", i)) != -1:
+        depth += text.count("{", i, close) - 1
+        if depth == 0:
+            return text[begin:close]
+        i = close + 1
     raise UnbalancedBraces(f"boxed group opened at offset {start} never closes")
 
 

@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 import time
+from pathlib import Path
 
 from ppc.clients import ScriptedClient
 from ppc.synthesis import GeneratorSuite, ProblemRecord
@@ -19,6 +22,26 @@ def pytest_sessionfinish(session, exitstatus):
         f"\nACCEPTANCE 10 {status} - full offline suite finished in "
         f"{elapsed:.1f}s (budget {OFFLINE_BUDGET_SECONDS:.0f}s)"
     )
+
+
+def outcome(fn, *args):
+    """fn(*args) as ("ok", value), or (exception type, message) when it raises."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def load_perfbench_inputs():
+    """perfbench/inputs.py, the benchmark's seeded input generators, as a module."""
+    name = "perfbench_inputs"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 # --- scripted synthesis fixtures ---------------------------------------------

@@ -392,6 +392,34 @@ class TestEval:
         assert "duplicate problem id 'a'" in capsys.readouterr().err
         assert calls == []
 
+    def test_repeated_transcript_id_is_data_error(self, tmp_path, capsys):
+        bench, _ = eval_setup(tmp_path, {"a": "7"})
+        replay_dir = tmp_path / "replay"
+        replay_dir.mkdir()
+        samples = [[f"<preplan>p.</preplan>\n<plan>1.</plan>\n<execute>\\boxed{{{a}}}</execute>"] for a in "73"]
+        write_jsonl(replay_dir / "mini.transcripts.jsonl", [{"id": "a", "samples": s} for s in samples])
+        out_dir = tmp_path / "out"
+        argv = ["eval", "--bench", str(bench), "--k", "1", "--out", str(out_dir), "--seed", "5"]
+        assert main(argv + ["--replay", str(replay_dir)]) == 2
+        assert "mini.transcripts.jsonl:2: repeated id 'a'" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    def test_failed_base_sample_leaves_mismatched_pool_too_small(self, tmp_path, monkeypatch, capsys):
+        bench, config = eval_setup(tmp_path, {"a": "7", "b": "7"})
+        calls = []
+
+        def generate(self, req):
+            calls.append(req)
+            if req.user_prompt == "question b":
+                raise ppc.clients.ProtocolError("down")
+            return "<preplan>analysis a.</preplan>\n<plan>1. go.</plan>\n<execute>\\boxed{7}</execute>"
+
+        monkeypatch.setattr(ppc.clients.ScriptedClient, "generate", generate)
+        argv = ["eval", "--config", str(config), "--bench", str(bench), "--k", "2", "--seed", "5"]
+        assert main(argv + ["--out", str(tmp_path / "out"), "--perturb", "mismatched"]) == 2
+        assert "needs >= 2 preplans" in capsys.readouterr().err
+        assert [req.user_prompt for req in calls] == ["question a", "question b"]
+
     def test_rules_only_replay_calls_no_equivalence(self, tmp_path, monkeypatch):
         bench, _ = eval_setup(tmp_path, {"a": "7", "b": "7"})
         replay_dir = tmp_path / "replay"

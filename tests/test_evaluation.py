@@ -1,13 +1,16 @@
 import itertools
+import json
 import logging
 import random
+import re
 import signal
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import pytest
-from conftest import make_problem
+from conftest import load_perfbench_inputs, make_problem, outcome
 
 import ppc.clients
 import ppc.evaluation
@@ -26,6 +29,7 @@ from ppc.evaluation import (
     normalize_answer,
     pass_at_k,
     perturb_preplan,
+    read_transcripts,
 )
 from ppc.evaluation import _Scorer
 from ppc.synthesis import DuplicateId
@@ -59,6 +63,144 @@ class TestNormalize:
 
     def test_division_by_zero_left_as_text(self):
         assert normalize_answer("1/0") == "1/0"
+
+
+# normalize_answer as it was written with fractions.Fraction, kept as the oracle
+# for the integer-arithmetic version.
+_REF_LEFT_RIGHT = re.compile(r"\\(left|right)(?![a-zA-Z])")
+_REF_INT = re.compile(r"^[+-]?[0-9]+$")
+_REF_DECIMAL = re.compile(r"^[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+)$")
+_REF_SLASH = re.compile(r"^([+-]?[0-9]+)\s*/\s*([+-]?[0-9]+)$")
+_REF_FRAC = re.compile(r"^([+-])?\\frac\{([+-]?[0-9]+)\}\{([+-]?[0-9]+)\}$")
+
+
+def _ref_as_rational(text):
+    try:
+        if _REF_INT.match(text):
+            return Fraction(int(text))
+        if _REF_DECIMAL.match(text):
+            return Fraction(text)
+        m = _REF_SLASH.match(text)
+        if m:
+            return Fraction(int(m.group(1)), int(m.group(2)))
+        m = _REF_FRAC.match(text)
+        if m:
+            value = Fraction(int(m.group(2)), int(m.group(3)))
+            return -value if m.group(1) == "-" else value
+    except (ValueError, ZeroDivisionError):
+        return None
+    return None
+
+
+def reference_normalize(text):
+    s = text.strip()
+    s = re.sub(r"\s+", " ", s)
+    s = s.strip("$").strip()
+    s = _REF_LEFT_RIGHT.sub("", s)
+    s = s.replace("\\dfrac", "\\frac").replace("\\tfrac", "\\frac")
+    s = ppc.evaluation._strip_outer_braces(s).strip()
+    value = _ref_as_rational(s)
+    if value is not None:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    return s
+
+
+# Unicode whitespace of several kinds, including the separators str.split() takes.
+_SPACES = (" ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\x1c", "\u2028")
+_PIECES = (
+    "0", "1", "7", "42", "-", "+", "007", "1.", ".5", "-0.0", "2.50", "/", "3/0", "-4/-6",
+    "\\frac", "\\dfrac", "\\tfrac", "{", "}", "{2}", "{-6}", "$", "\\left(", "\\right)",
+    "\\left", "\\right", "\\leftarrow", "\\rightarrow", "²", "٣", "1_000", "x", ".", ",",
+) + _SPACES
+
+
+def _numeral(rng):
+    digits = rng.choice(["0", "00", "7", "12", "007", "360", "1000", str(rng.randrange(10**30))])
+    odd = rng.random()
+    if odd < 0.05:
+        digits = rng.choice(["٣", "²", "1_000", "1e3"])
+    return rng.choice(["", "", "+", "-"]) + digits
+
+
+def fuzz_answer(rng):
+    """A seeded answer spelling: random pieces, or a rational shape the rules canonicalize."""
+    if rng.random() < 0.4:
+        return "".join(rng.choices(_PIECES, k=rng.randint(1, 7)))
+    a, b = _numeral(rng), _numeral(rng)
+    digits = rng.choice(["", "0", "5", "50", "125", "000", str(rng.randrange(10**12))])
+    sp = rng.choice(("", "", " ") + _SPACES)
+    text = rng.choice([
+        a,
+        f"{a}/{b}",
+        f"{a}{sp}/{sp}{b}",
+        f"\\frac{{{a}}}{{{b}}}",
+        f"-\\dfrac{{{a}}}{{{b}}}",
+        f"+\\tfrac{{{a}}}{{{b}}}",
+        f"\\frac{{{a}}}{{{sp}{b}}}",
+        f"{a}.{digits}",
+        f"{rng.choice(['', '+', '-'])}.{digits}",
+        f"\\left({a}\\right)",
+    ])
+    for _ in range(rng.randint(0, 3)):
+        text = rng.choice(["{%s}", "$%s$", "$ %s $", sp + "%s" + sp, "{ %s }", "%s}", "{%s"]) % text
+    return text
+
+
+def perfbench_answer_spellings():
+    """Every gold and boxed answer spelling in perfbench's eval and rescore inputs, seeds 1-3."""
+    inputs = load_perfbench_inputs()
+    spellings = set()
+    for seed in (1, 2, 3):
+        for problem in inputs.eval_inputs(seed):
+            spellings |= {problem.record.gold_answer, *problem.classes}
+            spellings.update(boxed_or_none(s) for s in problem.samples)
+        problems, _ = inputs.rescore_inputs(seed, 120, 600)
+        for problem in problems:
+            spellings.add(problem.record.gold_answer)
+            spellings.update(boxed_or_none(s) for s in problem.samples)
+    spellings.discard(None)
+    return sorted(spellings)
+
+
+class TestNormalizeMatchesReference:
+    """normalize_answer gives what the Fraction-based pipeline gave, string for string."""
+
+    def test_seeded_fuzz(self):
+        rng = random.Random("normalize")
+        answers = [fuzz_answer(rng) for _ in range(20_000)]
+        for text in answers:
+            assert outcome(normalize_answer, text) == outcome(reference_normalize, text), text
+        forms = [reference_normalize(text) for text in answers]
+        # the fuzz reaches every rational shape: reduced fractions, negatives and left-alone zero denominators
+        assert any("/" in f and f.replace("/", "").replace("-", "").isdigit() for f in forms)
+        assert any(f.startswith("-") and f[1:].isdigit() for f in forms)
+        assert any(f.endswith("/0") or f.endswith("{0}") for f in forms)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1" * 5000,  # beyond sys.get_int_max_str_digits(): left as it is
+            "-" + "7" * 5000,
+            "1" * 5000 + "/2",
+            "\\frac{1}{" + "3" * 5000 + "}",
+            "0." + "5" * 5000,
+            "9" * 4000 + "." + "1" * 4000,  # parses, but the reduced numerator cannot be printed
+            "9" * 4300,
+        ],
+    )
+    def test_long_digit_runs(self, text):
+        assert outcome(normalize_answer, text) == outcome(reference_normalize, text)
+
+    def test_five_thousand_digit_integer_left_as_it_is(self):
+        assert normalize_answer("1" * 5000) == "1" * 5000
+
+    def test_perfbench_spellings(self):
+        spellings = perfbench_answer_spellings()
+        assert len(spellings) > 1000
+        for text in spellings:
+            assert normalize_answer(text) == reference_normalize(text), text
 
 
 class TestEquivalence:
@@ -320,6 +462,64 @@ class TestEvaluate:
         assert [r.maj_correct for r in report.records] == [True, False]
         assert sum("p1 failed entirely" in r.getMessage() for r in caplog.records) == 1
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("mode", [PerturbationMode.SHUFFLED, PerturbationMode.MISMATCHED])
+    def test_failed_base_sample_fails_only_its_problem(self, mode, parallelism, caplog):
+        problems = [make_problem(f"p{i}", answer="7") for i in range(3)]
+
+        def answer(req):
+            if req.forced_prefix:
+                return "rest</plan><execute>\\boxed{7}</execute>"
+            if req.user_prompt == problems[1].question:
+                raise ProtocolError("down")
+            return completion("7", preplan=f"own analysis {req.user_prompt.split()[-1]}.")
+
+        client = ScriptedClient(answer)
+        spec = PerturbationSpec(mode=mode, seed=1)
+        with caplog.at_level(logging.WARNING, logger="ppc.evaluation"):
+            report = evaluate(problems, 2, client, mode=spec, parallelism=parallelism)
+        assert report.failed == 1 and [r.problem.id for r in report.records] == ["p0", "p2"]
+        assert report.problems == 2 and report.pass_at_k == 100.00
+        prompts_sent = [req.user_prompt for req in client.calls]
+        assert prompts_sent.count(problems[1].question) == 1  # the base call only
+        assert [prompts_sent.count(problems[i].question) for i in (0, 2)] == [3, 3]
+        forced = [req.forced_prefix for req in client.calls if req.forced_prefix]
+        assert not any("own analysis p1." in prefix for prefix in forced)
+        if mode == PerturbationMode.MISMATCHED:  # the two left swap preplans
+            for req in client.calls:
+                if req.forced_prefix:
+                    other = "p2" if req.user_prompt.endswith("p0") else "p0"
+                    assert req.forced_prefix == forced_prefix_for(f"own analysis {other}.")
+        assert sum("p1 failed entirely" in r.getMessage() for r in caplog.records) == 1
+
+    def test_generic_draws_no_base_sample(self):
+        problems = [make_problem(f"p{i}", answer="7") for i in range(3)]
+
+        def answer(req):
+            if not req.forced_prefix:
+                raise ProtocolError("an unforced call")
+            return "rest</plan><execute>\\boxed{7}</execute>"
+
+        client = ScriptedClient(answer)
+        report = evaluate(problems, 2, client, mode=PerturbationSpec(mode=PerturbationMode.GENERIC, seed=1))
+        assert report.failed == 0 and report.problems == 3 and report.pass_at_k == 100.00
+        assert len(client.calls) == 6
+        assert {req.forced_prefix for req in client.calls} == {forced_prefix_for(prompts.GENERIC_PREPLAN)}
+
+    def test_failed_base_samples_leave_a_mismatched_pool_too_small(self):
+        problems = [make_problem(f"p{i}", answer="7") for i in range(3)]
+
+        def answer(req):
+            if req.user_prompt != problems[0].question:
+                raise ProtocolError("down")
+            return completion("7")
+
+        spec = PerturbationSpec(mode=PerturbationMode.MISMATCHED, seed=1)
+        client = ScriptedClient(answer)
+        with pytest.raises(PoolTooSmall):
+            evaluate(problems, 2, client, mode=spec)
+        assert len(client.calls) == 3  # the base calls; no forced one
+
     @pytest.mark.parametrize("source", ["live", "replay", "perturb"])
     def test_repeated_problem_id_rejected_before_any_call(self, source):
         # Replay and perturbation look problems up by id, so a repeated id
@@ -335,6 +535,16 @@ class TestEvaluate:
         with pytest.raises(DuplicateId, match="q1"):
             evaluate(problems, 2, equivalence=lambda pred, gold: judged.append(pred) or False, **kwargs)
         assert client.calls == [] and judged == []
+
+
+class TestTranscripts:
+    def test_repeated_id_names_its_line(self, tmp_path):
+        path = tmp_path / "mini.transcripts.jsonl"
+        rows = [{"id": "a", "samples": [completion("7")]}, {"id": "b", "samples": []}]
+        rows.append({"id": "a", "samples": [completion("3")]})
+        path.write_text("\n".join(json.dumps(r) for r in rows[:2]) + "\n\n" + json.dumps(rows[2]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: repeated id 'a'")):
+            read_transcripts(path)
 
 
 class TestScheduler:

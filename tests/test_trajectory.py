@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from conftest import outcome
 
 from ppc.config import PipelineConfig
 from ppc.evaluation import aggregate_attribution
@@ -246,6 +247,38 @@ class TestExtractBoxed:
 
     def test_content_not_stripped(self):
         assert extract_boxed("\\boxed{ 7 }") == " 7 "
+
+
+def reference_extract_boxed(text):
+    """extract_boxed as it was written, one character at a time; kept as the oracle."""
+    start = text.rfind("\\boxed{")
+    if start == -1:
+        return None
+    depth = 1
+    i = start + len("\\boxed{")
+    while i < len(text):
+        ch = text[i]
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                return text[start + len("\\boxed{") : i]
+        i += 1
+    raise UnbalancedBraces(f"boxed group opened at offset {start} never closes")
+
+
+class TestExtractBoxedMatchesReference:
+    def test_seeded_fuzz(self):
+        rng = random.Random("extract_boxed")
+        pieces = ["{", "}", "{", "}", "\\boxed{", "\\boxed", "boxed{", "7", "x y", "\\frac", "\\", "é"]
+        results = set()
+        for _ in range(20_000):
+            text = "".join(rng.choices(pieces, k=rng.randint(0, 14)))
+            expected = outcome(reference_extract_boxed, text)
+            assert outcome(extract_boxed, text) == expected, text
+            results.add(expected[0] if expected[0] != "ok" else expected[1] is None)
+        assert results == {True, False, UnbalancedBraces}  # absent, found and never closed
 
 
 class TestRender:
