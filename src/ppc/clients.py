@@ -16,7 +16,7 @@ import re
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence
@@ -237,13 +237,48 @@ class ScriptedClient(LlmClient):
         return self._default
 
 
-def run_parallel(fn: Callable, items: Iterable, parallelism: int = 1) -> list:
-    """Apply fn to items, results in input order regardless of completion order."""
+def run_parallel(
+    fn: Callable, items: Iterable, parallelism: int = 1, stop: threading.Event | None = None
+) -> list:
+    """Apply fn to items; the results come back in input order.
+
+    Up to `parallelism` long-lived workers take items from one cursor in
+    input order; with one worker, the loop runs in the caller's thread. An
+    exception in a worker, or one that interrupts the caller while it waits
+    (Ctrl-C), sets `stop` before the pool joins its workers, so no item
+    starts after it; only the calls in flight finish. `fn` may read `stop`
+    to end its own work early.
+    """
     items = list(items)
-    if parallelism <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(fn, items))
+    results: list = [None] * len(items)
+    stop = threading.Event() if stop is None else stop
+    cursor = enumerate(items)
+    lock = threading.Lock()
+
+    def work() -> None:
+        try:
+            while True:
+                with lock:
+                    taken = None if stop.is_set() else next(cursor, None)
+                if taken is None:
+                    return
+                results[taken[0]] = fn(taken[1])
+        except BaseException:
+            stop.set()
+            raise
+
+    workers = min(parallelism, len(items))
+    if workers <= 1:
+        work()
+        return results
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            for future in as_completed([pool.submit(work) for _ in range(workers)]):
+                future.result()  # a worker's exception surfaces as soon as it is raised
+        except BaseException:
+            stop.set()  # before the pool joins the workers
+            raise
+    return results
 
 
 # --- judge calls -----------------------------------------------------------

@@ -16,7 +16,6 @@ import logging
 import random
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from math import gcd
@@ -442,18 +441,18 @@ def evaluate(
     fallback; they change with the linkage rule only for a judge that is
     not transitive, which never links a wrong answer to a correct one.
 
-    Live and replayed samples go through one scheduler; a replayed problem
-    is one unit that only scores it. `parallelism` bounds the endpoint
-    calls in flight. Live sampling spreads (problem, sample) units over that
-    many workers, so a problem's k samples run side by side and each record
-    still holds sample j at index j. Judge calls run inside the same
-    workers. Gold verdicts start as soon as a problem's samples have landed
-    in index order, while its later samples are still being drawn; so a
-    problem that fails after part of its samples landed may already have
-    paid judge calls for them. A ClientError from the fallback, gold verdict
-    or linkage, fails only that problem; any other exception, or Ctrl-C,
-    stops every worker after its current call, in replay too. Rules-only
-    replay makes no call and runs in the caller's thread.
+    Base, live and replayed samples go through one scheduler; a replayed
+    problem is one unit that only scores it. `parallelism` bounds the
+    endpoint calls in flight. Live sampling spreads (problem, sample) units
+    over that many workers, so a problem's k samples run side by side and
+    each record still holds sample j at index j. Judge calls run inside the
+    same workers. Gold verdicts start as soon as a problem's samples have
+    landed in index order, while its later samples are still being drawn;
+    so a problem that fails after part of its samples landed may already
+    have paid judge calls for them. A ClientError from the fallback, gold
+    verdict or linkage, fails only that problem; any other exception, or
+    Ctrl-C, stops every worker after its current call. Rules-only replay
+    makes no call and runs in the caller's thread.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -469,7 +468,9 @@ def evaluate(
         if mode.mode == PerturbationMode.GENERIC:
             base: list[str | None] = [""] * len(problems)  # the generic prefix reads no preplan
         else:
-            base = _base_preplans(problems, client, params, parallelism)
+            unforced = [replace(params, user_prompt=p.question) for p in problems]
+            drawn = _sample(problems, [[None] for _ in problems], unforced, client, None, parallelism)
+            base = [None if r is None else read_trajectory(r.samples[0]).preplan for r in drawn]
         pool = [(p, preplan) for p, preplan in zip(problems, base) if preplan is not None]
         failed = len(problems) - len(pool)
         problems = [p for p, _ in pool]
@@ -548,18 +549,17 @@ def _sample(
 
     `samples[i][j]` is sample j of problem i, or None for one still to draw
     with `client.generate(requests[i])`, stored at index j whatever order
-    calls finish in. The unit of work is one sample to draw; a problem with
-    none left to draw gets one unit, which only scores it. `parallelism`
-    workers take units from one cursor in problem-major order, so a
-    problem's calls run side by side. A worker that lands a sample, or takes
-    a scoring unit, feeds the problem's landed prefix (samples 0..m-1) to
-    its scorer, one worker per problem at a time, so gold verdicts run while
-    other workers keep sampling; the record, with any linkage calls its vote
-    needs, is built once the prefix reaches k. A problem's first ClientError
-    marks it failed: its units not yet started make no call, and its scorer
-    makes no further judge call. An exception in a worker, or one that
-    interrupts the caller while it waits (Ctrl-C), stops every worker after
-    its current call, judge calls included.
+    calls finish in. Each sample to draw is one unit of work; a problem with
+    none left to draw gets one unit, which only scores it. The units run on
+    `run_parallel` in problem-major order, so a problem's calls run side by
+    side. A worker that lands a sample, or takes a scoring unit, feeds the
+    problem's landed prefix (samples 0..m-1) to its scorer, one worker per
+    problem at a time, so gold verdicts run while other workers keep
+    sampling; the record, with any linkage calls its vote needs, is built
+    once the prefix reaches k. A problem's first ClientError marks it
+    failed: its units not yet started make no call, and its scorer makes no
+    further judge call. Once an error or Ctrl-C sets the pool's stop event,
+    no unit and no judge call starts.
     """
     fed = [0] * len(problems)  # length of the prefix fed to the problem's scorer
     busy = [False] * len(problems)  # a worker is feeding the problem's scorer
@@ -568,9 +568,8 @@ def _sample(
     outcomes: list[EvalRecord | None] = [None] * len(problems)
     to_draw = [[j for j, s in enumerate(row) if s is None] or [None] for row in samples]
     units = [(i, j) for i, js in enumerate(to_draw) for j in js]  # (i, None) only scores
-    cursor = iter(units)
     lock = threading.Lock()
-    stop = False
+    stop = threading.Event()
 
     def fail(i: int, exc: ClientError) -> None:
         with lock:
@@ -583,7 +582,7 @@ def _sample(
             return None
 
         def judge(pred: str, gold: str) -> bool:
-            if stop or failed[i]:
+            if stop.is_set() or failed[i]:
                 raise _Stopped
             return equivalence(pred, gold)
 
@@ -610,67 +609,30 @@ def _sample(
                 outcomes[i] = _record(problems[i], row, scorers[i])
                 return
 
-    def work() -> None:
-        while True:
-            with lock:
-                unit = None if stop else next(cursor, None)
-                if unit is None:
-                    return
-                i, j = unit
-                if failed[i]:
-                    continue
-            try:
-                text = None if j is None else client.generate(requests[i])
-            except ClientError as exc:
-                fail(i, exc)
-                continue
-            with lock:
-                if j is not None:
-                    samples[i][j] = text
-                if busy[i]:
-                    continue  # the feeding worker picks this sample up
-                busy[i] = True
-            try:
-                feed(i)
-            except _Stopped:
-                pass
-            except ClientError as exc:
-                fail(i, exc)
-
-    workers = min(parallelism, len(units))
-    if workers <= 1:
-        work()
-        return outcomes
-    # One long-lived loop per worker, not a task per unit.
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    def run(unit: tuple[int, int | None]) -> None:
+        i, j = unit
+        if failed[i]:
+            return
         try:
-            for future in as_completed([pool.submit(work) for _ in range(workers)]):
-                future.result()  # a worker's exception surfaces as soon as it is raised
-        except BaseException:
-            stop = True  # the workers take no further unit or judge call, before the pool joins them
-            raise
-    return outcomes
-
-
-def _base_preplans(
-    problems: Sequence[ProblemRecord],
-    client: LlmClient,
-    params: GenerationRequest,
-    parallelism: int,
-) -> list[str | None]:
-    """One unforced sample per problem; its preplan, read leniently and in problem
-    order, seeds the perturbation (a sample cut off before its answer still has one).
-    None for a problem whose base call raised a ClientError."""
-
-    def one(problem: ProblemRecord) -> str | None:
-        try:
-            sample = client.generate(replace(params, user_prompt=problem.question))
+            text = None if j is None else client.generate(requests[i])
         except ClientError as exc:
-            log.warning("problem %s failed entirely (base sample): %s", problem.id, exc)
-            return None
-        return read_trajectory(sample).preplan
+            fail(i, exc)
+            return
+        with lock:
+            if j is not None:
+                samples[i][j] = text
+            if busy[i]:
+                return  # the feeding worker picks this sample up
+            busy[i] = True
+        try:
+            feed(i)
+        except _Stopped:
+            pass
+        except ClientError as exc:
+            fail(i, exc)
 
-    return run_parallel(one, problems, parallelism)
+    run_parallel(run, units, parallelism, stop)
+    return outcomes
 
 
 def format_report_table(reports: Sequence[EvalReport]) -> str:

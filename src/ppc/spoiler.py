@@ -188,15 +188,14 @@ def filter_decision(
     gold: str,
     cfg: SpoilerConfig = DEFAULT_SPOILER_CONFIG,
     len_bounds: tuple[int, int] = DEFAULT_LENGTH_BOUNDS,
-    equivalence: Callable[[str, str], bool] | None = None,
+    *,
+    equivalence: Callable[[str, str], bool],
 ) -> FilterDecision:
     """Keep a trajectory iff its preplan is clean, the answer is right and
     the preplan length is in bounds; the reason is the first failing check
     in that order. A missing boxed answer drops as NO_ANSWER. Correctness is
     judged once, whatever the outcome, and returned as `answer_correct`.
     """
-    if equivalence is None:
-        raise TypeError("filter_decision requires an equivalence checker")
     if not gold:
         raise ValueError("gold answer must be non-empty")
 

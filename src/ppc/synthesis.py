@@ -48,7 +48,6 @@ class StageFailure(Exception):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
-        self.cause = cause
 
 
 @dataclass(frozen=True)
@@ -100,8 +99,8 @@ def synthesize(
 
     Stages are strictly sequential and each prompt carries only the inputs
     of its stage; in particular neither executor prompt ever contains the
-    preplan. Raises StageFailure naming the stage that failed; the returned
-    record is not yet filtered.
+    preplan. Raises StageFailure naming the stage that failed, with the
+    ClientError as its `__cause__`; the returned record is not yet filtered.
     """
     record = SynthesisRecord(problem=problem)
     q = problem.question
@@ -131,7 +130,8 @@ def apply_filter(
     rec: SynthesisRecord,
     cfg: SpoilerConfig = DEFAULT_SPOILER_CONFIG,
     bounds: tuple[int, int] = DEFAULT_LENGTH_BOUNDS,
-    equivalence: Callable[[str, str], bool] | None = None,
+    *,
+    equivalence: Callable[[str, str], bool],
 ) -> SynthesisRecord:
     """Decide kept/dropped for a generated record.
 
@@ -215,8 +215,11 @@ def build_dataset(
     """Synthesize and filter a corpus, writing sft/rejects/summary files.
 
     Rows are written in input order by a single writer, so runs with the
-    same inputs, seed and scripted clients are byte-identical at any
-    parallelism. `retries` (>= 0) resamples the whole chain on filter failure.
+    same inputs and scripted clients are byte-identical at any parallelism.
+    `seed` is not read yet: no request carries it. `retries` (>= 0)
+    resamples the whole chain on filter failure. Chains run on
+    `run_parallel`; after an exception other than a StageFailure, or
+    Ctrl-C, only the chains in flight finish, and no file is written.
     """
     if retries < 0:
         raise ValueError("retries must be >= 0")

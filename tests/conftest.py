@@ -44,6 +44,34 @@ def load_perfbench_inputs():
     return sys.modules[name]
 
 
+# --- worker pool probes ----------------------------------------------------
+
+def waiting_for_workers(thread_id):
+    """Whether the thread is blocked on a lock with every pool worker started."""
+    frame = sys._current_frames().get(thread_id)
+    if frame is None or frame.f_code.co_name != "wait":
+        return False
+    while frame is not None and frame.f_code.co_name != "submit":
+        frame = frame.f_back
+    return frame is None
+
+
+def joining_workers(thread_id):
+    """Whether the thread is inside the pool's shutdown, joining its workers."""
+    frame = sys._current_frames().get(thread_id)
+    while frame is not None and frame.f_code.co_name != "shutdown":
+        frame = frame.f_back
+    return frame is not None
+
+
+def wait_until(condition, timeout=5):
+    """Poll condition until it holds or the timeout passes; its last value."""
+    deadline = time.monotonic() + timeout
+    while not (held := condition()) and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return held
+
+
 # --- scripted synthesis fixtures ---------------------------------------------
 
 def clean_preplan(tag: str = "") -> str:

@@ -1,7 +1,10 @@
+import signal
 import threading
+import time
 
 import pytest
 import requests
+from conftest import joining_workers, wait_until, waiting_for_workers
 
 from ppc.clients import (
     Facet,
@@ -314,3 +317,56 @@ class TestRunParallel:
 
     def test_serial_path(self):
         assert run_parallel(str, [1, 2], parallelism=1) == ["1", "2"]
+
+    @pytest.mark.parametrize("parallelism", [2, 4])
+    def test_first_error_stops_the_pool(self, parallelism):
+        main = threading.main_thread().ident
+        deadline = time.monotonic() + 5
+        stop = threading.Event()
+        started, joined = [], []
+
+        def fn(item):
+            started.append(item)
+            if item == 1:
+                raise RuntimeError("item 1")
+            # Every other item is held until the caller joins the pool.
+            joining = wait_until(lambda: joining_workers(main), deadline - time.monotonic())
+            joined.append(joining and stop.is_set())  # fn sees the stop while the pool joins
+            return item
+
+        with pytest.raises(RuntimeError, match="item 1"):
+            run_parallel(fn, range(20), parallelism, stop)
+        assert 0 in started and 1 in started
+        assert set(started) <= set(range(parallelism))  # no item starts after the error
+        assert all(joined)  # item 0 returned only after the error reached the caller and set stop
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+    def test_interrupted_caller_stops_the_pool(self):
+        class Interrupt(BaseException):
+            pass
+
+        main = threading.main_thread().ident
+        deadline = time.monotonic() + 5
+        stop = threading.Event()
+        started, joined = [], []
+
+        def fn(item):
+            started.append(item)
+            if item == 0:
+                wait_until(lambda: waiting_for_workers(main), deadline - time.monotonic())
+                signal.pthread_kill(main, signal.SIGUSR1)  # Ctrl-C while the caller waits
+            joining = wait_until(lambda: joining_workers(main), deadline - time.monotonic())
+            joined.append(joining and stop.is_set())  # fn sees the stop while the pool joins
+            return item
+
+        def interrupt(signum, frame):
+            raise Interrupt
+
+        previous = signal.signal(signal.SIGUSR1, interrupt)
+        try:
+            with pytest.raises(Interrupt):
+                run_parallel(fn, range(20), 4, stop)
+        finally:
+            signal.signal(signal.SIGUSR1, previous)
+        assert 0 in started and set(started) <= set(range(4))  # no item starts after the interrupt
+        assert all(joined)

@@ -10,7 +10,14 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import load_perfbench_inputs, make_problem, outcome
+from conftest import (
+    joining_workers,
+    load_perfbench_inputs,
+    make_problem,
+    outcome,
+    wait_until,
+    waiting_for_workers,
+)
 
 import ppc.clients
 import ppc.evaluation
@@ -870,14 +877,18 @@ class TestScheduler:
     def test_parallelism_does_not_change_outputs(self):
         problems = [make_problem(f"p{i}", answer=str(i % 3)) for i in range(12)]
         problems.append(make_problem("px"))  # no script: every call fails
-        script = {p.question: completion(str(i % 4)) for i, p in enumerate(problems[:-1])}
+        script = {
+            p.question: completion(str(i % 4), preplan=f"First for {p.id}. Then {i}. Last {i % 5}.")
+            for i, p in enumerate(problems[:-1])
+        }
         judge = ScriptedClient(lambda req: "NO")
 
-        def run(parallelism):
+        def run(parallelism, mode=None):
             report = evaluate(
                 problems,
                 8,
                 ScriptedClient(script),
+                mode=mode and PerturbationSpec(mode=mode, seed=3),
                 equivalence=lambda pred, gold: answers_equivalent(pred, gold, fallback=judge),
                 parallelism=parallelism,
             )
@@ -895,16 +906,45 @@ class TestScheduler:
             return [r.to_dict() for r in report.records]
 
         serial = run(1)
+        perturbed = {mode: run(1, mode) for mode in PerturbationMode}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, so a lost update would show
         try:
             parallel = run(8)
             replayed = [replay(1), replay(8)]
+            perturbed_parallel = {mode: run(3, mode) for mode in PerturbationMode}
         finally:
             sys.setswitchinterval(interval)
         assert parallel == serial
         assert len(serial[1]) == 12
         assert replayed == [serial[1]] * 2
+        assert perturbed_parallel == perturbed
+        assert all(len(records) == 12 for _, records in perturbed.values())
+
+    def test_first_error_stops_the_perturbed_base_calls(self):
+        # p1's base call raises while p0's is held: no base call starts after it.
+        problems = [make_problem(f"p{i}", answer="7") for i in range(20)]
+        main = threading.main_thread().ident
+        deadline = time.monotonic() + 5
+        base_calls, joined = [], []
+
+        def answer(req):
+            if req.forced_prefix:
+                return "rest</plan><execute>\\boxed{7}</execute>"
+            pid = req.user_prompt.split()[-1]
+            base_calls.append(pid)
+            if pid == "p1":
+                raise RuntimeError("not a client error")
+            joined.append(wait_until(lambda: joining_workers(main), deadline - time.monotonic()))
+            return completion("7", preplan=f"own analysis {pid}.")
+
+        client = ScriptedClient(answer)
+        spec = PerturbationSpec(mode=PerturbationMode.SHUFFLED, seed=1)
+        with pytest.raises(RuntimeError):
+            evaluate(problems, 2, client, mode=spec, parallelism=4)
+        assert "p1" in base_calls and set(base_calls) <= {"p0", "p1", "p2", "p3"}
+        assert joined and all(joined)  # each held call returned only after the caller had the error
+        assert not any(req.forced_prefix for req in client.calls)
 
     def test_records_match_their_samples_under_contention(self):
         # Every call draws the next spelling, so samples of one problem differ
@@ -940,35 +980,10 @@ class TestScheduler:
             raise AssertionError("rules-only replay started a thread")
 
         monkeypatch.setattr(ppc.clients, "ThreadPoolExecutor", refuse)
-        monkeypatch.setattr(ppc.evaluation, "ThreadPoolExecutor", refuse)
         monkeypatch.setattr(threading.Thread, "start", refuse)
         problems, replay = replay_fixture()
         report = evaluate(problems, 16, replay=replay, parallelism=8)
         assert report.maj_at_k == 75.00 and report.problems == 4
-
-
-def waiting_for_workers(thread_id):
-    """Whether the thread is blocked on a lock with every pool worker started."""
-    frame = sys._current_frames().get(thread_id)
-    if frame is None or frame.f_code.co_name != "wait":
-        return False
-    while frame is not None and frame.f_code.co_name != "submit":
-        frame = frame.f_back
-    return frame is None
-
-
-def joining_workers(thread_id):
-    """Whether the thread is inside the pool's shutdown, joining its workers."""
-    frame = sys._current_frames().get(thread_id)
-    while frame is not None and frame.f_code.co_name != "shutdown":
-        frame = frame.f_back
-    return frame is not None
-
-
-def wait_until(condition, timeout=5):
-    deadline = time.monotonic() + timeout
-    while not condition() and time.monotonic() < deadline:
-        time.sleep(0.001)
 
 
 def judge_pair(req):

@@ -1,8 +1,19 @@
 import json
+import threading
+import time
+from dataclasses import replace
 
 import pytest
-from conftest import clean_preplan, default_stage_texts, make_problem, make_suite
+from conftest import (
+    clean_preplan,
+    default_stage_texts,
+    joining_workers,
+    make_problem,
+    make_suite,
+    wait_until,
+)
 
+from ppc import prompts
 from ppc.clients import ScriptedClient, Timeout
 from ppc.evaluation import answers_equivalent
 from ppc.spoiler import DropReason
@@ -79,7 +90,7 @@ class TestSynthesize:
         with pytest.raises(StageFailure) as err:
             synthesize(p, suite)
         assert err.value.stage == "plan"
-        assert isinstance(err.value.cause, Timeout)
+        assert isinstance(err.value.__cause__, Timeout)
 
 
 def filtered(problem, **overrides):
@@ -264,6 +275,30 @@ class TestBuildDataset:
         )
         assert summary.kept == 0
         assert summary.drop_reasons == {"GEN_FAIL": 1}
+
+    def test_first_error_stops_the_chains(self, tmp_path):
+        # Chain 1 raises while chain 0 is held: no chain starts after it.
+        problems = [make_problem(f"p{i}") for i in range(20)]
+        texts = default_stage_texts(problems)
+        by_prompt = {prompts.preplan_prompt(p.question): p for p in problems}
+        main = threading.main_thread().ident
+        deadline = time.monotonic() + 5
+        started, joined = [], []
+
+        def preplan(req):
+            problem = by_prompt[req.user_prompt]
+            started.append(problem.id)
+            if problem.id == "p1":
+                raise RuntimeError("not a client error")
+            joined.append(wait_until(lambda: joining_workers(main), deadline - time.monotonic()))
+            return texts[problem.question]["preplan"]
+
+        suite = replace(make_suite(texts), preplan_gen=ScriptedClient(preplan))
+        with pytest.raises(RuntimeError):
+            build_dataset(problems, suite, tmp_path, equivalence=answers_equivalent, parallelism=4)
+        assert "p1" in started and set(started) <= {"p0", "p1", "p2", "p3"}
+        assert joined and all(joined)  # each held chain went on only after the caller had the error
+        assert not (tmp_path / "sft.jsonl").exists()
 
 
 class TestSplitCorpus:
