@@ -169,9 +169,10 @@ def cmd_reward(args) -> int:
         text, gold = typed_field(row, "trajectory"), typed_field(row, "gold")
         fmt = check_format(text)
         traj = read_trajectory(text)
-        correct = row.get("correct")
-        if correct is None:
+        if row.get("correct") is None:
             correct = answers_equivalent(traj.boxed_answer, gold)
+        else:
+            correct = typed_field(row, "correct", bool)
         prox = row.get("prox")
         if not correct and prox is None:
             log.warning("row %s: missing prox verdict; using grade 1", row.get("id"))
@@ -269,8 +270,9 @@ def cmd_attribute(args) -> int:
     verdicts = []
 
     def attribute(row: dict) -> dict:
+        texts = [typed_field(row, key) for key in ("question", "solution", "gold")]
         try:
-            verdict = attribute_error(judge, row["question"], row["solution"], row["gold"])
+            verdict = attribute_error(judge, *texts)
         except UnparseableVerdict as exc:
             log.warning("row %s: %s", row.get("id"), exc)
             verdict = None

@@ -9,9 +9,9 @@ scripted response file for fully offline runs.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Mapping
 
 from .clients import HttpChatClient, LlmClient, RetryPolicy, ScriptedClient
 from .grpo import GrpoConfig
@@ -25,18 +25,46 @@ class ConfigError(ValueError):
     pass
 
 
-# Annotation of a scalar field -> the JSON value types it takes.
-_SCALAR_TYPES = {"str": (str,), "str | None": (str, type(None)), "int": (int,), "float": (int, float)}
+# Annotation of a field -> the JSON value types it takes. No field takes a
+# bool; a tuple[str, ...] field takes an array, whose strings its class checks.
+_FIELD_TYPES = {
+    "str": (str,),
+    "str | None": (str, type(None)),
+    "int": (int,),
+    "float": (int, float),
+    "tuple[str, ...]": (list,),
+}
 
 
-def _check_scalars(config) -> None:
-    """A ConfigError unless every scalar field holds its annotated type; a
-    float field takes an int, and no field takes a bool."""
-    for f in fields(config):
-        kinds = _SCALAR_TYPES.get(f.type)
-        value = getattr(config, f.name)
+def _object(data, at: str) -> Mapping:
+    """`data` if it is a JSON object, else a ConfigError prefixed with `at`."""
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"{at}must be a mapping, got {data!r:.60}")
+    return data
+
+
+def _load(cls, data, where: str = ""):
+    """A `cls` built from one JSON object; field defaults fill the gaps.
+
+    An unknown key, a value that is not of its field's JSON type, or a
+    ValueError from `cls` is a ConfigError prefixed with the section path
+    `where`. A field whose annotation _FIELD_TYPES lacks is a section that
+    the caller has already built.
+    """
+    at = f"{where}: " if where else ""
+    types = {f.name: f.type for f in fields(cls)}
+    kwargs = {}
+    for key, value in _object(data, at).items():
+        if key not in types:
+            raise ConfigError(f"{at}unknown key {key!r}")
+        kinds = _FIELD_TYPES.get(types[key])
         if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
-            raise ConfigError(f"{f.name} must be {f.type}, got {value!r:.60}")
+            raise ConfigError(f"{at}{key} must be {types[key]}, got {value!r:.60}")
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{at}{exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -51,22 +79,10 @@ class RoleConfig:
     timeout: float = 120.0
 
     def __post_init__(self):
-        _check_scalars(self)
         if self.kind not in ("http", "scripted"):
             raise ConfigError(f"unknown role kind {self.kind!r}")
         if self.kind == "scripted" and not self.script and self.default_response is None:
             raise ConfigError("scripted role needs a script file or default_response")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def _role(name: str, rc: Mapping) -> RoleConfig:
-    """One role entry; an invalid one is a ConfigError that names the role."""
-    try:
-        return RoleConfig(**rc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"roles.{name}: {exc}") from exc
 
 
 @dataclass
@@ -83,7 +99,6 @@ class PipelineConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        _check_scalars(self)
         for name in self.roles:
             if name not in ROLE_NAMES:
                 raise ConfigError(f"unknown role {name!r}; valid: {ROLE_NAMES}")
@@ -105,25 +120,24 @@ class PipelineConfig:
     def from_dict(cls, data: Mapping) -> "PipelineConfig":
         """Build from a parsed config document; field defaults fill the gaps.
 
-        An unknown key at any level, a section that is not an object, or an
-        invalid value is a ConfigError.
+        Every section goes through _load: an unknown key at any level, a
+        section that is not an object, or an invalid value is a ConfigError
+        that names its section.
         """
-        try:
-            data = dict(data)
-            roles = dict(data.get("roles") or {})
-            data["roles"] = {name: _role(name, rc) for name, rc in roles.items()}
-            grpo = data.get("grpo")
-            if grpo is not None:
-                # No silent hyperparameter drift: config files must pin both.
-                for key in ("epsilon_clip", "beta_kl"):
-                    if key not in grpo:
-                        raise ConfigError(f"grpo config must set {key!r} explicitly")
-                data["grpo"] = GrpoConfig.from_dict(grpo)
-            data["spoiler"] = SpoilerConfig.from_dict(data.get("spoiler") or {})
-            data["weights"] = RewardWeights.from_dict(data.get("weights") or {})
-            return cls(**data)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        data = dict(_object(data, ""))
+        roles = _object(data.get("roles", {}), "roles: ")
+        data["roles"] = {name: _load(RoleConfig, rc, f"roles.{name}") for name, rc in roles.items()}
+        for key, section in (("spoiler", SpoilerConfig), ("weights", RewardWeights)):
+            if key in data:
+                data[key] = _load(section, data[key], key)
+        grpo = data.get("grpo")
+        if grpo is not None:
+            data["grpo"] = _load(GrpoConfig, grpo, "grpo")
+            # No silent hyperparameter drift: config files must pin both.
+            for key in ("epsilon_clip", "beta_kl"):
+                if key not in grpo:
+                    raise ConfigError(f"grpo config must set {key!r} explicitly")
+        return _load(cls, data)
 
     @classmethod
     def from_file(cls, path: Path) -> "PipelineConfig":

@@ -37,13 +37,6 @@ class GrpoConfig:
         if self.std_floor < 0:
             raise ValueError("std_floor must be >= 0")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GrpoConfig":
-        return cls(**data)
-
 
 def _is_tokenwise(value: Logp) -> bool:
     return isinstance(value, (list, tuple))
@@ -96,6 +89,8 @@ class RolloutGroup:
     def from_dict(cls, data: dict) -> "RolloutGroup":
         """Build from JSON data; a field that is not a list, or a reward or
         log-prob that is not a number, is a ValueError naming it."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a rollout group must be a JSON object, got {type(data).__name__}")
         fields = {}
         for name in ("rewards", "logp_new", "logp_old", "logp_ref"):
             values = data[name]

@@ -35,13 +35,6 @@ class RewardWeights:
         if self.lambda_a <= 0 or self.lambda_f <= 0 or self.lambda_s <= 0:
             raise ValueError("all reward weights must be positive")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RewardWeights":
-        return cls(**data)
-
 
 DEFAULT_WEIGHTS = RewardWeights()
 

@@ -9,7 +9,7 @@ computation.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -61,10 +61,10 @@ class SpoilerConfig:
     tau_s: int = 2
 
     def __post_init__(self):
-        if not self.derivation_phrases or not self.answer_phrases:
-            raise ValueError("phrase lists must be non-empty")
-        if not all(self.derivation_phrases) or not all(self.answer_phrases):
-            raise ValueError("phrases must be non-empty strings")
+        for name in ("derivation_phrases", "answer_phrases"):
+            phrases = getattr(self, name)
+            if not phrases or not all(isinstance(p, str) and p for p in phrases):
+                raise ValueError(f"{name} must be one or more non-empty strings, got {phrases!r:.60}")
         for name in (
             "equality_threshold",
             "long_span_min_chars",
@@ -75,17 +75,6 @@ class SpoilerConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SpoilerConfig":
-        kwargs = dict(data)
-        for key in ("derivation_phrases", "answer_phrases"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
 
 
 DEFAULT_SPOILER_CONFIG = SpoilerConfig()

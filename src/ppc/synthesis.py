@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import prompts
-from ._text import atomic_open, read_jsonl, write_jsonl
+from ._text import atomic_open, read_jsonl, typed_field, write_jsonl
 from .clients import ClientError, GenerationRequest, LlmClient, run_parallel
 from .spoiler import (
     DEFAULT_LENGTH_BOUNDS,
@@ -310,9 +310,12 @@ def load_problems(path: Path) -> list[ProblemRecord]:
 
 
 def _problem_from_row(row: dict) -> ProblemRecord:
+    answer = row["answer"]
+    if isinstance(answer, bool) or not isinstance(answer, (str, int, float)):
+        raise ValueError(f"field 'answer' must be a string or a number, got {answer!r:.60}")
     return ProblemRecord(
         id=str(row["id"]),
-        question=row["question"],
-        gold_answer=str(row["answer"]),
+        question=typed_field(row, "question"),
+        gold_answer=str(answer),
         difficulty=row.get("difficulty"),
     )

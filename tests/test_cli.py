@@ -6,6 +6,7 @@ from conftest import default_stage_texts, make_problem
 
 import ppc.cli
 import ppc.clients
+import ppc.config
 import ppc.evaluation
 from ppc.cli import main
 from ppc.evaluation import answers_equivalent
@@ -280,6 +281,12 @@ class TestGrpoCheck:
         path.write_text(json.dumps(group))
         assert main(["grpo-check", "--in", str(path)]) == 2
         assert "rollout 0: token lists are empty" in capsys.readouterr().err
+
+    def test_document_not_an_object_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "group.json"
+        path.write_text("[1, 2]")
+        assert main(["grpo-check", "--in", str(path)]) == 2
+        assert "a rollout group must be a JSON object, got list" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "field, value, named",
@@ -594,6 +601,41 @@ class TestMalformedRows:
         argv = ["eval", "--bench", str(bench), "--k", "1", "--seed", "5", "--replay", str(run)]
         assert main(argv + ["--out", str(tmp_path / "again")]) == 2
         assert "mini.transcripts.jsonl:2: field 'samples' must be list of str" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, detail",
+        [
+            ({"id": "b", "question": 5, "answer": "7"}, "field 'question' must be str, got 5"),
+            ({"id": "b", "question": "q?", "answer": None}, "field 'answer' must be a string or a number, got None"),
+        ],
+        ids=["question-not-a-string", "answer-null"],
+    )
+    @pytest.mark.parametrize("command", ["synthesize", "eval"])
+    def test_problem_row_types(self, tmp_path, capsys, command, row, detail):
+        config = tmp_path / "config.json"
+        roles = {role: {"kind": "scripted", "default_response": "\\boxed{None}"} for role in ppc.config.ROLE_NAMES}
+        config.write_text(json.dumps({"roles": roles}))
+        path = tmp_path / "rows.jsonl"
+        write_jsonl(path, [{"id": "a", "question": "q?", "answer": 7}, row])
+        argv = ["--config", str(config), "--seed", "1", "--out", str(tmp_path / "out")]
+        paths = ["--in", str(path)] if command == "synthesize" else ["--bench", str(path), "--k", "1"]
+        assert main([command] + paths + argv) == 2
+        assert f"rows.jsonl:2: {detail}" in capsys.readouterr().err
+
+    def test_reward_correct_not_a_bool(self, tmp_path, capsys):
+        path = tmp_path / "rows.jsonl"
+        wrong = GOOD_TRAJECTORY.replace("{7}", "{3}")
+        write_jsonl(path, [{"id": "x", "trajectory": wrong, "gold": "7", "correct": "false", "prox": 1, "adh": 1}])
+        assert main(["reward", "--in", str(path)]) == 2
+        assert "rows.jsonl:1: field 'correct' must be bool, got 'false'" in capsys.readouterr().err
+
+    def test_attribute_question_not_a_string(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"roles": {"judge": {"kind": "scripted", "default_response": "{}"}}}))
+        path = tmp_path / "rows.jsonl"
+        write_jsonl(path, [{"id": "1", "question": 5, "solution": "bad", "gold": "7"}])
+        assert main(["attribute", "--config", str(config), "--in", str(path)]) == 2
+        assert "rows.jsonl:1: field 'question' must be str, got 5" in capsys.readouterr().err
 
     def test_lint_reads_stdin(self, monkeypatch, capsys):
         rows = [{"id": "a", "preplan": "clean analysis."}, {"id": "b", "preplan": "more analysis."}]

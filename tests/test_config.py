@@ -1,12 +1,15 @@
 import json
+from dataclasses import fields
 
 import pytest
 import requests
 
 from ppc.cli import main
 from ppc.clients import HttpChatClient, ScriptedClient
-from ppc.config import ConfigError, PipelineConfig, RoleConfig, build_client
+from ppc.config import _FIELD_TYPES, ConfigError, PipelineConfig, RoleConfig, build_client
 from ppc.grpo import GrpoConfig
+from ppc.rewards import RewardWeights
+from ppc.spoiler import SpoilerConfig
 
 
 def sample_config_dict():
@@ -26,9 +29,23 @@ def sample_config_dict():
 
 class TestRoundTrip:
     def test_parse_serialize_parse_identity(self, tmp_path):
+        doc = {
+            **sample_config_dict(),
+            "spoiler": {
+                "derivation_phrases": ["boils down to"],
+                "answer_phrases": ["hence"],
+                "digit_min": 4,
+                "tau_s": 3,
+            },
+            "weights": {"lambda_a": 0.2, "lambda_s": 0.5, "tau_s": 3},
+            "grpo": {"epsilon_clip": 0.3, "beta_kl": 0.01, "std_floor": 1e-4},
+        }
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(sample_config_dict()))
+        path.write_text(json.dumps(doc))
         config = PipelineConfig.from_file(path)
+        assert config.spoiler == SpoilerConfig(("boils down to",), ("hence",), digit_min=4, tau_s=3)
+        assert config.weights == RewardWeights(lambda_a=0.2, lambda_s=0.5, tau_s=3)
+        assert config.grpo == GrpoConfig(epsilon_clip=0.3, beta_kl=0.01, std_floor=1e-4)
         again = PipelineConfig.from_dict(json.loads(config.to_json()))
         assert again == config
 
@@ -60,8 +77,9 @@ class TestValidation:
             {"grpo": {"epsilon_clip": 0.2, "beta_kl": 0.04, "clip": 0.3}},
             {"temprature": 0.7},
             {"weights": {"lambda_x": 0.1}},
+            {"spoiler": {"tau": 2}},
         ],
-        ids=["role", "grpo", "top-level", "weights"],
+        ids=["role", "grpo", "top-level", "weights", "spoiler"],
     )
     def test_unknown_key(self, doc):
         with pytest.raises(ConfigError):
@@ -69,8 +87,15 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "doc",
-        [5, {"roles": ["judge"]}, {"roles": {"judge": "http"}}, {"weights": 0.1}],
-        ids=["document", "roles", "role", "weights"],
+        [
+            5,
+            {"roles": ["judge"]},
+            {"roles": {"judge": "http"}},
+            {"weights": 0.1},
+            {"spoiler": None},
+            {"roles": None},
+        ],
+        ids=["document", "roles", "role", "weights", "spoiler-null", "roles-null"],
     )
     def test_section_not_an_object(self, doc):
         with pytest.raises(ConfigError):
@@ -196,6 +221,11 @@ WRONG_TYPES = {
     "temperature": {"roles": {"policy": SCRIPTED_POLICY}, "temperature": "hot"},
     "max_tokens": {"roles": {"policy": SCRIPTED_POLICY}, "max_tokens": "9"},
     "max_attempts": {"roles": {"policy": {**HTTP_POLICY, "max_attempts": "3"}}},
+    "epsilon_clip": {"grpo": {"epsilon_clip": True, "beta_kl": 0.04}},
+    "lambda_a": {"weights": {"lambda_a": True}},
+    "digit_min": {"spoiler": {"digit_min": 2.5}},
+    "derivation_phrases": {"spoiler": {"derivation_phrases": "yields"}},
+    "answer_phrases": {"spoiler": {"answer_phrases": [1, 2]}},
 }
 
 
@@ -253,3 +283,15 @@ def test_scalar_types_accepted():
     assert config.roles["policy"].timeout == 30 and config.temperature == 1
     with pytest.raises(ConfigError, match="parallelism must be int"):
         PipelineConfig.from_dict({"parallelism": True})
+    with pytest.raises(ConfigError, match=r"^spoiler: digit_min must be int, got 2\.5$"):
+        PipelineConfig.from_dict({"spoiler": {"digit_min": 2.5}})
+    with pytest.raises(ConfigError, match="^spoiler: digit_min must be >= 1$"):
+        PipelineConfig.from_dict({"spoiler": {"digit_min": 0}})
+
+
+def test_every_field_is_type_checked():
+    """A new config field cannot skip the JSON type check without notice."""
+    sections = {"roles", "spoiler", "weights", "grpo"}
+    for cls in (RoleConfig, PipelineConfig, SpoilerConfig, RewardWeights, GrpoConfig):
+        for f in fields(cls):
+            assert f.type in _FIELD_TYPES or cls is PipelineConfig and f.name in sections, (cls, f.name)

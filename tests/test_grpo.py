@@ -253,7 +253,3 @@ class TestConfig:
             GrpoConfig(epsilon_clip=0.0)
         with pytest.raises(ValueError):
             GrpoConfig(beta_kl=-0.1)
-
-    def test_round_trip(self):
-        cfg = GrpoConfig(epsilon_clip=0.3, beta_kl=0.01)
-        assert GrpoConfig.from_dict(cfg.to_dict()) == cfg

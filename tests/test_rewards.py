@@ -83,10 +83,6 @@ class TestWeights:
         with pytest.raises(ValueError):
             RewardWeights(lambda_f=0)
 
-    def test_round_trip(self):
-        w = RewardWeights(lambda_a=0.2)
-        assert RewardWeights.from_dict(w.to_dict()) == w
-
 
 class TestComposite:
     def test_best_case_total(self):

@@ -156,10 +156,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SpoilerConfig(answer_phrases=("we get", ""))
 
-    def test_dict_round_trip(self):
-        cfg = SpoilerConfig(tau_s=3)
-        assert SpoilerConfig.from_dict(cfg.to_dict()) == cfg
-
     def test_custom_thresholds_apply(self):
         cfg = SpoilerConfig(span_count_threshold=2)
         assert spoiler_score("$a$ $b$", cfg).math_span_count
