@@ -45,10 +45,8 @@ from .grpo import (
     GrpoResult,
     NonFiniteInput,
     RolloutGroup,
-    clipped_surrogate,
     group_advantages,
     grpo_objective,
-    importance_ratio,
     kl_term,
 )
 from .rewards import (
@@ -77,7 +75,6 @@ from .synthesis import (
     SynthesisRecord,
     apply_filter,
     build_dataset,
-    split_corpus,
     synthesize,
 )
 from .trajectory import (

@@ -134,6 +134,14 @@ def typed_field(row: dict, key: str, kind: type = str, item: type | None = None)
     return value
 
 
+def row_id(row: dict) -> str | int:
+    """row["id"], a ValueError unless it is a non-empty string or an integer."""
+    value = row["id"]
+    if isinstance(value, bool) or not isinstance(value, (str, int)) or value == "":
+        raise ValueError(f"field 'id' must be a non-empty string or an integer, got {value!r:.60}")
+    return value
+
+
 @contextmanager
 def atomic_open(path):
     """A text file that replaces `path` only when the block succeeds.

@@ -19,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import prompts
-from ._text import atomic_open, read_jsonl, typed_field, write_jsonl
+from ._text import atomic_open, read_jsonl, row_id, typed_field, write_jsonl
 from .clients import ClientError, GenerationRequest, UnparseableVerdict, attribute_error
 from .config import ConfigError, PipelineConfig, build_client
 from .evaluation import (
@@ -254,7 +254,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    rows = list(read_jsonl(getattr(args, "in"), lambda row: (row["id"], typed_field(row, "preplan"))))
+    rows = list(read_jsonl(getattr(args, "in"), lambda row: (row_id(row), typed_field(row, "preplan"))))
     spec = PerturbationSpec(mode=PerturbationMode(args.mode), seed=args.seed)
     prefixes = perturb_preplan([preplan for _, preplan in rows], spec)
     write_jsonl(

@@ -306,7 +306,6 @@ _FACET_ALIASES = {
 class AttributionVerdict:
     """A parsed attribution verdict; `attribute_error` sets facet iff what-to-solve."""
 
-    raw_response: str
     is_what_to_solve: bool
     facet: Facet | None
 
@@ -388,5 +387,5 @@ def attribute_error(
         facet = _FACET_ALIASES.get(raw_facet.strip().lower())
         if facet is None:
             raise UnparseableVerdict(f"unknown facet {raw_facet!r}")
-    return AttributionVerdict(raw_response=response, is_what_to_solve=what, facet=facet)
+    return AttributionVerdict(is_what_to_solve=what, facet=facet)
 

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from . import prompts
-from ._text import count_tokens, read_jsonl, split_sentences, typed_field, write_jsonl
+from ._text import count_tokens, read_jsonl, row_id, split_sentences, typed_field, write_jsonl
 from .clients import (
     AttributionVerdict,
     ClientError,
@@ -666,7 +666,7 @@ def read_transcripts(path: Path) -> dict[str, list[str]]:
     transcripts: dict[str, list[str]] = {}
 
     def add(row: dict) -> None:
-        pid = str(row["id"])
+        pid = str(row_id(row))
         if pid in transcripts:
             raise ValueError(f"repeated id {pid!r}")
         transcripts[pid] = typed_field(row, "samples", list, str)

@@ -87,10 +87,14 @@ class RolloutGroup:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RolloutGroup":
-        """Build from JSON data; a field that is not a list, or a reward or
-        log-prob that is not a number, is a ValueError naming it."""
+        """Build from JSON data; a field that is not a list, a reward or
+        log-prob that is not a number, or a G that is not an integer, is a
+        ValueError naming it."""
         if not isinstance(data, dict):
             raise ValueError(f"a rollout group must be a JSON object, got {type(data).__name__}")
+        G = data.get("G", 0)
+        if isinstance(G, bool) or not isinstance(G, int):
+            raise ValueError(f"G must be an integer, got {G!r:.60}")
         fields = {}
         for name in ("rewards", "logp_new", "logp_old", "logp_ref"):
             values = data[name]
@@ -102,7 +106,7 @@ class RolloutGroup:
                     kind = "a number" if name == "rewards" else "a number or a list of numbers"
                     raise ValueError(f"rollout {i}: {name} must be {kind}, got {v!r}")
             fields[name] = list(values)
-        return cls(**fields, G=data.get("G", 0))
+        return cls(**fields, G=G)
 
 
 def group_advantages(
@@ -128,25 +132,6 @@ def group_advantages(
     if scale == 0.0:
         return [0.0] * G
     return [(r - mean) / scale for r in rewards]
-
-
-def importance_ratio(logp_new: Logp, logp_old: Logp):
-    """exp(logp_new - logp_old), per rollout or per token."""
-    news, olds = _tokens(logp_new), _tokens(logp_old)
-    if _is_tokenwise(logp_new) != _is_tokenwise(logp_old) or len(news) != len(olds):
-        raise ValueError("logp_new and logp_old must share a shape")
-    _require_finite(news, "logp_new")
-    _require_finite(olds, "logp_old")
-    ratios = [math.exp(n - o) for n, o in zip(news, olds)]
-    return ratios if _is_tokenwise(logp_new) else ratios[0]
-
-
-def clipped_surrogate(rho: float, advantage: float, epsilon: float) -> float:
-    """min(rho * A, clip(rho, 1 - eps, 1 + eps) * A)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
-    clipped = min(max(rho, 1 - epsilon), 1 + epsilon)
-    return min(rho * advantage, clipped * advantage)
 
 
 def kl_term(logp_new: Logp, logp_ref: Logp) -> float:
@@ -183,9 +168,11 @@ def grpo_objective(group: RolloutGroup, cfg: GrpoConfig) -> GrpoResult:
     """Objective value: mean clipped surrogate minus beta * mean k3 KL.
 
     One pass per rollout over its tokens (a sequence-level rollout is one
-    token): its surrogate is the token mean of clipped_surrogate with the
-    rollout's scalar advantage, its KL the token sum of kl_term. Every sum
-    runs left to right, over tokens and then rollouts, for bit-reproducibility.
+    token): its surrogate is the token mean of the clipped surrogate
+    min(rho * A, clip(rho, 1 - eps, 1 + eps) * A), with rho = exp(logp_new -
+    logp_old) and A the rollout's scalar advantage; its KL is the token sum
+    of kl_term. Every sum runs left to right, over tokens and then rollouts,
+    for bit-reproducibility.
     A non-finite log-prob, or a log-ratio too large for exp(), raises
     NonFiniteInput naming the rollout.
     """

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Callable
 
 from ._text import count_tokens, find_phrase, math_spans, standalone_integers
-from .trajectory import Trajectory
+from .trajectory import Trajectory, check_format, render_trajectory
 
 DERIVATION_PHRASES = (
     "simplifies to",
@@ -180,10 +180,15 @@ def filter_decision(
     *,
     equivalence: Callable[[str, str], bool],
 ) -> FilterDecision:
-    """Keep a trajectory iff its preplan is clean, the answer is right and
-    the preplan length is in bounds; the reason is the first failing check
-    in that order. A missing boxed answer drops as NO_ANSWER. Correctness is
-    judged once, whatever the outcome, and returned as `answer_correct`.
+    """Keep a trajectory iff it passes seven checks; a drop carries the
+    reason of the first that fails, in this order:
+
+    SPOILER (spoiler score above tau_s), NO_ANSWER (no boxed answer),
+    WRONG_ANSWER, TOO_SHORT and TOO_LONG (preplan tokens outside
+    `len_bounds`), NOT_BOXED_FINAL (execute goes on after its boxed answer)
+    and MALFORMED (the rendered trajectory fails the format guard, so every
+    kept trajectory re-renders cleanly). Correctness is judged once,
+    whatever the outcome, and returned as `answer_correct`.
     """
     if not gold:
         raise ValueError("gold answer must be non-empty")
@@ -206,4 +211,8 @@ def filter_decision(
         return drop(DropReason.TOO_SHORT)
     if tokens > hi:
         return drop(DropReason.TOO_LONG)
+    if not t.execute.rstrip().endswith(f"\\boxed{{{t.boxed_answer}}}"):
+        return drop(DropReason.NOT_BOXED_FINAL)
+    if not check_format(render_trajectory(t)).well_formed:
+        return drop(DropReason.MALFORMED)
     return FilterDecision(True, None, report, correct)

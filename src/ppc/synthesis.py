@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import prompts
-from ._text import atomic_open, read_jsonl, typed_field, write_jsonl
+from ._text import atomic_open, read_jsonl, row_id, typed_field, write_jsonl
 from .clients import ClientError, GenerationRequest, LlmClient, run_parallel
 from .spoiler import (
     DEFAULT_LENGTH_BOUNDS,
@@ -26,7 +26,7 @@ from .spoiler import (
     SpoilerReport,
     filter_decision,
 )
-from .trajectory import Trajectory, check_format, render_trajectory
+from .trajectory import Trajectory, render_trajectory
 
 log = logging.getLogger(__name__)
 
@@ -55,7 +55,6 @@ class ProblemRecord:
     id: str
     question: str
     gold_answer: str
-    difficulty: str | None = None
 
     def __post_init__(self):
         if not self.id:
@@ -133,38 +132,18 @@ def apply_filter(
     *,
     equivalence: Callable[[str, str], bool],
 ) -> SynthesisRecord:
-    """Decide kept/dropped for a generated record.
-
-    Keeps iff the spoiler score is within threshold, the boxed answer
-    matches gold, the preplan length is in bounds, the execute text ends
-    with its boxed answer, and the rendered trajectory passes the format
-    guard (so every kept record re-renders cleanly).
-    """
+    """Copy `filter_decision`'s verdict onto a generated record; a GEN_FAIL
+    record passes through unchanged."""
     if rec.drop_reason == DropReason.GEN_FAIL:
         return rec
-
     traj = Trajectory.from_parts(rec.preplan, rec.plan, rec.execute)
     decision = filter_decision(
         traj, rec.problem.gold_answer, cfg, bounds, equivalence=equivalence
     )
     rec.spoiler = decision.spoiler
     rec.answer_correct = decision.answer_correct
-
-    if not decision.keep:
-        rec.kept = False
-        rec.drop_reason = decision.reason
-        return rec
-    # A kept decision has a boxed answer; it must close the execute text.
-    if not rec.execute.rstrip().endswith(f"\\boxed{{{traj.boxed_answer}}}"):
-        rec.kept = False
-        rec.drop_reason = DropReason.NOT_BOXED_FINAL
-        return rec
-    if not check_format(render_trajectory(traj)).well_formed:
-        rec.kept = False
-        rec.drop_reason = DropReason.MALFORMED
-        return rec
-    rec.kept = True
-    rec.drop_reason = None
+    rec.kept = decision.keep
+    rec.drop_reason = decision.reason
     return rec
 
 
@@ -272,40 +251,8 @@ def build_dataset(
     return summary
 
 
-def split_corpus(
-    problems: Sequence[ProblemRecord],
-    sft_fraction: float,
-    seed: int,
-) -> tuple[list[ProblemRecord], list[ProblemRecord]]:
-    """Disjoint SFT/RL split, stratified by difficulty label.
-
-    Within each difficulty stratum a seeded shuffle takes `sft_fraction`
-    for the SFT side; everything else goes to RL. Output order follows the
-    input corpus.
-    """
-    import random
-
-    if not 0 <= sft_fraction <= 1:
-        raise ValueError("sft_fraction must be in [0, 1]")
-    rng = random.Random(seed)
-    by_level: dict[str, list[int]] = {}
-    for idx, p in enumerate(problems):
-        by_level.setdefault(p.difficulty or "", []).append(idx)
-
-    sft_idx: set[int] = set()
-    for level in sorted(by_level):
-        indices = by_level[level][:]
-        rng.shuffle(indices)
-        take = round(sft_fraction * len(indices))
-        sft_idx.update(indices[:take])
-
-    sft = [p for i, p in enumerate(problems) if i in sft_idx]
-    rl = [p for i, p in enumerate(problems) if i not in sft_idx]
-    return sft, rl
-
-
 def load_problems(path: Path) -> list[ProblemRecord]:
-    """Read a {id, question, answer[, difficulty]} JSONL corpus."""
+    """Read a {id, question, answer} JSONL corpus; other keys are ignored."""
     return list(read_jsonl(path, _problem_from_row))
 
 
@@ -314,8 +261,7 @@ def _problem_from_row(row: dict) -> ProblemRecord:
     if isinstance(answer, bool) or not isinstance(answer, (str, int, float)):
         raise ValueError(f"field 'answer' must be a string or a number, got {answer!r:.60}")
     return ProblemRecord(
-        id=str(row["id"]),
+        id=str(row_id(row)),
         question=typed_field(row, "question"),
         gold_answer=str(answer),
-        difficulty=row.get("difficulty"),
     )

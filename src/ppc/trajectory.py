@@ -17,7 +17,7 @@ well-formed text it returns what ``parse_trajectory`` returns.
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 TAG_NAMES = ("preplan", "plan", "execute")
@@ -75,29 +75,17 @@ class FormatVerdict:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A parsed (preplan, plan, execute) triple.
-
-    `raw` keeps the original completion for bookkeeping but does not take
-    part in equality, so a render/parse round trip compares equal.
-    """
+    """A parsed (preplan, plan, execute) triple."""
 
     preplan: str
     plan: str
     execute: str
     boxed_answer: str | None = None
-    raw: str = field(default="", compare=False)
 
     @classmethod
     def from_parts(cls, preplan: str, plan: str, execute: str) -> "Trajectory":
         """Build from segment texts, deriving the boxed answer from execute."""
         return cls(preplan, plan, execute, boxed_or_none(execute))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Trajectory":
-        return cls(**data)
 
 
 def extract_boxed(text: str) -> str | None:
@@ -200,7 +188,7 @@ def read_trajectory(text: str) -> Trajectory:
         end = text.find(close_tok, start + len(open_tok)) if start != -1 else -1
         segments.append(text[start + len(open_tok) : end].strip() if end != -1 else "")
     preplan, plan, execute = segments
-    return Trajectory(preplan, plan, execute, boxed_or_none(execute), raw=text)
+    return Trajectory(preplan, plan, execute, boxed_or_none(execute))
 
 
 def parse_trajectory(text: str) -> Trajectory:

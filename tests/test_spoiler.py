@@ -197,6 +197,17 @@ class TestFilterDecision:
         long = filter_decision(traj(long_text), "7", equivalence=answers_equivalent)
         assert long.reason == DropReason.TOO_LONG
 
+    def test_text_after_boxed_answer(self):
+        t = Trajectory.from_parts(LONG_CLEAN, "plan", "work \\boxed{7} and then more words")
+        decision = filter_decision(t, "7", equivalence=answers_equivalent)
+        assert decision.reason == DropReason.NOT_BOXED_FINAL
+        assert decision.answer_correct
+
+    def test_foreign_tag_in_preplan(self):
+        decision = filter_decision(traj(LONG_CLEAN + " <note>"), "7", equivalence=answers_equivalent)
+        assert decision.reason == DropReason.MALFORMED
+        assert decision.answer_correct
+
     def test_reason_order_spoiler_first(self):
         spoiled_short = "this yields. we get. 1001 shown. $a$ $b$ $c$ $d$"
         decision = filter_decision(traj(spoiled_short, answer="8"), "7", equivalence=answers_equivalent)

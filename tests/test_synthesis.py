@@ -20,13 +20,11 @@ from ppc.spoiler import DropReason
 from ppc.synthesis import (
     DuplicateId,
     GeneratorSuite,
-    ProblemRecord,
     StageFailure,
     SynthesisRecord,
     apply_filter,
     build_dataset,
     load_problems,
-    split_corpus,
     synthesize,
 )
 from ppc.trajectory import check_format
@@ -301,24 +299,6 @@ class TestBuildDataset:
         assert not (tmp_path / "sft.jsonl").exists()
 
 
-class TestSplitCorpus:
-    def test_disjoint_by_id(self):
-        problems = [
-            ProblemRecord(id=f"p{i}", question=f"q{i}", gold_answer="1", difficulty=d)
-            for i, d in enumerate(["easy", "hard"] * 20)
-        ]
-        sft, rl = split_corpus(problems, 0.5, seed=3)
-        assert {p.id for p in sft}.isdisjoint({p.id for p in rl})
-        assert len(sft) + len(rl) == len(problems)
-        assert len(sft) == 20  # stratified halves
-
-    def test_deterministic(self):
-        problems = [make_problem(f"p{i}") for i in range(30)]
-        first = split_corpus(problems, 0.3, seed=9)
-        second = split_corpus(problems, 0.3, seed=9)
-        assert [p.id for p in first[0]] == [p.id for p in second[0]]
-
-
 class TestLoadProblems:
     def test_reads_jsonl(self, tmp_path):
         path = tmp_path / "problems.jsonl"
@@ -328,7 +308,6 @@ class TestLoadProblems:
         )
         problems = load_problems(path)
         assert [p.id for p in problems] == ["a", "b"]
-        assert problems[0].difficulty == "hard"
         assert problems[1].gold_answer == "2"
 
     def test_missing_field(self, tmp_path):
