@@ -20,9 +20,7 @@ from .clients import (
     Timeout,
     UnparseableVerdict,
     attribute_error,
-    judge_adherence,
     judge_equivalence,
-    judge_proximity,
 )
 from .evaluation import (
     AttributionCounts,

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import prompts
 from ._text import atomic_open, read_jsonl, row_id, typed_field, write_jsonl
 from .clients import ClientError, GenerationRequest, UnparseableVerdict, attribute_error
-from .config import ConfigError, PipelineConfig, build_client
+from .config import PipelineConfig, build_client
 from .evaluation import (
     PerturbationMode,
     PerturbationSpec,
@@ -36,12 +36,7 @@ from .evaluation import (
 from .grpo import GrpoConfig, RolloutGroup, grpo_objective
 from .rewards import composite_reward
 from .spoiler import spoiler_score
-from .synthesis import (
-    DuplicateId,
-    GeneratorSuite,
-    build_dataset,
-    load_problems,
-)
+from .synthesis import GeneratorSuite, build_dataset, load_problems
 from .trajectory import check_format, read_trajectory
 
 log = logging.getLogger("ppc")
@@ -162,7 +157,6 @@ def cmd_reward(args) -> int:
         lambda_a=args.lambda_a,
         lambda_f=args.lambda_f,
         lambda_s=args.lambda_s,
-        tau_s=args.tau_s,
     )
 
     def reward(row: dict) -> dict:
@@ -173,16 +167,8 @@ def cmd_reward(args) -> int:
             correct = answers_equivalent(traj.boxed_answer, gold)
         else:
             correct = typed_field(row, "correct", bool)
-        prox = row.get("prox")
-        if not correct and prox is None:
-            log.warning("row %s: missing prox verdict; using grade 1", row.get("id"))
-            prox = 1
-        adh = row.get("adh")
-        if adh is None:
-            log.warning("row %s: missing adh verdict; using grade 1", row.get("id"))
-            adh = 1
         spoiler = spoiler_score(traj.preplan, config.spoiler)
-        breakdown = composite_reward(correct, prox, adh, fmt, spoiler, weights)
+        breakdown = composite_reward(correct, row.get("prox"), row["adh"], fmt, spoiler, weights)
         return {"id": row.get("id"), **breakdown.to_dict()}
 
     write_jsonl(args.out, read_jsonl(getattr(args, "in"), reward))
@@ -318,14 +304,13 @@ def build_parser() -> _Parser:
     p.add_argument("--retries", type=int, default=0, help="chain resamples on filter failure")
     p.set_defaults(fn=cmd_synthesize)
 
-    p = sub.add_parser("reward", help="composite rewards for {trajectory, gold, verdicts} rows")
+    p = sub.add_parser("reward", help="composite rewards for {trajectory, gold, adh[, prox]} rows")
     common(p)
     p.add_argument("--in", required=True, help="input JSONL ('-' for stdin)")
     p.add_argument("--out", help="output JSONL (default stdout)")
     p.add_argument("--lambda-a", type=float, dest="lambda_a")
     p.add_argument("--lambda-f", type=float, dest="lambda_f")
     p.add_argument("--lambda-s", type=float, dest="lambda_s")
-    p.add_argument("--tau-s", type=int, dest="tau_s")
     p.set_defaults(fn=cmd_reward)
 
     p = sub.add_parser("grpo-check", help="advantages/objective for a rollout group JSON")
@@ -379,7 +364,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         code = args.fn(args)
-    except (ConfigError, DuplicateId, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         log.error("data error: %s", exc)
         return EXIT_DATA
     except ClientError as exc:

@@ -22,7 +22,6 @@ from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import prompts
-from ._text import standalone_integers
 
 log = logging.getLogger(__name__)
 
@@ -311,30 +310,10 @@ class AttributionVerdict:
 
 
 def _judge_request(prompt: str) -> GenerationRequest:
-    # Judges are decoded greedily so the reward signal stays stationary.
+    # Judges are decoded greedily so the same question gets the same verdict.
     return GenerationRequest(
         user_prompt=prompt, temperature=0.0, top_p=1.0, max_tokens=_JUDGE_MAX_TOKENS
     )
-
-
-def parse_grade(text: str) -> int:
-    """Last standalone integer in 1..5; judges tend to prepend rationale."""
-    in_range = [int(s) for s in standalone_integers(text) if 1 <= int(s) <= 5]
-    if not in_range:
-        raise UnparseableVerdict(f"no grade 1..5 in judge response: {text[:80]!r}")
-    return in_range[-1]
-
-
-def judge_proximity(client: LlmClient, question: str, attempt: str, gold: str) -> int:
-    """Grade 1..5 for how close the solution path came to a correct one."""
-    prompt = prompts.proximity_prompt(question, attempt, gold)
-    return parse_grade(client.generate(_judge_request(prompt)))
-
-
-def judge_adherence(client: LlmClient, question: str, preplan: str, plan: str) -> int:
-    """Grade 1..5 for strategy alignment between preplan and plan."""
-    prompt = prompts.adherence_prompt(question, preplan, plan)
-    return parse_grade(client.generate(_judge_request(prompt)))
 
 
 _YES_NO = re.compile(r"\b(yes|no)\b", re.IGNORECASE)

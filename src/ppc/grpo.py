@@ -30,6 +30,9 @@ class GrpoConfig:
     std_floor: float = 1e-6
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.epsilon_clip <= 0:
             raise ValueError("epsilon_clip must be > 0")
         if self.beta_kl < 0:

@@ -111,38 +111,6 @@ Output EXACTLY in this format (no other text before or after):
 ...
 Final Answer: \\boxed{answer}"""
 
-ADHERENCE_PROMPT = """You are evaluating whether a solution plan truly follows from a pre-analysis (preplan).
-
-Question: {question}
-Pre-analysis (preplan): {preplan}
-Solution plan: {plan}
-
-Rate how well the plan FOLLOWS the preplan's strategic direction (1-5):
-- 5: Plan tightly implements the strategy hinted in preplan; the tools/concepts mentioned in preplan appear in the plan steps; the plan would be DIFFERENT if the preplan suggested a different approach.
-- 4: Mostly follows, with minor unrelated additions or one missing element.
-- 3: Partially aligns; some strategic elements reflected, but the plan also wanders into directions the preplan did not hint at.
-- 2: Only loosely connects; the plan would look largely the same even under a different preplan.
-- 1: Completely ignores or contradicts the preplan.
-
-IMPORTANT: Score by STRATEGY ALIGNMENT, not by quality. A correct plan that ignores the preplan should still score LOW; an OK plan that faithfully follows it should score HIGH.
-Output ONLY a single integer 1-5. No explanation."""
-
-PROXIMITY_PROMPT = """You are grading how close a model's UNSUCCESSFUL solution to a math problem came to a correct solution path. The final answer is already known to be wrong; do NOT reward numerical closeness of the final value. Judge only the solution path: the approach chosen, the validity of the intermediate reasoning, and how far along a correct route the attempt progressed.
-
-Question: {question}
-Gold answer: {gold}
-Model's solution:
-{attempt}
-
-Rate the solution path on a 1-5 scale:
-- 5: Correct approach carried almost to completion; a single late slip separates it from a correct solution.
-- 4: Correct approach with substantial valid progress, but a significant error partway through.
-- 3: A reasonable approach with some valid steps, but derailed early or missing a key idea.
-- 2: Mostly misguided; only fragments of relevant reasoning.
-- 1: Entirely off track or no meaningful progress.
-
-Output ONLY a single integer 1-5. No explanation."""
-
 EQUIVALENCE_PROMPT = """You decide whether two final answers to a math problem denote the same value or object.
 
 Question: {question}
@@ -209,14 +177,6 @@ def raw_solution_prompt(question: str, plan: str) -> str:
 
 def cleanup_prompt(question: str, plan: str, raw_solution: str) -> str:
     return fill(CLEANUP_PROMPT, question=question, plan=plan, raw_solution=raw_solution)
-
-
-def adherence_prompt(question: str, preplan: str, plan: str) -> str:
-    return fill(ADHERENCE_PROMPT, question=question, preplan=preplan, plan=plan)
-
-
-def proximity_prompt(question: str, attempt: str, gold: str) -> str:
-    return fill(PROXIMITY_PROMPT, question=question, attempt=attempt, gold=gold)
 
 
 def equivalence_prompt(pred: str, gold: str, question: str = "") -> str:

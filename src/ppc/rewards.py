@@ -10,6 +10,7 @@ don't require re-judging.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 from .spoiler import SpoilerReport, style_penalty
@@ -32,8 +33,13 @@ class RewardWeights:
     tau_s: int = 2
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.lambda_a <= 0 or self.lambda_f <= 0 or self.lambda_s <= 0:
             raise ValueError("all reward weights must be positive")
+        if self.tau_s < 1:
+            raise ValueError("tau_s must be >= 1")
 
 
 DEFAULT_WEIGHTS = RewardWeights()

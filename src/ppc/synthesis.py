@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -172,7 +173,7 @@ def _sft_row(rec: SynthesisRecord) -> dict:
 def _reject_row(rec: SynthesisRecord) -> dict:
     return {
         "id": rec.problem.id,
-        "reason": rec.drop_reason.value if rec.drop_reason else None,
+        "reason": rec.drop_reason.value,
         "spoiler_score": rec.spoiler.score if rec.spoiler else None,
         "answer_correct": rec.answer_correct,
     }
@@ -234,10 +235,7 @@ def build_dataset(
     for rec in records:
         if rec.spoiler is not None:
             histogram[str(rec.spoiler.score)] += 1
-    reasons: dict[str, int] = {}
-    for rec in dropped:
-        key = rec.drop_reason.value if rec.drop_reason else "UNKNOWN"
-        reasons[key] = reasons.get(key, 0) + 1
+    reasons = Counter(rec.drop_reason.value for rec in dropped)
 
     summary = DatasetSummary(
         problems=len(records),

@@ -102,10 +102,15 @@ class TestLint:
         assert "tau_s" in capsys.readouterr().err
 
     def test_tau_s_is_not_an_option(self, tmp_path, capsys):
-        # spoiler_score never reads tau_s, so lint has no threshold to set
+        # spoiler_score never reads tau_s, so lint has no threshold to set;
+        # reward takes it from the config, where both copies must agree
         path = tmp_path / "preplans.jsonl"
         write_jsonl(path, [{"id": "a", "preplan": "clean analysis."}])
         assert main(["lint", "--in", str(path), "--tau-s", "3"]) == 1
+        assert "--tau-s" in capsys.readouterr().err
+        rows = tmp_path / "rows.jsonl"
+        write_jsonl(rows, [{"id": "x", "trajectory": GOOD_TRAJECTORY, "gold": "7", "adh": 1}])
+        assert main(["reward", "--in", str(rows), "--tau-s", "3"]) == 1
         assert "--tau-s" in capsys.readouterr().err
 
 
@@ -194,6 +199,7 @@ class TestReward:
         good = next(r for r in out if r["id"] == "good")
         near = next(r for r in out if r["id"] == "near")
         assert good["total"] == 1.4
+        assert good["r_out"] == 1.0  # a correct row needs no prox
         assert good["correct"] is True
         assert near["r_out"] == 0.25
         assert near["correct"] is False
@@ -226,6 +232,34 @@ class TestReward:
         assert read_jsonl(capsys.readouterr().out)[0]["total"] == 1.5
 
 
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            ({"gold": "7"}, "missing field 'adh'"),
+            ({"gold": "7", "adh": None}, "judge grade must be an integer in 1..5, got None"),
+            ({"gold": "7", "adh": 6}, "judge grade must be an integer in 1..5, got 6"),
+            ({"gold": "9", "adh": 3}, "incorrect answers need a proximity grade"),
+            ({"gold": "9", "adh": 3, "prox": None}, "incorrect answers need a proximity grade"),
+            ({"gold": "9", "adh": 3, "prox": 0}, "judge grade must be an integer in 1..5, got 0"),
+        ],
+        ids=["no-adh", "null-adh", "adh-out-of-range", "no-prox", "null-prox", "prox-out-of-range"],
+    )
+    def test_missing_grade_is_data_error(self, tmp_path, capsys, row, error):
+        path = tmp_path / "rows.jsonl"
+        good = {"id": "ok", "trajectory": GOOD_TRAJECTORY, "gold": "7", "adh": 5}
+        write_jsonl(path, [good, {"id": "x", "trajectory": GOOD_TRAJECTORY, **row}])
+        assert main(["reward", "--in", str(path)]) == 2
+        assert f"rows.jsonl:2: {error}" in capsys.readouterr().err
+
+    def test_non_finite_weight_flag_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "rows.jsonl"
+        write_jsonl(path, [{"id": "x", "trajectory": GOOD_TRAJECTORY, "gold": "7", "adh": 1}])
+        assert main(["reward", "--in", str(path), "--lambda-s", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert "lambda_s must be finite" in captured.err
+        assert captured.out == ""
+
+
 class TestGrpoCheck:
     def test_prints_result(self, tmp_path, capsys):
         group = {
@@ -241,6 +275,15 @@ class TestGrpoCheck:
         assert result["advantages"] == pytest.approx([1.0, -1.0])
         assert result["objective"] == pytest.approx(0.0, abs=1e-12)
         assert result["clip_fraction"] == 0.0
+
+    def test_non_finite_epsilon_is_data_error(self, tmp_path, capsys):
+        group = {"rewards": [1.0, 0.0], "logp_new": [-1.0, -2.0], "logp_old": [-1.0, -2.0], "logp_ref": [-1.0, -2.0]}
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(group))
+        assert main(["grpo-check", "--in", str(path), "--epsilon", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert "epsilon_clip must be finite" in captured.err
+        assert captured.out == ""
 
     def test_bad_group_is_data_error(self, tmp_path):
         path = tmp_path / "group.json"

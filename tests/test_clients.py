@@ -17,10 +17,7 @@ from ppc.clients import (
     Timeout,
     UnparseableVerdict,
     attribute_error,
-    judge_adherence,
     judge_equivalence,
-    judge_proximity,
-    parse_grade,
     run_parallel,
 )
 
@@ -243,44 +240,11 @@ class TestHttpChatClient:
             http_client(session).generate(req())
 
 
-class TestGradeParsing:
-    def test_bare_grade(self):
-        assert parse_grade("4") == 4
-
-    def test_rationale_prefix(self):
-        assert parse_grade("Score: 3.") == 3
-
-    def test_unparseable(self):
-        with pytest.raises(UnparseableVerdict):
-            parse_grade("great!")
-
-    def test_last_in_range_wins(self):
-        assert parse_grade("maybe 3, no wait 7") == 3
-        assert parse_grade("2 then 4") == 4
-
-    def test_embedded_digits_ignored(self):
-        with pytest.raises(UnparseableVerdict):
-            parse_grade("x5y")
-
-
 class TestJudges:
-    def test_proximity(self):
-        assert judge_proximity(ScriptedClient([("", "4")]), "q", "attempt", "7") == 4
-
-    def test_proximity_prompt_contains_inputs(self):
-        client = ScriptedClient([("", "2")])
-        judge_proximity(client, "the-question", "the-attempt", "the-gold")
-        prompt = client.calls[0].user_prompt
-        assert "the-question" in prompt and "the-attempt" in prompt and "the-gold" in prompt
-
     def test_judges_decode_greedily(self):
-        client = ScriptedClient([("", "5")])
-        judge_adherence(client, "q", "pp", "plan")
+        client = ScriptedClient([("", "YES")])
+        judge_equivalence(client, "a", "b")
         assert client.calls[0].temperature == 0.0
-
-    def test_adherence(self):
-        assert judge_adherence(ScriptedClient([("", "5")]), "q", "pp", "plan") == 5
-        assert judge_adherence(ScriptedClient([("", "2\n")]), "q", "pp", "plan") == 2
 
     def test_equivalence(self):
         assert judge_equivalence(ScriptedClient([("", "YES")]), "a", "b") is True

@@ -109,6 +109,23 @@ class TestValidation:
         config = PipelineConfig.from_dict({"spoiler": {"tau_s": 3}, "weights": {"tau_s": 3}})
         assert config.spoiler.tau_s == config.weights.tau_s == 3
 
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "section, doc",
+        [
+            ("weights", '{"weights": {"lambda_a": %s}}'),
+            ("weights", '{"weights": {"lambda_s": %s}}'),
+            ("grpo", '{"grpo": {"epsilon_clip": %s, "beta_kl": 0.04}}'),
+            ("grpo", '{"grpo": {"epsilon_clip": 0.2, "beta_kl": %s}}'),
+        ],
+        ids=["lambda_a", "lambda_s", "epsilon_clip", "beta_kl"],
+    )
+    def test_non_finite_number_names_the_section(self, tmp_path, section, doc, number):
+        path = tmp_path / "config.json"
+        path.write_text(doc % number)
+        with pytest.raises(ConfigError, match=f"^{section}: .* must be finite"):
+            PipelineConfig.from_file(path)
+
     def test_scripted_role_needs_script_or_default(self):
         with pytest.raises(ConfigError):
             RoleConfig(kind="scripted")

@@ -253,3 +253,8 @@ class TestConfig:
             GrpoConfig(epsilon_clip=0.0)
         with pytest.raises(ValueError):
             GrpoConfig(beta_kl=-0.1)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="must be finite"):
+                GrpoConfig(epsilon_clip=value)
+            with pytest.raises(ValueError, match="must be finite"):
+                GrpoConfig(std_floor=value)

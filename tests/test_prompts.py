@@ -10,8 +10,6 @@ ASSET_PINS = {
     "PLAN_PROMPT": "ad5d3c8aef2bc9139eb88f4c14c043a2be7c41e7fb3de8c0a4f31a7642da403f",
     "RAW_SOLUTION_PROMPT": "b0377543010b62a8c78269edf2a7355ceecc0c37460aab0dbc928454eb441a3d",
     "CLEANUP_PROMPT": "0279d370c71225c84cd7b5b74648a7b9fca84dbe2d07cfe5fdc57f73dbb2cdc6",
-    "ADHERENCE_PROMPT": "397a3dbc33d3c3d32b6568ab54da8318cadf026969764f6b75ea5229d74fd581",
-    "PROXIMITY_PROMPT": "44df08d3de0f84ff1112c333fb226062836773434543688fd664169002727d8d",
     "EQUIVALENCE_PROMPT": "83a2b391625e136b000a4dbe19549954865730950b6e29a3a4a9ce5dd88b47ce",
     "ATTRIBUTION_PROMPT": "d8b4005c84b0c9e3baef08ee3e1ae71b6af29e43182a3b50ac1d4ac14990f99c",
     "EVAL_SYSTEM_PROMPT": "1ac42a4db949361d680bccf674bfe78603b409d1c10f77fce293f14b9e14cc1e",
@@ -38,8 +36,6 @@ def test_builders_embed_their_inputs():
     assert "PLAN-TEXT" in raw and "PP-TEXT" not in raw
     cleanup = prompts.cleanup_prompt("Q-TEXT", "PLAN-TEXT", "RAW-TEXT")
     assert "RAW-TEXT" in cleanup and "PP-TEXT" not in cleanup
-    adh = prompts.adherence_prompt("Q", "PP", "PL")
-    assert "STRATEGY ALIGNMENT" in adh
 
 
 def test_attribution_prompt_keeps_json_braces():

@@ -83,6 +83,15 @@ class TestWeights:
         with pytest.raises(ValueError):
             RewardWeights(lambda_f=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight(self, value):
+        with pytest.raises(ValueError, match="lambda_s must be finite"):
+            RewardWeights(lambda_s=value)
+
+    def test_tau_s_at_least_one(self):
+        with pytest.raises(ValueError, match="tau_s must be >= 1"):
+            RewardWeights(tau_s=0)
+
 
 class TestComposite:
     def test_best_case_total(self):
