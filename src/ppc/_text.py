@@ -4,6 +4,8 @@ Everything here is deliberately tokenizer-free: token counts are whitespace
 splits, "word" boundaries are ASCII-alphanumeric neighbourhood checks, and
 sentence splitting is naive punctuation splitting. The JSON-lines reader
 and writer below are the only place the row format is spelled out.
+JSON_ENCODER writes every JSONL line and JSON_DECODER reads every input
+document, both strict RFC 8259: no NaN or +-Infinity in or out.
 """
 
 from __future__ import annotations
@@ -24,6 +26,16 @@ _ASCII_ALNUM = frozenset(
 _DIGIT_RUN = re.compile(r"[0-9]+")
 
 _SENTENCE = re.compile(r"[^.!?]*[.!?]|[^.!?]+$")
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+# Every JSONL line ppc writes: sorted keys, non-ASCII kept, no non-finite number.
+JSON_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, allow_nan=False)
+# Every JSON document ppc reads; `NaN`, `Infinity` and `-Infinity` are a ValueError.
+JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def count_tokens(text: str) -> int:
@@ -101,8 +113,9 @@ def split_sentences(text: str) -> list[str]:
 def read_jsonl(path, convert: Callable[[dict], T] = dict) -> Iterator[T]:
     """Yield `convert(row)` for each JSON-object line; '-' or None reads stdin.
 
-    Blank lines are skipped. Invalid JSON, a line that is not an object, or a
-    KeyError/ValueError raised by `convert` is a ValueError "<path>:<line>: ...".
+    Blank lines are skipped. Invalid JSON (NaN and +-Infinity included), a
+    line that is not an object, or a KeyError/ValueError raised by `convert`
+    is a ValueError "<path>:<line>: ...".
     """
     std = path in (None, "-")
     name = "<stdin>" if std else str(path)
@@ -111,7 +124,7 @@ def read_jsonl(path, convert: Callable[[dict], T] = dict) -> Iterator[T]:
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
+                row = JSON_DECODER.decode(line)
                 if not isinstance(row, dict):
                     raise ValueError(f"expected a JSON object, got {type(row).__name__}")
                 value = convert(row)
@@ -161,10 +174,12 @@ def atomic_open(path):
 
 
 def write_jsonl(path, rows: Iterable[dict]) -> None:
-    """One sorted-key JSON object per line, non-ASCII kept; '-' or None writes stdout.
+    """One JSON_ENCODER object per line; '-' or None writes stdout.
 
-    A file is written atomically (see atomic_open).
+    A file is written atomically (see atomic_open). A non-finite number is a
+    ValueError.
     """
+    encode = JSON_ENCODER.encode
     with nullcontext(sys.stdout) if path in (None, "-") else atomic_open(path) as f:
         for row in rows:
-            f.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
+            f.write(encode(row) + "\n")

@@ -19,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import prompts
-from ._text import atomic_open, read_jsonl, row_id, typed_field, write_jsonl
+from ._text import JSON_DECODER, read_jsonl, row_id, typed_field, write_jsonl
 from .clients import ClientError, GenerationRequest, UnparseableVerdict, attribute_error
 from .config import PipelineConfig, build_client
 from .evaluation import (
@@ -31,7 +31,7 @@ from .evaluation import (
     format_report_table,
     perturb_preplan,
     read_transcripts,
-    write_transcripts,
+    write_eval_outputs,
 )
 from .grpo import GrpoConfig, RolloutGroup, grpo_objective
 from .rewards import composite_reward
@@ -176,8 +176,8 @@ def cmd_reward(args) -> int:
 
 
 def cmd_grpo_check(args) -> int:
-    with open(getattr(args, "in"), "r", encoding="utf-8") as f:
-        group = RolloutGroup.from_dict(json.load(f))
+    text = Path(getattr(args, "in")).read_text(encoding="utf-8")
+    group = RolloutGroup.from_dict(JSON_DECODER.decode(text))
     cfg = _override(
         _load_config(args).grpo or GrpoConfig(),
         epsilon_clip=args.epsilon,
@@ -193,6 +193,9 @@ def cmd_eval(args) -> int:
     config = _load_config(args)
     env = os.environ
     out_dir = Path(args.out)
+    if args.replay is not None and Path(args.replay).resolve() == out_dir.resolve():
+        # This run's transcripts would replace the ones it replays.
+        raise ValueError(f"--out {args.out} is the --replay directory; write to another one")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     client = None
@@ -226,12 +229,7 @@ def cmd_eval(args) -> int:
             benchmark=bench_path.stem,
         )
         reports.append(report)
-        write_transcripts(out_dir / f"{bench_path.stem}.transcripts.jsonl", report)
-        write_jsonl(
-            out_dir / f"{bench_path.stem}.records.jsonl", (rec.to_dict() for rec in report.records)
-        )
-        with atomic_open(out_dir / f"{bench_path.stem}.report.json") as f:
-            f.write(report.to_json() + "\n")
+        write_eval_outputs(out_dir, report)
     print(format_report_table(reports))
     if any(r.failed and not r.problems for r in reports):
         log.error("a benchmark failed entirely at generation; endpoint unusable")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 import sys
 import threading
@@ -58,8 +59,8 @@ class GenerationRequest:
     max_tokens: int = 4096
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be a finite number >= 0, got {self.temperature!r}")
         if not 0 < self.top_p <= 1:
             raise ValueError("top_p must be in (0, 1]")
         if self.max_tokens < 1:

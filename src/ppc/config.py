@@ -13,6 +13,7 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from ._text import JSON_DECODER
 from .clients import HttpChatClient, LlmClient, RetryPolicy, ScriptedClient
 from .grpo import GrpoConfig
 from .rewards import RewardWeights
@@ -141,9 +142,10 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: Path) -> "PipelineConfig":
+        text = Path(path).read_text(encoding="utf-8")
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+            data = JSON_DECODER.decode(text)
+        except ValueError as exc:
             raise ConfigError(f"invalid config JSON in {path}: {exc}") from exc
         return cls.from_dict(data)
 
@@ -161,9 +163,10 @@ def _load_script(path: Path):
     Any other shape, or a response that is not a string, is a ConfigError
     naming the file.
     """
+    text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        data = JSON_DECODER.decode(text)
+    except ValueError as exc:
         raise ConfigError(f"invalid script JSON in {path}: {exc}") from exc
     if isinstance(data, dict):
         for prompt, response in data.items():

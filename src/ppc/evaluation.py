@@ -23,7 +23,15 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from . import prompts
-from ._text import count_tokens, read_jsonl, row_id, split_sentences, typed_field, write_jsonl
+from ._text import (
+    JSON_ENCODER,
+    atomic_open,
+    count_tokens,
+    read_jsonl,
+    row_id,
+    split_sentences,
+    typed_field,
+)
 from .clients import (
     AttributionVerdict,
     ClientError,
@@ -656,9 +664,35 @@ def format_report_table(reports: Sequence[EvalReport]) -> str:
     return "\n".join(lines)
 
 
-def write_transcripts(path: Path, report: EvalReport) -> None:
-    """Persist raw samples per problem for later --replay runs."""
-    write_jsonl(path, ({"id": rec.problem.id, "samples": rec.samples} for rec in report.records))
+# The last match of this in a records row encoded with samples=None is that
+# key: the keys that sort after "samples" (token_counts, verdicts) hold no string.
+_SAMPLES_STAND_IN = '"samples": null'
+
+
+def write_eval_outputs(out_dir: Path, report: EvalReport) -> None:
+    """Write <benchmark>.transcripts.jsonl, .records.jsonl and .report.json.
+
+    The transcripts ({id, samples} per problem) are what --replay reads.
+    Each JSONL line equals json.dumps(row, sort_keys=True, ensure_ascii=False).
+    A record's samples, nearly all of both its lines, are encoded once for
+    both. The JSONL files are streamed a record at a time and replace their
+    targets only after the last record: an error leaves neither in place.
+    """
+    encode = JSON_ENCODER.encode
+    stem = f"{Path(out_dir) / report.benchmark}"
+    with (
+        atomic_open(f"{stem}.transcripts.jsonl") as transcripts,
+        atomic_open(f"{stem}.records.jsonl") as records,
+    ):
+        for rec in report.records:
+            samples = encode(rec.samples)
+            transcripts.write(f'{{"id": {encode(rec.problem.id)}, "samples": {samples}}}\n')
+            row = rec.to_dict()
+            row["samples"] = None
+            head, _, tail = encode(row).rpartition(_SAMPLES_STAND_IN)
+            records.write(f'{head}"samples": {samples}{tail}\n')
+    with atomic_open(f"{stem}.report.json") as f:
+        f.write(report.to_json() + "\n")
 
 
 def read_transcripts(path: Path) -> dict[str, list[str]]:

@@ -68,13 +68,16 @@ def outcome_reward(correct: bool, prox: int | None = None) -> float:
     """1.0 on a correct answer; otherwise (prox - 1) / 8.
 
     The incorrect branch maps grades 1..5 onto {0, 0.125, ..., 0.5}, keeping
-    partial credit strictly below the correct-answer reward.
+    partial credit strictly below the correct-answer reward. A correct
+    answer needs no grade, but one that is given must be valid.
     """
+    if prox is not None:
+        _check_grade(prox)
     if correct:
         return 1.0
     if prox is None:
         raise MissingProximity("incorrect answers need a proximity grade")
-    return (_check_grade(prox) - 1) / 8
+    return (prox - 1) / 8
 
 
 def adherence_reward(grade: int) -> float:

@@ -189,7 +189,7 @@ class TestSynthesize:
 class TestReward:
     def test_breakdowns(self, tmp_path, capsys):
         rows = [
-            {"id": "good", "trajectory": GOOD_TRAJECTORY, "gold": "7", "adh": 5},
+            {"id": "good", "trajectory": GOOD_TRAJECTORY, "gold": "7", "adh": 5, "prox": None},
             {"id": "near", "trajectory": GOOD_TRAJECTORY, "gold": "9", "prox": 3, "adh": 3},
         ]
         path = tmp_path / "rows.jsonl"
@@ -199,7 +199,7 @@ class TestReward:
         good = next(r for r in out if r["id"] == "good")
         near = next(r for r in out if r["id"] == "near")
         assert good["total"] == 1.4
-        assert good["r_out"] == 1.0  # a correct row needs no prox
+        assert good["r_out"] == 1.0  # a correct row needs no prox; null is allowed
         assert good["correct"] is True
         assert near["r_out"] == 0.25
         assert near["correct"] is False
@@ -241,8 +241,13 @@ class TestReward:
             ({"gold": "9", "adh": 3}, "incorrect answers need a proximity grade"),
             ({"gold": "9", "adh": 3, "prox": None}, "incorrect answers need a proximity grade"),
             ({"gold": "9", "adh": 3, "prox": 0}, "judge grade must be an integer in 1..5, got 0"),
+            ({"gold": "7", "adh": 3, "prox": "junk"}, "judge grade must be an integer in 1..5, got 'junk'"),
+            ({"gold": "7", "adh": 3, "prox": 6}, "judge grade must be an integer in 1..5, got 6"),
         ],
-        ids=["no-adh", "null-adh", "adh-out-of-range", "no-prox", "null-prox", "prox-out-of-range"],
+        ids=[
+            "no-adh", "null-adh", "adh-out-of-range", "no-prox", "null-prox", "prox-out-of-range",
+            "correct-prox-not-an-integer", "correct-prox-out-of-range",
+        ],
     )
     def test_missing_grade_is_data_error(self, tmp_path, capsys, row, error):
         path = tmp_path / "rows.jsonl"
@@ -283,6 +288,18 @@ class TestGrpoCheck:
         assert main(["grpo-check", "--in", str(path), "--epsilon", "inf"]) == 2
         captured = capsys.readouterr()
         assert "epsilon_clip must be finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_in_document_is_data_error(self, tmp_path, capsys, number):
+        path = tmp_path / "group.json"
+        path.write_text(
+            '{"rewards": [1.0, %s], "logp_new": [-1.0, -2.0], "logp_old": [-1.0, -2.0], '
+            '"logp_ref": [-1.0, -2.0]}' % number
+        )
+        assert main(["grpo-check", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"{number} is not a JSON number" in captured.err
         assert captured.out == ""
 
     def test_bad_group_is_data_error(self, tmp_path):
@@ -363,6 +380,10 @@ class TestGrpoCheck:
         assert f"G must be an integer, got {G!r}" in capsys.readouterr().err
 
 
+def completion_with(text):
+    return f"<preplan>{text}</preplan>\n<plan>1. go.</plan>\n<execute>{text} \\boxed{{7}}</execute>"
+
+
 def eval_setup(tmp_path, answers_by_problem):
     problems = list(answers_by_problem)
     bench = tmp_path / "mini.jsonl"
@@ -439,6 +460,35 @@ class TestEval:
         assert main(argv) == 0
         for name in ("mini.report.json", "mini.records.jsonl", "mini.transcripts.jsonl"):
             assert (judged_dir / name).read_bytes() == (out_dir / name).read_bytes()
+
+    @pytest.mark.parametrize("spelling", ["same", "dot-dot"])
+    def test_out_is_replay_dir_is_data_error(self, tmp_path, capsys, spelling):
+        bench, config = eval_setup(tmp_path, {"a": "7", "b": "3"})
+        run = tmp_path / "run"
+        argv = ["eval", "--config", str(config), "--bench", str(bench), "--seed", "5"]
+        assert main(argv + ["--k", "4", "--out", str(run)]) == 0
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        out = run if spelling == "same" else tmp_path / "run" / ".." / "run"
+        assert main(argv + ["--k", "2", "--out", str(out), "--replay", str(run)]) == 2
+        assert "is the --replay directory" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+    def test_replay_of_a_replay_is_byte_identical(self, tmp_path):
+        texts = ['"samples": null', 'q"uote \\ nl\n nul\x00', "café ≤ π 数学 🙂", "\\boxed{7}"]
+        samples = [completion_with(t) for t in texts]
+        bench, _ = eval_setup(tmp_path, {"a": "7", "b": "3"})
+        r1 = tmp_path / "r1"
+        r1.mkdir()
+        transcripts = [{"id": "a", "samples": samples}, {"id": "b", "samples": samples[::-1]}]
+        write_jsonl(r1 / "mini.transcripts.jsonl", transcripts)
+        argv = ["eval", "--bench", str(bench), "--k", "4", "--seed", "5"]
+        assert main(argv + ["--replay", str(r1), "--out", str(tmp_path / "r2")]) == 0
+        assert main(argv + ["--replay", str(tmp_path / "r2"), "--out", str(tmp_path / "r3")]) == 0
+        names = ["mini.records.jsonl", "mini.report.json", "mini.transcripts.jsonl"]
+        assert sorted(p.name for p in (tmp_path / "r2").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "r3" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+        assert read_jsonl((tmp_path / "r2" / "mini.transcripts.jsonl").read_text(encoding="utf-8")) == transcripts
 
     def test_repeated_problem_id_is_data_error(self, tmp_path, monkeypatch, capsys):
         bench, config = eval_setup(tmp_path, {"a": "7"})
@@ -621,6 +671,15 @@ class TestMalformedRows:
         path.write_text(json.dumps(row) + "\n" + bad_line + "\n", encoding="utf-8")
         assert main([command, "--in", str(path)] + extra) == 2
         assert "rows.jsonl:2: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("command", sorted(VALID_ROWS))
+    def test_non_finite_number_is_data_error(self, tmp_path, capsys, command, number):
+        row, extra = VALID_ROWS[command]
+        path = tmp_path / "rows.jsonl"
+        path.write_text(json.dumps(row) + "\n" + json.dumps(row)[:-1] + f', "x": {number}}}\n', encoding="utf-8")
+        assert main([command, "--in", str(path)] + extra) == 2
+        assert f"rows.jsonl:2: {number} is not a JSON number" in capsys.readouterr().err
 
     def test_eval_bench_bad_json(self, tmp_path, capsys):
         bench, config = eval_setup(tmp_path, {"a": "7"})

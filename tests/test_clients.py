@@ -33,8 +33,9 @@ class TestGenerationRequest:
         assert r.top_p == 0.95
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            req(temperature=-0.1)
+        for temperature in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="temperature must be a finite number >= 0"):
+                req(temperature=temperature)
         with pytest.raises(ValueError):
             req(top_p=0.0)
         with pytest.raises(ValueError):

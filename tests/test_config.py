@@ -121,10 +121,14 @@ class TestValidation:
         ids=["lambda_a", "lambda_s", "epsilon_clip", "beta_kl"],
     )
     def test_non_finite_number_names_the_section(self, tmp_path, section, doc, number):
+        # A config file cannot carry the number at all (strict JSON); a parsed
+        # document that does is rejected by its section.
         path = tmp_path / "config.json"
         path.write_text(doc % number)
-        with pytest.raises(ConfigError, match=f"^{section}: .* must be finite"):
+        with pytest.raises(ConfigError, match=f"config.json: {number} is not a JSON number"):
             PipelineConfig.from_file(path)
+        with pytest.raises(ConfigError, match=f"^{section}: .* must be finite"):
+            PipelineConfig.from_dict(json.loads(doc % number))
 
     def test_scripted_role_needs_script_or_default(self):
         with pytest.raises(ConfigError):
@@ -206,6 +210,7 @@ BAD_SCRIPTS = {
     "rule-response-not-a-string": '[{"match": "q", "response": 5}]',
     "map-response-not-a-string": '{"q?": 5}',
     "invalid-json": '[{"match": "q",',
+    "non-finite-number": '[{"match": "q", "response": "a", "weight": NaN}]',
 }
 
 

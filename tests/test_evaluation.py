@@ -25,6 +25,8 @@ from ppc import prompts
 from ppc._text import count_tokens
 from ppc.clients import AttributionVerdict, Facet, ProtocolError, ScriptedClient
 from ppc.evaluation import (
+    EvalRecord,
+    EvalReport,
     PerturbationMode,
     PerturbationSpec,
     PoolTooSmall,
@@ -37,7 +39,9 @@ from ppc.evaluation import (
     pass_at_k,
     perturb_preplan,
     read_transcripts,
+    write_eval_outputs,
 )
+from ppc.synthesis import ProblemRecord
 from ppc.evaluation import _Scorer
 from ppc.synthesis import DuplicateId
 from ppc.trajectory import Violation, boxed_or_none, check_format
@@ -552,6 +556,65 @@ class TestTranscripts:
         path.write_text("\n".join(json.dumps(r) for r in rows[:2]) + "\n\n" + json.dumps(rows[2]) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:4: repeated id 'a'")):
             read_transcripts(path)
+
+
+# Texts the writer must not mistake for the samples key: the records row's
+# stand-in and key text (raw and escaped), quotes, backslashes, control
+# characters, NUL and non-ASCII.
+ADVERSARIAL = [
+    '"samples": null',
+    '"samples": ',
+    '{"samples": null, "token_counts": [1]}',
+    '\\"samples\\": null',
+    'quote " backslash \\ newline \n tab \t nul \x00 del \x7f',
+    "café ≤ π × 数学 🙂 \U0010ffff",
+    "",
+]
+
+
+def adversarial_report():
+    records = []
+    for i, text in enumerate(ADVERSARIAL):
+        samples = [text, completion("7", preplan=text), text + '"samples": ' + text]
+        records.append(
+            EvalRecord(
+                problem=ProblemRecord(id=f"{text}{i}" if i % 2 else i + 1, question=f"q {text}", gold_answer=text or "7"),
+                samples=samples[: i % 4],
+                answers=[text or None, None, "7"][: i % 4],
+                verdicts=[True, False, i % 3 == 0][: i % 4],
+                maj_correct=i % 2 == 0,
+                pass_correct=True,
+                token_counts=[count_tokens(s) for s in samples[: i % 4]],
+            )
+        )
+    return EvalReport("mini", 3, len(records), 0, 0.5, 1.0, 12.5, 0.01, records)
+
+
+def dumps_lines(rows):
+    return "".join(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n" for row in rows).encode("utf-8")
+
+
+class TestWriteEvalOutputs:
+    def test_lines_equal_json_dumps(self, tmp_path):
+        report = adversarial_report()
+        write_eval_outputs(tmp_path, report)
+        transcripts = [{"id": rec.problem.id, "samples": rec.samples} for rec in report.records]
+        assert (tmp_path / "mini.transcripts.jsonl").read_bytes() == dumps_lines(transcripts)
+        records = [rec.to_dict() for rec in report.records]
+        assert (tmp_path / "mini.records.jsonl").read_bytes() == dumps_lines(records)
+        assert (tmp_path / "mini.report.json").read_text(encoding="utf-8") == report.to_json() + "\n"
+        assert read_transcripts(tmp_path / "mini.transcripts.jsonl") == {
+            str(rec.problem.id): rec.samples for rec in report.records
+        }
+
+    def test_error_leaves_neither_jsonl_file(self, tmp_path):
+        report = adversarial_report()
+        report.records[-1].token_counts = [float("nan")]
+        (tmp_path / "mini.records.jsonl").write_bytes(b"old\n")
+        with pytest.raises(ValueError):
+            write_eval_outputs(tmp_path, report)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mini.records.jsonl"]
+        assert (tmp_path / "mini.records.jsonl").read_bytes() == b"old\n"
 
 
 class TestScheduler:

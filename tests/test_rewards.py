@@ -57,10 +57,11 @@ class TestOutcome:
             outcome_reward(False)
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRangeGrade):
-            outcome_reward(False, 6)
-        with pytest.raises(OutOfRangeGrade):
-            outcome_reward(False, 0)
+        for correct in (False, True):
+            for prox in (6, 0, "3", 2.0, True):
+                with pytest.raises(OutOfRangeGrade):
+                    outcome_reward(correct, prox)
+        assert outcome_reward(True, None) == outcome_reward(True, 5) == 1.0
 
 
 class TestAdherence:

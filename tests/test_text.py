@@ -1,6 +1,8 @@
 import json
 import random
 
+import pytest
+
 from ppc._text import write_jsonl
 
 # Row values the JSON encoder escapes in different ways: plain ASCII, Latin-1, CJK,
@@ -33,3 +35,11 @@ class TestWriteJsonlMatchesNonAsciiEncoder:
     def test_stdout(self, capsys):
         write_jsonl("-", rows())
         assert capsys.readouterr().out == expected_text(rows())
+
+
+@pytest.mark.parametrize("number", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_number_is_not_written(tmp_path, number):
+    path = tmp_path / "rows.jsonl"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_jsonl(path, [{"x": 1.5}, {"x": number}])
+    assert list(tmp_path.iterdir()) == []
