@@ -196,7 +196,14 @@ def cmd_eval(args) -> int:
     if args.replay is not None and Path(args.replay).resolve() == out_dir.resolve():
         # This run's transcripts would replace the ones it replays.
         raise ValueError(f"--out {args.out} is the --replay directory; write to another one")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    benches: dict[str, str] = {}
+    for bench in args.bench:
+        stem = Path(bench).stem
+        if stem in benches:
+            raise ValueError(
+                f"--bench {benches[stem]} and --bench {bench} would both write {stem}.* under --out"
+            )
+        benches[stem] = bench
 
     client = None
     if args.replay is None:
@@ -209,14 +216,15 @@ def cmd_eval(args) -> int:
     mode = None
     if args.perturb:
         mode = PerturbationSpec(mode=PerturbationMode(args.perturb), seed=args.seed)
+    params = _sampling(config, prompts.EVAL_SYSTEM_PROMPT)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     reports = []
-    for bench in args.bench:
-        bench_path = Path(bench)
-        problems = load_problems(bench_path)
+    for stem, bench in benches.items():
+        problems = load_problems(Path(bench))
         replay = None
         if args.replay is not None:
-            replay = read_transcripts(Path(args.replay) / f"{bench_path.stem}.transcripts.jsonl")
+            replay = read_transcripts(Path(args.replay) / f"{stem}.transcripts.jsonl")
         report = evaluate(
             problems,
             args.k,
@@ -224,9 +232,9 @@ def cmd_eval(args) -> int:
             mode=mode,
             equivalence=equivalence,
             replay=replay,
-            params=_sampling(config, prompts.EVAL_SYSTEM_PROMPT),
+            params=params,
             parallelism=args.parallelism or config.parallelism,
-            benchmark=bench_path.stem,
+            benchmark=stem,
         )
         reports.append(report)
         write_eval_outputs(out_dir, report)

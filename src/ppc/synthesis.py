@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import Counter
+import threading
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
+from itertools import takewhile
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import prompts
-from ._text import atomic_open, read_jsonl, row_id, typed_field, write_jsonl
+from ._text import JSON_ENCODER, atomic_open, read_jsonl, row_id, typed_field
 from .clients import ClientError, GenerationRequest, LlmClient, run_parallel
 from .spoiler import (
     DEFAULT_LENGTH_BOUNDS,
@@ -194,12 +196,18 @@ def build_dataset(
 ) -> DatasetSummary:
     """Synthesize and filter a corpus, writing sft/rejects/summary files.
 
-    Rows are written in input order by a single writer, so runs with the
-    same inputs and scripted clients are byte-identical at any parallelism.
-    `seed` is not read yet: no request carries it. `retries` (>= 0)
-    resamples the whole chain on filter failure. Chains run on
-    `run_parallel`; after an exception other than a StageFailure, or
-    Ctrl-C, only the chains in flight finish, and no file is written.
+    Chains run on `run_parallel`. Each row is written as soon as every
+    earlier problem's row is out, so the files are in input order and runs
+    with the same inputs and scripted clients are byte-identical at any
+    parallelism. Memory holds only the summary tallies and the rows that
+    wait on an earlier chain; a chain that stalls makes every later row
+    wait, up to the whole corpus. `seed` is not read yet: no request
+    carries it. `retries` (>= 0) resamples the whole chain on filter
+    failure. A StageFailure makes a GEN_FAIL row. After any other exception,
+    or Ctrl-C, only the chains in flight finish, no output file is left,
+    and `out_dir` is removed again if this call created it. A process
+    killed outright can leave a `*.tmp` file beside the outputs, but never
+    a partial one of them: each replaces its target only after the last row.
     """
     if retries < 0:
         raise ValueError("retries must be >= 0")
@@ -221,32 +229,60 @@ def build_dataset(
                 break
         return rec
 
-    records = run_parallel(run_chain, problems, parallelism)
+    summary = DatasetSummary(
+        problems=len(problems),
+        kept=0,
+        retention=None,
+        score_histogram={str(s): 0 for s in range(7)},
+        drop_reasons={},
+    )
+    parked: dict[int, tuple[bool, str]] = {}  # finished rows that wait on an earlier one
+    cursor = 0  # index of the next row to write
+    lock = threading.Lock()
+
+    def run(item: tuple[int, ProblemRecord]) -> None:
+        nonlocal cursor
+        i, problem = item
+        rec = run_chain(problem)
+        line = JSON_ENCODER.encode(_sft_row(rec) if rec.kept else _reject_row(rec)) + "\n"
+        with lock:
+            summary.kept += rec.kept
+            if rec.spoiler is not None:
+                summary.score_histogram[str(rec.spoiler.score)] += 1
+            if not rec.kept:
+                reason = rec.drop_reason.value
+                summary.drop_reasons[reason] = summary.drop_reasons.get(reason, 0) + 1
+            parked[i] = (rec.kept, line)
+            while cursor in parked:
+                kept, text = parked.pop(cursor)
+                (sft if kept else rejects).write(text)
+                cursor += 1
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    kept = [r for r in records if r.kept]
-    dropped = [r for r in records if not r.kept]
-
-    write_jsonl(out_dir / "sft.jsonl", map(_sft_row, kept))
-    write_jsonl(out_dir / "rejects.jsonl", map(_reject_row, dropped))
-
-    histogram = {str(s): 0 for s in range(7)}
-    for rec in records:
-        if rec.spoiler is not None:
-            histogram[str(rec.spoiler.score)] += 1
-    reasons = Counter(rec.drop_reason.value for rec in dropped)
-
-    summary = DatasetSummary(
-        problems=len(records),
-        kept=len(kept),
-        retention=(len(kept) / len(records)) if records else None,
-        score_histogram=histogram,
-        drop_reasons=dict(sorted(reasons.items())),
-    )
-    with atomic_open(out_dir / "summary.json") as f:
-        f.write(json.dumps(summary.to_dict(), sort_keys=True, indent=2) + "\n")
+    with (
+        _removed_on_error(out_dir),
+        atomic_open(out_dir / "summary.json") as summary_file,
+        atomic_open(out_dir / "sft.jsonl") as sft,
+        atomic_open(out_dir / "rejects.jsonl") as rejects,
+    ):
+        run_parallel(run, enumerate(problems), parallelism)
+        summary.retention = summary.kept / len(problems) if problems else None
+        summary.drop_reasons = dict(sorted(summary.drop_reasons.items()))
+        summary_file.write(json.dumps(summary.to_dict(), sort_keys=True, indent=2) + "\n")
     return summary
+
+
+@contextmanager
+def _removed_on_error(out_dir: Path) -> Iterator[None]:
+    """Create `out_dir` and its missing parents; remove those again if the block raises."""
+    made = list(takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        for d in made:
+            d.rmdir()
+        raise
 
 
 def load_problems(path: Path) -> list[ProblemRecord]:

@@ -500,6 +500,32 @@ class TestEval:
         assert "duplicate problem id 'a'" in capsys.readouterr().err
         assert calls == []
 
+    def test_config_error_leaves_no_out_dir(self, tmp_path, capsys):
+        bench, config = eval_setup(tmp_path, {"a": "7"})
+        doc = config.read_text()
+        config.write_text(doc[:-1] + ', "temperature": 1e999}')  # parses as infinity
+        out_dir = tmp_path / "o"
+        argv = ["eval", "--config", str(config), "--bench", str(bench), "--k", "2", "--seed", "5"]
+        assert main(argv + ["--out", str(out_dir)]) == 2
+        assert "temperature must be a finite number" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_two_benches_with_one_stem_are_data_error(self, tmp_path, monkeypatch, capsys):
+        bench, config = eval_setup(tmp_path, {"a": "7"})
+        paths = [tmp_path / d / "mini.jsonl" for d in "ab"]
+        for path in paths:
+            path.parent.mkdir()
+            path.write_bytes(bench.read_bytes())
+        calls = []
+        monkeypatch.setattr(ppc.clients.ScriptedClient, "generate", lambda self, req: calls.append(req))
+        out_dir = tmp_path / "o"
+        argv = ["eval", "--config", str(config), "--k", "2", "--seed", "5", "--out", str(out_dir)]
+        assert main(argv + ["--bench", str(paths[0]), "--bench", str(paths[1])]) == 2
+        err = capsys.readouterr().err
+        assert str(paths[0]) in err and str(paths[1]) in err
+        assert calls == []
+        assert not out_dir.exists()
+
     def test_repeated_transcript_id_is_data_error(self, tmp_path, capsys):
         bench, _ = eval_setup(tmp_path, {"a": "7"})
         replay_dir = tmp_path / "replay"

@@ -1,6 +1,9 @@
+import gc
 import json
+import sys
 import threading
 import time
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -13,6 +16,7 @@ from conftest import (
     wait_until,
 )
 
+import ppc.synthesis
 from ppc import prompts
 from ppc.clients import ScriptedClient, Timeout
 from ppc.evaluation import answers_equivalent
@@ -30,6 +34,17 @@ from ppc.synthesis import (
 from ppc.trajectory import check_format
 
 BOUNDS = (150, 1500)
+
+
+def in_chain(thread_id):
+    """Whether the thread is inside one of build_dataset's chains (its `run`)."""
+    frame = sys._current_frames().get(thread_id)
+    while frame is not None:
+        code = frame.f_code
+        if code.co_name == "run" and code.co_filename == ppc.synthesis.__file__:
+            return True
+        frame = frame.f_back
+    return False
 
 
 def synth_one(problem, stage_texts=None, trace=None):
@@ -226,6 +241,21 @@ class TestBuildDataset:
         for name in ("sft.jsonl", "rejects.jsonl", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+        # 40 chains on 8 workers, every third one a reject, under frequent thread switches.
+        problems, texts = self.make_corpus(n=40, bad=0)
+        for p in problems[::3]:
+            texts[p.question]["preplan"] = "too short to keep."
+        _, serial = self.run(tmp_path, problems, texts, seed=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a lost update would show
+        try:
+            summary, parallel = self.run(tmp_path, problems, texts, parallelism=8, seed=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (summary.kept, summary.drop_reasons) == (26, {"TOO_SHORT": 14})
+        for name in ("sft.jsonl", "rejects.jsonl", "summary.json"):
+            assert (parallel / name).read_bytes() == (serial / name).read_bytes()
+
     def test_retries_resample_full_chain(self, tmp_path):
         problem = make_problem("p1")
         texts = default_stage_texts([problem])[problem.question]
@@ -297,6 +327,86 @@ class TestBuildDataset:
         assert "p1" in started and set(started) <= {"p0", "p1", "p2", "p3"}
         assert joined and all(joined)  # each held chain went on only after the caller had the error
         assert not (tmp_path / "sft.jsonl").exists()
+
+    def test_rows_that_finish_early_wait_for_the_earlier_chain(self, tmp_path):
+        # p0 is held until p1-p5 have finished: the rows still come out in input order.
+        problems, texts = self.make_corpus(n=6, bad=0)
+        for pid in (2, 4):
+            texts[problems[pid].question]["preplan"] = "too short to keep."
+        by_prompt = {prompts.preplan_prompt(p.question): p for p in problems}
+        me = threading.get_ident
+        started, held = [], []
+
+        def others_done():
+            others = [t for t in threading.enumerate() if t.ident != me()]
+            return len(started) == len(problems) and not any(in_chain(t.ident) for t in others)
+
+        def preplan(req):
+            problem = by_prompt[req.user_prompt]
+            started.append(problem.id)
+            if problem.id == "p0":
+                held.append(wait_until(others_done))
+            return texts[problem.question]["preplan"]
+
+        suite = replace(make_suite(texts), preplan_gen=ScriptedClient(preplan))
+        out = tmp_path / "held"
+        build_dataset(problems, suite, out, equivalence=answers_equivalent, bounds=BOUNDS, parallelism=4)
+        _, serial = self.run(tmp_path, problems, texts)
+        assert held == [True]
+        assert len((out / "rejects.jsonl").read_text().splitlines()) == 2
+        for name in ("sft.jsonl", "rejects.jsonl", "summary.json"):
+            assert (out / name).read_bytes() == (serial / name).read_bytes()
+
+    def test_a_written_record_is_not_held(self, tmp_path, monkeypatch):
+        # At parallelism 1, problem i's record is gone when problem i+1's chain starts.
+        problems, texts = self.make_corpus(n=4, bad=1)
+        index = {prompts.preplan_prompt(p.question): i for i, p in enumerate(problems)}
+        refs, alive = [], []
+        synthesize_one = ppc.synthesis.synthesize
+
+        def tracked(*args, **kwargs):
+            rec = synthesize_one(*args, **kwargs)
+            refs.append(weakref.ref(rec))
+            return rec
+
+        def preplan(req):
+            i = index[req.user_prompt]
+            if i:
+                gc.collect()
+                alive.append(refs[i - 1]() is not None)
+            return texts[problems[i].question]["preplan"]
+
+        monkeypatch.setattr(ppc.synthesis, "synthesize", tracked)
+        suite = replace(make_suite(texts), preplan_gen=ScriptedClient(preplan))
+        summary = build_dataset(problems, suite, tmp_path / "out", equivalence=answers_equivalent, bounds=BOUNDS)
+        assert summary.kept == 3 and len(refs) == 4
+        assert alive == [False, False, False]
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("fresh", [True, False], ids=["fresh-dir", "existing-dir"])
+    def test_failed_run_leaves_no_file(self, tmp_path, fresh, error, parallelism):
+        # p5's cleanup raises (at parallelism 1, after p0-p4's rows are written): nothing is left.
+        problems, texts = self.make_corpus(n=8, bad=2)
+        failing = problems[5].question
+
+        def cleanup(req):
+            if failing in req.user_prompt:
+                raise error("not a client error")
+            return next(t["execute"] for q, t in texts.items() if q in req.user_prompt)
+
+        suite = replace(make_suite(texts), cleanup=ScriptedClient(cleanup))
+        if fresh:
+            out = tmp_path / "new" / "out"
+        else:
+            out = tmp_path / "out"
+            out.mkdir()
+        with pytest.raises(error):
+            build_dataset(
+                problems, suite, out, equivalence=answers_equivalent, bounds=BOUNDS, parallelism=parallelism
+            )
+        assert [p.name for p in tmp_path.iterdir()] == ([] if fresh else ["out"])
+        assert fresh or list(out.iterdir()) == []
 
 
 class TestLoadProblems:
