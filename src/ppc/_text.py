@@ -23,7 +23,11 @@ _ASCII_ALNUM = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 )
 
-_DIGIT_RUN = re.compile(r"[0-9]+")
+# Byte class of each ASCII character: digits become "0", letters "a", the rest " ".
+_CHAR_CLASS = bytes(
+    ord("0") if c in "0123456789" else ord("a") if c in _ASCII_ALNUM else ord(" ")
+    for c in map(chr, range(256))
+)
 
 _SENTENCE = re.compile(r"[^.!?]*[.!?]|[^.!?]+$")
 
@@ -69,12 +73,20 @@ def standalone_integers(text: str, min_digits: int = 1) -> list[str]:
 
     "1001" in prose or "$1001$" qualifies; "x1001y" does not.
     """
+    # One byte per character (non-ASCII ones read as "?"), so offsets match `text`'s.
+    classes = text.encode("ascii", "replace").translate(_CHAR_CLASS)
+    find = classes.find
     runs = []
-    for m in _DIGIT_RUN.finditer(text):
-        if len(m.group(0)) < min_digits:
-            continue
-        if is_boundary(text, m.start() - 1) and is_boundary(text, m.end()):
-            runs.append(m.group(0))
+    start = find(b"0")
+    while start != -1:
+        # `start` is the first digit since the last run, so the run holds a letter
+        # before it exactly when the byte before it is one.
+        end = find(b" ", start)
+        if end == -1:
+            end = len(classes)
+        if end - start >= min_digits and classes[start - 1 : start] != b"a" and find(b"a", start, end) == -1:
+            runs.append(text[start:end])
+        start = find(b"0", end)
     return runs
 
 

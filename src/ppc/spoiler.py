@@ -110,16 +110,17 @@ def spoiler_score(preplan: str, cfg: SpoilerConfig = DEFAULT_SPOILER_CONFIG) -> 
     """Score a preplan on the six derivation/answer-revealing signals.
 
     Phrase matches are case-insensitive and bounded by non-alphanumeric
-    neighbours; equality counting masks "\\equiv" before counting bare "=";
-    span signals run over $...$ contents (an unterminated $ makes the rest
-    plain text). Total function: never raises on any input text.
+    neighbours; "\\equiv" and bare "=" are counted separately toward
+    equation density; span signals run over $...$ contents (an unterminated
+    $ makes the rest plain text). Total function: never raises on any input
+    text.
     """
     lowered = preplan.lower()
     spans = math_spans(preplan)
 
     derivation_hits = _matched_phrases(lowered, cfg.derivation_phrases)
     equiv_count = preplan.count("\\equiv")
-    eq_count = preplan.replace("\\equiv", " ").count("=")
+    eq_count = preplan.count("=")
     long_spans = [s for s in spans if len(s) >= cfg.long_span_min_chars]
     big_ints = standalone_integers(preplan, cfg.digit_min)
     answer_hits = _matched_phrases(lowered, cfg.answer_phrases)

@@ -19,17 +19,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 TAG_NAMES = ("preplan", "plan", "execute")
 
-_EXPECTED_TOKENS = (
-    "<preplan>",
-    "</preplan>",
-    "<plan>",
-    "</plan>",
-    "<execute>",
-    "</execute>",
-)
+_TAG_PAIRS = tuple((f"<{name}>", f"</{name}>") for name in TAG_NAMES)
+_EXPECTED_TOKENS = tuple(tok for pair in _TAG_PAIRS for tok in pair)
 
 # Anything shaped like a markup tag; used to spot tags outside the allowed set.
 _TAG_TOKEN = re.compile(r"</?[A-Za-z][A-Za-z0-9_-]*>")
@@ -57,7 +52,7 @@ class UnbalancedBraces(TrajectoryError):
 class MalformedTrajectory(TrajectoryError):
     """Raised by the parser; names the first violation in document order."""
 
-    def __init__(self, findings: list[tuple[int, Violation, str]]):
+    def __init__(self, findings: Sequence[tuple[int, Violation, str]]):
         self.violations = [code for _, code, _ in findings]
         pos, code, detail = findings[0]
         super().__init__(f"{code.value} at offset {pos}: {detail}")
@@ -117,27 +112,52 @@ def boxed_or_none(text: str) -> str | None:
         return None
 
 
-def _scan(text: str) -> list[tuple[int, Violation, str]]:
+# The text `_scan` saw last and its findings, so a guard and a parse of one string
+# (in either order) scan it once. Matched by `is`, which spares hashing the text;
+# replaced as one tuple, so no thread can pair one text with another's findings.
+_last_scan: tuple[str | None, tuple[tuple[int, Violation, str], ...]] = (None, ())
+
+
+def _scan(text: str) -> tuple[tuple[int, Violation, str], ...]:
     """All format violations as (position, code, detail), in document order."""
+    global _last_scan
+    last_text, last_findings = _last_scan
+    if last_text is text:
+        return last_findings
+    findings = _scan_text(text)
+    _last_scan = (text, findings)
+    return findings
+
+
+def _scan_text(text: str) -> tuple[tuple[int, Violation, str], ...]:
+    """`_scan` without the memo."""
     positions: dict[str, list[int]] = {tok: [] for tok in _EXPECTED_TOKENS}
     findings: list[tuple[int, Violation, str]] = []
 
-    for m in _TAG_TOKEN.finditer(text):
-        token = m.group(0)
-        if token in positions:
-            positions[token].append(m.start())
+    find, match = text.find, _TAG_TOKEN.match
+    i = find("<")
+    while i != -1:
+        m = match(text, i)
+        if m is None:
+            i = find("<", i + 1)
+            continue
+        token = m.group()
+        seen = positions.get(token)
+        if seen is None:
+            findings.append((i, Violation.FOREIGN_TAG, token))
         else:
-            findings.append((m.start(), Violation.FOREIGN_TAG, token))
+            seen.append(i)
+        i = find("<", m.end())
 
-    for name in TAG_NAMES:
-        opens = positions[f"<{name}>"]
-        closes = positions[f"</{name}>"]
+    for open_tok, close_tok in _TAG_PAIRS:
+        opens = positions[open_tok]
+        closes = positions[close_tok]
         if not opens or not closes:
-            absent = [t for t, seen in ((f"<{name}>", opens), (f"</{name}>", closes)) if not seen]
+            absent = [t for t, seen in ((open_tok, opens), (close_tok, closes)) if not seen]
             findings.append((len(text), Violation.MISSING_TAG, " ".join(absent)))
         repeats = [seen[1] for seen in (opens, closes) if len(seen) > 1]
         if repeats:
-            findings.append((min(repeats), Violation.DUPLICATE_TAG, f"<{name}>"))
+            findings.append((min(repeats), Violation.DUPLICATE_TAG, open_tok))
 
     firsts = [(tok, positions[tok][0]) for tok in _EXPECTED_TOKENS if positions[tok]]
     for (prev_tok, prev_pos), (tok, pos) in zip(firsts, firsts[1:]):
@@ -162,7 +182,7 @@ def _scan(text: str) -> list[tuple[int, Violation, str]]:
             findings.append((offset, Violation.TRAILING_TEXT, tail.strip()[:40]))
 
     findings.sort(key=lambda f: f[0])
-    return findings
+    return tuple(findings)
 
 
 def check_format(text: str) -> FormatVerdict:

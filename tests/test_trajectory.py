@@ -1,14 +1,20 @@
+import importlib.util
 import random
+import re
+import sys
+import threading
 
 import pytest
 from conftest import outcome
 
+import ppc.trajectory
 from ppc.config import PipelineConfig
 from ppc.evaluation import aggregate_attribution
 from ppc.grpo import GrpoConfig, RolloutGroup, grpo_objective
 from ppc.rewards import RewardBreakdown
 from ppc.synthesis import DatasetSummary
 from ppc.trajectory import (
+    FormatVerdict,
     MalformedTrajectory,
     Trajectory,
     UnbalancedBraces,
@@ -272,6 +278,154 @@ class TestExtractBoxedMatchesReference:
             assert outcome(extract_boxed, text) == expected, text
             results.add(expected[0] if expected[0] != "ok" else expected[1] is None)
         assert results == {True, False, UnbalancedBraces}  # absent, found and never closed
+
+
+def reference_scan(text):
+    """_scan as it was written, with one regex finditer over the text; kept as the oracle."""
+    expected_tokens = ("<preplan>", "</preplan>", "<plan>", "</plan>", "<execute>", "</execute>")
+    positions = {tok: [] for tok in expected_tokens}
+    findings = []
+
+    for m in re.finditer(r"</?[A-Za-z][A-Za-z0-9_-]*>", text):
+        token = m.group(0)
+        if token in positions:
+            positions[token].append(m.start())
+        else:
+            findings.append((m.start(), Violation.FOREIGN_TAG, token))
+
+    for name in ("preplan", "plan", "execute"):
+        opens = positions[f"<{name}>"]
+        closes = positions[f"</{name}>"]
+        if not opens or not closes:
+            absent = [t for t, seen in ((f"<{name}>", opens), (f"</{name}>", closes)) if not seen]
+            findings.append((len(text), Violation.MISSING_TAG, " ".join(absent)))
+        repeats = [seen[1] for seen in (opens, closes) if len(seen) > 1]
+        if repeats:
+            findings.append((min(repeats), Violation.DUPLICATE_TAG, f"<{name}>"))
+
+    firsts = [(tok, positions[tok][0]) for tok in expected_tokens if positions[tok]]
+    for (prev_tok, prev_pos), (tok, pos) in zip(firsts, firsts[1:]):
+        if pos < prev_pos:
+            findings.append((pos, Violation.OUT_OF_ORDER, f"{tok} before {prev_tok}"))
+            break
+
+    open_exec = positions["<execute>"]
+    close_exec = positions["</execute>"]
+    if len(open_exec) == 1 and len(close_exec) == 1 and open_exec[0] < close_exec[0]:
+        body = text[open_exec[0] + len("<execute>") : close_exec[0]]
+        if boxed_or_none(body) is None:
+            findings.append((close_exec[0], Violation.NO_BOXED, "no closed boxed group in execute"))
+
+    if close_exec:
+        tail_start = close_exec[-1] + len("</execute>")
+        tail = text[tail_start:]
+        if tail.strip():
+            offset = tail_start + (len(tail) - len(tail.lstrip()))
+            findings.append((offset, Violation.TRAILING_TEXT, tail.strip()[:40]))
+
+    findings.sort(key=lambda f: f[0])
+    return findings
+
+
+class TestScanMatchesReference:
+    # "<" that opens no tag, "<<plan>", a tag name with a digit and a dash, and
+    # "<" right before an allowed tag all sit beside the six allowed tags.
+    PIECES = [
+        "<preplan>", "</preplan>", "<plan>", "</plan>", "<execute>", "</execute>",
+        "<", "<<plan>", "</b-1>", "<note>", "< plan>", "</>", "<1>", "a < b", ">",
+        "\\boxed{1}", "\\boxed{oops", "text", " ", "\n",
+    ]
+
+    def test_seeded_fuzz(self):
+        rng = random.Random("scan")
+        codes = set()
+        for _ in range(5_000):
+            text = "".join(rng.choices(self.PIECES, k=rng.randint(0, 14)))
+            expected = reference_scan(text)
+            assert list(ppc.trajectory._scan(text)) == expected, repr(text)
+            assert outcome(parse_trajectory, text) == outcome(parse_trajectory, "".join(list(text))), repr(text)
+            codes.update(code for _, code, _ in expected)
+        assert codes == set(Violation)
+
+    @pytest.mark.parametrize("text", ["", "<", "<<plan>", "</b-1>", CANONICAL, "<<" + CANONICAL + "<"])
+    def test_examples(self, text):
+        assert list(ppc.trajectory._scan(text)) == reference_scan(text)
+
+
+class TestScanMemo:
+    """A guard and a parse of one string object scan it once, in either order."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        scan_text = ppc.trajectory._scan_text
+
+        def counted(text):
+            calls.append(text)
+            return scan_text(text)
+
+        monkeypatch.setattr(ppc.trajectory, "_scan_text", counted)
+        return calls
+
+    @pytest.mark.parametrize("well_formed", [True, False], ids=["well-formed", "malformed"])
+    @pytest.mark.parametrize("guard_first", [True, False], ids=["guard-first", "parse-first"])
+    def test_guard_and_parse_scan_once(self, scans, well_formed, guard_first):
+        text = make(execute="C \\boxed{7}" if well_formed else "no answer")
+        calls = [check_format, lambda t: outcome(parse_trajectory, t)]
+        results = [call(text) for call in (calls if guard_first else calls[::-1])]
+        assert len(scans) == 1
+        verdict, parsed = results if guard_first else results[::-1]
+        assert verdict.well_formed is well_formed
+        assert parsed[0] == ("ok" if well_formed else MalformedTrajectory)
+
+    def test_equal_but_distinct_string_gets_an_equal_verdict(self, scans):
+        text = make(execute="no answer")
+        copy = "".join(list(text))
+        assert copy == text and copy is not text
+        assert check_format(text) == check_format(copy) == FormatVerdict(False, (Violation.NO_BOXED,))
+        assert len(scans) == 2
+
+    def test_malformed_message_is_unchanged_on_a_memo_hit(self, scans):
+        text = "<note>" + make(execute="no answer")
+        check_format(text)
+        with pytest.raises(MalformedTrajectory) as err:
+            parse_trajectory(text)
+        assert len(scans) == 1
+        assert str(err.value) == "FOREIGN_TAG at offset 0: <note>"
+        assert err.value.violations == [Violation.FOREIGN_TAG, Violation.NO_BOXED]
+
+    def test_empty_text_on_a_fresh_module_is_missing_three_tags(self, monkeypatch):
+        # "" is a singleton: a slot that started as ("", ()) would call it well formed.
+        spec = importlib.util.spec_from_file_location("fresh_trajectory", ppc.trajectory.__file__)
+        fresh = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, fresh)
+        spec.loader.exec_module(fresh)
+        assert [v.value for v in fresh.check_format("").violations] == ["MISSING_TAG"] * 3
+        assert check_format("").violations == (Violation.MISSING_TAG,) * 3
+
+    def test_two_threads_never_get_each_others_verdict(self):
+        good, bad = CANONICAL, "<note>" + CANONICAL
+        errors = []
+
+        def run(first, second):
+            for i in range(2000):
+                for text in (first, second):
+                    verdict = check_format(text)
+                    parsed = outcome(parse_trajectory, text)[0] == "ok"
+                    if (verdict.well_formed, parsed) != ((text is good),) * 2:
+                        errors.append((i, text, verdict, parsed))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a torn memo slot would show
+        try:
+            threads = [threading.Thread(target=run, args=pair) for pair in ((good, bad), (bad, good))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
 
 
 class TestRender:
