@@ -84,6 +84,10 @@ class RoleConfig:
             raise ConfigError(f"unknown role kind {self.kind!r}")
         if self.kind == "scripted" and not self.script and self.default_response is None:
             raise ConfigError("scripted role needs a script file or default_response")
+        if self.max_attempts < 1:
+            raise ConfigError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        if not self.timeout > 0:
+            raise ConfigError(f"timeout must be > 0, got {self.timeout}")
 
 
 @dataclass
@@ -103,6 +107,8 @@ class PipelineConfig:
         for name in self.roles:
             if name not in ROLE_NAMES:
                 raise ConfigError(f"unknown role {name!r}; valid: {ROLE_NAMES}")
+        if self.parallelism < 1:
+            raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
         # The paper has one threshold; the filter reads one copy, the reward the other.
         if self.spoiler.tau_s != self.weights.tau_s:
             raise ConfigError(

@@ -42,7 +42,7 @@ from .clients import (
     run_parallel,
 )
 from .synthesis import ProblemRecord, check_unique_ids
-from .trajectory import boxed_or_none, read_trajectory
+from .trajectory import boxed_or_none, forced_prefix_for, read_trajectory
 
 log = logging.getLogger(__name__)
 
@@ -211,11 +211,6 @@ def _derangement(n: int, rng: random.Random) -> list[int]:
         rng.shuffle(indices)
         if all(i != j for i, j in enumerate(indices)):
             return indices
-
-
-def forced_prefix_for(preplan: str) -> str:
-    """Assistant prefill that pins the preplan and opens the plan block."""
-    return f"<preplan>{preplan}</preplan>\n<plan>"
 
 
 def perturb_preplan(preplans: Sequence[str], spec: PerturbationSpec) -> list[str]:
@@ -450,7 +445,7 @@ def evaluate(
     not transitive, which never links a wrong answer to a correct one.
 
     Base, live and replayed samples go through one scheduler; a replayed
-    problem is one unit that only scores it. `parallelism` bounds the
+    problem is one unit that only scores it. `parallelism` (>= 1) bounds the
     endpoint calls in flight. Live sampling spreads (problem, sample) units
     over that many workers, so a problem's k samples run side by side and
     each record still holds sample j at index j. Judge calls run inside the
@@ -464,6 +459,8 @@ def evaluate(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if parallelism < 1:
+        raise ValueError("parallelism must be >= 1")
     if replay is None and client is None:
         raise ValueError("need a client or replay transcripts")
     if mode is not None and replay is not None:

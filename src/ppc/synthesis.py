@@ -211,6 +211,8 @@ def build_dataset(
     """
     if retries < 0:
         raise ValueError("retries must be >= 0")
+    if parallelism < 1:
+        raise ValueError("parallelism must be >= 1")
     check_unique_ids(problems)
 
     def run_chain(problem: ProblemRecord) -> SynthesisRecord:

@@ -11,7 +11,9 @@ execute block and nothing but whitespace after ``</execute>``. The guard and
 the parser agree exactly: ``parse_trajectory`` succeeds iff
 ``check_format`` reports the text as well formed. ``read_trajectory`` is the
 lenient reader for text the guard may reject: it never raises, and on
-well-formed text it returns what ``parse_trajectory`` returns.
+well-formed text it returns what ``parse_trajectory`` returns. All three share
+one memoized scan that finds the tags once and cuts the blocks at them; only
+this module spells the tags.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 TAG_NAMES = ("preplan", "plan", "execute")
 
@@ -49,10 +50,13 @@ class UnbalancedBraces(TrajectoryError):
     """A boxed group opens but its braces never balance."""
 
 
+_Findings = tuple[tuple[int, Violation, str], ...]
+
+
 class MalformedTrajectory(TrajectoryError):
     """Raised by the parser; names the first violation in document order."""
 
-    def __init__(self, findings: Sequence[tuple[int, Violation, str]]):
+    def __init__(self, findings: _Findings):
         self.violations = [code for _, code, _ in findings]
         pos, code, detail = findings[0]
         super().__init__(f"{code.value} at offset {pos}: {detail}")
@@ -112,24 +116,25 @@ def boxed_or_none(text: str) -> str | None:
         return None
 
 
-# The text `_scan` saw last and its findings, so a guard and a parse of one string
-# (in either order) scan it once. Matched by `is`, which spares hashing the text;
-# replaced as one tuple, so no thread can pair one text with another's findings.
-_last_scan: tuple[str | None, tuple[tuple[int, Violation, str], ...]] = (None, ())
+# The text `_scan` saw last, its findings and its blocks, so the guard, the
+# parser and the lenient reader of one string (in any order) scan it once.
+# Matched by `is`, which spares hashing the text; replaced as one tuple, so no
+# thread can pair one text with another's findings or blocks.
+_last_scan: tuple[str | None, _Findings, Trajectory | None] = (None, (), None)
 
 
-def _scan(text: str) -> tuple[tuple[int, Violation, str], ...]:
-    """All format violations as (position, code, detail), in document order."""
+def _scan(text: str) -> tuple[_Findings, Trajectory]:
+    """Format violations as (position, code, detail), in document order, and the blocks."""
     global _last_scan
-    last_text, last_findings = _last_scan
+    last_text, last_findings, last_trajectory = _last_scan
     if last_text is text:
-        return last_findings
-    findings = _scan_text(text)
-    _last_scan = (text, findings)
-    return findings
+        return last_findings, last_trajectory
+    findings, trajectory = _scan_text(text)
+    _last_scan = (text, findings, trajectory)
+    return findings, trajectory
 
 
-def _scan_text(text: str) -> tuple[tuple[int, Violation, str], ...]:
+def _scan_text(text: str) -> tuple[_Findings, Trajectory]:
     """`_scan` without the memo."""
     positions: dict[str, list[int]] = {tok: [] for tok in _EXPECTED_TOKENS}
     findings: list[tuple[int, Violation, str]] = []
@@ -149,6 +154,8 @@ def _scan_text(text: str) -> tuple[tuple[int, Violation, str], ...]:
             seen.append(i)
         i = find("<", m.end())
 
+    # Each block runs from its first opening tag to the next closing tag; "" without both.
+    blocks = []
     for open_tok, close_tok in _TAG_PAIRS:
         opens = positions[open_tok]
         closes = positions[close_tok]
@@ -158,6 +165,9 @@ def _scan_text(text: str) -> tuple[tuple[int, Violation, str], ...]:
         repeats = [seen[1] for seen in (opens, closes) if len(seen) > 1]
         if repeats:
             findings.append((min(repeats), Violation.DUPLICATE_TAG, open_tok))
+        start = opens[0] + len(open_tok) if opens else len(text)
+        end = next((c for c in closes if c >= start), start)
+        blocks.append(text[start:end])
 
     firsts = [(tok, positions[tok][0]) for tok in _EXPECTED_TOKENS if positions[tok]]
     for (prev_tok, prev_pos), (tok, pos) in zip(firsts, firsts[1:]):
@@ -165,14 +175,13 @@ def _scan_text(text: str) -> tuple[tuple[int, Violation, str], ...]:
             findings.append((pos, Violation.OUT_OF_ORDER, f"{tok} before {prev_tok}"))
             break
 
+    # Trimming moves no boxed group, so NO_BOXED can test the trimmed block's answer.
+    boxed = boxed_or_none(blocks[2])
     open_exec = positions["<execute>"]
     close_exec = positions["</execute>"]
-    if len(open_exec) == 1 and len(close_exec) == 1 and open_exec[0] < close_exec[0]:
-        body = text[open_exec[0] + len("<execute>") : close_exec[0]]
-        if boxed_or_none(body) is None:
-            findings.append(
-                (close_exec[0], Violation.NO_BOXED, "no closed boxed group in execute")
-            )
+    in_order = len(open_exec) == 1 and len(close_exec) == 1 and open_exec[0] < close_exec[0]
+    if in_order and boxed is None:
+        findings.append((close_exec[0], Violation.NO_BOXED, "no closed boxed group in execute"))
 
     if close_exec:
         tail_start = close_exec[-1] + len("</execute>")
@@ -182,12 +191,12 @@ def _scan_text(text: str) -> tuple[tuple[int, Violation, str], ...]:
             findings.append((offset, Violation.TRAILING_TEXT, tail.strip()[:40]))
 
     findings.sort(key=lambda f: f[0])
-    return tuple(findings)
+    return tuple(findings), Trajectory(*(block.strip() for block in blocks), boxed)
 
 
 def check_format(text: str) -> FormatVerdict:
     """Total structural check; never raises."""
-    findings = _scan(text)
+    findings = _scan(text)[0]
     return FormatVerdict(
         well_formed=not findings,
         violations=tuple(code for _, code, _ in findings),
@@ -201,14 +210,7 @@ def read_trajectory(text: str) -> Trajectory:
     is trimmed at both ends; a block without both tags reads as "". The
     boxed answer comes from the execute block.
     """
-    segments = []
-    for name in TAG_NAMES:
-        open_tok, close_tok = f"<{name}>", f"</{name}>"
-        start = text.find(open_tok)
-        end = text.find(close_tok, start + len(open_tok)) if start != -1 else -1
-        segments.append(text[start + len(open_tok) : end].strip() if end != -1 else "")
-    preplan, plan, execute = segments
-    return Trajectory(preplan, plan, execute, boxed_or_none(execute))
+    return _scan(text)[1]
 
 
 def parse_trajectory(text: str) -> Trajectory:
@@ -217,10 +219,15 @@ def parse_trajectory(text: str) -> Trajectory:
     Segment contents are trimmed at both ends; inner whitespace is kept.
     Raises MalformedTrajectory when the format guard fails.
     """
-    findings = _scan(text)
+    findings, trajectory = _scan(text)
     if findings:
         raise MalformedTrajectory(findings)
-    return read_trajectory(text)
+    return trajectory
+
+
+def forced_prefix_for(preplan: str) -> str:
+    """Assistant prefill that pins the preplan and opens the plan block."""
+    return f"<preplan>{preplan}</preplan>\n<plan>"
 
 
 def render_trajectory(t: Trajectory) -> str:
@@ -229,8 +236,4 @@ def render_trajectory(t: Trajectory) -> str:
     For any trajectory produced by `parse_trajectory` (or `from_parts` with
     tag-free segments and a boxed answer) the output passes `check_format`.
     """
-    return (
-        f"<preplan>{t.preplan}</preplan>\n"
-        f"<plan>{t.plan}</plan>\n"
-        f"<execute>{t.execute}</execute>"
-    )
+    return f"{forced_prefix_for(t.preplan)}{t.plan}</plan>\n<execute>{t.execute}</execute>"

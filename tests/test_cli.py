@@ -186,6 +186,42 @@ class TestSynthesize:
         assert calls == [] and not (tmp_path / "o").exists()
 
 
+# Values that load as the right JSON type but can never work, top level, in
+# every role, or as a flag: (top-level keys, role keys, flags, message).
+BAD_VALUES = {
+    "parallelism-zero": ({"parallelism": 0}, {}, [], "parallelism must be >= 1, got 0"),
+    "parallelism-negative": ({"parallelism": -3}, {}, [], "parallelism must be >= 1, got -3"),
+    "timeout": ({}, {"timeout": 0}, [], "timeout must be > 0, got 0"),
+    "max-attempts": ({}, {"max_attempts": 0}, [], "max_attempts must be >= 1, got 0"),
+    "parallelism-flag": ({}, {}, ["--parallelism", "-1"], "parallelism must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("top, role, flags, detail", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+@pytest.mark.parametrize("command", ["synthesize", "eval"])
+def test_bad_value_exits_2_before_any_call(tmp_path, monkeypatch, capsys, command, top, role, flags, detail):
+    if command == "synthesize":
+        problems = [make_problem("p0")]
+        config = scripted_config(tmp_path, problems, default_stage_texts(problems))
+        bench = tmp_path / "problems.jsonl"
+        write_jsonl(bench, [{"id": "p0", "question": problems[0].question, "answer": "7"}])
+        argv = ["synthesize", "--in", str(bench)]
+    else:
+        bench, config = eval_setup(tmp_path, {"a": "7"})
+        argv = ["eval", "--bench", str(bench), "--k", "2"]
+    doc = json.loads(config.read_text())
+    doc.update(top)
+    for entry in doc["roles"].values():
+        entry.update(role)
+    config.write_text(json.dumps(doc))
+    calls = []
+    monkeypatch.setattr(ppc.clients.ScriptedClient, "generate", lambda self, req: calls.append(req))
+    argv += ["--config", str(config), "--out", str(tmp_path / "o"), "--seed", "1"]
+    assert main(argv + flags) == 2
+    assert detail in capsys.readouterr().err
+    assert calls == []
+
+
 class TestReward:
     def test_breakdowns(self, tmp_path, capsys):
         rows = [

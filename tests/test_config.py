@@ -130,6 +130,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"^{section}: .* must be finite"):
             PipelineConfig.from_dict(json.loads(doc % number))
 
+    @pytest.mark.parametrize("parallelism", [0, -3])
+    def test_parallelism_must_be_positive(self, parallelism):
+        with pytest.raises(ConfigError, match=f"^parallelism must be >= 1, got {parallelism}$"):
+            PipelineConfig.from_dict({"parallelism": parallelism})
+
     def test_scripted_role_needs_script_or_default(self):
         with pytest.raises(ConfigError):
             RoleConfig(kind="scripted")
@@ -274,6 +279,9 @@ BAD_ROLES = {
     "unknown-kind": ("cleanup", {"kind": "grpc"}, "unknown role kind 'grpc'"),
     "scripted-without-script": ("executor", {"kind": "scripted"}, "needs a script file"),
     "not-an-object": ("judge", "http", "must be a mapping"),
+    "zero-timeout": ("policy", {**HTTP_POLICY, "timeout": 0}, "timeout must be > 0, got 0"),
+    "negative-timeout": ("judge", {**HTTP_POLICY, "timeout": -1.5}, "timeout must be > 0, got -1.5"),
+    "zero-attempts": ("executor", {**HTTP_POLICY, "max_attempts": 0}, "max_attempts must be >= 1, got 0"),
 }
 
 

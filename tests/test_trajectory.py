@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import random
 import re
 import sys
@@ -342,18 +343,56 @@ class TestScanMatchesReference:
         for _ in range(5_000):
             text = "".join(rng.choices(self.PIECES, k=rng.randint(0, 14)))
             expected = reference_scan(text)
-            assert list(ppc.trajectory._scan(text)) == expected, repr(text)
+            assert list(ppc.trajectory._scan(text)[0]) == expected, repr(text)
             assert outcome(parse_trajectory, text) == outcome(parse_trajectory, "".join(list(text))), repr(text)
             codes.update(code for _, code, _ in expected)
         assert codes == set(Violation)
 
     @pytest.mark.parametrize("text", ["", "<", "<<plan>", "</b-1>", CANONICAL, "<<" + CANONICAL + "<"])
     def test_examples(self, text):
-        assert list(ppc.trajectory._scan(text)) == reference_scan(text)
+        assert list(ppc.trajectory._scan(text)[0]) == reference_scan(text)
+
+
+def reference_read(text):
+    """read_trajectory as it was written, with its own str.find per tag; kept as the oracle."""
+    segments = []
+    for name in ("preplan", "plan", "execute"):
+        open_tok, close_tok = f"<{name}>", f"</{name}>"
+        start = text.find(open_tok)
+        end = text.find(close_tok, start + len(open_tok)) if start != -1 else -1
+        segments.append(text[start + len(open_tok) : end].strip() if end != -1 else "")
+    preplan, plan, execute = segments
+    return Trajectory(preplan, plan, execute, boxed_or_none(execute))
+
+
+class TestReadMatchesReference:
+    def test_seeded_fuzz(self):
+        rng = random.Random("read")
+        answers = set()
+        for _ in range(5_000):
+            text = "".join(rng.choices(TestScanMatchesReference.PIECES, k=rng.randint(0, 14)))
+            expected = reference_read(text)
+            assert read_trajectory(text) == expected, repr(text)
+            answers.add(expected.boxed_answer)
+        assert answers == {None, "1"}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "</plan> early <plan> B </plan>" + CANONICAL,
+            "<preplan> A <preplan> again </preplan><plan>B</plan><execute>\\boxed{2}</execute>",
+            "<preplan>A</preplan><plan>B</plan><execute> C \\boxed{3}",
+            "<preplan>A</preplan><plan>B</plan><execute> C \\boxed{3</execute>",
+            "<plan></plan><execute></execute><preplan>",
+        ],
+        ids=["close-before-open", "duplicated-open", "execute-never-closes", "boxed-never-closes", "empty-blocks"],
+    )
+    def test_examples(self, text):
+        assert read_trajectory(text) == reference_read(text)
 
 
 class TestScanMemo:
-    """A guard and a parse of one string object scan it once, in either order."""
+    """The guard, the parser and the lenient reader of one string object scan it once, in any order."""
 
     @pytest.fixture
     def scans(self, monkeypatch):
@@ -377,6 +416,29 @@ class TestScanMemo:
         verdict, parsed = results if guard_first else results[::-1]
         assert verdict.well_formed is well_formed
         assert parsed[0] == ("ok" if well_formed else MalformedTrajectory)
+
+    @pytest.mark.parametrize("well_formed", [True, False], ids=["well-formed", "malformed"])
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))), ids=str)
+    def test_all_three_readers_scan_once(self, scans, well_formed, order):
+        text = make(execute="C \\boxed{7}" if well_formed else "no answer")
+        calls = [check_format, lambda t: outcome(parse_trajectory, t), read_trajectory]
+        results = {i: calls[i](text) for i in order}
+        assert len(scans) == 1
+        assert results[0].well_formed is well_formed
+        if well_formed:
+            assert results[1] == ("ok", results[2]) and results[1][1] is results[2]  # the memo's blocks
+        else:
+            assert results[1][0] is MalformedTrajectory
+        assert results[2] == reference_read(text)
+
+    def test_parse_after_guard_extracts_no_boxed_answer(self, monkeypatch):
+        text = make(execute="C \\boxed{7}")
+        assert check_format(text).well_formed
+        calls = []
+        extract = ppc.trajectory.extract_boxed
+        monkeypatch.setattr(ppc.trajectory, "extract_boxed", lambda t: calls.append(t) or extract(t))
+        assert parse_trajectory(text).boxed_answer == read_trajectory(text).boxed_answer == "7"
+        assert calls == []
 
     def test_equal_but_distinct_string_gets_an_equal_verdict(self, scans):
         text = make(execute="no answer")
@@ -404,7 +466,8 @@ class TestScanMemo:
         assert check_format("").violations == (Violation.MISSING_TAG,) * 3
 
     def test_two_threads_never_get_each_others_verdict(self):
-        good, bad = CANONICAL, "<note>" + CANONICAL
+        good, bad = CANONICAL, "<note>" + make("X", "Y", "Z")
+        blocks = {good: ("A", "B", "C \\boxed{7}"), bad: ("X", "Y", "Z")}
         errors = []
 
         def run(first, second):
@@ -412,8 +475,10 @@ class TestScanMemo:
                 for text in (first, second):
                     verdict = check_format(text)
                     parsed = outcome(parse_trajectory, text)[0] == "ok"
-                    if (verdict.well_formed, parsed) != ((text is good),) * 2:
-                        errors.append((i, text, verdict, parsed))
+                    t = read_trajectory(text)
+                    read = (t.preplan, t.plan, t.execute)
+                    if (verdict.well_formed, parsed) != ((text is good),) * 2 or read != blocks[text]:
+                        errors.append((i, text, verdict, parsed, read))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, so a torn memo slot would show
@@ -422,9 +487,10 @@ class TestScanMemo:
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
+                t.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert errors == []
 
 
