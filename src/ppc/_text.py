@@ -4,6 +4,9 @@ Everything here is deliberately tokenizer-free: token counts are whitespace
 splits, "word" boundaries are ASCII-alphanumeric neighbourhood checks, and
 sentence splitting is naive punctuation splitting. The JSON-lines reader
 and writer below are the only place the row format is spelled out.
+atomic_open replaces one output file only when its writer succeeds;
+atomic_outputs opens a run's files in its output directory that way, and
+a failed run leaves no directory it created.
 JSON_ENCODER writes every JSONL line and JSON_DECODER reads every input
 document, both strict RFC 8259: no NaN or +-Infinity in or out.
 """
@@ -14,7 +17,9 @@ import json
 import os
 import re
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
+from itertools import takewhile
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
@@ -182,6 +187,27 @@ def atomic_open(path):
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
+        raise
+
+
+@contextmanager
+def atomic_outputs(out_dir, *names: str) -> Iterator[list]:
+    """The files `names` in `out_dir`, each opened with atomic_open.
+
+    Creates `out_dir` and any missing parents. The files replace their
+    targets in reverse order of `names`, so the first name lands last. If
+    the block raises, no file is replaced and the directories this call
+    created are removed again.
+    """
+    out_dir = Path(out_dir)
+    made = list(takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        with ExitStack() as stack:
+            yield [stack.enter_context(atomic_open(out_dir / name)) for name in names]
+    except BaseException:
+        for d in made:
+            d.rmdir()
         raise
 
 

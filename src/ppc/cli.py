@@ -217,7 +217,6 @@ def cmd_eval(args) -> int:
     if args.perturb:
         mode = PerturbationSpec(mode=PerturbationMode(args.perturb), seed=args.seed)
     params = _sampling(config, prompts.EVAL_SYSTEM_PROMPT)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     reports = []
     for stem, bench in benches.items():

@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 from . import prompts
 from ._text import (
     JSON_ENCODER,
-    atomic_open,
+    atomic_outputs,
     count_tokens,
     read_jsonl,
     row_id,
@@ -256,15 +256,15 @@ class _Scorer:
 
     Each distinct spelling is normalized once, and answers with equal forms
     share one table row. A new form gets its gold verdict at once: one call
-    per distinct form. The correct forms make one class with no call. The
-    wrong forms are linked (first-match, among wrong forms only) in
-    `result`, after the last answer, and only when the counts cannot decide
-    the vote: when the correct class neither outranks all wrong answers
-    together nor is outranked by one wrong form alone. Classes rank by
-    (count, -first). The fallback is asked at most once per pair of forms,
-    with each form's first raw spelling, so feeding the answers in any
-    chunks makes the same calls, in the same order, as feeding them all at
-    once.
+    per distinct form. The vote is counted from the rows in `result`, after
+    the last answer. The correct forms make one class with no call. The
+    wrong forms are linked (first-match, among wrong forms only) there too,
+    and only when the counts cannot decide the vote: when the correct class
+    neither outranks all wrong answers together nor is outranked by one
+    wrong form alone. Classes rank by (count, -first). The fallback is asked
+    at most once per pair of forms, with each form's first raw spelling, so
+    feeding the answers in any chunks makes the same calls, in the same
+    order, as feeding them all at once.
     """
 
     def __init__(self, gold: str, equivalence: Equivalence | None):
@@ -275,14 +275,9 @@ class _Scorer:
         self.rows: dict[str, _Form] = {}  # form -> its row, in order of first occurrence
         self.forms: list[str | None] = []
         self.verdicts: list[bool] = []
-        # Running tallies, so a rules-only vote is O(1).
-        self.right = 0  # correct answers
-        self.right_first = -1  # index of the first, once one lands
-        self.best: _Form | None = None  # the wrong form that ranks highest
 
     def extend(self, answers: Sequence[str | None]) -> None:
         forms, verdicts, form_of, rows = self.forms, self.verdicts, self.form_of, self.rows
-        right, best = self.right, self.best
         for raw in answers:
             if raw is None:
                 forms.append(None)
@@ -294,36 +289,24 @@ class _Scorer:
             row = rows.get(form)
             if row is None:
                 row = rows[form] = _Form(form, raw, len(forms), self._same(form, raw, *self.gold))
-                if row.correct and self.right_first < 0:
-                    self.right_first = row.first
             row.count += 1
-            correct = row.correct
             forms.append(form)
-            verdicts.append(correct)
-            if correct:
-                right += 1
-            else:
-                # (row.count, -row.first) > (best.count, -best.first), without the tuples
-                count = row.count
-                if best is None or count > best.count or (
-                    count == best.count and row.first < best.first
-                ):
-                    best = row
-        self.right, self.best = right, best
+            verdicts.append(row.correct)
 
     def result(self) -> tuple[list[str | None], list[bool], bool, bool]:
-        return self.forms, self.verdicts, self._vote(), self.right > 0
+        return self.forms, self.verdicts, self._vote(), any(self.verdicts)
 
     def _vote(self) -> bool:
         """Whether the correct class wins; links wrong forms only if the counts cannot tell."""
-        if not self.right:
+        correct = [row for row in self.rows.values() if row.correct]
+        if not correct:
             return False
-        right, best = (self.right, -self.right_first), self.best
-        if best is not None and (best.count, -best.first) > right:
-            return False  # every class holding that wrong form wins
-        if best is None or self.equivalence is None:
-            return True  # no wrong answer, or each wrong form is its own class
         wrong = [row for row in self.rows.values() if not row.correct]
+        right = (sum(row.count for row in correct), -correct[0].first)
+        if any((row.count, -row.first) > right for row in wrong):
+            return False  # every class holding that wrong form wins
+        if not wrong or self.equivalence is None:
+            return True  # no wrong answer, or each wrong form is its own class
         if right > (sum(row.count for row in wrong), -wrong[0].first):
             return True  # the correct class outranks all wrong answers together
         heads: list[_Form] = []  # each wrong class's first form
@@ -566,10 +549,8 @@ def _sample(
     further judge call. Once an error or Ctrl-C sets the pool's stop event,
     no unit and no judge call starts.
     """
-    fed = [0] * len(problems)  # length of the prefix fed to the problem's scorer
     busy = [False] * len(problems)  # a worker is feeding the problem's scorer
     failed = [False] * len(problems)
-    scorers: list[_Scorer | None] = [None] * len(problems)
     outcomes: list[EvalRecord | None] = [None] * len(problems)
     to_draw = [[j for j, s in enumerate(row) if s is None] or [None] for row in samples]
     units = [(i, j) for i, js in enumerate(to_draw) for j in js]  # (i, None) only scores
@@ -593,25 +574,24 @@ def _sample(
 
         return judge
 
+    scorers = [_Scorer(p.gold_answer, guarded(i)) for i, p in enumerate(problems)]
+
     def feed(i: int) -> None:
         """Score problem i's landed prefix until none is left; the caller set busy[i]."""
-        row = samples[i]
+        row, scorer = samples[i], scorers[i]
         k = len(row)
         while True:
             with lock:
-                start = end = fed[i]
+                start = end = len(scorer.forms)  # the prefix already fed
                 while end < k and row[end] is not None:
                     end += 1
                 if end == start:
                     busy[i] = False
                     return
-                fed[i] = end
                 landed = row[start:end]
-            if scorers[i] is None:
-                scorers[i] = _Scorer(problems[i].gold_answer, guarded(i))
-            scorers[i].extend(_answers(landed))
+            scorer.extend(_answers(landed))
             if end == k:
-                outcomes[i] = _record(problems[i], row, scorers[i])
+                outcomes[i] = _record(problems[i], row, scorer)
                 return
 
     def run(unit: tuple[int, int | None]) -> None:
@@ -672,15 +652,15 @@ def write_eval_outputs(out_dir: Path, report: EvalReport) -> None:
     The transcripts ({id, samples} per problem) are what --replay reads.
     Each JSONL line equals json.dumps(row, sort_keys=True, ensure_ascii=False).
     A record's samples, nearly all of both its lines, are encoded once for
-    both. The JSONL files are streamed a record at a time and replace their
-    targets only after the last record: an error leaves neither in place.
+    both. `out_dir` and its missing parents are created. The files are
+    streamed a record at a time and replace their targets only after the
+    last record, the report last: an error leaves none of them in place, and
+    removes `out_dir` again if this call created it.
     """
     encode = JSON_ENCODER.encode
-    stem = f"{Path(out_dir) / report.benchmark}"
-    with (
-        atomic_open(f"{stem}.transcripts.jsonl") as transcripts,
-        atomic_open(f"{stem}.records.jsonl") as records,
-    ):
+    stem = report.benchmark
+    names = (f"{stem}.report.json", f"{stem}.transcripts.jsonl", f"{stem}.records.jsonl")
+    with atomic_outputs(out_dir, *names) as (report_file, transcripts, records):
         for rec in report.records:
             samples = encode(rec.samples)
             transcripts.write(f'{{"id": {encode(rec.problem.id)}, "samples": {samples}}}\n')
@@ -688,8 +668,7 @@ def write_eval_outputs(out_dir: Path, report: EvalReport) -> None:
             row["samples"] = None
             head, _, tail = encode(row).rpartition(_SAMPLES_STAND_IN)
             records.write(f'{head}"samples": {samples}{tail}\n')
-    with atomic_open(f"{stem}.report.json") as f:
-        f.write(report.to_json() + "\n")
+        report_file.write(report.to_json() + "\n")
 
 
 def read_transcripts(path: Path) -> dict[str, list[str]]:

@@ -12,14 +12,12 @@ from __future__ import annotations
 import json
 import logging
 import threading
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
-from itertools import takewhile
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from . import prompts
-from ._text import JSON_ENCODER, atomic_open, read_jsonl, row_id, typed_field
+from ._text import JSON_ENCODER, atomic_outputs, read_jsonl, row_id, typed_field
 from .clients import ClientError, GenerationRequest, LlmClient, run_parallel
 from .spoiler import (
     DEFAULT_LENGTH_BOUNDS,
@@ -260,31 +258,12 @@ def build_dataset(
                 (sft if kept else rejects).write(text)
                 cursor += 1
 
-    out_dir = Path(out_dir)
-    with (
-        _removed_on_error(out_dir),
-        atomic_open(out_dir / "summary.json") as summary_file,
-        atomic_open(out_dir / "sft.jsonl") as sft,
-        atomic_open(out_dir / "rejects.jsonl") as rejects,
-    ):
+    with atomic_outputs(out_dir, "summary.json", "sft.jsonl", "rejects.jsonl") as (summary_file, sft, rejects):
         run_parallel(run, enumerate(problems), parallelism)
         summary.retention = summary.kept / len(problems) if problems else None
         summary.drop_reasons = dict(sorted(summary.drop_reasons.items()))
         summary_file.write(json.dumps(summary.to_dict(), sort_keys=True, indent=2) + "\n")
     return summary
-
-
-@contextmanager
-def _removed_on_error(out_dir: Path) -> Iterator[None]:
-    """Create `out_dir` and its missing parents; remove those again if the block raises."""
-    made = list(takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        yield
-    except BaseException:
-        for d in made:
-            d.rmdir()
-        raise
 
 
 def load_problems(path: Path) -> list[ProblemRecord]:

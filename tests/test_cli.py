@@ -536,14 +536,24 @@ class TestEval:
         assert "duplicate problem id 'a'" in capsys.readouterr().err
         assert calls == []
 
-    def test_config_error_leaves_no_out_dir(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "setting, args, message",
+        [
+            (', "temperature": 1e999', [], "temperature must be a finite number"),  # parses as infinity
+            ("", ["--k", "0"], "k must be >= 1"),
+            ("", ["--parallelism", "-1"], "parallelism must be >= 1"),
+            ("", ["--perturb", "mismatched"], "needs >= 2 preplans"),  # one problem, one preplan
+        ],
+        ids=["infinite-temperature", "k-0", "negative-parallelism", "mismatched-pool-too-small"],
+    )
+    def test_config_error_leaves_no_out_dir(self, tmp_path, capsys, setting, args, message):
         bench, config = eval_setup(tmp_path, {"a": "7"})
         doc = config.read_text()
-        config.write_text(doc[:-1] + ', "temperature": 1e999}')  # parses as infinity
+        config.write_text(doc[:-1] + setting + "}")
         out_dir = tmp_path / "o"
         argv = ["eval", "--config", str(config), "--bench", str(bench), "--k", "2", "--seed", "5"]
-        assert main(argv + ["--out", str(out_dir)]) == 2
-        assert "temperature must be a finite number" in capsys.readouterr().err
+        assert main(argv + args + ["--out", str(out_dir)]) == 2
+        assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_two_benches_with_one_stem_are_data_error(self, tmp_path, monkeypatch, capsys):
@@ -572,7 +582,7 @@ class TestEval:
         argv = ["eval", "--bench", str(bench), "--k", "1", "--out", str(out_dir), "--seed", "5"]
         assert main(argv + ["--replay", str(replay_dir)]) == 2
         assert "mini.transcripts.jsonl:2: repeated id 'a'" in capsys.readouterr().err
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
 
     def test_failed_base_sample_leaves_mismatched_pool_too_small(self, tmp_path, monkeypatch, capsys):
         bench, config = eval_setup(tmp_path, {"a": "7", "b": "7"})

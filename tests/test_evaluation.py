@@ -616,6 +616,18 @@ class TestWriteEvalOutputs:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["mini.records.jsonl"]
         assert (tmp_path / "mini.records.jsonl").read_bytes() == b"old\n"
 
+    def test_creates_a_fresh_nested_out_dir(self, tmp_path):
+        write_eval_outputs(tmp_path / "a" / "b", adversarial_report())
+        names = ["mini.records.jsonl", "mini.report.json", "mini.transcripts.jsonl"]
+        assert sorted(p.name for p in (tmp_path / "a" / "b").iterdir()) == names
+
+    def test_error_removes_the_out_dir_it_created(self, tmp_path):
+        report = adversarial_report()
+        report.records[-1].token_counts = [float("nan")]
+        with pytest.raises(ValueError):
+            write_eval_outputs(tmp_path / "a" / "b", report)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestScheduler:
     """evaluate's pool spreads (problem, sample) units and scores each problem's
