@@ -23,13 +23,11 @@ from .clients import (
     judge_equivalence,
 )
 from .evaluation import (
-    AttributionCounts,
     EvalRecord,
     EvalReport,
     PerturbationMode,
     PerturbationSpec,
     PoolTooSmall,
-    aggregate_attribution,
     answers_equivalent,
     evaluate,
     maj_at_k,

@@ -20,12 +20,18 @@ from pathlib import Path
 
 from . import prompts
 from ._text import JSON_DECODER, read_jsonl, row_id, typed_field, write_jsonl
-from .clients import ClientError, GenerationRequest, UnparseableVerdict, attribute_error
+from .clients import (
+    ClientError,
+    Facet,
+    GenerationRequest,
+    UnparseableVerdict,
+    attribute_error,
+    judge_equivalence,
+)
 from .config import PipelineConfig, build_client
 from .evaluation import (
     PerturbationMode,
     PerturbationSpec,
-    aggregate_attribution,
     answers_equivalent,
     evaluate,
     format_report_table,
@@ -211,7 +217,7 @@ def cmd_eval(args) -> int:
     equivalence = None
     if args.judge_fallback:
         judge = build_client(config, "judge", env, _config_dir(args))
-        equivalence = lambda pred, gold: answers_equivalent(pred, gold, fallback=judge)
+        equivalence = functools.partial(judge_equivalence, judge)
 
     mode = None
     if args.perturb:
@@ -258,7 +264,8 @@ def cmd_perturb(args) -> int:
 def cmd_attribute(args) -> int:
     config = _load_config(args)
     judge = build_client(config, "judge", os.environ, _config_dir(args))
-    verdicts = []
+    tally = {"what_to_solve": 0, "how_to_solve": 0, "unparseable": 0}
+    facets = {facet.value: 0 for facet in Facet}
 
     def attribute(row: dict) -> dict:
         texts = [typed_field(row, key) for key in ("question", "solution", "gold")]
@@ -266,17 +273,22 @@ def cmd_attribute(args) -> int:
             verdict = attribute_error(judge, *texts)
         except UnparseableVerdict as exc:
             log.warning("row %s: %s", row.get("id"), exc)
-            verdict = None
-        verdicts.append(verdict)
+            tally["unparseable"] += 1
+            return {"id": row.get("id"), "what_to_solve": None, "facet": None, "unparseable": True}
+        facet = None if verdict.facet is None else verdict.facet.value
+        tally["what_to_solve" if verdict.is_what_to_solve else "how_to_solve"] += 1
+        if facet is not None:
+            facets[facet] += 1
         return {
             "id": row.get("id"),
-            "what_to_solve": None if verdict is None else verdict.is_what_to_solve,
-            "facet": None if verdict is None or verdict.facet is None else verdict.facet.value,
-            "unparseable": verdict is None,
+            "what_to_solve": verdict.is_what_to_solve,
+            "facet": facet,
+            "unparseable": False,
         }
 
     write_jsonl(args.out, read_jsonl(getattr(args, "in"), attribute))
-    print(json.dumps(aggregate_attribution(verdicts).to_dict(), sort_keys=True))
+    total = tally["what_to_solve"] + tally["how_to_solve"]
+    print(json.dumps({**tally, "total": total, "facets": facets}, sort_keys=True))
     return EXIT_OK
 
 

@@ -239,8 +239,8 @@ class ScriptedClient(LlmClient):
 
 def run_parallel(
     fn: Callable, items: Iterable, parallelism: int = 1, stop: threading.Event | None = None
-) -> list:
-    """Apply fn to items; the results come back in input order.
+) -> None:
+    """Call fn on each item; fn keeps whatever it makes.
 
     Up to `parallelism` long-lived workers take items from one cursor in
     input order; with one worker, the loop runs in the caller's thread. An
@@ -250,19 +250,19 @@ def run_parallel(
     to end its own work early.
     """
     items = list(items)
-    results: list = [None] * len(items)
     stop = threading.Event() if stop is None else stop
-    cursor = enumerate(items)
+    cursor = iter(items)
     lock = threading.Lock()
+    done = object()
 
     def work() -> None:
         try:
             while True:
                 with lock:
-                    taken = None if stop.is_set() else next(cursor, None)
-                if taken is None:
+                    item = done if stop.is_set() else next(cursor, done)
+                if item is done:
                     return
-                results[taken[0]] = fn(taken[1])
+                fn(item)
         except BaseException:
             stop.set()
             raise
@@ -270,7 +270,7 @@ def run_parallel(
     workers = min(parallelism, len(items))
     if workers <= 1:
         work()
-        return results
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         try:
             for future in as_completed([pool.submit(work) for _ in range(workers)]):
@@ -278,7 +278,6 @@ def run_parallel(
         except BaseException:
             stop.set()  # before the pool joins the workers
             raise
-    return results
 
 
 # --- judge calls -----------------------------------------------------------

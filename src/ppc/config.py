@@ -8,7 +8,6 @@ scripted response file for fully offline runs.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -154,9 +153,6 @@ class PipelineConfig:
         except ValueError as exc:
             raise ConfigError(f"invalid config JSON in {path}: {exc}") from exc
         return cls.from_dict(data)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _env_for_role(env: Mapping[str, str], role: str, suffix: str) -> str | None:

@@ -5,8 +5,7 @@ The rule pipeline normalizes answer strings (whitespace, dollar signs,
 that parses as an exact rational, so "0.50", "1/2" and "\\frac{2}{4}" all
 compare equal without floats. An optional LLM judge acts as a fallback for
 pairs the rules cannot settle. On top of that sit the k-sample metrics,
-the preplan perturbations for faithfulness probing, and error-attribution
-aggregation.
+the preplan perturbations for faithfulness probing, and the eval reports.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import logging
 import random
 import re
 import threading
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from math import gcd
 from pathlib import Path
@@ -33,9 +32,7 @@ from ._text import (
     typed_field,
 )
 from .clients import (
-    AttributionVerdict,
     ClientError,
-    Facet,
     GenerationRequest,
     LlmClient,
     judge_equivalence,
@@ -684,40 +681,3 @@ def read_transcripts(path: Path) -> dict[str, list[str]]:
     for _ in read_jsonl(path, add):
         pass
     return transcripts
-
-
-# --- error attribution ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AttributionCounts:
-    total: int
-    what_to_solve: int
-    how_to_solve: int
-    facets: dict[str, int]
-    unparseable: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def aggregate_attribution(verdicts: Sequence[AttributionVerdict | None]) -> AttributionCounts:
-    """Tally attribution verdicts; None entries count as unparseable."""
-    facets = {facet.value: 0 for facet in Facet}
-    what = how = unparseable = 0
-    for verdict in verdicts:
-        if verdict is None:
-            unparseable += 1
-            continue
-        if verdict.is_what_to_solve:
-            what += 1
-            facets[verdict.facet.value] += 1
-        else:
-            how += 1
-    return AttributionCounts(
-        total=what + how,
-        what_to_solve=what,
-        how_to_solve=how,
-        facets=facets,
-        unparseable=unparseable,
-    )

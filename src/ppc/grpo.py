@@ -68,11 +68,12 @@ class RolloutGroup:
     logp_new: list[Logp]
     logp_old: list[Logp]
     logp_ref: list[Logp]
-    G: int = 0
+
+    @property
+    def G(self) -> int:
+        return len(self.rewards)
 
     def __post_init__(self):
-        if self.G == 0:
-            self.G = len(self.rewards)
         for name in ("rewards", "logp_new", "logp_old", "logp_ref"):
             if len(getattr(self, name)) != self.G:
                 raise ValueError(f"{name} must have length G={self.G}")
@@ -91,12 +92,12 @@ class RolloutGroup:
     @classmethod
     def from_dict(cls, data: dict) -> "RolloutGroup":
         """Build from JSON data; a field that is not a list, a reward or
-        log-prob that is not a number, or a G that is not an integer, is a
-        ValueError naming it."""
+        log-prob that is not a number, or a G that is not an integer equal to
+        the number of rollouts, is a ValueError naming it."""
         if not isinstance(data, dict):
             raise ValueError(f"a rollout group must be a JSON object, got {type(data).__name__}")
-        G = data.get("G", 0)
-        if isinstance(G, bool) or not isinstance(G, int):
+        G = data.get("G")
+        if "G" in data and (isinstance(G, bool) or not isinstance(G, int)):
             raise ValueError(f"G must be an integer, got {G!r:.60}")
         fields = {}
         for name in ("rewards", "logp_new", "logp_old", "logp_ref"):
@@ -109,7 +110,10 @@ class RolloutGroup:
                     kind = "a number" if name == "rewards" else "a number or a list of numbers"
                     raise ValueError(f"rollout {i}: {name} must be {kind}, got {v!r}")
             fields[name] = list(values)
-        return cls(**fields, G=G)
+        group = cls(**fields)
+        if "G" in data and G != group.G:
+            raise ValueError(f"G is {G}, but the group has {group.G} rollouts")
+        return group
 
 
 def group_advantages(

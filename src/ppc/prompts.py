@@ -9,6 +9,8 @@ contain braces.
 
 from __future__ import annotations
 
+import re
+
 EVAL_SYSTEM_PROMPT = (
     "Please reason step by step, and put your final answer within \\boxed{}."
 )
@@ -155,12 +157,14 @@ or
 {"what_to_solve": false, "facet": null}"""
 
 
+_PLACEHOLDER = re.compile(r"\{(\w+)\}")
+
+
 def fill(template: str, **fields: str) -> str:
-    """Substitute {name} placeholders by literal replacement."""
-    out = template
-    for name, value in fields.items():
-        out = out.replace("{" + name + "}", value)
-    return out
+    """Replace each {name} placeholder of `template` by its field, literally,
+    in one pass: a field's text is never searched for placeholders, and a
+    {name} with no field stays as it is."""
+    return _PLACEHOLDER.sub(lambda m: fields.get(m.group(1), m.group(0)), template)
 
 
 def preplan_prompt(question: str) -> str:

@@ -415,6 +415,23 @@ class TestGrpoCheck:
         assert main(["grpo-check", "--in", str(path)]) == 2
         assert f"G must be an integer, got {G!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("G", [0, 1, 3], ids=["zero", "fewer", "more"])
+    def test_group_size_not_the_rollout_count_is_data_error(self, tmp_path, capsys, G):
+        group = {"rewards": [1.0, 0.0], "logp_new": [-1.0, -2.0], "logp_old": [-1.0, -2.0], "logp_ref": [-1.0, -2.0]}
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({**group, "G": G}))
+        assert main(["grpo-check", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"G is {G}, but the group has 2 rollouts" in captured.err
+        assert captured.out == ""
+
+    def test_group_size_equal_to_the_rollout_count_runs(self, tmp_path, capsys):
+        group = {"rewards": [1.0, 0.0], "logp_new": [-1.0, -2.0], "logp_old": [-1.0, -2.0], "logp_ref": [-1.0, -2.0]}
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({**group, "G": 2}))
+        assert main(["grpo-check", "--in", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["advantages"] == pytest.approx([1.0, -1.0])
+
 
 def completion_with(text):
     return f"<preplan>{text}</preplan>\n<plan>1. go.</plan>\n<execute>{text} \\boxed{{7}}</execute>"
@@ -496,6 +513,27 @@ class TestEval:
         assert main(argv) == 0
         for name in ("mini.report.json", "mini.records.jsonl", "mini.transcripts.jsonl"):
             assert (judged_dir / name).read_bytes() == (out_dir / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "answers, code, problems",
+        [({"a": "7", "b": "4"}, 0, 1), ({"b": "4"}, 3, 0)],
+        ids=["one-of-two", "every-problem"],
+    )
+    def test_failing_judge_fails_its_problem(self, tmp_path, capsys, answers, code, problems):
+        bench, config = eval_setup(tmp_path, answers)
+        judge = tmp_path / "judge.script.json"
+        judge.write_text(json.dumps([{"match": "no prompt holds this", "response": "YES"}]))
+        doc = json.loads(config.read_text())
+        doc["roles"]["judge"] = {"kind": "scripted", "script": judge.name}
+        config.write_text(json.dumps(doc))
+        out_dir = tmp_path / "o"
+        argv = ["eval", "--config", str(config), "--bench", str(bench), "--k", "2", "--seed", "5"]
+        assert main(argv + ["--out", str(out_dir), "--judge-fallback"]) == code
+        assert "problem b failed entirely: no scripted response" in capsys.readouterr().err
+        report = json.loads((out_dir / "mini.report.json").read_text())
+        assert (report["problems"], report["failed"]) == (problems, 1)
+        records = read_jsonl((out_dir / "mini.records.jsonl").read_text())
+        assert [r["id"] for r in records] == ["a"] * problems  # a's 7 equals gold: no judge call
 
     @pytest.mark.parametrize("spelling", ["same", "dot-dot"])
     def test_out_is_replay_dir_is_data_error(self, tmp_path, capsys, spelling):
@@ -688,41 +726,74 @@ class TestPerturbCommand:
             assert donor != row["preplan"]
 
 
+def run_attribute(tmp_path, responses, out=True):
+    """`ppc attribute` over one row per scripted judge response; its exit code,
+    the rows it wrote to --out (or stdout) and the rest of stdout."""
+    rows = [{"id": str(n), "question": f"q{n}", "solution": "bad", "gold": "7"} for n in range(len(responses))]
+    path = tmp_path / "wrong.jsonl"
+    write_jsonl(path, rows)
+    script = tmp_path / "judge.script.json"
+    script.write_text(json.dumps([{"match": f"q{n}\n", "response": r} for n, r in enumerate(responses)]))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"roles": {"judge": {"kind": "scripted", "script": script.name}}}))
+    out_file = tmp_path / "verdicts.jsonl"
+    argv = ["attribute", "--config", str(config), "--in", str(path)]
+    return main(argv + (["--out", str(out_file)] if out else [])), out_file
+
+
+WHAT = '{"what_to_solve": true, "facet": "%s"}'
+HOW = '{"what_to_solve": false}'
+SUMMARY_KEYS = {"total", "what_to_solve", "how_to_solve", "facets", "unparseable"}
+FACETS = {"problem_type", "tools", "constraints", "pitfalls"}
+
+
 class TestAttributeCommand:
     def test_aggregates(self, tmp_path, capsys):
-        rows = [
-            {"id": "1", "question": "q1", "solution": "bad", "gold": "7"},
-            {"id": "2", "question": "q2", "solution": "bad", "gold": "8"},
-            {"id": "3", "question": "q3", "solution": "bad", "gold": "9"},
-        ]
-        path = tmp_path / "wrong.jsonl"
-        write_jsonl(path, rows)
-        script = tmp_path / "judge.script.json"
-        script.write_text(
-            json.dumps(
-                [
-                    {"match": "q1", "response": '{"what_to_solve": true, "facet": "PITFALLS"}'},
-                    {"match": "q2", "response": '{"what_to_solve": false}'},
-                    {"match": "q3", "response": "hmm"},
-                ]
-            )
-        )
-        config = tmp_path / "config.json"
-        config.write_text(
-            json.dumps({"roles": {"judge": {"kind": "scripted", "script": script.name}}})
-        )
-        out_file = tmp_path / "verdicts.jsonl"
-        code = main(
-            ["attribute", "--config", str(config), "--in", str(path), "--out", str(out_file)]
-        )
+        code, out_file = run_attribute(tmp_path, [WHAT % "PITFALLS", HOW, "hmm"])
         assert code == 0
-        counts = json.loads(capsys.readouterr().out)
-        assert counts["what_to_solve"] == 1
-        assert counts["how_to_solve"] == 1
-        assert counts["unparseable"] == 1
-        assert counts["facets"]["pitfalls"] == 1
-        verdicts = read_jsonl(out_file.read_text())
-        assert verdicts[2]["unparseable"] is True
+        assert capsys.readouterr().out == (
+            '{"facets": {"constraints": 0, "pitfalls": 1, "problem_type": 0, "tools": 0}, '
+            '"how_to_solve": 1, "total": 2, "unparseable": 1, "what_to_solve": 1}\n'
+        )
+        assert out_file.read_text() == (
+            '{"facet": "pitfalls", "id": "0", "unparseable": false, "what_to_solve": true}\n'
+            '{"facet": null, "id": "1", "unparseable": false, "what_to_solve": false}\n'
+            '{"facet": null, "id": "2", "unparseable": true, "what_to_solve": null}\n'
+        )
+
+    def test_summary_keys(self, tmp_path, capsys):
+        code, _ = run_attribute(tmp_path, [WHAT % "TOOLS/CONCEPTS", HOW], out=False)
+        assert code == 0
+        *rows, summary = read_jsonl(capsys.readouterr().out)  # the rows, then the summary
+        assert [r["id"] for r in rows] == ["0", "1"]
+        assert set(summary) == SUMMARY_KEYS
+        assert set(summary["facets"]) == FACETS
+
+    def test_empty_input(self, tmp_path, capsys):
+        assert run_attribute(tmp_path, [])[0] == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary == {
+            "total": 0,
+            "what_to_solve": 0,
+            "how_to_solve": 0,
+            "facets": dict.fromkeys(FACETS, 0),
+            "unparseable": 0,
+        }
+
+    def test_facet_tallies(self, tmp_path, capsys):
+        responses = [WHAT % "CONSTRAINTS", WHAT % "CONSTRAINTS", WHAT % "PITFALLS", HOW, HOW]
+        assert run_attribute(tmp_path, responses)[0] == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["what_to_solve"] == 3
+        assert summary["how_to_solve"] == 2
+        assert summary["total"] == 5
+        assert summary["facets"] == {"problem_type": 0, "tools": 0, "constraints": 2, "pitfalls": 1}
+
+    def test_unparseable_rows_tallied_separately(self, tmp_path, capsys):
+        assert run_attribute(tmp_path, [HOW, "hmm"])[0] == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["unparseable"] == 1
+        assert summary["total"] == 1
 
 
 VALID_ROWS = {

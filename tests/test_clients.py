@@ -277,11 +277,20 @@ class TestJudges:
 class TestRunParallel:
     def test_preserves_input_order(self):
         items = list(range(50))
-        out = run_parallel(lambda x: x * x, items, parallelism=8)
-        assert out == [x * x for x in items]
+        seen = []
+        lock = threading.Lock()
+
+        def fn(x):
+            with lock:
+                seen.append(x)
+
+        assert run_parallel(fn, items, parallelism=8) is None
+        assert sorted(seen) == items  # every item runs exactly once
 
     def test_serial_path(self):
-        assert run_parallel(str, [1, 2], parallelism=1) == ["1", "2"]
+        seen = []
+        run_parallel(lambda x: seen.append((x, threading.get_ident())), [1, 2, 3], parallelism=1)
+        assert seen == [(x, threading.get_ident()) for x in (1, 2, 3)]  # in order, in the caller's thread
 
     @pytest.mark.parametrize("parallelism", [2, 4])
     def test_first_error_stops_the_pool(self, parallelism):

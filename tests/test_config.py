@@ -46,7 +46,7 @@ class TestRoundTrip:
         assert config.spoiler == SpoilerConfig(("boils down to",), ("hence",), digit_min=4, tau_s=3)
         assert config.weights == RewardWeights(lambda_a=0.2, lambda_s=0.5, tau_s=3)
         assert config.grpo == GrpoConfig(epsilon_clip=0.3, beta_kl=0.01, std_floor=1e-4)
-        again = PipelineConfig.from_dict(json.loads(config.to_json()))
+        again = PipelineConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert again == config
 
     def test_defaults(self):

@@ -23,14 +23,13 @@ import ppc.clients
 import ppc.evaluation
 from ppc import prompts
 from ppc._text import count_tokens
-from ppc.clients import AttributionVerdict, Facet, ProtocolError, ScriptedClient
+from ppc.clients import ProtocolError, ScriptedClient
 from ppc.evaluation import (
     EvalRecord,
     EvalReport,
     PerturbationMode,
     PerturbationSpec,
     PoolTooSmall,
-    aggregate_attribution,
     answers_equivalent,
     evaluate,
     forced_prefix_for,
@@ -1316,37 +1315,3 @@ class TestReportTokens:
     def test_thousands_rounding(self):
         report = self.report([" ".join(["w"] * 2410)])
         assert report.mean_tokens_thousands == 2.41
-
-
-class TestAttributionAggregate:
-    def make(self, what, facet=None):
-        return AttributionVerdict(is_what_to_solve=what, facet=facet)
-
-    def test_empty(self):
-        counts = aggregate_attribution([])
-        assert counts.total == 0
-        assert all(v == 0 for v in counts.facets.values())
-
-    def test_counting(self):
-        verdicts = [
-            self.make(True, Facet.CONSTRAINTS),
-            self.make(True, Facet.CONSTRAINTS),
-            self.make(True, Facet.PITFALLS),
-            self.make(False),
-            self.make(False),
-        ]
-        counts = aggregate_attribution(verdicts)
-        assert counts.what_to_solve == 3
-        assert counts.how_to_solve == 2
-        assert counts.facets == {
-            "problem_type": 0,
-            "tools": 0,
-            "constraints": 2,
-            "pitfalls": 1,
-        }
-        assert sum(counts.facets.values()) == counts.what_to_solve
-
-    def test_unparseable_tallied_separately(self):
-        counts = aggregate_attribution([self.make(False), None])
-        assert counts.unparseable == 1
-        assert counts.total == 1

@@ -28,6 +28,16 @@ def test_fill_is_literal_replacement():
     assert out == "value a{b}c and {y}"  # braces survive; unknown fields stay
 
 
+def test_fill_never_fills_a_field_s_own_text():
+    out = prompts.fill("Q: {question}\nP: {preplan}", question="what is {preplan}?", preplan="SECRET")
+    assert out == "Q: what is {preplan}?\nP: SECRET"
+    plan = prompts.plan_prompt("what is {preplan}?", "SECRET")
+    assert "what is {preplan}?" in plan and plan.count("SECRET") == 1
+    cleanup = prompts.cleanup_prompt("Q", "see {raw_solution}", "RAW")
+    assert "see {raw_solution}" in cleanup and cleanup.count("RAW") == 1
+    assert "{answer}" in cleanup  # the template's own literal placeholder stays
+
+
 def test_builders_embed_their_inputs():
     assert "Q-TEXT" in prompts.preplan_prompt("Q-TEXT")
     plan = prompts.plan_prompt("Q-TEXT", "PP-TEXT")
