@@ -264,17 +264,18 @@ def cmd_perturb(args) -> int:
 def cmd_attribute(args) -> int:
     config = _load_config(args)
     judge = build_client(config, "judge", os.environ, _config_dir(args))
-    tally = {"what_to_solve": 0, "how_to_solve": 0, "unparseable": 0}
+    tally = {"what_to_solve": 0, "how_to_solve": 0, "unparseable": 0, "failed": 0}
     facets = {facet.value: 0 for facet in Facet}
 
     def attribute(row: dict) -> dict:
         texts = [typed_field(row, key) for key in ("question", "solution", "gold")]
         try:
             verdict = attribute_error(judge, *texts)
-        except UnparseableVerdict as exc:
+        except (UnparseableVerdict, ClientError) as exc:
             log.warning("row %s: %s", row.get("id"), exc)
-            tally["unparseable"] += 1
-            return {"id": row.get("id"), "what_to_solve": None, "facet": None, "unparseable": True}
+            unparseable = isinstance(exc, UnparseableVerdict)
+            tally["unparseable" if unparseable else "failed"] += 1
+            return {"id": row.get("id"), "what_to_solve": None, "facet": None, "unparseable": unparseable}
         facet = None if verdict.facet is None else verdict.facet.value
         tally["what_to_solve" if verdict.is_what_to_solve else "how_to_solve"] += 1
         if facet is not None:
@@ -289,6 +290,9 @@ def cmd_attribute(args) -> int:
     write_jsonl(args.out, read_jsonl(getattr(args, "in"), attribute))
     total = tally["what_to_solve"] + tally["how_to_solve"]
     print(json.dumps({**tally, "total": total, "facets": facets}, sort_keys=True))
+    if tally["failed"] and not total and not tally["unparseable"]:
+        log.error("every judge call failed; endpoint unusable")
+        return EXIT_ENDPOINT
     return EXIT_OK
 
 
@@ -318,7 +322,7 @@ def build_parser() -> _Parser:
     p.add_argument("--in", required=True, help="problems JSONL {id, question, answer}")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--parallelism", type=int, default=0, help="worker threads")
-    p.add_argument("--retries", type=int, default=0, help="chain resamples on filter failure")
+    p.add_argument("--retries", type=int, default=0, help="chain resamples after a drop or stage failure")
     p.set_defaults(fn=cmd_synthesize)
 
     p = sub.add_parser("reward", help="composite rewards for {trajectory, gold, adh[, prox]} rows")

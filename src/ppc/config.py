@@ -25,14 +25,12 @@ class ConfigError(ValueError):
     pass
 
 
-# Annotation of a field -> the JSON value types it takes. No field takes a
-# bool; a tuple[str, ...] field takes an array, whose strings its class checks.
+# Annotation of a field -> the JSON value types it takes. No field takes a bool.
 _FIELD_TYPES = {
     "str": (str,),
     "str | None": (str, type(None)),
     "int": (int,),
     "float": (int, float),
-    "tuple[str, ...]": (list,),
 }
 
 
@@ -53,16 +51,15 @@ def _load(cls, data, where: str = ""):
     """
     at = f"{where}: " if where else ""
     types = {f.name: f.type for f in fields(cls)}
-    kwargs = {}
-    for key, value in _object(data, at).items():
+    data = _object(data, at)
+    for key, value in data.items():
         if key not in types:
             raise ConfigError(f"{at}unknown key {key!r}")
         kinds = _FIELD_TYPES.get(types[key])
         if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
             raise ConfigError(f"{at}{key} must be {types[key]}, got {value!r:.60}")
-        kwargs[key] = tuple(value) if isinstance(value, list) else value
     try:
-        return cls(**kwargs)
+        return cls(**data)
     except ValueError as exc:
         raise ConfigError(f"{at}{exc}") from exc
 

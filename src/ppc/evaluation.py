@@ -258,16 +258,17 @@ class _Scorer:
     wrong forms are linked (first-match, among wrong forms only) there too,
     and only when the counts cannot decide the vote: when the correct class
     neither outranks all wrong answers together nor is outranked by one
-    wrong form alone. Classes rank by (count, -first). The fallback is asked
-    at most once per pair of forms, with each form's first raw spelling, so
-    feeding the answers in any chunks makes the same calls, in the same
-    order, as feeding them all at once.
+    wrong form alone. Classes rank by (count, -first). The fallback gets
+    each form's first raw spelling, at most once per pair of forms: a new
+    form against gold, and in `result` (once per problem) a wrong form
+    against each earlier class head, which is never gold's form. Feeding
+    the answers in any chunks makes the same calls, in the same order, as
+    feeding them all at once.
     """
 
     def __init__(self, gold: str, equivalence: Equivalence | None):
         self.gold = (normalize_answer(gold), gold)  # (form, raw spelling)
         self.equivalence = equivalence
-        self.memo: dict[tuple[str, str], bool] = {}
         self.form_of: dict[str, str] = {}  # raw spelling -> normalized form
         self.rows: dict[str, _Form] = {}  # form -> its row, in order of first occurrence
         self.forms: list[str | None] = []
@@ -321,12 +322,7 @@ class _Scorer:
     def _same(self, form: str, raw: str, other_form: str, other_raw: str) -> bool:
         if form == other_form:
             return True
-        if self.equivalence is None:
-            return False
-        key = (form, other_form)
-        if key not in self.memo:
-            self.memo[key] = self.equivalence(raw, other_raw)
-        return self.memo[key]
+        return self.equivalence is not None and self.equivalence(raw, other_raw)
 
 
 @dataclass

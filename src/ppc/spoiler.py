@@ -16,6 +16,8 @@ from typing import Callable
 from ._text import count_tokens, find_phrase, math_spans, standalone_integers
 from .trajectory import Trajectory, check_format, render_trajectory
 
+# The detector's fixed vocabulary, after the rules of prompts.PREPLAN_PROMPT.
+# Lower-case, since they are matched against the lower-cased preplan.
 DERIVATION_PHRASES = (
     "simplifies to",
     "reduces to",
@@ -51,8 +53,6 @@ DEFAULT_LENGTH_BOUNDS = (150, 1500)
 
 @dataclass(frozen=True)
 class SpoilerConfig:
-    derivation_phrases: tuple[str, ...] = DERIVATION_PHRASES
-    answer_phrases: tuple[str, ...] = ANSWER_PHRASES
     equality_threshold: int = 3
     long_span_min_chars: int = 30
     long_span_min_count: int = 2
@@ -61,10 +61,6 @@ class SpoilerConfig:
     tau_s: int = 2
 
     def __post_init__(self):
-        for name in ("derivation_phrases", "answer_phrases"):
-            phrases = getattr(self, name)
-            if not phrases or not all(isinstance(p, str) and p for p in phrases):
-                raise ValueError(f"{name} must be one or more non-empty strings, got {phrases!r:.60}")
         for name in (
             "equality_threshold",
             "long_span_min_chars",
@@ -103,7 +99,7 @@ class SpoilerReport:
 
 
 def _matched_phrases(lowered: str, phrases: tuple[str, ...]) -> list[str]:
-    return [p for p in phrases if find_phrase(lowered, p.lower()) != -1]
+    return [p for p in phrases if find_phrase(lowered, p) != -1]
 
 
 def spoiler_score(preplan: str, cfg: SpoilerConfig = DEFAULT_SPOILER_CONFIG) -> SpoilerReport:
@@ -118,12 +114,12 @@ def spoiler_score(preplan: str, cfg: SpoilerConfig = DEFAULT_SPOILER_CONFIG) -> 
     lowered = preplan.lower()
     spans = math_spans(preplan)
 
-    derivation_hits = _matched_phrases(lowered, cfg.derivation_phrases)
+    derivation_hits = _matched_phrases(lowered, DERIVATION_PHRASES)
     equiv_count = preplan.count("\\equiv")
     eq_count = preplan.count("=")
     long_spans = [s for s in spans if len(s) >= cfg.long_span_min_chars]
     big_ints = standalone_integers(preplan, cfg.digit_min)
-    answer_hits = _matched_phrases(lowered, cfg.answer_phrases)
+    answer_hits = _matched_phrases(lowered, ANSWER_PHRASES)
 
     flags = {
         "derivation_phrasing": bool(derivation_hits),

@@ -200,10 +200,11 @@ def build_dataset(
     parallelism. Memory holds only the summary tallies and the rows that
     wait on an earlier chain; a chain that stalls makes every later row
     wait, up to the whole corpus. `seed` is not read yet: no request
-    carries it. `retries` (>= 0) resamples the whole chain on filter
-    failure. A StageFailure makes a GEN_FAIL row. After any other exception,
-    or Ctrl-C, only the chains in flight finish, no output file is left,
-    and `out_dir` is removed again if this call created it. A process
+    carries it. `retries` (>= 0) resamples the whole chain after a filter
+    drop or a StageFailure; a chain whose last try hit a StageFailure makes
+    a GEN_FAIL row. After any other exception, or Ctrl-C, only the chains
+    in flight finish, no output file is left, and `out_dir` is removed
+    again if this call created it. A process
     killed outright can leave a `*.tmp` file beside the outputs, but never
     a partial one of them: each replaces its target only after the last row.
     """

@@ -727,13 +727,14 @@ class TestPerturbCommand:
 
 
 def run_attribute(tmp_path, responses, out=True):
-    """`ppc attribute` over one row per scripted judge response; its exit code,
-    the rows it wrote to --out (or stdout) and the rest of stdout."""
+    """`ppc attribute` over one row per scripted judge response (None: no rule,
+    so that row's judge call fails); its exit code and the --out path."""
     rows = [{"id": str(n), "question": f"q{n}", "solution": "bad", "gold": "7"} for n in range(len(responses))]
     path = tmp_path / "wrong.jsonl"
     write_jsonl(path, rows)
     script = tmp_path / "judge.script.json"
-    script.write_text(json.dumps([{"match": f"q{n}\n", "response": r} for n, r in enumerate(responses)]))
+    rules = [{"match": f"q{n}\n", "response": r} for n, r in enumerate(responses) if r is not None]
+    script.write_text(json.dumps(rules))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"roles": {"judge": {"kind": "scripted", "script": script.name}}}))
     out_file = tmp_path / "verdicts.jsonl"
@@ -743,7 +744,7 @@ def run_attribute(tmp_path, responses, out=True):
 
 WHAT = '{"what_to_solve": true, "facet": "%s"}'
 HOW = '{"what_to_solve": false}'
-SUMMARY_KEYS = {"total", "what_to_solve", "how_to_solve", "facets", "unparseable"}
+SUMMARY_KEYS = {"total", "what_to_solve", "how_to_solve", "facets", "unparseable", "failed"}
 FACETS = {"problem_type", "tools", "constraints", "pitfalls"}
 
 
@@ -753,7 +754,7 @@ class TestAttributeCommand:
         assert code == 0
         assert capsys.readouterr().out == (
             '{"facets": {"constraints": 0, "pitfalls": 1, "problem_type": 0, "tools": 0}, '
-            '"how_to_solve": 1, "total": 2, "unparseable": 1, "what_to_solve": 1}\n'
+            '"failed": 0, "how_to_solve": 1, "total": 2, "unparseable": 1, "what_to_solve": 1}\n'
         )
         assert out_file.read_text() == (
             '{"facet": "pitfalls", "id": "0", "unparseable": false, "what_to_solve": true}\n'
@@ -778,6 +779,7 @@ class TestAttributeCommand:
             "how_to_solve": 0,
             "facets": dict.fromkeys(FACETS, 0),
             "unparseable": 0,
+            "failed": 0,
         }
 
     def test_facet_tallies(self, tmp_path, capsys):
@@ -794,6 +796,28 @@ class TestAttributeCommand:
         summary = json.loads(capsys.readouterr().out)
         assert summary["unparseable"] == 1
         assert summary["total"] == 1
+
+    def test_failed_judge_call_fails_only_its_row(self, tmp_path, capsys):
+        code, out_file = run_attribute(tmp_path, [WHAT % "PITFALLS", None, HOW, "hmm"])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert "row 1: no scripted response" in err
+        assert out == (
+            '{"facets": {"constraints": 0, "pitfalls": 1, "problem_type": 0, "tools": 0}, '
+            '"failed": 1, "how_to_solve": 1, "total": 2, "unparseable": 1, "what_to_solve": 1}\n'
+        )
+        assert out_file.read_text() == (
+            '{"facet": "pitfalls", "id": "0", "unparseable": false, "what_to_solve": true}\n'
+            '{"facet": null, "id": "1", "unparseable": false, "what_to_solve": null}\n'
+            '{"facet": null, "id": "2", "unparseable": false, "what_to_solve": false}\n'
+            '{"facet": null, "id": "3", "unparseable": true, "what_to_solve": null}\n'
+        )
+
+    def test_every_call_failed_exits_3(self, tmp_path, capsys):
+        code, out_file = run_attribute(tmp_path, [None, None])
+        assert code == 3
+        assert json.loads(capsys.readouterr().out)["failed"] == 2
+        assert [row["what_to_solve"] for row in read_jsonl(out_file.read_text())] == [None, None]
 
 
 VALID_ROWS = {

@@ -27,23 +27,28 @@ def sample_config_dict():
     }
 
 
+def eval_exit_code(tmp_path, doc) -> int:
+    """`ppc eval`'s exit code on a one-problem bench under the config `doc`."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    bench = tmp_path / "mini.jsonl"
+    bench.write_text(json.dumps({"id": "a", "question": "q?", "answer": "7"}) + "\n")
+    argv = ["eval", "--config", str(config), "--bench", str(bench), "--k", "1"]
+    return main(argv + ["--out", str(tmp_path / "out"), "--seed", "1"])
+
+
 class TestRoundTrip:
     def test_parse_serialize_parse_identity(self, tmp_path):
         doc = {
             **sample_config_dict(),
-            "spoiler": {
-                "derivation_phrases": ["boils down to"],
-                "answer_phrases": ["hence"],
-                "digit_min": 4,
-                "tau_s": 3,
-            },
+            "spoiler": {"digit_min": 4, "span_count_threshold": 5, "tau_s": 3},
             "weights": {"lambda_a": 0.2, "lambda_s": 0.5, "tau_s": 3},
             "grpo": {"epsilon_clip": 0.3, "beta_kl": 0.01, "std_floor": 1e-4},
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
         config = PipelineConfig.from_file(path)
-        assert config.spoiler == SpoilerConfig(("boils down to",), ("hence",), digit_min=4, tau_s=3)
+        assert config.spoiler == SpoilerConfig(digit_min=4, span_count_threshold=5, tau_s=3)
         assert config.weights == RewardWeights(lambda_a=0.2, lambda_s=0.5, tau_s=3)
         assert config.grpo == GrpoConfig(epsilon_clip=0.3, beta_kl=0.01, std_floor=1e-4)
         again = PipelineConfig.from_dict(json.loads(json.dumps(config.to_dict())))
@@ -231,12 +236,7 @@ class TestBadScriptFile:
             build_client(config, "policy", env={}, base_dir=tmp_path)
 
     def test_eval_exits_2(self, tmp_path, capsys, text):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(self.config(tmp_path, text)))
-        bench = tmp_path / "mini.jsonl"
-        bench.write_text(json.dumps({"id": "a", "question": "q?", "answer": "7"}) + "\n")
-        argv = ["eval", "--config", str(config), "--bench", str(bench), "--k", "1"]
-        assert main(argv + ["--out", str(tmp_path / "out"), "--seed", "1"]) == 2
+        assert eval_exit_code(tmp_path, self.config(tmp_path, text)) == 2
         assert "policy.script.json" in capsys.readouterr().err
 
 
@@ -251,8 +251,6 @@ WRONG_TYPES = {
     "epsilon_clip": {"grpo": {"epsilon_clip": True, "beta_kl": 0.04}},
     "lambda_a": {"weights": {"lambda_a": True}},
     "digit_min": {"spoiler": {"digit_min": 2.5}},
-    "derivation_phrases": {"spoiler": {"derivation_phrases": "yields"}},
-    "answer_phrases": {"spoiler": {"answer_phrases": [1, 2]}},
 }
 
 
@@ -264,13 +262,27 @@ class TestWrongScalarType:
             PipelineConfig.from_dict(doc)
 
     def test_eval_exits_2(self, tmp_path, capsys, request, doc):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(doc))
-        bench = tmp_path / "mini.jsonl"
-        bench.write_text(json.dumps({"id": "a", "question": "q?", "answer": "7"}) + "\n")
-        argv = ["eval", "--config", str(config), "--bench", str(bench), "--k", "1"]
-        assert main(argv + ["--out", str(tmp_path / "out"), "--seed", "1"]) == 2
+        assert eval_exit_code(tmp_path, doc) == 2
         assert f"{request.node.callspec.id} must be" in capsys.readouterr().err
+
+
+PHRASE_LISTS = {
+    "derivation_phrases": {"spoiler": {"derivation_phrases": "yields"}},
+    "answer_phrases": {"spoiler": {"answer_phrases": [1, 2]}},
+}
+
+
+@pytest.mark.parametrize("doc", PHRASE_LISTS.values(), ids=PHRASE_LISTS.keys())
+class TestPhraseListsAreUnknownKeys:
+    """The spoiler phrase lists are fixed: setting one is an unknown key."""
+
+    def test_from_dict_names_the_key(self, request, doc):
+        with pytest.raises(ConfigError, match=f"spoiler: unknown key '{request.node.callspec.id}'"):
+            PipelineConfig.from_dict(doc)
+
+    def test_eval_exits_2(self, tmp_path, capsys, request, doc):
+        assert eval_exit_code(tmp_path, doc) == 2
+        assert f"spoiler: unknown key '{request.node.callspec.id}'" in capsys.readouterr().err
 
 
 BAD_ROLES = {
@@ -296,12 +308,7 @@ class TestBadRoleNamesTheRole:
         assert str(info.value).startswith(f"roles.{role}: ") and detail in str(info.value)
 
     def test_eval_exits_2(self, tmp_path, capsys, role, entry, detail):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(self.doc(role, entry)))
-        bench = tmp_path / "mini.jsonl"
-        bench.write_text(json.dumps({"id": "a", "question": "q?", "answer": "7"}) + "\n")
-        argv = ["eval", "--config", str(config), "--bench", str(bench), "--k", "1"]
-        assert main(argv + ["--out", str(tmp_path / "out"), "--seed", "1"]) == 2
+        assert eval_exit_code(tmp_path, self.doc(role, entry)) == 2
         err = capsys.readouterr().err
         assert f"roles.{role}: " in err and detail in err
 

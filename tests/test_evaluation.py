@@ -229,6 +229,13 @@ class TestEquivalence:
     def test_judge_no(self):
         assert not answers_equivalent("x", "y", fallback=ScriptedClient([("", "NO")]))
 
+    def test_failed_judge_call_is_a_logged_no(self, caplog):
+        judge = ScriptedClient([])  # no rule: every call raises ProtocolError
+        with caplog.at_level(logging.WARNING, logger="ppc.evaluation"):
+            assert not answers_equivalent("x+1", "1+x", fallback=judge)
+        assert len(judge.calls) == 1
+        assert "equivalence judge failed" in caplog.text and "treating as NO" in caplog.text
+
     def test_absent_prediction(self):
         assert not answers_equivalent(None, "2")
 
@@ -380,7 +387,7 @@ class TestEvaluate:
         assert len(judge.calls) == 36
         assert len({judge_pair(req) for req in judge.calls}) == 36
 
-    def test_judge_memo_keyed_by_normalized_pair(self):
+    def test_judge_asked_once_per_pair_of_normalized_forms(self):
         # 1/2 spelled three rule-equal ways (6 answers) beside five distinct
         # wrong values, after 7 gold answers that outrank each wrong form but
         # not the 16 wrong answers together: 6 wrong forms, so 6 verdicts +
@@ -455,6 +462,10 @@ class TestEvaluate:
         evaluate(problems, 1, client, mode=spec)
         forced = sorted(r.forced_prefix for r in client.calls if r.forced_prefix)
         assert forced == [forced_prefix_for(f"own analysis {p.id}.") for p in problems]
+
+    def test_needs_a_client_or_replay(self):
+        with pytest.raises(ValueError, match="need a client or replay transcripts"):
+            evaluate([make_problem("p0")], 1)
 
     def test_samples_required_in_replay(self):
         problems = [make_problem("p0")]
@@ -1208,7 +1219,15 @@ class TestScorer:
                 pass_at_k(answers, gold, reference),
             )
             for sizes in chunkings(len(answers), rng):
-                assert fed_in_chunks(gold, equivalence, answers, sizes) == expected, (problem.id, sizes)
+                asked = []
+
+                def counting(pred, other):
+                    asked.append(frozenset(map(normalize_answer, (pred, other))))
+                    return equivalence(pred, other)
+
+                got = fed_in_chunks(gold, equivalence and counting, answers, sizes)
+                assert got == expected, (problem.id, sizes)
+                assert len(asked) == len(set(asked)), (problem.id, sizes)  # no pair of forms twice
 
     @pytest.mark.parametrize("with_judge", [False, True], ids=["rules-only", "class-map-judge"])
     @pytest.mark.parametrize(

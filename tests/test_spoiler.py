@@ -41,6 +41,11 @@ class TestSignals:
         assert len(DERIVATION_PHRASES) == 11
         assert len(ANSWER_PHRASES) == 4
 
+    def test_phrases_are_lower_case(self):
+        # they are matched as they stand against the lower-cased preplan
+        for phrase in DERIVATION_PHRASES + ANSWER_PHRASES:
+            assert phrase and phrase == phrase.lower(), phrase
+
     def test_phrase_match_is_case_insensitive(self):
         assert spoiler_score("This SIMPLIFIES TO nothing.").derivation_phrasing
 
@@ -152,9 +157,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             SpoilerConfig(digit_min=0)
         with pytest.raises(ValueError):
-            SpoilerConfig(derivation_phrases=())
-        with pytest.raises(ValueError):
-            SpoilerConfig(answer_phrases=("we get", ""))
+            SpoilerConfig(tau_s=0)
+        with pytest.raises(TypeError):
+            SpoilerConfig(derivation_phrases=("yields",))  # the phrase lists are fixed
 
     def test_custom_thresholds_apply(self):
         cfg = SpoilerConfig(span_count_threshold=2)

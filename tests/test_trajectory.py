@@ -75,8 +75,8 @@ SERIALIZED_KEYS = [
     pytest.param(
         lambda: CONFIG.to_dict()["spoiler"],
         {
-            "derivation_phrases", "answer_phrases", "equality_threshold", "long_span_min_chars",
-            "long_span_min_count", "digit_min", "span_count_threshold", "tau_s",
+            "equality_threshold", "long_span_min_chars", "long_span_min_count", "digit_min",
+            "span_count_threshold", "tau_s",
         },
         id="PipelineConfig.spoiler",
     ),
