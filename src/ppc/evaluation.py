@@ -210,20 +210,31 @@ def _derangement(n: int, rng: random.Random) -> list[int]:
             return indices
 
 
+def _reordered(sentences: list[str], rng: random.Random) -> list[str]:
+    """Seeded shuffle of the sentences that never returns their own order,
+    unless fewer than two of them differ."""
+    order = list(sentences)
+    if len(set(sentences)) > 1:
+        while order == sentences:
+            rng.shuffle(order)
+    return order
+
+
 def perturb_preplan(preplans: Sequence[str], spec: PerturbationSpec) -> list[str]:
     """One forced prefix per preplan, in input order, perturbed per the mode.
 
-    shuffled: each preplan's sentences in a seeded random order;
-    mismatched: the preplan at another position, assigned by one seeded
-    derangement over the list (no position keeps its own); generic: the
-    fixed content-free text.
+    shuffled: each preplan's sentences in a random order drawn from the seed
+    and the preplan's position, never its own order when two of its
+    sentences differ; mismatched: the preplan at another position, assigned
+    by one seeded derangement over the list (no position keeps its own);
+    generic: the fixed content-free text.
     """
     if spec.mode == PerturbationMode.SHUFFLED:
         prefixes = []
-        for preplan in preplans:
-            sentences = split_sentences(preplan)
-            random.Random(spec.seed).shuffle(sentences)
-            prefixes.append(forced_prefix_for(" ".join(sentences)))
+        for i, preplan in enumerate(preplans):
+            # a str seed is hashed with SHA-512, so every process draws the same order
+            rng = random.Random(f"{spec.seed}:{i}")
+            prefixes.append(forced_prefix_for(" ".join(_reordered(split_sentences(preplan), rng))))
         return prefixes
     if spec.mode == PerturbationMode.MISMATCHED:
         if len(preplans) < 2:

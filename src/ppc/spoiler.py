@@ -159,14 +159,16 @@ class DropReason(str, Enum):
 
 @dataclass(frozen=True)
 class FilterDecision:
-    keep: bool
+    """`filter_decision`'s verdict: the drop reason (None keeps the
+    trajectory), with the spoiler report and answer check it rests on."""
+
     reason: DropReason | None
     spoiler: SpoilerReport
     answer_correct: bool
 
-    def __post_init__(self):
-        if self.keep and self.reason is not None:
-            raise ValueError("kept decisions carry no drop reason")
+    @property
+    def keep(self) -> bool:
+        return self.reason is None
 
 
 def filter_decision(
@@ -194,22 +196,22 @@ def filter_decision(
     report = spoiler_score(t.preplan, cfg)
     tokens = count_tokens(t.preplan)
 
-    def drop(reason: DropReason) -> FilterDecision:
-        return FilterDecision(False, reason, report, correct)
+    def verdict(reason: DropReason | None) -> FilterDecision:
+        return FilterDecision(reason, report, correct)
 
     if report.score > cfg.tau_s:
-        return drop(DropReason.SPOILER)
+        return verdict(DropReason.SPOILER)
     if t.boxed_answer is None:
-        return drop(DropReason.NO_ANSWER)
+        return verdict(DropReason.NO_ANSWER)
     if not correct:
-        return drop(DropReason.WRONG_ANSWER)
+        return verdict(DropReason.WRONG_ANSWER)
     lo, hi = len_bounds
     if tokens < lo:
-        return drop(DropReason.TOO_SHORT)
+        return verdict(DropReason.TOO_SHORT)
     if tokens > hi:
-        return drop(DropReason.TOO_LONG)
+        return verdict(DropReason.TOO_LONG)
     if not t.execute.rstrip().endswith(f"\\boxed{{{t.boxed_answer}}}"):
-        return drop(DropReason.NOT_BOXED_FINAL)
+        return verdict(DropReason.NOT_BOXED_FINAL)
     if not check_format(render_trajectory(t)).well_formed:
-        return drop(DropReason.MALFORMED)
-    return FilterDecision(True, None, report, correct)
+        return verdict(DropReason.MALFORMED)
+    return verdict(None)

@@ -23,8 +23,8 @@ from .spoiler import (
     DEFAULT_LENGTH_BOUNDS,
     DEFAULT_SPOILER_CONFIG,
     DropReason,
+    FilterDecision,
     SpoilerConfig,
-    SpoilerReport,
     filter_decision,
 )
 from .trajectory import Trajectory, render_trajectory
@@ -64,17 +64,15 @@ class ProblemRecord:
             raise ValueError("question must be non-empty")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthesisRecord:
+    """One chain's four stage texts; its verdict is `apply_filter`'s."""
+
     problem: ProblemRecord
-    preplan: str = ""
-    plan: str = ""
-    raw_solution: str = ""
-    execute: str = ""
-    spoiler: SpoilerReport | None = None
-    answer_correct: bool | None = None
-    kept: bool = False
-    drop_reason: DropReason | None = None
+    preplan: str
+    plan: str
+    raw_solution: str
+    execute: str
 
 
 @dataclass(frozen=True)
@@ -100,9 +98,8 @@ def synthesize(
     Stages are strictly sequential and each prompt carries only the inputs
     of its stage; in particular neither executor prompt ever contains the
     preplan. Raises StageFailure naming the stage that failed, with the
-    ClientError as its `__cause__`; the returned record is not yet filtered.
+    ClientError as its `__cause__`; `apply_filter` gives the record its verdict.
     """
-    record = SynthesisRecord(problem=problem)
     q = problem.question
 
     def run_stage(name: str, client: LlmClient, prompt: str) -> str:
@@ -111,19 +108,15 @@ def synthesize(
         except ClientError as exc:
             raise StageFailure(name, exc) from exc
 
-    record.preplan = run_stage(
-        "preplan", generators.preplan_gen, prompts.preplan_prompt(q)
+    preplan = run_stage("preplan", generators.preplan_gen, prompts.preplan_prompt(q)).strip()
+    plan = run_stage("plan", generators.plan_gen, prompts.plan_prompt(q, preplan)).strip()
+    raw_solution = run_stage(
+        "raw_solution", generators.executor, prompts.raw_solution_prompt(q, plan)
     ).strip()
-    record.plan = run_stage(
-        "plan", generators.plan_gen, prompts.plan_prompt(q, record.preplan)
+    execute = run_stage(
+        "execute", generators.cleanup, prompts.cleanup_prompt(q, plan, raw_solution)
     ).strip()
-    record.raw_solution = run_stage(
-        "raw_solution", generators.executor, prompts.raw_solution_prompt(q, record.plan)
-    ).strip()
-    record.execute = run_stage(
-        "execute", generators.cleanup, prompts.cleanup_prompt(q, record.plan, record.raw_solution)
-    ).strip()
-    return record
+    return SynthesisRecord(problem, preplan, plan, raw_solution, execute)
 
 
 def apply_filter(
@@ -132,20 +125,11 @@ def apply_filter(
     bounds: tuple[int, int] = DEFAULT_LENGTH_BOUNDS,
     *,
     equivalence: Callable[[str, str], bool],
-) -> SynthesisRecord:
-    """Copy `filter_decision`'s verdict onto a generated record; a GEN_FAIL
-    record passes through unchanged."""
-    if rec.drop_reason == DropReason.GEN_FAIL:
-        return rec
+) -> FilterDecision:
+    """`filter_decision`'s verdict on a generated record's texts, judged
+    against its problem's gold answer; the record is not changed."""
     traj = Trajectory.from_parts(rec.preplan, rec.plan, rec.execute)
-    decision = filter_decision(
-        traj, rec.problem.gold_answer, cfg, bounds, equivalence=equivalence
-    )
-    rec.spoiler = decision.spoiler
-    rec.answer_correct = decision.answer_correct
-    rec.kept = decision.keep
-    rec.drop_reason = decision.reason
-    return rec
+    return filter_decision(traj, rec.problem.gold_answer, cfg, bounds, equivalence=equivalence)
 
 
 @dataclass
@@ -160,22 +144,20 @@ class DatasetSummary:
         return asdict(self)
 
 
-def _sft_row(rec: SynthesisRecord) -> dict:
-    traj = Trajectory.from_parts(rec.preplan, rec.plan, rec.execute)
+def _row(problem: ProblemRecord, rec: SynthesisRecord | None, decision: FilterDecision | None) -> dict:
+    """A kept chain's SFT row, else its reject row. A chain with no decision
+    (its last try hit a StageFailure) is a GEN_FAIL row with null scores."""
+    if decision is None:
+        return {"id": problem.id, "reason": DropReason.GEN_FAIL.value, "spoiler_score": None, "answer_correct": None}
+    if decision.keep:
+        # rendering reads only the three texts: the boxed answer is not extracted again
+        target = render_trajectory(Trajectory(rec.preplan, rec.plan, rec.execute))
+        return {"id": problem.id, "system": prompts.EVAL_SYSTEM_PROMPT, "prompt": problem.question, "target": target}
     return {
-        "id": rec.problem.id,
-        "system": prompts.EVAL_SYSTEM_PROMPT,
-        "prompt": rec.problem.question,
-        "target": render_trajectory(traj),
-    }
-
-
-def _reject_row(rec: SynthesisRecord) -> dict:
-    return {
-        "id": rec.problem.id,
-        "reason": rec.drop_reason.value,
-        "spoiler_score": rec.spoiler.score if rec.spoiler else None,
-        "answer_correct": rec.answer_correct,
+        "id": problem.id,
+        "reason": decision.reason.value,
+        "spoiler_score": decision.spoiler.score,
+        "answer_correct": decision.answer_correct,
     }
 
 
@@ -201,12 +183,14 @@ def build_dataset(
     wait on an earlier chain; a chain that stalls makes every later row
     wait, up to the whole corpus. `seed` is not read yet: no request
     carries it. `retries` (>= 0) resamples the whole chain after a filter
-    drop or a StageFailure; a chain whose last try hit a StageFailure makes
-    a GEN_FAIL row. After any other exception, or Ctrl-C, only the chains
-    in flight finish, no output file is left, and `out_dir` is removed
-    again if this call created it. A process
-    killed outright can leave a `*.tmp` file beside the outputs, but never
-    a partial one of them: each replaces its target only after the last row.
+    drop or a StageFailure. A chain is its last try's record and
+    `apply_filter` verdict; one whose last try hit a StageFailure has no
+    verdict and makes a GEN_FAIL row, with `spoiler_score` and
+    `answer_correct` null. After any other exception, or Ctrl-C, only the
+    chains in flight finish, no output file is left, and `out_dir` is
+    removed again if this call created it. A process killed outright can
+    leave a `*.tmp` file beside the outputs, but never a partial one of
+    them: each replaces its target only after the last row.
     """
     if retries < 0:
         raise ValueError("retries must be >= 0")
@@ -214,21 +198,18 @@ def build_dataset(
         raise ValueError("parallelism must be >= 1")
     check_unique_ids(problems)
 
-    def run_chain(problem: ProblemRecord) -> SynthesisRecord:
-        rec = None
+    def run_chain(problem: ProblemRecord) -> tuple[SynthesisRecord | None, FilterDecision | None]:
         for _ in range(retries + 1):
             try:
                 rec = synthesize(problem, generators, params)
             except StageFailure as exc:
                 log.warning("problem %s: %s", problem.id, exc)
-                rec = SynthesisRecord(
-                    problem=problem, kept=False, drop_reason=DropReason.GEN_FAIL
-                )
+                rec = decision = None
                 continue
-            rec = apply_filter(rec, spoiler_cfg, bounds, equivalence=equivalence)
-            if rec.kept:
+            decision = apply_filter(rec, spoiler_cfg, bounds, equivalence=equivalence)
+            if decision.keep:
                 break
-        return rec
+        return rec, decision
 
     summary = DatasetSummary(
         problems=len(problems),
@@ -244,19 +225,20 @@ def build_dataset(
     def run(item: tuple[int, ProblemRecord]) -> None:
         nonlocal cursor
         i, problem = item
-        rec = run_chain(problem)
-        line = JSON_ENCODER.encode(_sft_row(rec) if rec.kept else _reject_row(rec)) + "\n"
+        rec, decision = run_chain(problem)
+        row = _row(problem, rec, decision)
+        kept = decision is not None and decision.keep
+        line = JSON_ENCODER.encode(row) + "\n"
         with lock:
-            summary.kept += rec.kept
-            if rec.spoiler is not None:
-                summary.score_histogram[str(rec.spoiler.score)] += 1
-            if not rec.kept:
-                reason = rec.drop_reason.value
-                summary.drop_reasons[reason] = summary.drop_reasons.get(reason, 0) + 1
-            parked[i] = (rec.kept, line)
+            summary.kept += kept
+            if decision is not None:
+                summary.score_histogram[str(decision.spoiler.score)] += 1
+            if not kept:
+                summary.drop_reasons[row["reason"]] = summary.drop_reasons.get(row["reason"], 0) + 1
+            parked[i] = (kept, line)
             while cursor in parked:
-                kept, text = parked.pop(cursor)
-                (sft if kept else rejects).write(text)
+                to_sft, text = parked.pop(cursor)
+                (sft if to_sft else rejects).write(text)
                 cursor += 1
 
     with atomic_outputs(out_dir, "summary.json", "sft.jsonl", "rejects.jsonl") as (summary_file, sft, rejects):

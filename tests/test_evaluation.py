@@ -307,6 +307,28 @@ class TestPerturbations:
         t = ["A one. B two. C three. D four. E five."]
         assert perturb_preplan(t, spec) == perturb_preplan(t, spec)
 
+    def test_shuffled_never_returns_own_order(self):
+        # With one fresh generator per preplan, seed 5 returned every 2- and 3-sentence preplan as it was.
+        preplans = ["First point. Second point.", "Alpha. Beta. Gamma.", "One. Two.", "Red. Green. Blue."]
+        for seed in range(20):
+            spec = PerturbationSpec(mode=PerturbationMode.SHUFFLED, seed=seed)
+            for own, prefix in zip(preplans, perturb_preplan(preplans, spec)):
+                assert prefix != forced_prefix_for(own), (seed, own)
+
+    def test_shuffled_keeps_a_text_with_no_other_order(self):
+        spec = PerturbationSpec(mode=PerturbationMode.SHUFFLED, seed=5)
+        texts = ["Only one sentence.", "Same. Same.", ""]
+        assert perturb_preplan(texts, spec) == [forced_prefix_for(t) for t in texts]
+
+    def test_shuffled_order_depends_on_row_position(self):
+        # Equal preplans at three positions get three orders; the order is pinned across processes.
+        spec = PerturbationSpec(mode=PerturbationMode.SHUFFLED, seed=1)
+        assert perturb_preplan(["A one. B two. C three. D four."] * 3, spec) == [
+            forced_prefix_for("A one. C three. B two. D four."),
+            forced_prefix_for("C three. A one. B two. D four."),
+            forced_prefix_for("C three. D four. B two. A one."),
+        ]
+
     def test_mismatched_is_a_derangement(self):
         pool = [f"preplan number {i}." for i in range(6)]
         spec = PerturbationSpec(mode=PerturbationMode.MISMATCHED, seed=3)

@@ -25,7 +25,6 @@ from ppc.synthesis import (
     DuplicateId,
     GeneratorSuite,
     StageFailure,
-    SynthesisRecord,
     apply_filter,
     build_dataset,
     load_problems,
@@ -115,48 +114,48 @@ def filtered(problem, **overrides):
 
 class TestApplyFilter:
     def test_clean_record_kept(self):
-        rec = filtered(make_problem("p1"))
-        assert rec.kept and rec.drop_reason is None
-        assert rec.answer_correct is True
-        assert rec.spoiler.score <= 2
+        decision = filtered(make_problem("p1"))
+        assert decision.keep and decision.reason is None
+        assert decision.answer_correct is True
+        assert decision.spoiler.score <= 2
 
     def test_short_preplan_dropped(self):
-        rec = filtered(make_problem("p1"), preplan="brief analysis only.")
-        assert rec.drop_reason == DropReason.TOO_SHORT
+        decision = filtered(make_problem("p1"), preplan="brief analysis only.")
+        assert decision.reason == DropReason.TOO_SHORT
 
     def test_spoiled_preplan_dropped_despite_correct_answer(self):
         spoiled = clean_preplan() + " this yields 1001. we get $a$ $b$ $c$ $d$."
-        rec = filtered(make_problem("p1"), preplan=spoiled)
-        assert rec.drop_reason == DropReason.SPOILER
-        assert rec.answer_correct is True
+        decision = filtered(make_problem("p1"), preplan=spoiled)
+        assert decision.reason == DropReason.SPOILER
+        assert decision.answer_correct is True
 
     def test_wrong_answer_dropped(self):
-        rec = filtered(make_problem("p1", answer="9"))
+        decision = filtered(make_problem("p1", answer="9"))
         # stage fixtures answer with the gold, so fake a wrong final answer
-        rec2 = filtered(
+        decision2 = filtered(
             make_problem("p2"),
             execute="1. Set up: x.\nFinal Answer: \\boxed{999}",
         )
-        assert rec.kept
-        assert rec2.drop_reason == DropReason.WRONG_ANSWER
+        assert decision.keep
+        assert decision2.reason == DropReason.WRONG_ANSWER
 
     def test_missing_boxed_answer(self):
-        rec = filtered(make_problem("p1"), execute="1. Solve: done. answer seven")
-        assert rec.drop_reason == DropReason.NO_ANSWER
+        decision = filtered(make_problem("p1"), execute="1. Solve: done. answer seven")
+        assert decision.reason == DropReason.NO_ANSWER
 
     def test_execute_must_end_with_boxed(self):
-        rec = filtered(
+        decision = filtered(
             make_problem("p1"),
             execute="Final Answer: \\boxed{7} (see above)",
         )
-        assert rec.drop_reason == DropReason.NOT_BOXED_FINAL
+        assert decision.reason == DropReason.NOT_BOXED_FINAL
 
     def test_stray_tag_in_segment_renders_malformed(self):
-        rec = filtered(
+        decision = filtered(
             make_problem("p1"),
             plan="1. Plan with a stray <execute> token.\n2. More.",
         )
-        assert rec.drop_reason == DropReason.MALFORMED
+        assert decision.reason == DropReason.MALFORMED
 
     def test_answer_judged_once(self):
         calls = []
@@ -166,20 +165,14 @@ class TestApplyFilter:
             return answers_equivalent(pred, gold)
 
         rec = synth_one(make_problem("p1"))
-        assert apply_filter(rec, bounds=BOUNDS, equivalence=counting).kept
+        assert apply_filter(rec, bounds=BOUNDS, equivalence=counting).keep
         assert calls == [("7", "7")]
 
-    def test_gen_fail_record_passes_through(self):
-        rec = SynthesisRecord(
-            problem=make_problem("p1"), kept=False, drop_reason=DropReason.GEN_FAIL
-        )
-        out = apply_filter(rec, bounds=BOUNDS, equivalence=answers_equivalent)
-        assert out.drop_reason == DropReason.GEN_FAIL
-
     def test_refiltering_kept_record_keeps_it(self):
-        rec = filtered(make_problem("p1"))
-        again = apply_filter(rec, bounds=BOUNDS, equivalence=answers_equivalent)
-        assert again.kept
+        rec = synth_one(make_problem("p1"))
+        first = apply_filter(rec, bounds=BOUNDS, equivalence=answers_equivalent)
+        assert first.keep
+        assert apply_filter(rec, bounds=BOUNDS, equivalence=answers_equivalent) == first
 
 
 class TestBuildDataset:
@@ -381,6 +374,48 @@ class TestBuildDataset:
         summary = build_dataset(problems, suite, tmp_path / "out", equivalence=answers_equivalent, bounds=BOUNDS)
         assert summary.kept == 3 and len(refs) == 4
         assert alive == [False, False, False]
+
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    def test_outputs_pinned(self, tmp_path, parallelism):
+        # One chain per outcome: kept, SPOILER with a correct answer, TOO_SHORT, WRONG_ANSWER, GEN_FAIL.
+        problems = [make_problem(pid, question=f"question about {pid}") for pid in ("keep", "spoiler", "short", "wrong", "fail")]
+        texts = default_stage_texts(problems)
+        texts["question about spoiler"]["preplan"] = clean_preplan() + " this yields 1001. we get $a$ $b$ $c$ $d$."
+        texts["question about short"]["preplan"] = "too short to keep."
+        texts["question about wrong"]["execute"] = "1. Set up: x.\nFinal Answer: \\boxed{999}"
+
+        def executor(req):
+            if "question about fail" in req.user_prompt:
+                raise Timeout("down")
+            return next(t["raw"] for q, t in texts.items() if q in req.user_prompt)
+
+        suite = replace(make_suite(texts), executor=ScriptedClient(executor))
+        out = tmp_path / "out"
+        build_dataset(
+            problems, suite, out, equivalence=answers_equivalent, bounds=BOUNDS, parallelism=parallelism, retries=1
+        )
+        assert (out / "rejects.jsonl").read_text() == (
+            '{"answer_correct": true, "id": "spoiler", "reason": "SPOILER", "spoiler_score": 4}\n'
+            '{"answer_correct": true, "id": "short", "reason": "TOO_SHORT", "spoiler_score": 0}\n'
+            '{"answer_correct": false, "id": "wrong", "reason": "WRONG_ANSWER", "spoiler_score": 0}\n'
+            '{"answer_correct": null, "id": "fail", "reason": "GEN_FAIL", "spoiler_score": null}\n'
+        )
+        assert json.loads((out / "summary.json").read_text()) == {
+            "problems": 5,
+            "kept": 1,
+            "retention": 0.2,
+            "score_histogram": {"0": 3, "1": 0, "2": 0, "3": 0, "4": 1, "5": 0, "6": 0},
+            "drop_reasons": {"GEN_FAIL": 1, "SPOILER": 1, "TOO_SHORT": 1, "WRONG_ANSWER": 1},
+        }
+        keep = texts["question about keep"]
+        [row] = [json.loads(line) for line in (out / "sft.jsonl").read_text().splitlines()]
+        assert row == {
+            "id": "keep",
+            "system": prompts.EVAL_SYSTEM_PROMPT,
+            "prompt": "question about keep",
+            "target": f"<preplan>{keep['preplan']}</preplan>\n<plan>{keep['plan']}</plan>\n"
+            f"<execute>{keep['execute']}</execute>",
+        }
 
     @pytest.mark.parametrize("parallelism", [1, 4])
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
