@@ -302,8 +302,8 @@ class _Scorer:
             forms.append(form)
             verdicts.append(row.correct)
 
-    def result(self) -> tuple[list[str | None], list[bool], bool, bool]:
-        return self.forms, self.verdicts, self._vote(), any(self.verdicts)
+    def result(self) -> tuple[list[str | None], list[bool], bool]:
+        return self.forms, self.verdicts, self._vote()
 
     def _vote(self) -> bool:
         """Whether the correct class wins; links wrong forms only if the counts cannot tell."""
@@ -343,8 +343,11 @@ class EvalRecord:
     answers: list[str | None]
     verdicts: list[bool]
     maj_correct: bool
-    pass_correct: bool
     token_counts: list[int]
+
+    @property
+    def pass_correct(self) -> bool:
+        return any(self.verdicts)
 
     def to_dict(self) -> dict:
         return {
@@ -360,29 +363,45 @@ class EvalRecord:
         }
 
 
+def _percent(hits: list[bool]) -> float | None:
+    """The share of hits in percent, to two decimals; None for no hits to count."""
+    return round(100.0 * sum(hits) / len(hits), 2) if hits else None
+
+
 @dataclass
 class EvalReport:
+    """One benchmark's scored problems; each aggregate is read from `records`."""
+
     benchmark: str
     k: int
-    problems: int
     failed: int
-    maj_at_k: float | None
-    pass_at_k: float | None
-    mean_tokens: float | None
-    mean_tokens_thousands: float | None
     records: list[EvalRecord]
 
+    @property
+    def problems(self) -> int:
+        return len(self.records)
+
+    @property
+    def maj_at_k(self) -> float | None:
+        return _percent([r.maj_correct for r in self.records])
+
+    @property
+    def pass_at_k(self) -> float | None:
+        return _percent([r.pass_correct for r in self.records])
+
+    @property
+    def mean_tokens(self) -> float | None:
+        counts = [c for r in self.records for c in r.token_counts]
+        return sum(counts) / len(counts) if counts else None
+
+    @property
+    def mean_tokens_thousands(self) -> float | None:
+        mean = self.mean_tokens
+        return None if mean is None else round(mean / 1000.0, 2)
+
     def to_dict(self) -> dict:
-        return {
-            "benchmark": self.benchmark,
-            "k": self.k,
-            "problems": self.problems,
-            "failed": self.failed,
-            "maj_at_k": self.maj_at_k,
-            "pass_at_k": self.pass_at_k,
-            "mean_tokens": self.mean_tokens,
-            "mean_tokens_thousands": self.mean_tokens_thousands,
-        }
+        keys = ("benchmark", "k", "problems", "failed", "maj_at_k", "pass_at_k", "mean_tokens", "mean_tokens_thousands")
+        return {key: getattr(self, key) for key in keys}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -417,7 +436,9 @@ def evaluate(
     excluded from the metric denominators. In a perturbed eval, a problem
     whose base sample fails is such a problem: it makes no further call and
     is left out of the perturbation pool, so a mismatched pool left with
-    fewer than two preplans raises PoolTooSmall.
+    fewer than two preplans raises PoolTooSmall. A shuffled problem's order
+    is drawn from its position in `problems`, so it is the same whichever
+    other base samples fail.
 
     Answers with equal normalized forms are the same answer, with no call
     made. `equivalence` is a fallback consulted only for answers whose
@@ -463,10 +484,13 @@ def evaluate(
             unforced = [replace(params, user_prompt=p.question) for p in problems]
             drawn = _sample(problems, [[None] for _ in problems], unforced, client, None, parallelism)
             base = [None if r is None else read_trajectory(r.samples[0]).preplan for r in drawn]
-        pool = [(p, preplan) for p, preplan in zip(problems, base) if preplan is not None]
-        failed = len(problems) - len(pool)
-        problems = [p for p, _ in pool]
-        prefixes = dict(zip((p.id for p in problems), perturb_preplan([b for _, b in pool], mode)))
+        landed = [i for i, preplan in enumerate(base) if preplan is not None]
+        # mismatched deranges the landed preplans; shuffled seeds each row by its input position
+        rows = landed if mode.mode == PerturbationMode.MISMATCHED else range(len(base))
+        perturbed = dict(zip(rows, perturb_preplan([base[i] or "" for i in rows], mode)))
+        failed = len(problems) - len(landed)
+        prefixes = {problems[i].id: perturbed[i] for i in landed}
+        problems = [problems[i] for i in landed]
 
     if replay is None:
         samples: list[list[str | None]] = [[None] * k for _ in problems]
@@ -483,28 +507,7 @@ def evaluate(
             parallelism = 1  # rules only makes no endpoint call for a thread to overlap
     outcomes = _sample(problems, samples, requests, client, equivalence, parallelism)
     records = [r for r in outcomes if r is not None]
-    failed += len(outcomes) - len(records)
-
-    if records:
-        maj = round(100.0 * sum(r.maj_correct for r in records) / len(records), 2)
-        cov = round(100.0 * sum(r.pass_correct for r in records) / len(records), 2)
-        counts = [c for r in records for c in r.token_counts]
-        mean_tokens = sum(counts) / len(counts)
-        mean_k = round(mean_tokens / 1000.0, 2)
-    else:
-        maj = cov = mean_tokens = mean_k = None
-
-    return EvalReport(
-        benchmark=benchmark,
-        k=k,
-        problems=len(records),
-        failed=failed,
-        maj_at_k=maj,
-        pass_at_k=cov,
-        mean_tokens=mean_tokens,
-        mean_tokens_thousands=mean_k,
-        records=records,
-    )
+    return EvalReport(benchmark, k, failed + len(outcomes) - len(records), records)
 
 
 def _answers(samples: Sequence[str]) -> list[str | None]:
@@ -513,16 +516,8 @@ def _answers(samples: Sequence[str]) -> list[str | None]:
 
 
 def _record(problem: ProblemRecord, samples: list[str], scorer: _Scorer) -> EvalRecord:
-    forms, verdicts, maj, passed = scorer.result()
-    return EvalRecord(
-        problem=problem,
-        samples=samples,
-        answers=forms,
-        verdicts=verdicts,
-        maj_correct=maj,
-        pass_correct=passed,
-        token_counts=[count_tokens(s) for s in samples],
-    )
+    forms, verdicts, maj = scorer.result()
+    return EvalRecord(problem, samples, forms, verdicts, maj, token_counts=[count_tokens(s) for s in samples])
 
 
 class _Stopped(Exception):

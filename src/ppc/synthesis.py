@@ -136,12 +136,16 @@ def apply_filter(
 class DatasetSummary:
     problems: int
     kept: int
-    retention: float | None
     score_histogram: dict[str, int]
     drop_reasons: dict[str, int]
 
+    @property
+    def retention(self) -> float | None:
+        """The kept share of the corpus; None for an empty one."""
+        return self.kept / self.problems if self.problems else None
+
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "retention": self.retention}
 
 
 def _row(problem: ProblemRecord, rec: SynthesisRecord | None, decision: FilterDecision | None) -> dict:
@@ -214,7 +218,6 @@ def build_dataset(
     summary = DatasetSummary(
         problems=len(problems),
         kept=0,
-        retention=None,
         score_histogram={str(s): 0 for s in range(7)},
         drop_reasons={},
     )
@@ -243,7 +246,6 @@ def build_dataset(
 
     with atomic_outputs(out_dir, "summary.json", "sft.jsonl", "rejects.jsonl") as (summary_file, sft, rejects):
         run_parallel(run, enumerate(problems), parallelism)
-        summary.retention = summary.kept / len(problems) if problems else None
         summary.drop_reasons = dict(sorted(summary.drop_reasons.items()))
         summary_file.write(json.dumps(summary.to_dict(), sort_keys=True, indent=2) + "\n")
     return summary

@@ -514,6 +514,35 @@ class TestEval:
         for name in ("mini.report.json", "mini.records.jsonl", "mini.transcripts.jsonl"):
             assert (judged_dir / name).read_bytes() == (out_dir / name).read_bytes()
 
+    def test_replay_outputs_pinned(self, tmp_path, capsys):
+        # a: all correct; b: one correct, outvoted; c: none correct, one sample with no answer
+        samples = {
+            "a": ["so \\boxed{7}", "then \\boxed{7.0}", "\\boxed{7}"],
+            "b": ["one two \\boxed{7}", "\\boxed{3}", "three four five \\boxed{3}"],
+            "c": ["\\boxed{2}", "no answer " + "w " * 4000, "x \\boxed{5}"],
+        }
+        bench = tmp_path / "mini.jsonl"
+        write_jsonl(bench, [{"id": pid, "question": f"question {pid}", "answer": "7"} for pid in samples])
+        write_jsonl(tmp_path / "mini.transcripts.jsonl", [{"id": pid, "samples": s} for pid, s in samples.items()])
+        out_dir = tmp_path / "o"
+        argv = ["eval", "--bench", str(bench), "--k", "3", "--out", str(out_dir), "--seed", "5"]
+        assert main(argv + ["--replay", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            "benchmark  k  problems  failed  maj@k  pass@k  tokens(K)\n"
+            "mini       3  3         0       33.33  66.67   0.45\n"
+        )
+        assert (out_dir / "mini.report.json").read_bytes() == (
+            b'{"benchmark": "mini", "failed": 0, "k": 3, "maj_at_k": 33.33, "mean_tokens": 446.44444444444446, '
+            b'"mean_tokens_thousands": 0.45, "pass_at_k": 66.67, "problems": 3}\n'
+        )
+        records = read_jsonl((out_dir / "mini.records.jsonl").read_text())
+        assert [(r["maj_correct"], r["pass_correct"], r["verdicts"]) for r in records] == [
+            (True, True, [True] * 3),
+            (False, True, [True, False, False]),
+            (False, False, [False] * 3),
+        ]
+        assert [r["token_counts"] for r in records] == [[2, 2, 1], [3, 1, 4], [1, 4002, 2]]
+
     @pytest.mark.parametrize(
         "answers, code, problems",
         [({"a": "7", "b": "4"}, 0, 1), ({"b": "4"}, 3, 0)],

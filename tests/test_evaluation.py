@@ -535,6 +535,33 @@ class TestEvaluate:
                     assert req.forced_prefix == forced_prefix_for(f"own analysis {other}.")
         assert sum("p1 failed entirely" in r.getMessage() for r in caplog.records) == 1
 
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    def test_shuffled_prefix_is_seeded_by_input_position(self, parallelism):
+        # Equal preplans, so each problem's order comes from its seed alone; at seed 5 the four differ.
+        problems = [make_problem(f"p{i}", answer="7") for i in range(4)]
+        preplan = "A one. B two. C three. D four."
+        spec = PerturbationSpec(mode=PerturbationMode.SHUFFLED, seed=5)
+
+        def forced(down):
+            def answer(req):
+                if req.forced_prefix:
+                    return "rest</plan><execute>\\boxed{7}</execute>"
+                if req.user_prompt == down:
+                    raise ProtocolError("down")
+                return completion("7", preplan=preplan)
+
+            client = ScriptedClient(answer)
+            report = evaluate(problems, 2, client, mode=spec, parallelism=parallelism)
+            assert report.failed == (down is not None)
+            return {req.user_prompt: req.forced_prefix for req in client.calls if req.forced_prefix}
+
+        every = forced(None)
+        own = perturb_preplan([preplan] * len(problems), spec)
+        assert every == {p.question: prefix for p, prefix in zip(problems, own)}
+        assert len(set(own)) == len(problems)
+        # p0's failed base sample moves no other problem's order
+        assert forced(problems[0].question) == {p.question: every[p.question] for p in problems[1:]}
+
     def test_generic_draws_no_base_sample(self):
         problems = [make_problem(f"p{i}", answer="7") for i in range(3)]
 
@@ -615,11 +642,10 @@ def adversarial_report():
                 answers=[text or None, None, "7"][: i % 4],
                 verdicts=[True, False, i % 3 == 0][: i % 4],
                 maj_correct=i % 2 == 0,
-                pass_correct=True,
                 token_counts=[count_tokens(s) for s in samples[: i % 4]],
             )
         )
-    return EvalReport("mini", 3, len(records), 0, 0.5, 1.0, 12.5, 0.01, records)
+    return EvalReport("mini", 3, 0, records)
 
 
 def dumps_lines(rows):
@@ -1192,12 +1218,15 @@ def chunkings(n, rng):
 
 
 def fed_in_chunks(gold, equivalence, answers, sizes):
+    """The scorer's forms, verdicts and vote after the answers are fed in
+    these chunk sizes, and pass@k as `EvalRecord` reads it from the verdicts."""
     scorer = _Scorer(gold, equivalence)
     start = 0
     for size in sizes:
         scorer.extend(answers[start : start + size])
         start += size
-    return scorer.result()
+    forms, verdicts, maj = scorer.result()
+    return forms, verdicts, maj, any(verdicts)
 
 
 def scored_with_calls(gold, verdict, answers):
@@ -1334,6 +1363,54 @@ class TestScorer:
             assert len(calls) <= len(present) + len(wrong) * (len(wrong) - 1) // 2, problem.id
             linked_problems += bool(linkage)
         assert linked_problems  # the bound is exercised on linked problems, not only decided ones
+
+
+class TestReportAggregates:
+    """Every report aggregate, and a record's pass, is read from the records."""
+
+    def test_aggregates_recomputed_from_random_records(self):
+        rng = random.Random(11)
+        for trial in range(200):
+            records = []
+            for i in range(rng.randint(0, 6)):
+                k = rng.randint(1, 5)
+                records.append(
+                    EvalRecord(
+                        problem=make_problem(f"p{i}"),
+                        samples=["s"] * k,
+                        answers=["7"] * k,
+                        verdicts=[rng.random() < 0.3 for _ in range(k)],
+                        maj_correct=rng.random() < 0.5,
+                        token_counts=[rng.randint(0, 5000) for _ in range(k)],
+                    )
+                )
+            report = EvalReport("b", 5, rng.randint(0, 3), records)
+            for rec in records:
+                assert rec.pass_correct == any(rec.verdicts) == rec.to_dict()["pass_correct"], trial
+            n = len(records)
+            counts = [c for rec in records for c in rec.token_counts]
+            mean = sum(counts) / len(counts) if counts else None
+            expected = {
+                "benchmark": "b",
+                "k": 5,
+                "problems": n,
+                "failed": report.failed,
+                "maj_at_k": round(100.0 * sum(r.maj_correct for r in records) / n, 2) if n else None,
+                "pass_at_k": round(100.0 * sum(any(r.verdicts) for r in records) / n, 2) if n else None,
+                "mean_tokens": mean,
+                "mean_tokens_thousands": None if mean is None else round(mean / 1000.0, 2),
+            }
+            assert report.to_dict() == expected, trial
+            assert {key: getattr(report, key) for key in expected} == expected, trial
+
+    def test_aggregates_follow_the_records(self):
+        rec = EvalRecord(make_problem("p0"), ["a b"], ["7"], [False], False, [2])
+        report = EvalReport("b", 1, 0, [rec])
+        assert (report.maj_at_k, report.pass_at_k, rec.pass_correct) == (0.0, 0.0, False)
+        rec.verdicts[0] = rec.maj_correct = True
+        report.records.append(EvalRecord(make_problem("p1"), ["c d e f"], ["7"], [False], False, [4]))
+        assert (report.problems, report.maj_at_k, report.pass_at_k, report.mean_tokens) == (2, 50.0, 50.0, 3.0)
+        assert rec.pass_correct
 
 
 class TestReportTokens:

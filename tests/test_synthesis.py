@@ -22,6 +22,7 @@ from ppc.clients import ScriptedClient, Timeout
 from ppc.evaluation import answers_equivalent
 from ppc.spoiler import DropReason
 from ppc.synthesis import (
+    DatasetSummary,
     DuplicateId,
     GeneratorSuite,
     StageFailure,
@@ -219,8 +220,12 @@ class TestBuildDataset:
     def test_empty_corpus(self, tmp_path):
         summary, out = self.run(tmp_path, [], {})
         assert summary.problems == 0
-        assert summary.retention is None
+        assert summary.retention is None and json.loads((out / "summary.json").read_text())["retention"] is None
         assert (out / "sft.jsonl").read_text() == ""
+
+    def test_retention_is_the_kept_share(self):
+        assert DatasetSummary(4, 1, {}, {}).to_dict()["retention"] == 0.25
+        assert DatasetSummary(0, 0, {}, {}).retention is None
 
     def test_duplicate_ids_rejected(self, tmp_path):
         problems = [make_problem("p1"), make_problem("p1")]

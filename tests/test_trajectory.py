@@ -52,7 +52,7 @@ SERIALIZED_KEYS = [
         id="GrpoResult",
     ),
     pytest.param(
-        lambda: DatasetSummary(1, 1, 1.0, {"0": 1}, {}).to_dict(),
+        lambda: DatasetSummary(1, 1, {"0": 1}, {}).to_dict(),
         {"problems", "kept", "retention", "score_histogram", "drop_reasons"},
         id="DatasetSummary",
     ),
