@@ -7,7 +7,6 @@ maj@k / pass@k plus preplan-perturbation probes.
 """
 
 from .clients import (
-    AttributionVerdict,
     ClientError,
     Facet,
     GenerationRequest,
@@ -26,7 +25,6 @@ from .evaluation import (
     EvalRecord,
     EvalReport,
     PerturbationMode,
-    PerturbationSpec,
     PoolTooSmall,
     answers_equivalent,
     evaluate,

@@ -19,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import prompts
-from ._text import JSON_DECODER, read_jsonl, row_id, typed_field, write_jsonl
+from ._text import JSON_DECODER, JSON_ENCODER, read_jsonl, row_id, typed_field, write_jsonl
 from .clients import (
     ClientError,
     Facet,
@@ -31,7 +31,6 @@ from .clients import (
 from .config import PipelineConfig, build_client
 from .evaluation import (
     PerturbationMode,
-    PerturbationSpec,
     answers_equivalent,
     evaluate,
     format_report_table,
@@ -190,8 +189,7 @@ def cmd_grpo_check(args) -> int:
         beta_kl=args.beta,
         std_floor=args.std_floor,
     )
-    result = grpo_objective(group, cfg)
-    print(json.dumps(result.to_dict(), sort_keys=True))
+    print(JSON_ENCODER.encode(grpo_objective(group, cfg).to_dict()))
     return EXIT_OK
 
 
@@ -219,9 +217,7 @@ def cmd_eval(args) -> int:
         judge = build_client(config, "judge", env, _config_dir(args))
         equivalence = functools.partial(judge_equivalence, judge)
 
-    mode = None
-    if args.perturb:
-        mode = PerturbationSpec(mode=PerturbationMode(args.perturb), seed=args.seed)
+    mode = PerturbationMode(args.perturb) if args.perturb else None
     params = _sampling(config, prompts.EVAL_SYSTEM_PROMPT)
 
     reports = []
@@ -235,6 +231,7 @@ def cmd_eval(args) -> int:
             args.k,
             client,
             mode=mode,
+            seed=args.seed,
             equivalence=equivalence,
             replay=replay,
             params=params,
@@ -252,8 +249,7 @@ def cmd_eval(args) -> int:
 
 def cmd_perturb(args) -> int:
     rows = list(read_jsonl(getattr(args, "in"), lambda row: (row_id(row), typed_field(row, "preplan"))))
-    spec = PerturbationSpec(mode=PerturbationMode(args.mode), seed=args.seed)
-    prefixes = perturb_preplan([preplan for _, preplan in rows], spec)
+    prefixes = perturb_preplan([preplan for _, preplan in rows], PerturbationMode(args.mode), args.seed)
     write_jsonl(
         args.out,
         ({"id": pid, "forced_prefix": prefix} for (pid, _), prefix in zip(rows, prefixes)),
@@ -264,32 +260,28 @@ def cmd_perturb(args) -> int:
 def cmd_attribute(args) -> int:
     config = _load_config(args)
     judge = build_client(config, "judge", os.environ, _config_dir(args))
-    tally = {"what_to_solve": 0, "how_to_solve": 0, "unparseable": 0, "failed": 0}
+    tally = {"how_to_solve": 0, "unparseable": 0, "failed": 0}
     facets = {facet.value: 0 for facet in Facet}
 
     def attribute(row: dict) -> dict:
         texts = [typed_field(row, key) for key in ("question", "solution", "gold")]
         try:
-            verdict = attribute_error(judge, *texts)
+            facet = attribute_error(judge, *texts)
         except (UnparseableVerdict, ClientError) as exc:
             log.warning("row %s: %s", row.get("id"), exc)
             unparseable = isinstance(exc, UnparseableVerdict)
             tally["unparseable" if unparseable else "failed"] += 1
             return {"id": row.get("id"), "what_to_solve": None, "facet": None, "unparseable": unparseable}
-        facet = None if verdict.facet is None else verdict.facet.value
-        tally["what_to_solve" if verdict.is_what_to_solve else "how_to_solve"] += 1
-        if facet is not None:
-            facets[facet] += 1
-        return {
-            "id": row.get("id"),
-            "what_to_solve": verdict.is_what_to_solve,
-            "facet": facet,
-            "unparseable": False,
-        }
+        if facet is None:
+            tally["how_to_solve"] += 1
+            return {"id": row.get("id"), "what_to_solve": False, "facet": None, "unparseable": False}
+        facets[facet.value] += 1
+        return {"id": row.get("id"), "what_to_solve": True, "facet": facet.value, "unparseable": False}
 
     write_jsonl(args.out, read_jsonl(getattr(args, "in"), attribute))
-    total = tally["what_to_solve"] + tally["how_to_solve"]
-    print(json.dumps({**tally, "total": total, "facets": facets}, sort_keys=True))
+    what_to_solve = sum(facets.values())
+    total = what_to_solve + tally["how_to_solve"]
+    print(json.dumps({**tally, "what_to_solve": what_to_solve, "total": total, "facets": facets}, sort_keys=True))
     if tally["failed"] and not total and not tally["unparseable"]:
         log.error("every judge call failed; endpoint unusable")
         return EXIT_ENDPOINT

@@ -301,13 +301,6 @@ _FACET_ALIASES = {
     "pitfalls": Facet.PITFALLS,
 }
 
-@dataclass(frozen=True)
-class AttributionVerdict:
-    """A parsed attribution verdict; `attribute_error` sets facet iff what-to-solve."""
-
-    is_what_to_solve: bool
-    facet: Facet | None
-
 
 def _judge_request(prompt: str) -> GenerationRequest:
     # Judges are decoded greedily so the same question gets the same verdict.
@@ -346,8 +339,9 @@ def _first_json_object(text: str) -> dict:
 
 def attribute_error(
     client: LlmClient, question: str, wrong_solution: str, gold: str
-) -> AttributionVerdict:
-    """Root-cause attribution for an incorrect solution.
+) -> Facet | None:
+    """Root-cause attribution for an incorrect solution: the facet of a
+    what-to-solve error, or None for a how-to-solve one.
 
     Expects {"what_to_solve": bool, "facet": ...} somewhere in the response;
     a what-to-solve verdict must name one of the four facets.
@@ -358,13 +352,12 @@ def attribute_error(
     what = obj.get("what_to_solve")
     if not isinstance(what, bool):
         raise UnparseableVerdict(f"what_to_solve missing or non-boolean: {obj!r}")
-    facet = None
-    if what:
-        raw_facet = obj.get("facet")
-        if not isinstance(raw_facet, str):
-            raise UnparseableVerdict(f"what-to-solve verdict lacks a facet: {obj!r}")
-        facet = _FACET_ALIASES.get(raw_facet.strip().lower())
-        if facet is None:
-            raise UnparseableVerdict(f"unknown facet {raw_facet!r}")
-    return AttributionVerdict(is_what_to_solve=what, facet=facet)
-
+    if not what:
+        return None
+    raw_facet = obj.get("facet")
+    if not isinstance(raw_facet, str):
+        raise UnparseableVerdict(f"what-to-solve verdict lacks a facet: {obj!r}")
+    facet = _FACET_ALIASES.get(raw_facet.strip().lower())
+    if facet is None:
+        raise UnparseableVerdict(f"unknown facet {raw_facet!r}")
+    return facet

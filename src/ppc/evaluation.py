@@ -10,7 +10,6 @@ the preplan perturbations for faithfulness probing, and the eval reports.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 import re
@@ -195,12 +194,6 @@ class PerturbationMode(str, Enum):
     GENERIC = "generic"
 
 
-@dataclass(frozen=True)
-class PerturbationSpec:
-    mode: PerturbationMode
-    seed: int
-
-
 def _derangement(n: int, rng: random.Random) -> list[int]:
     """Seeded fixed-point-free permutation of range(n); needs n >= 2."""
     indices = list(range(n))
@@ -220,7 +213,7 @@ def _reordered(sentences: list[str], rng: random.Random) -> list[str]:
     return order
 
 
-def perturb_preplan(preplans: Sequence[str], spec: PerturbationSpec) -> list[str]:
+def perturb_preplan(preplans: Sequence[str], mode: PerturbationMode, seed: int) -> list[str]:
     """One forced prefix per preplan, in input order, perturbed per the mode.
 
     shuffled: each preplan's sentences in a random order drawn from the seed
@@ -229,17 +222,17 @@ def perturb_preplan(preplans: Sequence[str], spec: PerturbationSpec) -> list[str
     by one seeded derangement over the list (no position keeps its own);
     generic: the fixed content-free text.
     """
-    if spec.mode == PerturbationMode.SHUFFLED:
+    if mode == PerturbationMode.SHUFFLED:
         prefixes = []
         for i, preplan in enumerate(preplans):
             # a str seed is hashed with SHA-512, so every process draws the same order
-            rng = random.Random(f"{spec.seed}:{i}")
+            rng = random.Random(f"{seed}:{i}")
             prefixes.append(forced_prefix_for(" ".join(_reordered(split_sentences(preplan), rng))))
         return prefixes
-    if spec.mode == PerturbationMode.MISMATCHED:
+    if mode == PerturbationMode.MISMATCHED:
         if len(preplans) < 2:
             raise PoolTooSmall("mismatched perturbation needs >= 2 preplans")
-        mapping = _derangement(len(preplans), random.Random(spec.seed))
+        mapping = _derangement(len(preplans), random.Random(seed))
         return [forced_prefix_for(preplans[j]) for j in mapping]
     return [forced_prefix_for(prompts.GENERIC_PREPLAN)] * len(preplans)
 
@@ -404,7 +397,7 @@ class EvalReport:
         return {key: getattr(self, key) for key in keys}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return JSON_ENCODER.encode(self.to_dict())
 
 
 DEFAULT_EVAL_SAMPLING = GenerationRequest(
@@ -417,7 +410,8 @@ def evaluate(
     k: int,
     client: LlmClient | None = None,
     *,
-    mode: PerturbationSpec | None = None,
+    mode: PerturbationMode | None = None,
+    seed: int = 0,
     equivalence: Equivalence | None = None,
     replay: Mapping[str, Sequence[str]] | None = None,
     params: GenerationRequest = DEFAULT_EVAL_SAMPLING,
@@ -427,11 +421,12 @@ def evaluate(
     """Score a benchmark with k samples per problem.
 
     Samples come from `replay` transcripts when given (fully offline),
-    otherwise from the client. With a perturbation spec, one unforced base
+    otherwise from the client. With a perturbation `mode`, one unforced base
     sample per problem supplies the original preplan; generation then
-    restarts from the perturbed prefill, so a spec together with `replay`
-    is a ValueError. The generic mode reads no preplan and draws no base
-    sample. A repeated problem id raises DuplicateId before any call.
+    restarts from the prefill that `perturb_preplan` draws with `seed`, so a
+    mode together with `replay` is a ValueError. The generic mode reads no
+    preplan and draws no base sample. A repeated problem id raises
+    DuplicateId before any call.
     Problems whose generation fails entirely are counted separately and
     excluded from the metric denominators. In a perturbed eval, a problem
     whose base sample fails is such a problem: it makes no further call and
@@ -478,7 +473,7 @@ def evaluate(
     prefixes: dict[str, str] = {}
     failed = 0
     if mode is not None:
-        if mode.mode == PerturbationMode.GENERIC:
+        if mode == PerturbationMode.GENERIC:
             base: list[str | None] = [""] * len(problems)  # the generic prefix reads no preplan
         else:
             unforced = [replace(params, user_prompt=p.question) for p in problems]
@@ -486,8 +481,8 @@ def evaluate(
             base = [None if r is None else read_trajectory(r.samples[0]).preplan for r in drawn]
         landed = [i for i, preplan in enumerate(base) if preplan is not None]
         # mismatched deranges the landed preplans; shuffled seeds each row by its input position
-        rows = landed if mode.mode == PerturbationMode.MISMATCHED else range(len(base))
-        perturbed = dict(zip(rows, perturb_preplan([base[i] or "" for i in rows], mode)))
+        rows = landed if mode == PerturbationMode.MISMATCHED else range(len(base))
+        perturbed = dict(zip(rows, perturb_preplan([base[i] or "" for i in rows], mode, seed)))
         failed = len(problems) - len(landed)
         prefixes = {problems[i].id: perturbed[i] for i in landed}
         problems = [problems[i] for i in landed]

@@ -123,7 +123,9 @@ def group_advantages(
     """Group-normalized advantages: (r - mean) / max(std, std_floor).
 
     Population std. A zero-variance group yields all-zero advantages
-    instead of NaNs.
+    instead of NaNs. Both sums run left to right (the built-in sum() of
+    floats is compensated from Python 3.12 on), so every version gives the
+    same bits; a sum too large for a float raises NonFiniteInput.
     """
     G = len(rewards)
     if G < 2:
@@ -132,8 +134,19 @@ def group_advantages(
     if len(set(rewards)) == 1:
         # exactly zero, not mean-rounding residue divided by the floor
         return [0.0] * G
-    mean = sum(rewards) / G
-    var = sum((r - mean) ** 2 for r in rewards) / G
+    total = 0  # integer rewards sum exactly, as sum() does
+    for r in rewards:
+        total += r
+    mean = total / G
+    var = 0.0
+    try:
+        for r in rewards:
+            var += (r - mean) ** 2
+    except OverflowError:  # a float ** raises where + and * give inf
+        var = math.inf
+    var /= G
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise NonFiniteInput("rewards spread too wide for a finite mean and variance")
     std = math.sqrt(var)
     scale = max(std, std_floor)
     if scale == 0.0:
@@ -181,7 +194,8 @@ def grpo_objective(group: RolloutGroup, cfg: GrpoConfig) -> GrpoResult:
     of kl_term. Every sum runs left to right, over tokens and then rollouts,
     for bit-reproducibility.
     A non-finite log-prob, or a log-ratio too large for exp(), raises
-    NonFiniteInput naming the rollout.
+    NonFiniteInput naming the rollout; so do group totals too large for a
+    finite objective or mean KL.
     """
     advantages = group_advantages(group.rewards, cfg.std_floor)
     lo, hi = 1 - cfg.epsilon_clip, 1 + cfg.epsilon_clip
@@ -221,8 +235,11 @@ def grpo_objective(group: RolloutGroup, cfg: GrpoConfig) -> GrpoResult:
         kl_total += kl
 
     mean_kl = kl_total / group.G
+    objective = surrogate_total / group.G - cfg.beta_kl * mean_kl
+    if not (isfinite(objective) and isfinite(mean_kl)):
+        raise NonFiniteInput("group totals too large for a finite objective and mean KL")
     return GrpoResult(
-        objective=surrogate_total / group.G - cfg.beta_kl * mean_kl,
+        objective=objective,
         advantages=advantages,
         surrogates=surrogates,
         kl_values=kl_values,

@@ -78,7 +78,8 @@ DEFAULT_SPOILER_CONFIG = SpoilerConfig()
 
 @dataclass(frozen=True)
 class SpoilerReport:
-    score: int
+    """The six signal flags and their evidence; the score is the number of flags set."""
+
     derivation_phrasing: bool
     equation_density: bool
     long_math_spans: bool
@@ -86,6 +87,10 @@ class SpoilerReport:
     answer_phrasing: bool
     math_span_count: bool
     evidence: dict[str, tuple[str, ...]] = field(compare=False, default_factory=dict)
+
+    @property
+    def score(self) -> int:
+        return sum(self.signals().values())
 
     def signals(self) -> dict[str, bool]:
         return {name: getattr(self, name) for name in SIGNAL_NAMES}
@@ -138,7 +143,7 @@ def spoiler_score(preplan: str, cfg: SpoilerConfig = DEFAULT_SPOILER_CONFIG) -> 
         "math_span_count": spans,
     }
     evidence = {name: tuple(matched[name]) for name, on in flags.items() if on}
-    return SpoilerReport(score=sum(flags.values()), evidence=evidence, **flags)
+    return SpoilerReport(evidence=evidence, **flags)
 
 
 def style_penalty(score: int, tau_s: int) -> int:

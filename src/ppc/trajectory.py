@@ -64,12 +64,13 @@ class MalformedTrajectory(TrajectoryError):
 
 @dataclass(frozen=True)
 class FormatVerdict:
-    well_formed: bool
+    """`check_format`'s verdict: the violations found, in document order."""
+
     violations: tuple[Violation, ...] = ()
 
-    def __post_init__(self):
-        if self.well_formed != (len(self.violations) == 0):
-            raise ValueError("well_formed must mirror an empty violation list")
+    @property
+    def well_formed(self) -> bool:
+        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -196,11 +197,7 @@ def _scan_text(text: str) -> tuple[_Findings, Trajectory]:
 
 def check_format(text: str) -> FormatVerdict:
     """Total structural check; never raises."""
-    findings = _scan(text)[0]
-    return FormatVerdict(
-        well_formed=not findings,
-        violations=tuple(code for _, code, _ in findings),
-    )
+    return FormatVerdict(tuple(code for _, code, _ in _scan(text)[0]))
 
 
 def read_trajectory(text: str) -> Trajectory:

@@ -14,7 +14,6 @@ from conftest import clean_preplan, default_stage_texts, make_problem, make_suit
 
 from ppc.evaluation import (
     PerturbationMode,
-    PerturbationSpec,
     _derangement,
     answers_equivalent,
     maj_at_k,
@@ -257,7 +256,6 @@ def test_criterion_2_exemplar_classification():
 def _report_with(score: int) -> SpoilerReport:
     flags = [i < score for i in range(6)]
     return SpoilerReport(
-        score=score,
         derivation_phrasing=flags[0],
         equation_density=flags[1],
         long_math_spans=flags[2],
@@ -271,8 +269,8 @@ def _report_with(score: int) -> SpoilerReport:
 def test_criterion_3_reward_bound_sweep():
     from ppc.trajectory import FormatVerdict
 
-    ok = FormatVerdict(well_formed=True)
-    bad = FormatVerdict(well_formed=False, violations=(Violation.NO_BOXED,))
+    ok = FormatVerdict()
+    bad = FormatVerdict(violations=(Violation.NO_BOXED,))
     weights = RewardWeights()
 
     started = time.monotonic()
@@ -554,22 +552,19 @@ def test_criterion_9_perturbation_properties():
             for _ in range(rng.randint(1, 8))
         ]
         preplan = " ".join(sentences)
-        spec = PerturbationSpec(mode=PerturbationMode.SHUFFLED, seed=case)
-        [prefix] = perturb_preplan([preplan], spec)
+        [prefix] = perturb_preplan([preplan], PerturbationMode.SHUFFLED, case)
         inner = prefix[len("<preplan>") : -len("</preplan>\n<plan>")]
         assert sorted(split_sentences(inner)) == sorted(sentences)
-        assert perturb_preplan([preplan], spec) == [prefix]  # seeded reproducibility
+        assert perturb_preplan([preplan], PerturbationMode.SHUFFLED, case) == [prefix]  # seeded reproducibility
 
     for size in range(2, 51):
         pool = [f"preplan {i}" for i in range(size)]
-        spec = PerturbationSpec(mode=PerturbationMode.MISMATCHED, seed=size)
         mapping = _derangement(size, random.Random(size))
         assert all(i != j for i, j in enumerate(mapping))
-        for own, donor in zip(pool, perturb_preplan(pool, spec)):
+        for own, donor in zip(pool, perturb_preplan(pool, PerturbationMode.MISMATCHED, size)):
             assert f">{own}<" not in donor.replace("</preplan>", "<")
 
-    generic = PerturbationSpec(mode=PerturbationMode.GENERIC, seed=0)
-    outputs = set(perturb_preplan([f"text {i}" for i in range(20)], generic))
+    outputs = set(perturb_preplan([f"text {i}" for i in range(20)], PerturbationMode.GENERIC, 0))
     assert len(outputs) == 1
 
     report_pass(

@@ -366,6 +366,24 @@ class TestGrpoCheck:
         assert main(["grpo-check", "--in", str(path)]) == 2
         assert "rollout 1: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rewards, logp_new, error",
+        [
+            # every rollout's KL is finite (8.2e307), but their total is not
+            ([0.0, 1.0, 0.5], -710.0, "group totals too large"),
+            ([1e200, -1e200, 0.0], -1.0, "rewards spread too wide"),
+        ],
+        ids=["kl-total", "reward-variance"],
+    )
+    def test_overflowing_group_total_is_data_error(self, tmp_path, capsys, rewards, logp_new, error):
+        group = {"rewards": rewards, "logp_new": [logp_new] * 3, "logp_old": [logp_new] * 3, "logp_ref": [-1.0] * 3}
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(group))
+        assert main(["grpo-check", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert error in captured.err
+        assert captured.out == ""
+
     def test_empty_token_lists_are_data_error(self, tmp_path, capsys):
         group = {
             "rewards": [1.0, 0.0],
@@ -542,6 +560,18 @@ class TestEval:
             (False, False, [False] * 3),
         ]
         assert [r["token_counts"] for r in records] == [[2, 2, 1], [3, 1, 4], [1, 4002, 2]]
+
+    def test_report_keeps_a_non_ascii_benchmark_name(self, tmp_path, capsys):
+        bench = tmp_path / "données.jsonl"
+        write_jsonl(bench, [{"id": "a", "question": "question a", "answer": "7"}])
+        write_jsonl(tmp_path / "données.transcripts.jsonl", [{"id": "a", "samples": ["so \\boxed{7}"]}])
+        out_dir = tmp_path / "o"
+        argv = ["eval", "--bench", str(bench), "--k", "1", "--out", str(out_dir), "--seed", "5"]
+        assert main(argv + ["--replay", str(tmp_path)]) == 0
+        assert (out_dir / "données.report.json").read_bytes() == (
+            '{"benchmark": "données", "failed": 0, "k": 1, "maj_at_k": 100.0, "mean_tokens": 2.0, '
+            '"mean_tokens_thousands": 0.0, "pass_at_k": 100.0, "problems": 1}\n'
+        ).encode("utf-8")
 
     @pytest.mark.parametrize(
         "answers, code, problems",

@@ -254,15 +254,11 @@ class TestJudges:
 
     def test_attribution(self):
         client = ScriptedClient([("", '{"what_to_solve": true, "facet": "CONSTRAINTS"}')])
-        verdict = attribute_error(client, "q", "bad solution", "7")
-        assert verdict.is_what_to_solve is True
-        assert verdict.facet == Facet.CONSTRAINTS
+        assert attribute_error(client, "q", "bad solution", "7") == Facet.CONSTRAINTS
 
     def test_attribution_how_to_solve(self):
         client = ScriptedClient([("", '{"what_to_solve": false}')])
-        verdict = attribute_error(client, "q", "bad", "7")
-        assert verdict.is_what_to_solve is False
-        assert verdict.facet is None
+        assert attribute_error(client, "q", "bad", "7") is None
 
     def test_attribution_non_json(self):
         with pytest.raises(UnparseableVerdict):

@@ -28,7 +28,6 @@ from ppc.evaluation import (
     EvalRecord,
     EvalReport,
     PerturbationMode,
-    PerturbationSpec,
     PoolTooSmall,
     answers_equivalent,
     evaluate,
@@ -294,8 +293,7 @@ class TestMajPass:
 class TestPerturbations:
     def test_shuffled_preserves_sentence_multiset(self):
         text = "First point. Second point! Third point? Fourth."
-        spec = PerturbationSpec(mode=PerturbationMode.SHUFFLED, seed=5)
-        [prefix] = perturb_preplan([text], spec)
+        [prefix] = perturb_preplan([text], PerturbationMode.SHUFFLED, 5)
         assert prefix.startswith("<preplan>") and prefix.endswith("</preplan>\n<plan>")
         inner = prefix[len("<preplan>") : -len("</preplan>\n<plan>")]
         assert sorted(inner.replace("! ", "!|").replace("? ", "?|").replace(". ", ".|").split("|")) == sorted(
@@ -303,27 +301,23 @@ class TestPerturbations:
         )
 
     def test_shuffled_deterministic(self):
-        spec = PerturbationSpec(mode=PerturbationMode.SHUFFLED, seed=5)
         t = ["A one. B two. C three. D four. E five."]
-        assert perturb_preplan(t, spec) == perturb_preplan(t, spec)
+        assert perturb_preplan(t, PerturbationMode.SHUFFLED, 5) == perturb_preplan(t, PerturbationMode.SHUFFLED, 5)
 
     def test_shuffled_never_returns_own_order(self):
         # With one fresh generator per preplan, seed 5 returned every 2- and 3-sentence preplan as it was.
         preplans = ["First point. Second point.", "Alpha. Beta. Gamma.", "One. Two.", "Red. Green. Blue."]
         for seed in range(20):
-            spec = PerturbationSpec(mode=PerturbationMode.SHUFFLED, seed=seed)
-            for own, prefix in zip(preplans, perturb_preplan(preplans, spec)):
+            for own, prefix in zip(preplans, perturb_preplan(preplans, PerturbationMode.SHUFFLED, seed)):
                 assert prefix != forced_prefix_for(own), (seed, own)
 
     def test_shuffled_keeps_a_text_with_no_other_order(self):
-        spec = PerturbationSpec(mode=PerturbationMode.SHUFFLED, seed=5)
         texts = ["Only one sentence.", "Same. Same.", ""]
-        assert perturb_preplan(texts, spec) == [forced_prefix_for(t) for t in texts]
+        assert perturb_preplan(texts, PerturbationMode.SHUFFLED, 5) == [forced_prefix_for(t) for t in texts]
 
     def test_shuffled_order_depends_on_row_position(self):
         # Equal preplans at three positions get three orders; the order is pinned across processes.
-        spec = PerturbationSpec(mode=PerturbationMode.SHUFFLED, seed=1)
-        assert perturb_preplan(["A one. B two. C three. D four."] * 3, spec) == [
+        assert perturb_preplan(["A one. B two. C three. D four."] * 3, PerturbationMode.SHUFFLED, 1) == [
             forced_prefix_for("A one. C three. B two. D four."),
             forced_prefix_for("C three. A one. B two. D four."),
             forced_prefix_for("C three. D four. B two. A one."),
@@ -331,19 +325,16 @@ class TestPerturbations:
 
     def test_mismatched_is_a_derangement(self):
         pool = [f"preplan number {i}." for i in range(6)]
-        spec = PerturbationSpec(mode=PerturbationMode.MISMATCHED, seed=3)
-        for own, prefix in zip(pool, perturb_preplan(pool, spec)):
+        for own, prefix in zip(pool, perturb_preplan(pool, PerturbationMode.MISMATCHED, 3)):
             assert own not in prefix
 
     def test_mismatched_needs_pool(self):
-        spec = PerturbationSpec(mode=PerturbationMode.MISMATCHED, seed=1)
         for preplans in ([], ["x"]):
             with pytest.raises(PoolTooSmall):
-                perturb_preplan(preplans, spec)
+                perturb_preplan(preplans, PerturbationMode.MISMATCHED, 1)
 
     def test_generic_constant(self):
-        spec = PerturbationSpec(mode=PerturbationMode.GENERIC, seed=0)
-        prefixes = set(perturb_preplan([f"text {i}" for i in range(5)], spec))
+        prefixes = set(perturb_preplan([f"text {i}" for i in range(5)], PerturbationMode.GENERIC, 0))
         assert len(prefixes) == 1
         assert prefixes.pop() == forced_prefix_for(prompts.GENERIC_PREPLAN)
 
@@ -452,8 +443,7 @@ class TestEvaluate:
         client = ScriptedClient(lambda req: (
             "rest</plan><execute>\\boxed{7}</execute>" if req.forced_prefix else base[req.user_prompt]
         ))
-        spec = PerturbationSpec(mode=PerturbationMode.MISMATCHED, seed=1)
-        report = evaluate(problems, 2, client, mode=spec)
+        report = evaluate(problems, 2, client, mode=PerturbationMode.MISMATCHED, seed=1)
         forced = [r for r in client.calls if r.forced_prefix]
         assert len(forced) == 4  # 2 problems x k=2
         for call in forced:
@@ -465,9 +455,8 @@ class TestEvaluate:
     def test_perturbation_needs_live_generation(self):
         problems = [make_problem(f"p{i}", answer="7") for i in range(2)]
         replay = {p.id: [completion("7")] for p in problems}
-        spec = PerturbationSpec(mode=PerturbationMode.MISMATCHED, seed=1)
         with pytest.raises(ValueError, match="replay"):
-            evaluate(problems, 1, mode=spec, replay=replay)
+            evaluate(problems, 1, mode=PerturbationMode.MISMATCHED, seed=1, replay=replay)
 
     def test_base_preplan_read_without_boxed_answer(self):
         # A base sample cut off before its \boxed (NO_BOXED) still carries a complete preplan.
@@ -479,9 +468,8 @@ class TestEvaluate:
         client = ScriptedClient(lambda req: (
             "rest</plan><execute>\\boxed{7}</execute>" if req.forced_prefix else base[req.user_prompt]
         ))
-        spec = PerturbationSpec(mode=PerturbationMode.SHUFFLED, seed=1)
         assert all(check_format(b).violations == (Violation.NO_BOXED,) for b in base.values())
-        evaluate(problems, 1, client, mode=spec)
+        evaluate(problems, 1, client, mode=PerturbationMode.SHUFFLED, seed=1)
         forced = sorted(r.forced_prefix for r in client.calls if r.forced_prefix)
         assert forced == [forced_prefix_for(f"own analysis {p.id}.") for p in problems]
 
@@ -518,9 +506,8 @@ class TestEvaluate:
             return completion("7", preplan=f"own analysis {req.user_prompt.split()[-1]}.")
 
         client = ScriptedClient(answer)
-        spec = PerturbationSpec(mode=mode, seed=1)
         with caplog.at_level(logging.WARNING, logger="ppc.evaluation"):
-            report = evaluate(problems, 2, client, mode=spec, parallelism=parallelism)
+            report = evaluate(problems, 2, client, mode=mode, seed=1, parallelism=parallelism)
         assert report.failed == 1 and [r.problem.id for r in report.records] == ["p0", "p2"]
         assert report.problems == 2 and report.pass_at_k == 100.00
         prompts_sent = [req.user_prompt for req in client.calls]
@@ -540,7 +527,6 @@ class TestEvaluate:
         # Equal preplans, so each problem's order comes from its seed alone; at seed 5 the four differ.
         problems = [make_problem(f"p{i}", answer="7") for i in range(4)]
         preplan = "A one. B two. C three. D four."
-        spec = PerturbationSpec(mode=PerturbationMode.SHUFFLED, seed=5)
 
         def forced(down):
             def answer(req):
@@ -551,12 +537,12 @@ class TestEvaluate:
                 return completion("7", preplan=preplan)
 
             client = ScriptedClient(answer)
-            report = evaluate(problems, 2, client, mode=spec, parallelism=parallelism)
+            report = evaluate(problems, 2, client, mode=PerturbationMode.SHUFFLED, seed=5, parallelism=parallelism)
             assert report.failed == (down is not None)
             return {req.user_prompt: req.forced_prefix for req in client.calls if req.forced_prefix}
 
         every = forced(None)
-        own = perturb_preplan([preplan] * len(problems), spec)
+        own = perturb_preplan([preplan] * len(problems), PerturbationMode.SHUFFLED, 5)
         assert every == {p.question: prefix for p, prefix in zip(problems, own)}
         assert len(set(own)) == len(problems)
         # p0's failed base sample moves no other problem's order
@@ -571,7 +557,7 @@ class TestEvaluate:
             return "rest</plan><execute>\\boxed{7}</execute>"
 
         client = ScriptedClient(answer)
-        report = evaluate(problems, 2, client, mode=PerturbationSpec(mode=PerturbationMode.GENERIC, seed=1))
+        report = evaluate(problems, 2, client, mode=PerturbationMode.GENERIC, seed=1)
         assert report.failed == 0 and report.problems == 3 and report.pass_at_k == 100.00
         assert len(client.calls) == 6
         assert {req.forced_prefix for req in client.calls} == {forced_prefix_for(prompts.GENERIC_PREPLAN)}
@@ -584,10 +570,9 @@ class TestEvaluate:
                 raise ProtocolError("down")
             return completion("7")
 
-        spec = PerturbationSpec(mode=PerturbationMode.MISMATCHED, seed=1)
         client = ScriptedClient(answer)
         with pytest.raises(PoolTooSmall):
-            evaluate(problems, 2, client, mode=spec)
+            evaluate(problems, 2, client, mode=PerturbationMode.MISMATCHED, seed=1)
         assert len(client.calls) == 3  # the base calls; no forced one
 
     @pytest.mark.parametrize("source", ["live", "replay", "perturb"])
@@ -600,7 +585,7 @@ class TestEvaluate:
         kwargs = {
             "live": {"client": client},
             "replay": {"replay": {"q1": [completion("7"), completion("3")]}},
-            "perturb": {"client": client, "mode": PerturbationSpec(mode=PerturbationMode.MISMATCHED, seed=1)},
+            "perturb": {"client": client, "mode": PerturbationMode.MISMATCHED, "seed": 1},
         }[source]
         with pytest.raises(DuplicateId, match="q1"):
             evaluate(problems, 2, equivalence=lambda pred, gold: judged.append(pred) or False, **kwargs)
@@ -1021,7 +1006,8 @@ class TestScheduler:
                 problems,
                 8,
                 ScriptedClient(script),
-                mode=mode and PerturbationSpec(mode=mode, seed=3),
+                mode=mode,
+                seed=3,
                 equivalence=lambda pred, gold: answers_equivalent(pred, gold, fallback=judge),
                 parallelism=parallelism,
             )
@@ -1072,9 +1058,8 @@ class TestScheduler:
             return completion("7", preplan=f"own analysis {pid}.")
 
         client = ScriptedClient(answer)
-        spec = PerturbationSpec(mode=PerturbationMode.SHUFFLED, seed=1)
         with pytest.raises(RuntimeError):
-            evaluate(problems, 2, client, mode=spec, parallelism=4)
+            evaluate(problems, 2, client, mode=PerturbationMode.SHUFFLED, seed=1, parallelism=4)
         assert "p1" in base_calls and set(base_calls) <= {"p0", "p1", "p2", "p3"}
         assert joined and all(joined)  # each held call returned only after the caller had the error
         assert not any(req.forced_prefix for req in client.calls)

@@ -69,6 +69,24 @@ class TestAdvantages:
         adv = group_advantages([1.0, 1.0 + 1e-9], std_floor=1e-6)
         assert max(abs(a) for a in adv) < 1e-2
 
+    def test_sums_run_left_to_right(self):
+        # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right, but 0.6 under
+        # the compensated sum() of Python 3.12 and later.
+        assert group_advantages([0.1, 0.2, 0.3]) == [
+            -1.2247448713915896, -3.3993498887762963e-16, 1.2247448713915885
+        ]
+
+    def test_integer_rewards_sum_exactly(self):
+        # A float accumulator would round 2**53 + 1 down: -0.5773502691896255 for the ones.
+        assert group_advantages([2**53, 1, 1, 0]) == [
+            1.7320508075688774, -0.5773502691896256, -0.5773502691896256, -0.577350269189626
+        ]
+
+    @pytest.mark.parametrize("rewards", [[1e308, 1e308, 0.0], [1e200, -1e200]], ids=["mean", "variance"])
+    def test_sum_too_large_for_a_float(self, rewards):
+        with pytest.raises(NonFiniteInput, match="rewards spread too wide"):
+            group_advantages(rewards)
+
 
 class TestImportanceRatio:
     def test_equal_logps(self):
@@ -184,6 +202,14 @@ class TestObjective:
             values[field][1] = bad
         with pytest.raises(NonFiniteInput):
             grpo_objective(RolloutGroup(**values), GrpoConfig())
+
+    @pytest.mark.parametrize("beta", [0.04, 0.0], ids=["kl-weighted", "kl-unweighted"])
+    def test_group_total_too_large(self, beta):
+        # Each rollout's KL is exp(709) - 710, about 8.2e307; three of them overflow.
+        g = make_group([0.0, 1.0, 0.5], [-710.0] * 3, [-710.0] * 3, [-1.0] * 3)
+        assert math.isfinite(kl_term(-710.0, -1.0))
+        with pytest.raises(NonFiniteInput, match="group totals"):
+            grpo_objective(g, GrpoConfig(beta_kl=beta))
 
 
 def as_tokens(logp):

@@ -11,8 +11,8 @@ from ppc.rewards import (
 from ppc.spoiler import spoiler_score
 from ppc.trajectory import FormatVerdict, Violation
 
-OK_FMT = FormatVerdict(well_formed=True)
-BAD_FMT = FormatVerdict(well_formed=False, violations=(Violation.NO_BOXED,))
+OK_FMT = FormatVerdict()
+BAD_FMT = FormatVerdict(violations=(Violation.NO_BOXED,))
 
 
 def report_with_score(score):

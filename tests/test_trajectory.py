@@ -439,7 +439,7 @@ class TestScanMemo:
         text = make(execute="no answer")
         copy = "".join(list(text))
         assert copy == text and copy is not text
-        assert check_format(text) == check_format(copy) == FormatVerdict(False, (Violation.NO_BOXED,))
+        assert check_format(text) == check_format(copy) == FormatVerdict((Violation.NO_BOXED,))
         assert len(scans) == 2
 
     def test_malformed_message_is_unchanged_on_a_memo_hit(self, scans):
