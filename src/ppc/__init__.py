@@ -75,7 +75,6 @@ from .trajectory import (
     FormatVerdict,
     MalformedTrajectory,
     Trajectory,
-    UnbalancedBraces,
     Violation,
     check_format,
     extract_boxed,

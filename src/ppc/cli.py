@@ -208,6 +208,8 @@ def cmd_eval(args) -> int:
                 f"--bench {benches[stem]} and --bench {bench} would both write {stem}.* under --out"
             )
         benches[stem] = bench
+    # Every bench is read before the first call, so a bad later file wastes none.
+    problem_sets = {stem: load_problems(Path(bench)) for stem, bench in benches.items()}
 
     client = None
     if args.replay is None:
@@ -221,8 +223,7 @@ def cmd_eval(args) -> int:
     params = _sampling(config, prompts.EVAL_SYSTEM_PROMPT)
 
     reports = []
-    for stem, bench in benches.items():
-        problems = load_problems(Path(bench))
+    for stem, problems in problem_sets.items():
         replay = None
         if args.replay is not None:
             replay = read_transcripts(Path(args.replay) / f"{stem}.transcripts.jsonl")

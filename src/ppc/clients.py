@@ -83,7 +83,7 @@ class RetryPolicy:
 
 
 class LlmClient:
-    """Interface: generate(request) -> completion text."""
+    """Interface: generate(request) -> the generated text, without the request's forced prefix."""
 
     def generate(self, req: GenerationRequest) -> str:
         raise NotImplementedError
@@ -107,7 +107,7 @@ class HttpChatClient(LlmClient):
 
     Request body: {model, messages, temperature, top_p, max_tokens};
     the answer is read from choices[0].message.content. A forced prefix is
-    sent as an assistant prefill message and prepended to the returned text.
+    sent as an assistant prefill message; only the continuation is returned.
     Without a `session`, the client opens a `requests.Session`; `requests` is
     imported then, so offline work never loads the HTTP stack.
     """
@@ -135,10 +135,7 @@ class HttpChatClient(LlmClient):
         self._sleep = sleep
 
     def generate(self, req: GenerationRequest) -> str:
-        content = _with_retries(lambda: self._post(req), self.retry, self._sleep)
-        if req.forced_prefix is not None:
-            return req.forced_prefix + content
-        return content
+        return _with_retries(lambda: self._post(req), self.retry, self._sleep)
 
     def _post(self, req: GenerationRequest) -> str:
         messages = []
@@ -221,8 +218,6 @@ class ScriptedClient(LlmClient):
         text = self._resolve(req)
         if text is None:
             raise ProtocolError(f"no scripted response for request to {self.name!r}")
-        if req.forced_prefix is not None:
-            return req.forced_prefix + text
         return text
 
     def _resolve(self, req: GenerationRequest) -> str | None:

@@ -105,6 +105,11 @@ class PipelineConfig:
                 raise ConfigError(f"unknown role {name!r}; valid: {ROLE_NAMES}")
         if self.parallelism < 1:
             raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
+        if not 0 <= self.filter_min_tokens <= self.filter_max_tokens:
+            raise ConfigError(
+                "need 0 <= filter_min_tokens <= filter_max_tokens, got "
+                f"{self.filter_min_tokens} and {self.filter_max_tokens}"
+            )
         # The paper has one threshold; the filter reads one copy, the reward the other.
         if self.spoiler.tau_s != self.weights.tau_s:
             raise ConfigError(

@@ -38,7 +38,7 @@ from .clients import (
     run_parallel,
 )
 from .synthesis import ProblemRecord, check_unique_ids
-from .trajectory import boxed_or_none, forced_prefix_for, read_trajectory
+from .trajectory import extract_boxed, forced_prefix_for, read_trajectory
 
 log = logging.getLogger(__name__)
 
@@ -507,7 +507,7 @@ def evaluate(
 
 def _answers(samples: Sequence[str]) -> list[str | None]:
     # The whole sample, not just its execute block: eval scores any final boxed answer.
-    return [boxed_or_none(s) for s in samples]
+    return [extract_boxed(s) for s in samples]
 
 
 def _record(problem: ProblemRecord, samples: list[str], scorer: _Scorer) -> EvalRecord:
@@ -529,9 +529,10 @@ def _sample(
 ) -> list[EvalRecord | None]:
     """Each problem's k samples, scored; None for a problem whose generation failed.
 
-    `samples[i][j]` is sample j of problem i, or None for one still to draw
-    with `client.generate(requests[i])`, stored at index j whatever order
-    calls finish in. Each sample to draw is one unit of work; a problem with
+    `samples[i][j]` is sample j of problem i, or None for one still to draw:
+    the request's forced prefix (if any) followed by
+    `client.generate(requests[i])`, stored at index j whatever order calls
+    finish in. Each sample to draw is one unit of work; a problem with
     none left to draw gets one unit, which only scores it. The units run on
     `run_parallel` in problem-major order, so a problem's calls run side by
     side. A worker that lands a sample, or takes a scoring unit, feeds the
@@ -593,7 +594,7 @@ def _sample(
         if failed[i]:
             return
         try:
-            text = None if j is None else client.generate(requests[i])
+            text = None if j is None else (requests[i].forced_prefix or "") + client.generate(requests[i])
         except ClientError as exc:
             fail(i, exc)
             return

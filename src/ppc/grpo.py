@@ -56,8 +56,12 @@ def _tokens(value: Logp) -> Sequence[float]:
 
 def _require_finite(values, what: str):
     for v in values:
-        if not math.isfinite(v):
-            raise NonFiniteInput(f"{what} contains non-finite value {v!r}")
+        try:
+            if math.isfinite(v):
+                continue
+        except OverflowError:  # an int too large for a float
+            raise NonFiniteInput(f"{what} contains an integer too large for a float") from None
+        raise NonFiniteInput(f"{what} contains non-finite value {v!r}")
 
 
 @dataclass

@@ -194,7 +194,7 @@ def filter_decision(
     kept trajectory re-renders cleanly). Correctness is judged once,
     whatever the outcome, and returned as `answer_correct`.
     """
-    if not gold:
+    if not gold.strip():
         raise ValueError("gold answer must be non-empty")
 
     correct = t.boxed_answer is not None and equivalence(t.boxed_answer, gold)

@@ -62,6 +62,8 @@ class ProblemRecord:
             raise ValueError("problem id must be non-empty")
         if not self.question:
             raise ValueError("question must be non-empty")
+        if not self.gold_answer.strip():
+            raise ValueError("gold answer must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,7 @@ def apply_filter(
 ) -> FilterDecision:
     """`filter_decision`'s verdict on a generated record's texts, judged
     against its problem's gold answer; the record is not changed."""
-    traj = Trajectory.from_parts(rec.preplan, rec.plan, rec.execute)
+    traj = Trajectory(rec.preplan, rec.plan, rec.execute)
     return filter_decision(traj, rec.problem.gold_answer, cfg, bounds, equivalence=equivalence)
 
 
@@ -154,7 +156,6 @@ def _row(problem: ProblemRecord, rec: SynthesisRecord | None, decision: FilterDe
     if decision is None:
         return {"id": problem.id, "reason": DropReason.GEN_FAIL.value, "spoiler_score": None, "answer_correct": None}
     if decision.keep:
-        # rendering reads only the three texts: the boxed answer is not extracted again
         target = render_trajectory(Trajectory(rec.preplan, rec.plan, rec.execute))
         return {"id": problem.id, "system": prompts.EVAL_SYSTEM_PROMPT, "prompt": problem.question, "target": target}
     return {

@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 TAG_NAMES = ("preplan", "plan", "execute")
 
@@ -42,18 +43,10 @@ class Violation(str, Enum):
     FOREIGN_TAG = "FOREIGN_TAG"
 
 
-class TrajectoryError(ValueError):
-    pass
-
-
-class UnbalancedBraces(TrajectoryError):
-    """A boxed group opens but its braces never balance."""
-
-
 _Findings = tuple[tuple[int, Violation, str], ...]
 
 
-class MalformedTrajectory(TrajectoryError):
+class MalformedTrajectory(ValueError):
     """Raised by the parser; names the first violation in document order."""
 
     def __init__(self, findings: _Findings):
@@ -75,25 +68,24 @@ class FormatVerdict:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A parsed (preplan, plan, execute) triple."""
+    """A (preplan, plan, execute) triple; its answer is read from execute."""
 
     preplan: str
     plan: str
     execute: str
-    boxed_answer: str | None = None
 
-    @classmethod
-    def from_parts(cls, preplan: str, plan: str, execute: str) -> "Trajectory":
-        """Build from segment texts, deriving the boxed answer from execute."""
-        return cls(preplan, plan, execute, boxed_or_none(execute))
+    @cached_property
+    def boxed_answer(self) -> str | None:
+        """`extract_boxed` of execute, read once per trajectory."""
+        return extract_boxed(self.execute)
 
 
 def extract_boxed(text: str) -> str | None:
     """Content of the last ``\\boxed{...}`` group, honouring nested braces.
 
-    Returns None when no group opens; raises UnbalancedBraces when the last
-    one opens but never closes. The content is returned byte-for-byte, so
-    re-wrapping it reproduces the original substring.
+    Returns None when no group opens or when the last one never closes. The
+    content is returned byte-for-byte, so re-wrapping it reproduces the
+    original substring.
     """
     start = text.rfind(_BOXED)
     if start == -1:
@@ -106,15 +98,7 @@ def extract_boxed(text: str) -> str | None:
         if depth == 0:
             return text[begin:close]
         i = close + 1
-    raise UnbalancedBraces(f"boxed group opened at offset {start} never closes")
-
-
-def boxed_or_none(text: str) -> str | None:
-    """``extract_boxed``, except that a group that never closes reads as no answer."""
-    try:
-        return extract_boxed(text)
-    except UnbalancedBraces:
-        return None
+    return None
 
 
 # The text `_scan` saw last, its findings and its blocks, so the guard, the
@@ -176,12 +160,13 @@ def _scan_text(text: str) -> tuple[_Findings, Trajectory]:
             findings.append((pos, Violation.OUT_OF_ORDER, f"{tok} before {prev_tok}"))
             break
 
-    # Trimming moves no boxed group, so NO_BOXED can test the trimmed block's answer.
-    boxed = boxed_or_none(blocks[2])
+    # Trimming moves no boxed group, so NO_BOXED can test the trimmed block's
+    # answer; read on every scan, it is the one every later reader shares.
+    trajectory = Trajectory(*(block.strip() for block in blocks))
     open_exec = positions["<execute>"]
     close_exec = positions["</execute>"]
     in_order = len(open_exec) == 1 and len(close_exec) == 1 and open_exec[0] < close_exec[0]
-    if in_order and boxed is None:
+    if trajectory.boxed_answer is None and in_order:
         findings.append((close_exec[0], Violation.NO_BOXED, "no closed boxed group in execute"))
 
     if close_exec:
@@ -192,7 +177,7 @@ def _scan_text(text: str) -> tuple[_Findings, Trajectory]:
             findings.append((offset, Violation.TRAILING_TEXT, tail.strip()[:40]))
 
     findings.sort(key=lambda f: f[0])
-    return tuple(findings), Trajectory(*(block.strip() for block in blocks), boxed)
+    return tuple(findings), trajectory
 
 
 def check_format(text: str) -> FormatVerdict:
@@ -230,7 +215,7 @@ def forced_prefix_for(preplan: str) -> str:
 def render_trajectory(t: Trajectory) -> str:
     """Canonical tagged form, blocks separated by single newlines.
 
-    For any trajectory produced by `parse_trajectory` (or `from_parts` with
-    tag-free segments and a boxed answer) the output passes `check_format`.
+    For any trajectory produced by `parse_trajectory` (or built from
+    tag-free segments with a boxed answer) the output passes `check_format`.
     """
     return f"{forced_prefix_for(t.preplan)}{t.plan}</plan>\n<execute>{t.execute}</execute>"

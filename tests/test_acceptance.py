@@ -229,12 +229,12 @@ def test_criterion_2_exemplar_classification():
 
     padding = " " + " ".join(["Additional context sentences follow."] * 40)
     dropped = filter_decision(
-        Trajectory.from_parts(DISCARD_EXEMPLAR + padding, "1. Go.", "\\boxed{7}"),
+        Trajectory(DISCARD_EXEMPLAR + padding, "1. Go.", "\\boxed{7}"),
         "7",
         equivalence=answers_equivalent,
     )
     kept = filter_decision(
-        Trajectory.from_parts(KEEP_EXEMPLAR + padding, "1. Go.", "\\boxed{7}"),
+        Trajectory(KEEP_EXEMPLAR + padding, "1. Go.", "\\boxed{7}"),
         "7",
         equivalence=answers_equivalent,
     )
@@ -402,7 +402,7 @@ def test_criterion_5_format_guard_exhaustive():
 
     # canonical renders pass the guard
     assert check_format(render_trajectory(parse_trajectory(canonical))).well_formed
-    built = Trajectory.from_parts("A", "B", "C \\boxed{1}")
+    built = Trajectory("A", "B", "C \\boxed{1}")
     assert check_format(render_trajectory(built)).well_formed
 
     elapsed = time.monotonic() - started

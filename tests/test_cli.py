@@ -143,6 +143,36 @@ class TestSynthesize:
         assert summary["kept"] == 3
         assert (out_dir / "sft.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "problem_rows, extra, message",
+        [
+            (
+                [{"id": "p0", "answer": "7"}, {"id": "p1", "answer": ""}],
+                {},
+                "problems.jsonl:2: gold answer must be non-empty",
+            ),
+            (
+                [{"id": "p0", "answer": "7"}],
+                {"filter_min_tokens": 2000, "filter_max_tokens": 100},
+                "need 0 <= filter_min_tokens <= filter_max_tokens, got 2000 and 100",
+            ),
+        ],
+        ids=["empty-gold", "inverted-bounds"],
+    )
+    def test_unusable_input_makes_no_call(self, tmp_path, monkeypatch, capsys, problem_rows, extra, message):
+        problems = [make_problem(f"p{i}") for i in range(2)]
+        config = scripted_config(tmp_path, problems, default_stage_texts(problems), extra)
+        bench = tmp_path / "problems.jsonl"
+        write_jsonl(bench, [{**row, "question": f"question text {row['id']}"} for row in problem_rows])
+        calls = []
+        monkeypatch.setattr(ppc.clients.ScriptedClient, "generate", lambda self, req: calls.append(req))
+        out_dir = tmp_path / "dataset"
+        argv = ["synthesize", "--config", str(config), "--in", str(bench), "--out", str(out_dir), "--seed", "7"]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not out_dir.exists()
+
     def test_unreachable_endpoint_exits_3(self, tmp_path):
         problems = [make_problem("p0")]
         bench = tmp_path / "problems.jsonl"
@@ -324,6 +354,17 @@ class TestGrpoCheck:
         assert main(["grpo-check", "--in", str(path), "--epsilon", "inf"]) == 2
         captured = capsys.readouterr()
         assert "epsilon_clip must be finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("field", ["rewards", "logp_new"])
+    def test_integer_too_large_for_a_float_is_data_error(self, tmp_path, capsys, field):
+        group = {"rewards": [1.0, 0.0], "logp_new": [-1.0, -2.0], "logp_old": [-1.0, -2.0], "logp_ref": [-1.0, -2.0]}
+        group[field] = [group[field][0], "HUGE"]
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(group).replace('"HUGE"', "1" + "0" * 400))
+        assert main(["grpo-check", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"{field} contains an integer too large for a float" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
@@ -651,6 +692,28 @@ class TestEval:
         argv = ["eval", "--config", str(config), "--bench", str(bench), "--k", "2", "--seed", "5"]
         assert main(argv + args + ["--out", str(out_dir)]) == 2
         assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("answer", ["", "  "], ids=["empty", "whitespace"])
+    @pytest.mark.parametrize("later_bench", [False, True], ids=["one-bench", "second-bench"])
+    def test_empty_gold_answer_is_data_error(self, tmp_path, monkeypatch, capsys, answer, later_bench):
+        # Scored, "\\boxed{}" would match an empty gold answer.
+        bench, config = eval_setup(tmp_path, {"a": "7", "b": ""})
+        rows = [{"id": "a", "question": "question a", "answer": "7"}, {"id": "b", "question": "question b", "answer": answer}]
+        write_jsonl(bench, rows)
+        benches, bad = [bench], f"{bench}:2"
+        if later_bench:  # a good bench first: the bad one is still read before any call
+            write_jsonl(bench, rows[:1])
+            benches.append(tmp_path / "other.jsonl")
+            write_jsonl(benches[1], rows[1:])
+            bad = f"{benches[1]}:1"
+        calls = []
+        monkeypatch.setattr(ppc.clients.ScriptedClient, "generate", lambda self, req: calls.append(req))
+        out_dir = tmp_path / "o"
+        argv = ["eval", "--config", str(config), "--k", "2", "--seed", "5", "--out", str(out_dir)]
+        assert main(argv + [arg for path in benches for arg in ("--bench", str(path))]) == 2
+        assert f"{bad}: gold answer must be non-empty" in capsys.readouterr().err
+        assert calls == []
         assert not out_dir.exists()
 
     def test_two_benches_with_one_stem_are_data_error(self, tmp_path, monkeypatch, capsys):

@@ -66,12 +66,12 @@ class TestScriptedClient:
         assert client.generate(req("grab an apple")) == "A"
         assert client.generate(req("use the app now")) == "B"
 
-    def test_forced_prefix_prepended_byte_exactly(self):
+    def test_forced_prefix_recorded_not_returned(self):
         client = ScriptedClient({"hi": "continuation"})
         prefix = "<preplan>P</preplan>\n<plan>"
         out = client.generate(req("hi", forced_prefix=prefix))
-        assert out.startswith(prefix)
-        assert out == prefix + "continuation"
+        assert client.calls[0].forced_prefix == prefix
+        assert out == "continuation"
 
     def test_missing_response_raises(self):
         with pytest.raises(ProtocolError):
@@ -187,7 +187,7 @@ class TestHttpChatClient:
         out = http_client(session).generate(req("q", forced_prefix="<preplan>"))
         messages = session.requests[0]["json"]["messages"]
         assert messages[-1] == {"role": "assistant", "content": "<preplan>"}
-        assert out == "<preplan> rest"
+        assert out == " rest"
 
     def test_rate_limit_retried(self):
         session = FakeSession([FakeResponse(429), FakeResponse(200, chat_body("ok"))])

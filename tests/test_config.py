@@ -65,6 +65,17 @@ class TestRoundTrip:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("bounds", [(2000, 100), (-1, 100), (-5, -1)], ids=["inverted", "negative-min", "both-negative"])
+    def test_filter_bounds_that_keep_nothing(self, bounds):
+        doc = {"filter_min_tokens": bounds[0], "filter_max_tokens": bounds[1]}
+        with pytest.raises(ConfigError, match="need 0 <= filter_min_tokens <= filter_max_tokens"):
+            PipelineConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("bounds", [(150, 1500), (5, 100), (0, 0), (7, 7)])
+    def test_filter_bounds_that_can_keep(self, bounds):
+        doc = {"filter_min_tokens": bounds[0], "filter_max_tokens": bounds[1]}
+        assert PipelineConfig.from_dict(doc).length_bounds == bounds
+
     def test_unknown_role(self):
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({"roles": {"mystery": {"kind": "http"}}})

@@ -42,7 +42,7 @@ from ppc.evaluation import (
 from ppc.synthesis import ProblemRecord
 from ppc.evaluation import _Scorer
 from ppc.synthesis import DuplicateId
-from ppc.trajectory import Violation, boxed_or_none, check_format
+from ppc.trajectory import Violation, check_format, extract_boxed
 
 
 class TestNormalize:
@@ -164,11 +164,11 @@ def perfbench_answer_spellings():
     for seed in (1, 2, 3):
         for problem in inputs.eval_inputs(seed):
             spellings |= {problem.record.gold_answer, *problem.classes}
-            spellings.update(boxed_or_none(s) for s in problem.samples)
+            spellings.update(extract_boxed(s) for s in problem.samples)
         problems, _ = inputs.rescore_inputs(seed, 120, 600)
         for problem in problems:
             spellings.add(problem.record.gold_answer)
-            spellings.update(boxed_or_none(s) for s in problem.samples)
+            spellings.update(extract_boxed(s) for s in problem.samples)
     spellings.discard(None)
     return sorted(spellings)
 
@@ -451,6 +451,12 @@ class TestEvaluate:
             own = f"own analysis {call.user_prompt.split()[-1]}."
             assert own not in call.forced_prefix
             assert call.forced_prefix.startswith("<preplan>")
+        # each sample is its request's prefix followed by what the policy generated, byte for byte
+        prefix = {call.user_prompt: call.forced_prefix for call in forced}
+        assert len(report.records) == 2
+        for record in report.records:
+            continuation = "rest</plan><execute>\\boxed{7}</execute>"
+            assert record.samples == [prefix[record.problem.question] + continuation] * 2
 
     def test_perturbation_needs_live_generation(self):
         problems = [make_problem(f"p{i}", answer="7") for i in range(2)]
@@ -730,7 +736,7 @@ class TestScheduler:
         assert len(entered) == 4
         for record, expected in zip(report.records, (["1", "2"], ["3", "4"])):
             assert sorted(record.answers) == expected
-            assert record.answers == [boxed_or_none(s) for s in record.samples]
+            assert record.answers == [extract_boxed(s) for s in record.samples]
             assert record.token_counts == [count_tokens(s) for s in record.samples]
             assert record.verdicts == [a == record.problem.gold_answer for a in record.answers]
 
@@ -1087,7 +1093,7 @@ class TestScheduler:
         assert [r.problem.id for r in report.records] == [p.id for p in problems]
         for record in report.records:
             gold = record.problem.gold_answer
-            answers = [boxed_or_none(s) for s in record.samples]
+            answers = [extract_boxed(s) for s in record.samples]
             assert record.answers == [None if a is None else normalize_answer(a) for a in answers]
             assert record.verdicts == [a is not None and equivalence(a, gold) for a in answers]
             assert record.maj_correct == maj_at_k(answers, gold, equivalence)

@@ -190,7 +190,8 @@ class TestObjective:
         assert result.clip_fraction == 0.5
 
     @pytest.mark.parametrize("tokenwise", [False, True], ids=["scalar", "token"])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    # an int too large for a float (as a JSON document can hold) is non-finite too
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 10**400], ids=["nan", "inf", "huge-int"])
     @pytest.mark.parametrize("field", ["rewards", "logp_new", "logp_old", "logp_ref"])
     def test_non_finite_input(self, field, bad, tokenwise):
         logps = [[-1.0, -2.0], [-1.5, -0.5]] if tokenwise else [-1.0, -2.0]

@@ -167,7 +167,7 @@ class TestConfig:
 
 
 def traj(preplan, answer="7"):
-    return Trajectory.from_parts(preplan, "plan", f"work \\boxed{{{answer}}}")
+    return Trajectory(preplan, "plan", f"work \\boxed{{{answer}}}")
 
 
 LONG_CLEAN = " ".join(["analysis word"] * 100)  # 200 tokens, score 0
@@ -177,6 +177,12 @@ class TestFilterDecision:
     def test_keep(self):
         decision = filter_decision(traj(LONG_CLEAN), "7", equivalence=answers_equivalent)
         assert decision.keep and decision.reason is None
+
+    @pytest.mark.parametrize("gold", ["", "  "], ids=["empty", "whitespace"])
+    def test_empty_gold_is_rejected(self, gold):
+        # "\\boxed{ }" would otherwise be kept as correct against a blank gold answer
+        with pytest.raises(ValueError, match="gold answer must be non-empty"):
+            filter_decision(traj(LONG_CLEAN, answer=" "), gold, equivalence=answers_equivalent)
 
     def test_spoiler_drop_despite_correct_answer(self):
         spoiled = LONG_CLEAN + " this yields x. we get y. the count is 1001. $a$ $b$ $c$ $d$"
@@ -191,7 +197,7 @@ class TestFilterDecision:
         assert decision.spoiler.score == 0
 
     def test_missing_answer(self):
-        t = Trajectory.from_parts(LONG_CLEAN, "plan", "no final value")
+        t = Trajectory(LONG_CLEAN, "plan", "no final value")
         decision = filter_decision(t, "7", equivalence=answers_equivalent)
         assert decision.reason == DropReason.NO_ANSWER
 
@@ -203,7 +209,7 @@ class TestFilterDecision:
         assert long.reason == DropReason.TOO_LONG
 
     def test_text_after_boxed_answer(self):
-        t = Trajectory.from_parts(LONG_CLEAN, "plan", "work \\boxed{7} and then more words")
+        t = Trajectory(LONG_CLEAN, "plan", "work \\boxed{7} and then more words")
         decision = filter_decision(t, "7", equivalence=answers_equivalent)
         assert decision.reason == DropReason.NOT_BOXED_FINAL
         assert decision.answer_correct

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import sys
 import threading
 import time
@@ -25,6 +26,7 @@ from ppc.synthesis import (
     DatasetSummary,
     DuplicateId,
     GeneratorSuite,
+    ProblemRecord,
     StageFailure,
     apply_filter,
     build_dataset,
@@ -465,3 +467,13 @@ class TestLoadProblems:
         path.write_text('{"id": "a"}\n')
         with pytest.raises(ValueError):
             load_problems(path)
+
+    @pytest.mark.parametrize("answer", ["", " \t"], ids=["empty", "whitespace"])
+    def test_empty_gold_answer_names_file_and_line(self, tmp_path, answer):
+        path = tmp_path / "bad.jsonl"
+        rows = [{"id": "a", "question": "q?", "answer": "1"}, {"id": "b", "question": "r?", "answer": answer}]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: gold answer must be non-empty$"):
+            load_problems(path)
+        with pytest.raises(ValueError, match="gold answer must be non-empty"):
+            ProblemRecord("b", "r?", answer)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import itertools
 import random
@@ -17,9 +18,7 @@ from ppc.trajectory import (
     FormatVerdict,
     MalformedTrajectory,
     Trajectory,
-    UnbalancedBraces,
     Violation,
-    boxed_or_none,
     check_format,
     extract_boxed,
     parse_trajectory,
@@ -129,7 +128,8 @@ class TestParse:
 
     def test_lenient_reader_reads_missing_block_as_empty(self):
         t = read_trajectory("<preplan> A </preplan><execute>C \\boxed{7}</execute> tail")
-        assert t == Trajectory("A", "", "C \\boxed{7}", "7")
+        assert t == Trajectory("A", "", "C \\boxed{7}")
+        assert t.boxed_answer == "7"
 
 
 class TestCheckFormat:
@@ -223,10 +223,9 @@ class TestExtractBoxed:
     def test_last_marker_wins_with_nesting(self):
         assert extract_boxed("\\boxed{1} ... \\boxed{\\frac{1}{2}}") == "\\frac{1}{2}"
 
-    def test_unbalanced_raises(self):
-        with pytest.raises(UnbalancedBraces):
-            extract_boxed("\\boxed{\\text{a}")
-        assert boxed_or_none("\\boxed{\\text{a}") is None
+    def test_unclosed_is_none(self):
+        assert extract_boxed("\\boxed{\\text{a}") is None
+        assert extract_boxed("\\boxed{7} then \\boxed{oops") is None  # the last group decides
 
     def test_absent_is_none(self):
         assert extract_boxed("no marker") is None
@@ -244,8 +243,12 @@ class TestExtractBoxed:
         assert extract_boxed("\\boxed{ 7 }") == " 7 "
 
 
+class NeverCloses(Exception):
+    """The oracle's outcome for a last boxed group that opens but never closes."""
+
+
 def reference_extract_boxed(text):
-    """extract_boxed as it was written, one character at a time; kept as the oracle."""
+    """extract_boxed as it was first written, one character at a time; kept as the oracle."""
     start = text.rfind("\\boxed{")
     if start == -1:
         return None
@@ -260,7 +263,7 @@ def reference_extract_boxed(text):
             if depth == 0:
                 return text[start + len("\\boxed{") : i]
         i += 1
-    raise UnbalancedBraces(f"boxed group opened at offset {start} never closes")
+    raise NeverCloses(f"boxed group opened at offset {start} never closes")
 
 
 class TestExtractBoxedMatchesReference:
@@ -271,9 +274,9 @@ class TestExtractBoxedMatchesReference:
         for _ in range(20_000):
             text = "".join(rng.choices(pieces, k=rng.randint(0, 14)))
             expected = outcome(reference_extract_boxed, text)
-            assert outcome(extract_boxed, text) == expected, text
+            assert outcome(extract_boxed, text) == ("ok", None if expected[0] is NeverCloses else expected[1]), text
             results.add(expected[0] if expected[0] != "ok" else expected[1] is None)
-        assert results == {True, False, UnbalancedBraces}  # absent, found and never closed
+        assert results == {True, False, NeverCloses}  # absent, found and never closed
 
 
 def reference_scan(text):
@@ -309,7 +312,7 @@ def reference_scan(text):
     close_exec = positions["</execute>"]
     if len(open_exec) == 1 and len(close_exec) == 1 and open_exec[0] < close_exec[0]:
         body = text[open_exec[0] + len("<execute>") : close_exec[0]]
-        if boxed_or_none(body) is None:
+        if extract_boxed(body) is None:
             findings.append((close_exec[0], Violation.NO_BOXED, "no closed boxed group in execute"))
 
     if close_exec:
@@ -357,7 +360,7 @@ def reference_read(text):
         end = text.find(close_tok, start + len(open_tok)) if start != -1 else -1
         segments.append(text[start + len(open_tok) : end].strip() if end != -1 else "")
     preplan, plan, execute = segments
-    return Trajectory(preplan, plan, execute, boxed_or_none(execute))
+    return Trajectory(preplan, plan, execute)
 
 
 class TestReadMatchesReference:
@@ -366,8 +369,8 @@ class TestReadMatchesReference:
         answers = set()
         for _ in range(5_000):
             text = "".join(rng.choices(TestScanMatchesReference.PIECES, k=rng.randint(0, 14)))
-            expected = reference_read(text)
-            assert read_trajectory(text) == expected, repr(text)
+            expected, got = reference_read(text), read_trajectory(text)
+            assert got == expected and got.boxed_answer == expected.boxed_answer, repr(text)
             answers.add(expected.boxed_answer)
         assert answers == {None, "1"}
 
@@ -383,7 +386,8 @@ class TestReadMatchesReference:
         ids=["close-before-open", "duplicated-open", "execute-never-closes", "boxed-never-closes", "empty-blocks"],
     )
     def test_examples(self, text):
-        assert read_trajectory(text) == reference_read(text)
+        got, expected = read_trajectory(text), reference_read(text)
+        assert got == expected and got.boxed_answer == expected.boxed_answer
 
 
 class TestScanMemo:
@@ -424,7 +428,8 @@ class TestScanMemo:
             assert results[1] == ("ok", results[2]) and results[1][1] is results[2]  # the memo's blocks
         else:
             assert results[1][0] is MalformedTrajectory
-        assert results[2] == reference_read(text)
+        expected = reference_read(text)
+        assert results[2] == expected and results[2].boxed_answer == expected.boxed_answer
 
     def test_parse_after_guard_extracts_no_boxed_answer(self, monkeypatch):
         text = make(execute="C \\boxed{7}")
@@ -505,12 +510,21 @@ class TestRender:
         words = ["count", "the", "primes", "then", "apply", "CRT", "mod", "11"]
         for _ in range(200):
             seg = lambda: " ".join(rng.choices(words, k=rng.randint(1, 6)))
-            t = Trajectory.from_parts(seg(), seg(), seg() + f" \\boxed{{{rng.randint(0, 99)}}}")
-            assert parse_trajectory(render_trajectory(t)) == t
+            answer = str(rng.randint(0, 99))
+            t = Trajectory(seg(), seg(), seg() + f" \\boxed{{{answer}}}")
+            again = parse_trajectory(render_trajectory(t))
+            assert again == t and again.boxed_answer == t.boxed_answer == answer
 
-    def test_from_parts_extracts_boxed(self):
-        t = Trajectory.from_parts("A", "B", "\\boxed{42}")
-        assert t.boxed_answer == "42"
+    def test_constructor_derives_boxed(self):
+        t = Trajectory("A", "B", "work \\boxed{7}")
+        assert t.boxed_answer == "7"
+        assert Trajectory("A", "B", "\\boxed{oops").boxed_answer is None
+
+    def test_replace_rederives_boxed(self):
+        t = Trajectory("A", "B", "work \\boxed{7}")
+        assert t.boxed_answer == "7"
+        moved = dataclasses.replace(t, execute="so \\boxed{8}")
+        assert moved.boxed_answer == "8" and t.boxed_answer == "7"
 
 
 class TestSerialization:
