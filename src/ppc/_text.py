@@ -172,6 +172,21 @@ def row_id(row: dict) -> str | int:
     return value
 
 
+def read_by_id(path, convert: Callable[[dict], T]) -> dict[str, T]:
+    """`convert(row)` per read_jsonl row, keyed by its id as a string; a repeated id is an error naming its line."""
+    rows: dict[str, T] = {}
+
+    def add(row: dict) -> None:
+        key = str(row_id(row))
+        if key in rows:
+            raise ValueError(f"repeated id {key!r}")
+        rows[key] = convert(row)
+
+    for _ in read_jsonl(path, add):
+        pass
+    return rows
+
+
 @contextmanager
 def atomic_open(path):
     """A text file that replaces `path` only when the block succeeds.

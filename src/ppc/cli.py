@@ -208,6 +208,15 @@ def cmd_eval(args) -> int:
                 f"--bench {benches[stem]} and --bench {bench} would both write {stem}.* under --out"
             )
         benches[stem] = bench
+    # Checked before the first call; transcripts are still read one bench at
+    # a time, so only one bench's samples are held at once.
+    existing = next(d for d in (out_dir, *out_dir.parents) if d.exists() or d.is_symlink())
+    if not existing.is_dir():
+        raise ValueError(f"--out {args.out}: {existing} is not a directory")
+    transcripts = {} if args.replay is None else {s: Path(args.replay) / f"{s}.transcripts.jsonl" for s in benches}
+    for path in transcripts.values():
+        if not path.is_file():
+            raise ValueError(f"--replay {args.replay} has no file {path.name}")
     # Every bench is read before the first call, so a bad later file wastes none.
     problem_sets = {stem: load_problems(Path(bench)) for stem, bench in benches.items()}
 
@@ -224,9 +233,7 @@ def cmd_eval(args) -> int:
 
     reports = []
     for stem, problems in problem_sets.items():
-        replay = None
-        if args.replay is not None:
-            replay = read_transcripts(Path(args.replay) / f"{stem}.transcripts.jsonl")
+        replay = None if args.replay is None else read_transcripts(transcripts[stem])
         report = evaluate(
             problems,
             args.k,

@@ -75,6 +75,8 @@ class RetryPolicy:
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        if not all(0 <= delay < math.inf for delay in self.delays):
+            raise ValueError(f"delays must be finite and >= 0, got {self.delays}")
 
     def delay_for(self, attempt: int) -> float:
         if not self.delays:

@@ -9,7 +9,7 @@ scripted response file for fully offline runs.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ._text import JSON_DECODER
@@ -120,9 +120,6 @@ class PipelineConfig:
     @property
     def length_bounds(self) -> tuple[int, int]:
         return (self.filter_min_tokens, self.filter_max_tokens)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PipelineConfig":

@@ -25,8 +25,7 @@ from ._text import (
     JSON_ENCODER,
     atomic_outputs,
     count_tokens,
-    read_jsonl,
-    row_id,
+    read_by_id,
     split_sentences,
     typed_field,
 )
@@ -396,9 +395,6 @@ class EvalReport:
         keys = ("benchmark", "k", "problems", "failed", "maj_at_k", "pass_at_k", "mean_tokens", "mean_tokens_thousands")
         return {key: getattr(self, key) for key in keys}
 
-    def to_json(self) -> str:
-        return JSON_ENCODER.encode(self.to_dict())
-
 
 DEFAULT_EVAL_SAMPLING = GenerationRequest(
     user_prompt="", system_prompt=prompts.EVAL_SYSTEM_PROMPT
@@ -505,16 +501,6 @@ def evaluate(
     return EvalReport(benchmark, k, failed + len(outcomes) - len(records), records)
 
 
-def _answers(samples: Sequence[str]) -> list[str | None]:
-    # The whole sample, not just its execute block: eval scores any final boxed answer.
-    return [extract_boxed(s) for s in samples]
-
-
-def _record(problem: ProblemRecord, samples: list[str], scorer: _Scorer) -> EvalRecord:
-    forms, verdicts, maj = scorer.result()
-    return EvalRecord(problem, samples, forms, verdicts, maj, token_counts=[count_tokens(s) for s in samples])
-
-
 class _Stopped(Exception):
     """A judge call refused because the run stopped or the problem failed."""
 
@@ -584,9 +570,11 @@ def _sample(
                     busy[i] = False
                     return
                 landed = row[start:end]
-            scorer.extend(_answers(landed))
+            # The whole sample, not just its execute block: eval scores any final boxed answer.
+            scorer.extend([extract_boxed(s) for s in landed])
             if end == k:
-                outcomes[i] = _record(problems[i], row, scorer)
+                forms, verdicts, maj = scorer.result()
+                outcomes[i] = EvalRecord(problems[i], row, forms, verdicts, maj, [count_tokens(s) for s in row])
                 return
 
     def run(unit: tuple[int, int | None]) -> None:
@@ -663,19 +651,9 @@ def write_eval_outputs(out_dir: Path, report: EvalReport) -> None:
             row["samples"] = None
             head, _, tail = encode(row).rpartition(_SAMPLES_STAND_IN)
             records.write(f'{head}"samples": {samples}{tail}\n')
-        report_file.write(report.to_json() + "\n")
+        report_file.write(encode(report.to_dict()) + "\n")
 
 
 def read_transcripts(path: Path) -> dict[str, list[str]]:
     """Samples per problem id; a repeated id is a ValueError naming its line."""
-    transcripts: dict[str, list[str]] = {}
-
-    def add(row: dict) -> None:
-        pid = str(row_id(row))
-        if pid in transcripts:
-            raise ValueError(f"repeated id {pid!r}")
-        transcripts[pid] = typed_field(row, "samples", list, str)
-
-    for _ in read_jsonl(path, add):
-        pass
-    return transcripts
+    return read_by_id(path, lambda row: typed_field(row, "samples", list, str))

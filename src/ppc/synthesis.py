@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import prompts
-from ._text import JSON_ENCODER, atomic_outputs, read_jsonl, row_id, typed_field
+from ._text import JSON_ENCODER, atomic_outputs, read_by_id, row_id, typed_field
 from .clients import ClientError, GenerationRequest, LlmClient, run_parallel
 from .spoiler import (
     DEFAULT_LENGTH_BOUNDS,
@@ -253,8 +253,8 @@ def build_dataset(
 
 
 def load_problems(path: Path) -> list[ProblemRecord]:
-    """Read a {id, question, answer} JSONL corpus; other keys are ignored."""
-    return list(read_jsonl(path, _problem_from_row))
+    """Read a {id, question, answer} JSONL corpus; other keys are ignored, and a repeated id is an error."""
+    return list(read_by_id(path, _problem_from_row).values())
 
 
 def _problem_from_row(row: dict) -> ProblemRecord:

@@ -496,6 +496,10 @@ def completion_with(text):
     return f"<preplan>{text}</preplan>\n<plan>1. go.</plan>\n<execute>{text} \\boxed{{7}}</execute>"
 
 
+# Gold is 7 for every eval_setup problem, and a judge reads this as NO.
+WRONG = "<preplan>p.</preplan>\n<plan>1. go.</plan>\n<execute>\\boxed{8}</execute>"
+
+
 def eval_setup(tmp_path, answers_by_problem):
     problems = list(answers_by_problem)
     bench = tmp_path / "mini.jsonl"
@@ -671,7 +675,7 @@ class TestEval:
         monkeypatch.setattr(ppc.clients.ScriptedClient, "generate", lambda self, req: calls.append(req))
         argv = ["eval", "--config", str(config), "--bench", str(bench), "--k", "2", "--seed", "5"]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-        assert "duplicate problem id 'a'" in capsys.readouterr().err
+        assert f"{bench}:2: repeated id 'a'" in capsys.readouterr().err
         assert calls == []
 
     @pytest.mark.parametrize(
@@ -731,6 +735,51 @@ class TestEval:
         assert str(paths[0]) in err and str(paths[1]) in err
         assert calls == []
         assert not out_dir.exists()
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """The requests to one client that answers every role with a wrong answer."""
+        client = ppc.clients.ScriptedClient(lambda req: WRONG)
+        monkeypatch.setattr(ppc.cli, "build_client", lambda *args: client)
+        return client.calls
+
+    def test_repeated_id_in_a_later_bench_is_found_before_any_call(self, tmp_path, capsys, counted):
+        bench, config = eval_setup(tmp_path, {"a": "7"})
+        dup = tmp_path / "dup.jsonl"
+        write_jsonl(dup, [{"id": "x", "question": f"question {n}", "answer": "7"} for n in "xy"])
+        out_dir = tmp_path / "out"
+        argv = ["eval", "--config", str(config), "--k", "2", "--seed", "5", "--out", str(out_dir), "--judge-fallback"]
+        assert main(argv + ["--bench", str(bench), "--bench", str(dup)]) == 2
+        assert counted == []
+        assert not out_dir.exists()
+        assert f"{dup}:2: repeated id 'x'" in capsys.readouterr().err
+
+    def test_missing_transcripts_of_a_later_bench_is_found_before_any_call(self, tmp_path, capsys, counted):
+        bench, _ = eval_setup(tmp_path, {"a": "7"})
+        other = tmp_path / "other.jsonl"
+        write_jsonl(other, [{"id": "b", "question": "question b", "answer": "3"}])
+        replay_dir = tmp_path / "rp"
+        replay_dir.mkdir()
+        # A wrong answer, so the first bench alone would ask the judge.
+        write_jsonl(replay_dir / "mini.transcripts.jsonl", [{"id": "a", "samples": [WRONG]}])
+        out_dir = tmp_path / "out"
+        argv = ["eval", "--k", "1", "--seed", "5", "--out", str(out_dir), "--replay", str(replay_dir), "--judge-fallback"]
+        assert main(argv + ["--bench", str(bench), "--bench", str(other)]) == 2
+        assert counted == []
+        assert not out_dir.exists()
+        assert f"--replay {replay_dir} has no file other.transcripts.jsonl" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub", "link"], ids=["a-file", "under-a-file", "dangling-link"])
+    def test_out_that_cannot_be_a_directory_is_found_before_any_call(self, tmp_path, capsys, counted, out):
+        bench, config = eval_setup(tmp_path, {"a": "7"})
+        (tmp_path / "afile").write_text("kept\n")
+        (tmp_path / "link").symlink_to(tmp_path / "nowhere")
+        argv = ["eval", "--config", str(config), "--bench", str(bench), "--k", "2", "--seed", "5"]
+        assert main(argv + ["--out", str(tmp_path / out)]) == 2
+        assert counted == []
+        assert (tmp_path / "afile").read_text() == "kept\n" and not (tmp_path / "nowhere").exists()
+        blocker = tmp_path / out.split("/")[0]
+        assert f"{blocker} is not a directory" in capsys.readouterr().err
 
     def test_repeated_transcript_id_is_data_error(self, tmp_path, capsys):
         bench, _ = eval_setup(tmp_path, {"a": "7"})

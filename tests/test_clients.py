@@ -126,6 +126,11 @@ class TestRetries:
             _with_retries(flaky, RetryPolicy(max_attempts=5), sleep=lambda _: None)
         assert flaky.attempts == 1
 
+    @pytest.mark.parametrize("delay", [-1.0, float("nan"), float("inf")], ids=["negative", "nan", "infinite"])
+    def test_delay_that_sleep_rejects_is_refused_up_front(self, delay):
+        with pytest.raises(ValueError, match="delays must be finite and >= 0"):
+            RetryPolicy(delays=(1.0, delay))
+
 
 class FakeResponse:
     def __init__(self, status_code=200, body=None):

@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import pytest
 import requests
@@ -51,7 +51,7 @@ class TestRoundTrip:
         assert config.spoiler == SpoilerConfig(digit_min=4, span_count_threshold=5, tau_s=3)
         assert config.weights == RewardWeights(lambda_a=0.2, lambda_s=0.5, tau_s=3)
         assert config.grpo == GrpoConfig(epsilon_clip=0.3, beta_kl=0.01, std_floor=1e-4)
-        again = PipelineConfig.from_dict(json.loads(json.dumps(config.to_dict())))
+        again = PipelineConfig.from_dict(json.loads(json.dumps(asdict(config))))
         assert again == config
 
     def test_defaults(self):

@@ -22,7 +22,7 @@ from conftest import (
 import ppc.clients
 import ppc.evaluation
 from ppc import prompts
-from ppc._text import count_tokens
+from ppc._text import JSON_ENCODER, count_tokens
 from ppc.clients import ProtocolError, ScriptedClient
 from ppc.evaluation import (
     EvalRecord,
@@ -425,8 +425,8 @@ class TestEvaluate:
     def test_scripted_client_deterministic_report(self):
         problems = [make_problem("p0", answer="7")]
         client = ScriptedClient([("question", completion("7"))])
-        a = evaluate(problems, 3, client).to_json()
-        b = evaluate(problems, 3, client).to_json()
+        a = JSON_ENCODER.encode(evaluate(problems, 3, client).to_dict())
+        b = JSON_ENCODER.encode(evaluate(problems, 3, client).to_dict())
         assert a == b
 
     def test_failed_problem_excluded_and_counted(self):
@@ -651,7 +651,7 @@ class TestWriteEvalOutputs:
         assert (tmp_path / "mini.transcripts.jsonl").read_bytes() == dumps_lines(transcripts)
         records = [rec.to_dict() for rec in report.records]
         assert (tmp_path / "mini.records.jsonl").read_bytes() == dumps_lines(records)
-        assert (tmp_path / "mini.report.json").read_text(encoding="utf-8") == report.to_json() + "\n"
+        assert (tmp_path / "mini.report.json").read_text(encoding="utf-8") == JSON_ENCODER.encode(report.to_dict()) + "\n"
         assert read_transcripts(tmp_path / "mini.transcripts.jsonl") == {
             str(rec.problem.id): rec.samples for rec in report.records
         }
@@ -1017,7 +1017,7 @@ class TestScheduler:
                 equivalence=lambda pred, gold: answers_equivalent(pred, gold, fallback=judge),
                 parallelism=parallelism,
             )
-            return report.to_json(), [r.to_dict() for r in report.records]
+            return JSON_ENCODER.encode(report.to_dict()), [r.to_dict() for r in report.records]
 
         def replay(parallelism):
             transcripts = {r["id"]: r["samples"] for r in serial[1]}

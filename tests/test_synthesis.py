@@ -477,3 +477,12 @@ class TestLoadProblems:
             load_problems(path)
         with pytest.raises(ValueError, match="gold answer must be non-empty"):
             ProblemRecord("b", "r?", answer)
+
+    def test_repeated_id_names_file_and_line(self, tmp_path):
+        # An integer id is its string, so 1 and "1" are one problem.
+        path = tmp_path / "dup.jsonl"
+        rows = [{"id": 1, "question": "q?", "answer": "1"}, {"id": "b", "question": "r?", "answer": "2"}]
+        rows.append({"id": "1", "question": "s?", "answer": "3"})
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: repeated id '1'$"):
+            load_problems(path)

@@ -56,7 +56,7 @@ SERIALIZED_KEYS = [
         id="DatasetSummary",
     ),
     pytest.param(
-        lambda: CONFIG.to_dict(),
+        lambda: dataclasses.asdict(CONFIG),
         {
             "roles", "temperature", "top_p", "max_tokens", "spoiler", "weights", "grpo",
             "filter_min_tokens", "filter_max_tokens", "parallelism",
@@ -64,7 +64,7 @@ SERIALIZED_KEYS = [
         id="PipelineConfig",
     ),
     pytest.param(
-        lambda: CONFIG.to_dict()["roles"]["judge"],
+        lambda: dataclasses.asdict(CONFIG)["roles"]["judge"],
         {
             "kind", "endpoint", "model", "api_key_env", "script", "default_response",
             "max_attempts", "timeout",
@@ -72,7 +72,7 @@ SERIALIZED_KEYS = [
         id="PipelineConfig.roles",
     ),
     pytest.param(
-        lambda: CONFIG.to_dict()["spoiler"],
+        lambda: dataclasses.asdict(CONFIG)["spoiler"],
         {
             "equality_threshold", "long_span_min_chars", "long_span_min_count", "digit_min",
             "span_count_threshold", "tau_s",
@@ -80,12 +80,12 @@ SERIALIZED_KEYS = [
         id="PipelineConfig.spoiler",
     ),
     pytest.param(
-        lambda: CONFIG.to_dict()["weights"],
+        lambda: dataclasses.asdict(CONFIG)["weights"],
         {"lambda_a", "lambda_f", "lambda_s", "tau_s"},
         id="PipelineConfig.weights",
     ),
     pytest.param(
-        lambda: CONFIG.to_dict()["grpo"],
+        lambda: dataclasses.asdict(CONFIG)["grpo"],
         {"epsilon_clip", "beta_kl", "std_floor"},
         id="PipelineConfig.grpo",
     ),
