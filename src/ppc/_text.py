@@ -7,7 +7,7 @@ and writer below are the only place the row format is spelled out.
 atomic_open replaces one output file only when its writer succeeds;
 atomic_outputs opens a run's files in its output directory that way, and
 a failed run leaves no directory it created.
-JSON_ENCODER writes every JSONL line and JSON_DECODER reads every input
+JSON_ENCODER writes every JSONL line and decode_json reads every input
 document, both strict RFC 8259: no NaN or +-Infinity in or out.
 """
 
@@ -43,8 +43,15 @@ def _reject_constant(name: str):
 
 # Every JSONL line ppc writes: sorted keys, non-ASCII kept, no non-finite number.
 JSON_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, allow_nan=False)
-# Every JSON document ppc reads; `NaN`, `Infinity` and `-Infinity` are a ValueError.
 JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def decode_json(text: str):
+    """Every JSON document ppc reads; `NaN`, `Infinity`, `-Infinity` and nesting too deep for the decoder are a ValueError."""
+    try:
+        return JSON_DECODER.decode(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def count_tokens(text: str) -> int:
@@ -141,7 +148,7 @@ def read_jsonl(path, convert: Callable[[dict], T] = dict) -> Iterator[T]:
             if not line.strip():
                 continue
             try:
-                row = JSON_DECODER.decode(line)
+                row = decode_json(line)
                 if not isinstance(row, dict):
                     raise ValueError(f"expected a JSON object, got {type(row).__name__}")
                 value = convert(row)

@@ -19,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import prompts
-from ._text import JSON_DECODER, JSON_ENCODER, read_jsonl, row_id, typed_field, write_jsonl
+from ._text import JSON_ENCODER, decode_json, read_jsonl, row_id, typed_field, write_jsonl
 from .clients import (
     ClientError,
     Facet,
@@ -182,7 +182,7 @@ def cmd_reward(args) -> int:
 
 def cmd_grpo_check(args) -> int:
     text = Path(getattr(args, "in")).read_text(encoding="utf-8")
-    group = RolloutGroup.from_dict(JSON_DECODER.decode(text))
+    group = RolloutGroup.from_dict(decode_json(text))
     cfg = _override(
         _load_config(args).grpo or GrpoConfig(),
         epsilon_clip=args.epsilon,

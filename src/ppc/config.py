@@ -8,11 +8,12 @@ scripted response file for fully offline runs.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from ._text import JSON_DECODER
+from ._text import decode_json
 from .clients import HttpChatClient, LlmClient, RetryPolicy, ScriptedClient
 from .grpo import GrpoConfig
 from .rewards import RewardWeights
@@ -82,8 +83,8 @@ class RoleConfig:
             raise ConfigError("scripted role needs a script file or default_response")
         if self.max_attempts < 1:
             raise ConfigError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if not self.timeout > 0:
-            raise ConfigError(f"timeout must be > 0, got {self.timeout}")
+        if not 0 < self.timeout < math.inf:
+            raise ConfigError(f"timeout must be {'finite' if self.timeout > 0 else '> 0'}, got {self.timeout}")
 
 
 @dataclass
@@ -148,7 +149,7 @@ class PipelineConfig:
     def from_file(cls, path: Path) -> "PipelineConfig":
         text = Path(path).read_text(encoding="utf-8")
         try:
-            data = JSON_DECODER.decode(text)
+            data = decode_json(text)
         except ValueError as exc:
             raise ConfigError(f"invalid config JSON in {path}: {exc}") from exc
         return cls.from_dict(data)
@@ -166,7 +167,7 @@ def _load_script(path: Path):
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
-        data = JSON_DECODER.decode(text)
+        data = decode_json(text)
     except ValueError as exc:
         raise ConfigError(f"invalid script JSON in {path}: {exc}") from exc
     if isinstance(data, dict):

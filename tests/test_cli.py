@@ -437,6 +437,12 @@ class TestGrpoCheck:
         assert main(["grpo-check", "--in", str(path)]) == 2
         assert "rollout 0: token lists are empty" in capsys.readouterr().err
 
+    def test_nesting_too_deep_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "group.json"
+        path.write_text("[" * 100_000)
+        assert main(["grpo-check", "--in", str(path)]) == 2
+        assert "data error: JSON nested too deeply" in capsys.readouterr().err
+
     def test_document_not_an_object_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "group.json"
         path.write_text("[1, 2]")
@@ -576,35 +582,6 @@ class TestEval:
         assert main(argv) == 0
         for name in ("mini.report.json", "mini.records.jsonl", "mini.transcripts.jsonl"):
             assert (judged_dir / name).read_bytes() == (out_dir / name).read_bytes()
-
-    def test_replay_outputs_pinned(self, tmp_path, capsys):
-        # a: all correct; b: one correct, outvoted; c: none correct, one sample with no answer
-        samples = {
-            "a": ["so \\boxed{7}", "then \\boxed{7.0}", "\\boxed{7}"],
-            "b": ["one two \\boxed{7}", "\\boxed{3}", "three four five \\boxed{3}"],
-            "c": ["\\boxed{2}", "no answer " + "w " * 4000, "x \\boxed{5}"],
-        }
-        bench = tmp_path / "mini.jsonl"
-        write_jsonl(bench, [{"id": pid, "question": f"question {pid}", "answer": "7"} for pid in samples])
-        write_jsonl(tmp_path / "mini.transcripts.jsonl", [{"id": pid, "samples": s} for pid, s in samples.items()])
-        out_dir = tmp_path / "o"
-        argv = ["eval", "--bench", str(bench), "--k", "3", "--out", str(out_dir), "--seed", "5"]
-        assert main(argv + ["--replay", str(tmp_path)]) == 0
-        assert capsys.readouterr().out == (
-            "benchmark  k  problems  failed  maj@k  pass@k  tokens(K)\n"
-            "mini       3  3         0       33.33  66.67   0.45\n"
-        )
-        assert (out_dir / "mini.report.json").read_bytes() == (
-            b'{"benchmark": "mini", "failed": 0, "k": 3, "maj_at_k": 33.33, "mean_tokens": 446.44444444444446, '
-            b'"mean_tokens_thousands": 0.45, "pass_at_k": 66.67, "problems": 3}\n'
-        )
-        records = read_jsonl((out_dir / "mini.records.jsonl").read_text())
-        assert [(r["maj_correct"], r["pass_correct"], r["verdicts"]) for r in records] == [
-            (True, True, [True] * 3),
-            (False, True, [True, False, False]),
-            (False, False, [False] * 3),
-        ]
-        assert [r["token_counts"] for r in records] == [[2, 2, 1], [3, 1, 4], [1, 4002, 2]]
 
     def test_report_keeps_a_non_ascii_benchmark_name(self, tmp_path, capsys):
         bench = tmp_path / "données.jsonl"

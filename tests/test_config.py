@@ -161,6 +161,19 @@ class TestValidation:
         with pytest.raises(ConfigError):
             PipelineConfig.from_file(path)
 
+    def test_nesting_too_deep_names_the_file(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ConfigError, match=r"^invalid config JSON in .*deep\.json: JSON nested too deeply$"):
+            PipelineConfig.from_file(path)
+
+    def test_infinite_timeout(self, tmp_path):
+        # 1e999 parses as infinity, which a socket timeout cannot take.
+        path = tmp_path / "config.json"
+        path.write_text('{"roles": {"policy": {"kind": "http", "endpoint": "http://127.0.0.1:9/v1", "model": "m", "timeout": 1e999}}}')
+        with pytest.raises(ConfigError, match=r"^roles\.policy: timeout must be finite, got inf$"):
+            PipelineConfig.from_file(path)
+
 
 class TestBuildClient:
     def test_file_values_used(self):
@@ -232,6 +245,7 @@ BAD_SCRIPTS = {
     "map-response-not-a-string": '{"q?": 5}',
     "invalid-json": '[{"match": "q",',
     "non-finite-number": '[{"match": "q", "response": "a", "weight": NaN}]',
+    "nested-too-deeply": "[" * 100_000,
 }
 
 

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from ppc._text import is_boundary, standalone_integers, write_jsonl
+from ppc._text import is_boundary, read_jsonl, standalone_integers, write_jsonl
 
 # Row values the JSON encoder escapes in different ways: plain ASCII, Latin-1, CJK,
 # astral-plane emoji, control characters, DEL, and a literal backslash-u.
@@ -44,6 +44,13 @@ def test_non_finite_number_is_not_written(tmp_path, number):
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_jsonl(path, [{"x": 1.5}, {"x": number}])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_nesting_too_deep_names_file_and_line(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"id": "a"}\n' + "[" * 100_000 + "\n")
+    with pytest.raises(ValueError, match=r"rows\.jsonl:2: JSON nested too deeply$"):
+        list(read_jsonl(path))
 
 
 def reference_standalone_integers(text, min_digits=1):
