@@ -181,8 +181,13 @@ def cmd_reward(args) -> int:
 
 
 def cmd_grpo_check(args) -> int:
-    text = Path(getattr(args, "in")).read_text(encoding="utf-8")
-    group = RolloutGroup.from_dict(decode_json(text))
+    path = getattr(args, "in")
+    try:
+        group = RolloutGroup.from_dict(decode_json(Path(path).read_text(encoding="utf-8")))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     cfg = _override(
         _load_config(args).grpo or GrpoConfig(),
         epsilon_clip=args.epsilon,

@@ -9,7 +9,7 @@ computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -61,15 +61,8 @@ class SpoilerConfig:
     tau_s: int = 2
 
     def __post_init__(self):
-        for name in (
-            "equality_threshold",
-            "long_span_min_chars",
-            "long_span_min_count",
-            "digit_min",
-            "span_count_threshold",
-            "tau_s",
-        ):
-            if getattr(self, name) < 1:
+        for name, value in vars(self).items():
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
 
 
@@ -78,22 +71,22 @@ DEFAULT_SPOILER_CONFIG = SpoilerConfig()
 
 @dataclass(frozen=True)
 class SpoilerReport:
-    """The six signal flags and their evidence; the score is the number of flags set."""
+    """The matches of each signal that fired, in SIGNAL_NAMES order; the
+    score is the number of signals that fired."""
 
-    derivation_phrasing: bool
-    equation_density: bool
-    long_math_spans: bool
-    multidigit_constant: bool
-    answer_phrasing: bool
-    math_span_count: bool
-    evidence: dict[str, tuple[str, ...]] = field(compare=False, default_factory=dict)
+    evidence: dict[str, tuple[str, ...]]
+
+    def __post_init__(self):
+        unknown = self.evidence.keys() - SIGNAL_NAMES
+        if unknown:
+            raise ValueError(f"unknown spoiler signals: {sorted(unknown)}")
 
     @property
     def score(self) -> int:
-        return sum(self.signals().values())
+        return len(self.evidence)
 
     def signals(self) -> dict[str, bool]:
-        return {name: getattr(self, name) for name in SIGNAL_NAMES}
+        return {name: name in self.evidence for name in SIGNAL_NAMES}
 
     def to_dict(self) -> dict:
         return {
@@ -118,32 +111,18 @@ def spoiler_score(preplan: str, cfg: SpoilerConfig = DEFAULT_SPOILER_CONFIG) -> 
     """
     lowered = preplan.lower()
     spans = math_spans(preplan)
-
-    derivation_hits = _matched_phrases(lowered, DERIVATION_PHRASES)
-    equiv_count = preplan.count("\\equiv")
-    eq_count = preplan.count("=")
     long_spans = [s for s in spans if len(s) >= cfg.long_span_min_chars]
-    big_ints = standalone_integers(preplan, cfg.digit_min)
-    answer_hits = _matched_phrases(lowered, ANSWER_PHRASES)
-
-    flags = {
-        "derivation_phrasing": bool(derivation_hits),
-        "equation_density": (equiv_count + eq_count) >= cfg.equality_threshold,
-        "long_math_spans": len(long_spans) >= cfg.long_span_min_count,
-        "multidigit_constant": bool(big_ints),
-        "answer_phrasing": bool(answer_hits),
-        "math_span_count": len(spans) >= cfg.span_count_threshold,
+    equalities = ["\\equiv"] * preplan.count("\\equiv") + ["="] * preplan.count("=")
+    # each signal fires at its least number of matches
+    checks = {
+        "derivation_phrasing": (_matched_phrases(lowered, DERIVATION_PHRASES), 1),
+        "equation_density": (equalities, cfg.equality_threshold),
+        "long_math_spans": (long_spans, cfg.long_span_min_count),
+        "multidigit_constant": (standalone_integers(preplan, cfg.digit_min), 1),
+        "answer_phrasing": (_matched_phrases(lowered, ANSWER_PHRASES), 1),
+        "math_span_count": (spans, cfg.span_count_threshold),
     }
-    matched = {
-        "derivation_phrasing": derivation_hits,
-        "equation_density": ["\\equiv"] * equiv_count + ["="] * eq_count,
-        "long_math_spans": long_spans,
-        "multidigit_constant": big_ints,
-        "answer_phrasing": answer_hits,
-        "math_span_count": spans,
-    }
-    evidence = {name: tuple(matched[name]) for name, on in flags.items() if on}
-    return SpoilerReport(evidence=evidence, **flags)
+    return SpoilerReport({name: tuple(hits) for name, (hits, least) in checks.items() if len(hits) >= least})
 
 
 def style_penalty(score: int, tau_s: int) -> int:

@@ -15,9 +15,21 @@ def session_elapsed() -> float:
     return time.monotonic() - _SESSION_START
 
 
+_tests_passed = 0
+
+
+def pytest_runtest_logreport(report):
+    global _tests_passed
+    if report.when == "call" and report.passed:
+        _tests_passed += 1
+
+
 def pytest_sessionfinish(session, exitstatus):
+    """Criterion 10 passes only for a session that ran a test, all of them
+    passing, inside the offline budget."""
     elapsed = session_elapsed()
-    status = "PASS" if elapsed < OFFLINE_BUDGET_SECONDS else "FAIL"
+    passed = exitstatus == 0 and _tests_passed > 0 and elapsed < OFFLINE_BUDGET_SECONDS
+    status = "PASS" if passed else "FAIL"
     print(
         f"\nACCEPTANCE 10 {status} - full offline suite finished in "
         f"{elapsed:.1f}s (budget {OFFLINE_BUDGET_SECONDS:.0f}s)"

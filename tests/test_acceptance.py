@@ -22,7 +22,7 @@ from ppc.evaluation import (
 )
 from ppc.grpo import GrpoConfig, RolloutGroup, grpo_objective, group_advantages, kl_term
 from ppc.rewards import RewardWeights, composite_reward
-from ppc.spoiler import SpoilerReport, spoiler_score
+from ppc.spoiler import SIGNAL_NAMES, SpoilerReport, spoiler_score
 from ppc.synthesis import build_dataset, synthesize
 from ppc.trajectory import (
     Trajectory,
@@ -216,12 +216,12 @@ def test_criterion_2_exemplar_classification():
     assert keep.score == 2
 
     # which signals carry each verdict
-    assert discard.derivation_phrasing      # "implies that"
-    assert discard.equation_density         # four '=' inside math spans
-    assert discard.math_span_count          # seven spans
-    assert keep.multidigit_constant         # standalone 1001
-    assert keep.math_span_count             # five spans
-    assert not keep.derivation_phrasing     # "results into" must not match "results in"
+    assert "derivation_phrasing" in discard.evidence      # "implies that"
+    assert "equation_density" in discard.evidence         # four '=' inside math spans
+    assert "math_span_count" in discard.evidence          # seven spans
+    assert "multidigit_constant" in keep.evidence         # standalone 1001
+    assert "math_span_count" in keep.evidence             # five spans
+    assert "derivation_phrasing" not in keep.evidence     # "results into" must not match "results in"
 
     # same classification through the filter itself: both answers correct and
     # in-bounds (signal-free padding), so the spoiler score alone decides
@@ -254,16 +254,7 @@ def test_criterion_2_exemplar_classification():
 
 
 def _report_with(score: int) -> SpoilerReport:
-    flags = [i < score for i in range(6)]
-    return SpoilerReport(
-        derivation_phrasing=flags[0],
-        equation_density=flags[1],
-        long_math_spans=flags[2],
-        multidigit_constant=flags[3],
-        answer_phrasing=flags[4],
-        math_span_count=flags[5],
-        evidence={},
-    )
+    return SpoilerReport({name: () for name in SIGNAL_NAMES[:score]})
 
 
 def test_criterion_3_reward_bound_sweep():

@@ -441,7 +441,13 @@ class TestGrpoCheck:
         path = tmp_path / "group.json"
         path.write_text("[" * 100_000)
         assert main(["grpo-check", "--in", str(path)]) == 2
-        assert "data error: JSON nested too deeply" in capsys.readouterr().err
+        assert f"data error: {path}: JSON nested too deeply" in capsys.readouterr().err
+
+    def test_missing_field_is_data_error_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "group.json"
+        path.write_text('{"logp_new": [], "logp_old": [], "logp_ref": []}')
+        assert main(["grpo-check", "--in", str(path)]) == 2
+        assert f"data error: {path}: missing field 'rewards'" in capsys.readouterr().err
 
     def test_document_not_an_object_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "group.json"

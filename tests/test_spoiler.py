@@ -7,7 +7,9 @@ from ppc.spoiler import (
     ANSWER_PHRASES,
     DERIVATION_PHRASES,
     DropReason,
+    SIGNAL_NAMES,
     SpoilerConfig,
+    SpoilerReport,
     filter_decision,
     spoiler_score,
     style_penalty,
@@ -47,49 +49,45 @@ class TestSignals:
             assert phrase and phrase == phrase.lower(), phrase
 
     def test_phrase_match_is_case_insensitive(self):
-        assert spoiler_score("This SIMPLIFIES TO nothing.").derivation_phrasing
+        assert "derivation_phrasing" in fired(spoiler_score("This SIMPLIFIES TO nothing."))
 
     def test_phrase_needs_word_boundaries(self):
         # "results into" must not trigger the "results in" phrase
-        assert not spoiler_score("combining modular results into one").derivation_phrasing
-        assert spoiler_score("this results in a contradiction").derivation_phrasing
+        assert "derivation_phrasing" not in fired(spoiler_score("combining modular results into one"))
+        assert "derivation_phrasing" in fired(spoiler_score("this results in a contradiction"))
 
     def test_equiv_macro_counts_toward_density(self):
         text = "note x \\equiv y and y \\equiv z and z \\equiv w"
-        assert spoiler_score(text).equation_density
+        assert "equation_density" in fired(spoiler_score(text))
 
     def test_density_below_threshold(self):
-        assert not spoiler_score("a = b and c = d").equation_density
+        assert "equation_density" not in fired(spoiler_score("a = b and c = d"))
 
     def test_long_spans(self):
         span = "x" * 30
         text = f"see ${span}$ and ${span}$"
-        report = spoiler_score(text)
-        assert report.long_math_spans
-        assert not spoiler_score(f"see ${span}$").long_math_spans
+        assert "long_math_spans" in fired(spoiler_score(text))
+        assert "long_math_spans" not in fired(spoiler_score(f"see ${span}$"))
 
     def test_span_length_excludes_delimiters(self):
         span = "y" * 29
-        assert not spoiler_score(f"${span}$ ${span}$").long_math_spans
+        assert "long_math_spans" not in fired(spoiler_score(f"${span}$ ${span}$"))
 
     def test_display_math_is_one_span(self):
-        report = spoiler_score("$$a$$ $b$ $c$")
-        assert not report.math_span_count  # 3 spans < 4
-        assert spoiler_score("$$a$$ $b$ $c$ $d$").math_span_count
+        assert "math_span_count" not in fired(spoiler_score("$$a$$ $b$ $c$"))  # 3 spans < 4
+        assert "math_span_count" in fired(spoiler_score("$$a$$ $b$ $c$ $d$"))
 
     def test_unterminated_dollar_is_plain_text(self):
-        report = spoiler_score("cost is $5 and rising")
-        assert not report.math_span_count
-        assert fired(report) == set()
+        assert fired(spoiler_score("cost is $5 and rising")) == set()
 
     def test_multidigit_constant(self):
-        assert spoiler_score("the modulus 1001 appears").multidigit_constant
-        assert spoiler_score("label x1001y is not a constant").multidigit_constant is False
-        assert not spoiler_score("just 42 here").multidigit_constant
+        assert "multidigit_constant" in fired(spoiler_score("the modulus 1001 appears"))
+        assert "multidigit_constant" not in fired(spoiler_score("label x1001y is not a constant"))
+        assert "multidigit_constant" not in fired(spoiler_score("just 42 here"))
 
     def test_answer_phrasing(self):
-        assert spoiler_score("so we obtain a closed form").answer_phrasing
-        assert not spoiler_score("an obtainable bound").answer_phrasing
+        assert "answer_phrasing" in fired(spoiler_score("so we obtain a closed form"))
+        assert "answer_phrasing" not in fired(spoiler_score("an obtainable bound"))
 
     def test_score_equals_sum_of_signals(self):
         rng = random.Random(3)
@@ -102,17 +100,21 @@ class TestSignals:
             "$a$ $b$ ",
             "plain words ",
         ]
+        fired_somewhere = set()
         for _ in range(200):
             text = "".join(rng.choices(atoms, k=rng.randint(0, 8)))
             report = spoiler_score(text)
-            assert report.score == sum(report.signals().values())
+            assert report.score == len(report.evidence) == sum(report.signals().values())
+            assert report.evidence.keys() <= set(SIGNAL_NAMES)
+            assert list(report.evidence) == [name for name in SIGNAL_NAMES if name in report.evidence]
+            for name, hits in report.evidence.items():
+                assert hits, name
+            fired_somewhere |= fired(report)
+        assert fired_somewhere == set(SIGNAL_NAMES)  # every signal's evidence was checked
 
-    def test_evidence_nonempty_for_fired_signals(self):
-        text = "this yields $" + "w" * 35 + "$ and $" + "v" * 40 + "$ = = = 1234 we get $a$ $b$"
-        report = spoiler_score(text)
-        for name, on in report.signals().items():
-            if on:
-                assert report.evidence[name], name
+    def test_unknown_signal_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown spoiler signals"):
+            SpoilerReport({"nope": ("x",)})
 
 
 class TestProperties:
@@ -163,7 +165,7 @@ class TestConfig:
 
     def test_custom_thresholds_apply(self):
         cfg = SpoilerConfig(span_count_threshold=2)
-        assert spoiler_score("$a$ $b$", cfg).math_span_count
+        assert "math_span_count" in fired(spoiler_score("$a$ $b$", cfg))
 
 
 def traj(preplan, answer="7"):
