@@ -89,6 +89,13 @@ class TestSignals:
         assert "answer_phrasing" in fired(spoiler_score("so we obtain a closed form"))
         assert "answer_phrasing" not in fired(spoiler_score("an obtainable bound"))
 
+    def test_evidence_nonempty_for_fired_signals(self):
+        text = "this yields $" + "w" * 35 + "$ and $" + "v" * 40 + "$ = = = 1234 we get $a$ $b$"
+        report = spoiler_score(text)
+        for name, on in report.signals().items():
+            if on:
+                assert report.evidence[name], name
+
     def test_score_equals_sum_of_signals(self):
         rng = random.Random(3)
         atoms = [
