@@ -25,7 +25,6 @@ from .evaluation import (
     EvalRecord,
     EvalReport,
     PerturbationMode,
-    PoolTooSmall,
     answers_equivalent,
     evaluate,
     maj_at_k,
@@ -34,18 +33,14 @@ from .evaluation import (
     perturb_preplan,
 )
 from .grpo import (
-    GroupTooSmall,
     GrpoConfig,
     GrpoResult,
-    NonFiniteInput,
     RolloutGroup,
     group_advantages,
     grpo_objective,
     kl_term,
 )
 from .rewards import (
-    MissingProximity,
-    OutOfRangeGrade,
     RewardBreakdown,
     RewardWeights,
     adherence_reward,
@@ -62,7 +57,6 @@ from .spoiler import (
     style_penalty,
 )
 from .synthesis import (
-    DuplicateId,
     GeneratorSuite,
     ProblemRecord,
     StageFailure,

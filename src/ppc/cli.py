@@ -224,6 +224,10 @@ def cmd_eval(args) -> int:
             raise ValueError(f"--replay {args.replay} has no file {path.name}")
     # Every bench is read before the first call, so a bad later file wastes none.
     problem_sets = {stem: load_problems(Path(bench)) for stem, bench in benches.items()}
+    mode = PerturbationMode(args.perturb) if args.perturb else None
+    for stem, problems in problem_sets.items():
+        if mode == PerturbationMode.MISMATCHED and len(problems) < 2:
+            raise ValueError(f"--bench {benches[stem]}: mismatched perturbation needs >= 2 preplans")
 
     client = None
     if args.replay is None:
@@ -233,7 +237,6 @@ def cmd_eval(args) -> int:
         judge = build_client(config, "judge", env, _config_dir(args))
         equivalence = functools.partial(judge_equivalence, judge)
 
-    mode = PerturbationMode(args.perturb) if args.perturb else None
     params = _sampling(config, prompts.EVAL_SYSTEM_PROMPT)
 
     reports = []

@@ -99,7 +99,7 @@ def _with_retries(fn: Callable[[], str], policy: RetryPolicy, sleep=time.sleep) 
             if not exc.retryable or attempt == policy.max_attempts - 1:
                 raise
             delay = policy.delay_for(attempt)
-            log.warning("retryable client error (%s); retrying in %.1fs", exc, delay)
+            log.warning("retryable client error (%s); retrying in %.3gs", exc, delay)
             sleep(delay)
     raise AssertionError("unreachable")
 

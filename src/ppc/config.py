@@ -22,10 +22,6 @@ from .spoiler import DEFAULT_LENGTH_BOUNDS, SpoilerConfig
 ROLE_NAMES = ("preplan_gen", "plan_gen", "executor", "cleanup", "judge", "policy")
 
 
-class ConfigError(ValueError):
-    pass
-
-
 # Annotation of a field -> the JSON value types it takes. No field takes a bool.
 _FIELD_TYPES = {
     "str": (str,),
@@ -36,9 +32,9 @@ _FIELD_TYPES = {
 
 
 def _object(data, at: str) -> Mapping:
-    """`data` if it is a JSON object, else a ConfigError prefixed with `at`."""
+    """`data` if it is a JSON object, else a ValueError prefixed with `at`."""
     if not isinstance(data, Mapping):
-        raise ConfigError(f"{at}must be a mapping, got {data!r:.60}")
+        raise ValueError(f"{at}must be a mapping, got {data!r:.60}")
     return data
 
 
@@ -46,7 +42,7 @@ def _load(cls, data, where: str = ""):
     """A `cls` built from one JSON object; field defaults fill the gaps.
 
     An unknown key, a value that is not of its field's JSON type, or a
-    ValueError from `cls` is a ConfigError prefixed with the section path
+    ValueError from `cls` raises a ValueError prefixed with the section path
     `where`. A field whose annotation _FIELD_TYPES lacks is a section that
     the caller has already built.
     """
@@ -55,14 +51,14 @@ def _load(cls, data, where: str = ""):
     data = _object(data, at)
     for key, value in data.items():
         if key not in types:
-            raise ConfigError(f"{at}unknown key {key!r}")
+            raise ValueError(f"{at}unknown key {key!r}")
         kinds = _FIELD_TYPES.get(types[key])
         if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
-            raise ConfigError(f"{at}{key} must be {types[key]}, got {value!r:.60}")
+            raise ValueError(f"{at}{key} must be {types[key]}, got {value!r:.60}")
     try:
         return cls(**data)
     except ValueError as exc:
-        raise ConfigError(f"{at}{exc}") from exc
+        raise ValueError(f"{at}{exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -78,13 +74,13 @@ class RoleConfig:
 
     def __post_init__(self):
         if self.kind not in ("http", "scripted"):
-            raise ConfigError(f"unknown role kind {self.kind!r}")
+            raise ValueError(f"unknown role kind {self.kind!r}")
         if self.kind == "scripted" and not self.script and self.default_response is None:
-            raise ConfigError("scripted role needs a script file or default_response")
+            raise ValueError("scripted role needs a script file or default_response")
         if self.max_attempts < 1:
-            raise ConfigError(f"max_attempts must be >= 1, got {self.max_attempts}")
+            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if not 0 < self.timeout < math.inf:
-            raise ConfigError(f"timeout must be {'finite' if self.timeout > 0 else '> 0'}, got {self.timeout}")
+            raise ValueError(f"timeout must be {'finite' if self.timeout > 0 else '> 0'}, got {self.timeout}")
 
 
 @dataclass
@@ -103,17 +99,17 @@ class PipelineConfig:
     def __post_init__(self):
         for name in self.roles:
             if name not in ROLE_NAMES:
-                raise ConfigError(f"unknown role {name!r}; valid: {ROLE_NAMES}")
+                raise ValueError(f"unknown role {name!r}; valid: {ROLE_NAMES}")
         if self.parallelism < 1:
-            raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
+            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
         if not 0 <= self.filter_min_tokens <= self.filter_max_tokens:
-            raise ConfigError(
+            raise ValueError(
                 "need 0 <= filter_min_tokens <= filter_max_tokens, got "
                 f"{self.filter_min_tokens} and {self.filter_max_tokens}"
             )
         # The paper has one threshold; the filter reads one copy, the reward the other.
         if self.spoiler.tau_s != self.weights.tau_s:
-            raise ConfigError(
+            raise ValueError(
                 f"spoiler.tau_s ({self.spoiler.tau_s}) and weights.tau_s "
                 f"({self.weights.tau_s}) must agree"
             )
@@ -127,7 +123,7 @@ class PipelineConfig:
         """Build from a parsed config document; field defaults fill the gaps.
 
         Every section goes through _load: an unknown key at any level, a
-        section that is not an object, or an invalid value is a ConfigError
+        section that is not an object, or an invalid value is a ValueError
         that names its section.
         """
         data = dict(_object(data, ""))
@@ -142,7 +138,7 @@ class PipelineConfig:
             # No silent hyperparameter drift: config files must pin both.
             for key in ("epsilon_clip", "beta_kl"):
                 if key not in grpo:
-                    raise ConfigError(f"grpo config must set {key!r} explicitly")
+                    raise ValueError(f"grpo config must set {key!r} explicitly")
         return _load(cls, data)
 
     @classmethod
@@ -151,7 +147,7 @@ class PipelineConfig:
         try:
             data = decode_json(text)
         except ValueError as exc:
-            raise ConfigError(f"invalid config JSON in {path}: {exc}") from exc
+            raise ValueError(f"invalid config JSON in {path}: {exc}") from exc
         return cls.from_dict(data)
 
 
@@ -162,18 +158,18 @@ def _env_for_role(env: Mapping[str, str], role: str, suffix: str) -> str | None:
 def _load_script(path: Path):
     """A prompt -> response object, or an array of {"match", "response"} rules.
 
-    Any other shape, or a response that is not a string, is a ConfigError
+    Any other shape, or a response that is not a string, is a ValueError
     naming the file.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = decode_json(text)
     except ValueError as exc:
-        raise ConfigError(f"invalid script JSON in {path}: {exc}") from exc
+        raise ValueError(f"invalid script JSON in {path}: {exc}") from exc
     if isinstance(data, dict):
         for prompt, response in data.items():
             if not isinstance(response, str):
-                raise ConfigError(
+                raise ValueError(
                     f"script file {path}: response to {prompt!r:.60} must be a string"
                 )
         return data
@@ -184,12 +180,12 @@ def _load_script(path: Path):
                 and isinstance(row.get("match"), str)
                 and isinstance(row.get("response"), str)
             ):
-                raise ConfigError(
+                raise ValueError(
                     f"script file {path}: rule {i} must be an object with string "
                     f"'match' and 'response', got {row!r:.60}"
                 )
         return [(row["match"], row["response"]) for row in data]
-    raise ConfigError(f"script file {path} must hold a JSON object or array")
+    raise ValueError(f"script file {path} must hold a JSON object or array")
 
 
 def build_client(
@@ -205,7 +201,7 @@ def build_client(
     which in turn override the config file entry.
     """
     if role not in ROLE_NAMES:
-        raise ConfigError(f"unknown role {role!r}")
+        raise ValueError(f"unknown role {role!r}")
     rc = config.roles.get(role, RoleConfig())
 
     if rc.kind == "scripted":
@@ -221,7 +217,7 @@ def build_client(
     model = _env_for_role(env, role, "MODEL") or rc.model
     api_key = _env_for_role(env, role, "API_KEY") or env.get(rc.api_key_env)
     if not endpoint or not model:
-        raise ConfigError(
+        raise ValueError(
             f"role {role!r} has no endpoint/model (config file or PPC_* env vars)"
         )
     return HttpChatClient(

@@ -42,10 +42,6 @@ from .trajectory import extract_boxed, forced_prefix_for, read_trajectory
 log = logging.getLogger(__name__)
 
 
-class PoolTooSmall(ValueError):
-    pass
-
-
 # --- answer normalization ----------------------------------------------------
 
 _LEFT_RIGHT = re.compile(r"\\(left|right)(?![a-zA-Z])")
@@ -218,8 +214,9 @@ def perturb_preplan(preplans: Sequence[str], mode: PerturbationMode, seed: int) 
     shuffled: each preplan's sentences in a random order drawn from the seed
     and the preplan's position, never its own order when two of its
     sentences differ; mismatched: the preplan at another position, assigned
-    by one seeded derangement over the list (no position keeps its own);
-    generic: the fixed content-free text.
+    by one seeded derangement over the list (no position keeps its own),
+    a ValueError for fewer than two preplans; generic: the fixed
+    content-free text.
     """
     if mode == PerturbationMode.SHUFFLED:
         prefixes = []
@@ -230,7 +227,7 @@ def perturb_preplan(preplans: Sequence[str], mode: PerturbationMode, seed: int) 
         return prefixes
     if mode == PerturbationMode.MISMATCHED:
         if len(preplans) < 2:
-            raise PoolTooSmall("mismatched perturbation needs >= 2 preplans")
+            raise ValueError("mismatched perturbation needs >= 2 preplans")
         mapping = _derangement(len(preplans), random.Random(seed))
         return [forced_prefix_for(preplans[j]) for j in mapping]
     return [forced_prefix_for(prompts.GENERIC_PREPLAN)] * len(preplans)
@@ -421,13 +418,13 @@ def evaluate(
     sample per problem supplies the original preplan; generation then
     restarts from the prefill that `perturb_preplan` draws with `seed`, so a
     mode together with `replay` is a ValueError. The generic mode reads no
-    preplan and draws no base sample. A repeated problem id raises
-    DuplicateId before any call.
+    preplan and draws no base sample. A repeated problem id, or a mismatched
+    mode over fewer than two problems, raises ValueError before any call.
     Problems whose generation fails entirely are counted separately and
     excluded from the metric denominators. In a perturbed eval, a problem
     whose base sample fails is such a problem: it makes no further call and
     is left out of the perturbation pool, so a mismatched pool left with
-    fewer than two preplans raises PoolTooSmall. A shuffled problem's order
+    fewer than two preplans raises ValueError. A shuffled problem's order
     is drawn from its position in `problems`, so it is the same whichever
     other base samples fail.
 
@@ -464,6 +461,8 @@ def evaluate(
         raise ValueError("need a client or replay transcripts")
     if mode is not None and replay is not None:
         raise ValueError("a perturbation needs live generation, not replay transcripts")
+    if mode == PerturbationMode.MISMATCHED and len(problems) < 2:
+        raise ValueError("mismatched perturbation needs >= 2 preplans")
     check_unique_ids(problems)
 
     prefixes: dict[str, str] = {}

@@ -15,14 +15,6 @@ from typing import Sequence, Union
 Logp = Union[float, Sequence[float]]
 
 
-class GroupTooSmall(ValueError):
-    pass
-
-
-class NonFiniteInput(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class GrpoConfig:
     epsilon_clip: float = 0.2
@@ -60,8 +52,8 @@ def _require_finite(values, what: str):
             if math.isfinite(v):
                 continue
         except OverflowError:  # an int too large for a float
-            raise NonFiniteInput(f"{what} contains an integer too large for a float") from None
-        raise NonFiniteInput(f"{what} contains non-finite value {v!r}")
+            raise ValueError(f"{what} contains an integer too large for a float") from None
+        raise ValueError(f"{what} contains non-finite value {v!r}")
 
 
 @dataclass
@@ -129,11 +121,11 @@ def group_advantages(
     Population std. A zero-variance group yields all-zero advantages
     instead of NaNs. Both sums run left to right (the built-in sum() of
     floats is compensated from Python 3.12 on), so every version gives the
-    same bits; a sum too large for a float raises NonFiniteInput.
+    same bits; a sum too large for a float raises ValueError.
     """
     G = len(rewards)
     if G < 2:
-        raise GroupTooSmall(f"need at least 2 rollouts, got {G}")
+        raise ValueError(f"need at least 2 rollouts, got {G}")
     _require_finite(rewards, "rewards")
     if len(set(rewards)) == 1:
         # exactly zero, not mean-rounding residue divided by the floor
@@ -150,7 +142,7 @@ def group_advantages(
         var = math.inf
     var /= G
     if not (math.isfinite(mean) and math.isfinite(var)):
-        raise NonFiniteInput("rewards spread too wide for a finite mean and variance")
+        raise ValueError("rewards spread too wide for a finite mean and variance")
     std = math.sqrt(var)
     scale = max(std, std_floor)
     if scale == 0.0:
@@ -198,7 +190,7 @@ def grpo_objective(group: RolloutGroup, cfg: GrpoConfig) -> GrpoResult:
     of kl_term. Every sum runs left to right, over tokens and then rollouts,
     for bit-reproducibility.
     A non-finite log-prob, or a log-ratio too large for exp(), raises
-    NonFiniteInput naming the rollout; so do group totals too large for a
+    ValueError naming the rollout; so do group totals too large for a
     finite objective or mean KL.
     """
     advantages = group_advantages(group.rewards, cfg.std_floor)
@@ -230,7 +222,7 @@ def grpo_objective(group: RolloutGroup, cfg: GrpoConfig) -> GrpoResult:
         if not finite:  # rescan this rollout only, to name its bad input
             for what, values in (("logp_new", new), ("logp_old", old), ("logp_ref", ref)):
                 _require_finite(values, f"rollout {i}: {what}")
-            raise NonFiniteInput(f"rollout {i}: log-ratio too large for a finite objective")
+            raise ValueError(f"rollout {i}: log-ratio too large for a finite objective")
         tokens += len(new)
         surrogate /= len(new)
         surrogates.append(surrogate)
@@ -241,7 +233,7 @@ def grpo_objective(group: RolloutGroup, cfg: GrpoConfig) -> GrpoResult:
     mean_kl = kl_total / group.G
     objective = surrogate_total / group.G - cfg.beta_kl * mean_kl
     if not (isfinite(objective) and isfinite(mean_kl)):
-        raise NonFiniteInput("group totals too large for a finite objective and mean KL")
+        raise ValueError("group totals too large for a finite objective and mean KL")
     return GrpoResult(
         objective=objective,
         advantages=advantages,

@@ -17,14 +17,6 @@ from .spoiler import SpoilerReport, style_penalty
 from .trajectory import FormatVerdict
 
 
-class OutOfRangeGrade(ValueError):
-    pass
-
-
-class MissingProximity(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class RewardWeights:
     lambda_a: float = 0.1
@@ -60,7 +52,7 @@ class RewardBreakdown:
 
 def _check_grade(grade: int) -> int:
     if not isinstance(grade, int) or isinstance(grade, bool) or not 1 <= grade <= 5:
-        raise OutOfRangeGrade(f"judge grade must be an integer in 1..5, got {grade!r}")
+        raise ValueError(f"judge grade must be an integer in 1..5, got {grade!r}")
     return grade
 
 
@@ -76,7 +68,7 @@ def outcome_reward(correct: bool, prox: int | None = None) -> float:
     if correct:
         return 1.0
     if prox is None:
-        raise MissingProximity("incorrect answers need a proximity grade")
+        raise ValueError("incorrect answers need a proximity grade")
     return (prox - 1) / 8
 
 

@@ -32,16 +32,12 @@ from .trajectory import Trajectory, render_trajectory
 log = logging.getLogger(__name__)
 
 
-class DuplicateId(ValueError):
-    pass
-
-
 def check_unique_ids(problems: Sequence[ProblemRecord]) -> None:
-    """Raise DuplicateId for the first problem id seen twice."""
+    """Raise ValueError for the first problem id seen twice."""
     seen: set[str] = set()
     for p in problems:
         if p.id in seen:
-            raise DuplicateId(f"duplicate problem id {p.id!r}")
+            raise ValueError(f"duplicate problem id {p.id!r}")
         seen.add(p.id)
 
 

@@ -104,8 +104,9 @@ def extract_boxed(text: str) -> str | None:
 # The text `_scan` saw last, its findings and its blocks, so the guard, the
 # parser and the lenient reader of one string (in any order) scan it once.
 # Matched by `is`, which spares hashing the text; replaced as one tuple, so no
-# thread can pair one text with another's findings or blocks.
-_last_scan: tuple[str | None, _Findings, Trajectory | None] = (None, (), None)
+# thread can pair one text with another's findings or blocks. It starts with an
+# object no caller holds, so the first scan of any value, None too, is a miss.
+_last_scan: tuple[object, _Findings, Trajectory | None] = (object(), (), None)
 
 
 def _scan(text: str) -> tuple[_Findings, Trajectory]:

@@ -1,3 +1,4 @@
+import logging
 import signal
 import threading
 import time
@@ -202,6 +203,14 @@ class TestHttpChatClient:
     def test_server_error_retried(self):
         session = FakeSession([FakeResponse(503), FakeResponse(200, chat_body("ok"))])
         assert http_client(session).generate(req()) == "ok"
+
+    def test_short_retry_delay_is_logged_as_it_is(self, caplog):
+        session = FakeSession([FakeResponse(503), FakeResponse(200, chat_body("ok"))])
+        with caplog.at_level(logging.WARNING, logger="ppc.clients"):
+            assert http_client(session, retry=RetryPolicy(delays=(0.002,))).generate(req()) == "ok"
+        assert [r.getMessage() for r in caplog.records] == [
+            "retryable client error (server error 503); retrying in 0.002s"
+        ]
 
     def test_client_error_not_retried(self):
         session = FakeSession([FakeResponse(400)])

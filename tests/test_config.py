@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import asdict, fields
 
 import pytest
@@ -6,7 +7,7 @@ import requests
 
 from ppc.cli import main
 from ppc.clients import HttpChatClient, ScriptedClient
-from ppc.config import _FIELD_TYPES, ConfigError, PipelineConfig, RoleConfig, build_client
+from ppc.config import _FIELD_TYPES, PipelineConfig, RoleConfig, build_client
 from ppc.grpo import GrpoConfig
 from ppc.rewards import RewardWeights
 from ppc.spoiler import SpoilerConfig
@@ -68,7 +69,7 @@ class TestValidation:
     @pytest.mark.parametrize("bounds", [(2000, 100), (-1, 100), (-5, -1)], ids=["inverted", "negative-min", "both-negative"])
     def test_filter_bounds_that_keep_nothing(self, bounds):
         doc = {"filter_min_tokens": bounds[0], "filter_max_tokens": bounds[1]}
-        with pytest.raises(ConfigError, match="need 0 <= filter_min_tokens <= filter_max_tokens"):
+        with pytest.raises(ValueError, match="need 0 <= filter_min_tokens <= filter_max_tokens"):
             PipelineConfig.from_dict(doc)
 
     @pytest.mark.parametrize("bounds", [(150, 1500), (5, 100), (0, 0), (7, 7)])
@@ -77,50 +78,50 @@ class TestValidation:
         assert PipelineConfig.from_dict(doc).length_bounds == bounds
 
     def test_unknown_role(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=r"^unknown role 'mystery'; valid: \('preplan_gen', "):
             PipelineConfig.from_dict({"roles": {"mystery": {"kind": "http"}}})
 
     def test_grpo_must_be_explicit(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^grpo config must set 'beta_kl' explicitly$"):
             PipelineConfig.from_dict({"grpo": {"epsilon_clip": 0.2}})
         config = PipelineConfig.from_dict({"grpo": {"epsilon_clip": 0.2, "beta_kl": 0.0}})
         assert config.grpo == GrpoConfig(epsilon_clip=0.2, beta_kl=0.0)
 
     @pytest.mark.parametrize(
-        "doc",
+        "doc, message",
         [
-            {"roles": {"judge": {"kind": "http", "modle": "m"}}},
-            {"grpo": {"epsilon_clip": 0.2, "beta_kl": 0.04, "clip": 0.3}},
-            {"temprature": 0.7},
-            {"weights": {"lambda_x": 0.1}},
-            {"spoiler": {"tau": 2}},
+            ({"roles": {"judge": {"kind": "http", "modle": "m"}}}, "roles.judge: unknown key 'modle'"),
+            ({"grpo": {"epsilon_clip": 0.2, "beta_kl": 0.04, "clip": 0.3}}, "grpo: unknown key 'clip'"),
+            ({"temprature": 0.7}, "unknown key 'temprature'"),
+            ({"weights": {"lambda_x": 0.1}}, "weights: unknown key 'lambda_x'"),
+            ({"spoiler": {"tau": 2}}, "spoiler: unknown key 'tau'"),
         ],
         ids=["role", "grpo", "top-level", "weights", "spoiler"],
     )
-    def test_unknown_key(self, doc):
-        with pytest.raises(ConfigError):
+    def test_unknown_key(self, doc, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PipelineConfig.from_dict(doc)
 
     @pytest.mark.parametrize(
-        "doc",
+        "doc, message",
         [
-            5,
-            {"roles": ["judge"]},
-            {"roles": {"judge": "http"}},
-            {"weights": 0.1},
-            {"spoiler": None},
-            {"roles": None},
+            (5, "must be a mapping, got 5"),
+            ({"roles": ["judge"]}, "roles: must be a mapping, got ['judge']"),
+            ({"roles": {"judge": "http"}}, "roles.judge: must be a mapping, got 'http'"),
+            ({"weights": 0.1}, "weights: must be a mapping, got 0.1"),
+            ({"spoiler": None}, "spoiler: must be a mapping, got None"),
+            ({"roles": None}, "roles: must be a mapping, got None"),
         ],
         ids=["document", "roles", "role", "weights", "spoiler-null", "roles-null"],
     )
-    def test_section_not_an_object(self, doc):
-        with pytest.raises(ConfigError):
+    def test_section_not_an_object(self, doc, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PipelineConfig.from_dict(doc)
 
     def test_tau_s_must_agree(self):
-        with pytest.raises(ConfigError, match="tau_s"):
+        with pytest.raises(ValueError, match="tau_s"):
             PipelineConfig.from_dict({"spoiler": {"tau_s": 3}, "weights": {"tau_s": 1}})
-        with pytest.raises(ConfigError, match="tau_s"):
+        with pytest.raises(ValueError, match="tau_s"):
             PipelineConfig.from_dict({"spoiler": {"tau_s": 3}})
         config = PipelineConfig.from_dict({"spoiler": {"tau_s": 3}, "weights": {"tau_s": 3}})
         assert config.spoiler.tau_s == config.weights.tau_s == 3
@@ -141,37 +142,37 @@ class TestValidation:
         # document that does is rejected by its section.
         path = tmp_path / "config.json"
         path.write_text(doc % number)
-        with pytest.raises(ConfigError, match=f"config.json: {number} is not a JSON number"):
+        with pytest.raises(ValueError, match=f"config.json: {number} is not a JSON number"):
             PipelineConfig.from_file(path)
-        with pytest.raises(ConfigError, match=f"^{section}: .* must be finite"):
+        with pytest.raises(ValueError, match=f"^{section}: .* must be finite"):
             PipelineConfig.from_dict(json.loads(doc % number))
 
     @pytest.mark.parametrize("parallelism", [0, -3])
     def test_parallelism_must_be_positive(self, parallelism):
-        with pytest.raises(ConfigError, match=f"^parallelism must be >= 1, got {parallelism}$"):
+        with pytest.raises(ValueError, match=f"^parallelism must be >= 1, got {parallelism}$"):
             PipelineConfig.from_dict({"parallelism": parallelism})
 
     def test_scripted_role_needs_script_or_default(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^scripted role needs a script file or default_response$"):
             RoleConfig(kind="scripted")
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=r"^invalid config JSON in .*bad\.json: "):
             PipelineConfig.from_file(path)
 
     def test_nesting_too_deep_names_the_file(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000)
-        with pytest.raises(ConfigError, match=r"^invalid config JSON in .*deep\.json: JSON nested too deeply$"):
+        with pytest.raises(ValueError, match=r"^invalid config JSON in .*deep\.json: JSON nested too deeply$"):
             PipelineConfig.from_file(path)
 
     def test_infinite_timeout(self, tmp_path):
         # 1e999 parses as infinity, which a socket timeout cannot take.
         path = tmp_path / "config.json"
         path.write_text('{"roles": {"policy": {"kind": "http", "endpoint": "http://127.0.0.1:9/v1", "model": "m", "timeout": 1e999}}}')
-        with pytest.raises(ConfigError, match=r"^roles\.policy: timeout must be finite, got inf$"):
+        with pytest.raises(ValueError, match=r"^roles\.policy: timeout must be finite, got inf$"):
             PipelineConfig.from_file(path)
 
 
@@ -207,7 +208,7 @@ class TestBuildClient:
         assert policy.endpoint == "http://global.example"
 
     def test_missing_endpoint_is_config_error(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=r"^role 'executor' has no endpoint/model \(config file or PPC_\* env vars\)$"):
             build_client(PipelineConfig(), "executor", env={})
 
     def test_scripted_role_from_map_file(self, tmp_path):
@@ -234,7 +235,7 @@ class TestBuildClient:
         assert client.generate(GenerationRequest(user_prompt="hay needle stack")) == "found"
 
     def test_unknown_role_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^unknown role 'nonsense'$"):
             build_client(PipelineConfig(), "nonsense", env={})
 
 
@@ -257,7 +258,7 @@ class TestBadScriptFile:
 
     def test_build_client_names_the_file(self, tmp_path, text):
         config = PipelineConfig.from_dict(self.config(tmp_path, text))
-        with pytest.raises(ConfigError, match="policy.script.json"):
+        with pytest.raises(ValueError, match="policy.script.json"):
             build_client(config, "policy", env={}, base_dir=tmp_path)
 
     def test_eval_exits_2(self, tmp_path, capsys, text):
@@ -283,7 +284,7 @@ WRONG_TYPES = {
 class TestWrongScalarType:
     def test_from_dict_names_the_field(self, request, doc):
         field = request.node.callspec.id
-        with pytest.raises(ConfigError, match=f"{field} must be"):
+        with pytest.raises(ValueError, match=f"{field} must be"):
             PipelineConfig.from_dict(doc)
 
     def test_eval_exits_2(self, tmp_path, capsys, request, doc):
@@ -302,7 +303,7 @@ class TestPhraseListsAreUnknownKeys:
     """The spoiler phrase lists are fixed: setting one is an unknown key."""
 
     def test_from_dict_names_the_key(self, request, doc):
-        with pytest.raises(ConfigError, match=f"spoiler: unknown key '{request.node.callspec.id}'"):
+        with pytest.raises(ValueError, match=f"spoiler: unknown key '{request.node.callspec.id}'"):
             PipelineConfig.from_dict(doc)
 
     def test_eval_exits_2(self, tmp_path, capsys, request, doc):
@@ -328,7 +329,7 @@ class TestBadRoleNamesTheRole:
         return {"roles": {"policy": SCRIPTED_POLICY, role: entry}}
 
     def test_from_dict(self, role, entry, detail):
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(ValueError) as info:
             PipelineConfig.from_dict(self.doc(role, entry))
         assert str(info.value).startswith(f"roles.{role}: ") and detail in str(info.value)
 
@@ -343,11 +344,11 @@ def test_scalar_types_accepted():
         {"roles": {"policy": {**HTTP_POLICY, "timeout": 30}}, "temperature": 1, "top_p": 0.5}
     )
     assert config.roles["policy"].timeout == 30 and config.temperature == 1
-    with pytest.raises(ConfigError, match="parallelism must be int"):
+    with pytest.raises(ValueError, match="parallelism must be int"):
         PipelineConfig.from_dict({"parallelism": True})
-    with pytest.raises(ConfigError, match=r"^spoiler: digit_min must be int, got 2\.5$"):
+    with pytest.raises(ValueError, match=r"^spoiler: digit_min must be int, got 2\.5$"):
         PipelineConfig.from_dict({"spoiler": {"digit_min": 2.5}})
-    with pytest.raises(ConfigError, match="^spoiler: digit_min must be >= 1$"):
+    with pytest.raises(ValueError, match="^spoiler: digit_min must be >= 1$"):
         PipelineConfig.from_dict({"spoiler": {"digit_min": 0}})
 
 

@@ -28,7 +28,6 @@ from ppc.evaluation import (
     EvalRecord,
     EvalReport,
     PerturbationMode,
-    PoolTooSmall,
     answers_equivalent,
     evaluate,
     forced_prefix_for,
@@ -41,7 +40,6 @@ from ppc.evaluation import (
 )
 from ppc.synthesis import ProblemRecord
 from ppc.evaluation import _Scorer
-from ppc.synthesis import DuplicateId
 from ppc.trajectory import Violation, check_format, extract_boxed
 
 
@@ -330,7 +328,7 @@ class TestPerturbations:
 
     def test_mismatched_needs_pool(self):
         for preplans in ([], ["x"]):
-            with pytest.raises(PoolTooSmall):
+            with pytest.raises(ValueError, match="^mismatched perturbation needs >= 2 preplans$"):
                 perturb_preplan(preplans, PerturbationMode.MISMATCHED, 1)
 
     def test_generic_constant(self):
@@ -577,9 +575,15 @@ class TestEvaluate:
             return completion("7")
 
         client = ScriptedClient(answer)
-        with pytest.raises(PoolTooSmall):
+        with pytest.raises(ValueError, match="^mismatched perturbation needs >= 2 preplans$"):
             evaluate(problems, 2, client, mode=PerturbationMode.MISMATCHED, seed=1)
         assert len(client.calls) == 3  # the base calls; no forced one
+
+    def test_one_problem_mismatched_fails_before_its_base_sample(self):
+        client = ScriptedClient(lambda req: completion("7"))
+        with pytest.raises(ValueError, match="^mismatched perturbation needs >= 2 preplans$"):
+            evaluate([make_problem("p0", answer="7")], 2, client, mode=PerturbationMode.MISMATCHED, seed=1)
+        assert client.calls == []
 
     @pytest.mark.parametrize("source", ["live", "replay", "perturb"])
     def test_repeated_problem_id_rejected_before_any_call(self, source):
@@ -593,7 +597,7 @@ class TestEvaluate:
             "replay": {"replay": {"q1": [completion("7"), completion("3")]}},
             "perturb": {"client": client, "mode": PerturbationMode.MISMATCHED, "seed": 1},
         }[source]
-        with pytest.raises(DuplicateId, match="q1"):
+        with pytest.raises(ValueError, match="^duplicate problem id 'q1'$"):
             evaluate(problems, 2, equivalence=lambda pred, gold: judged.append(pred) or False, **kwargs)
         assert client.calls == [] and judged == []
 

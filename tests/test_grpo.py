@@ -5,10 +5,8 @@ import random
 import pytest
 
 from ppc.grpo import (
-    GroupTooSmall,
     GrpoConfig,
     GrpoResult,
-    NonFiniteInput,
     RolloutGroup,
     group_advantages,
     grpo_objective,
@@ -43,11 +41,11 @@ class TestAdvantages:
         assert adv == pytest.approx([-0.57735026919, -0.57735026919, -0.57735026919, 1.73205080757], abs=1e-9)
 
     def test_group_too_small(self):
-        with pytest.raises(GroupTooSmall):
+        with pytest.raises(ValueError, match="^need at least 2 rollouts, got 1$"):
             group_advantages([1.0])
 
     def test_non_finite(self):
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(ValueError, match="^rewards contains non-finite value nan$"):
             group_advantages([1.0, float("nan")])
 
     def test_zero_floor_identical_rewards(self):
@@ -84,7 +82,7 @@ class TestAdvantages:
 
     @pytest.mark.parametrize("rewards", [[1e308, 1e308, 0.0], [1e200, -1e200]], ids=["mean", "variance"])
     def test_sum_too_large_for_a_float(self, rewards):
-        with pytest.raises(NonFiniteInput, match="rewards spread too wide"):
+        with pytest.raises(ValueError, match="^rewards spread too wide for a finite mean and variance$"):
             group_advantages(rewards)
 
 
@@ -201,15 +199,23 @@ class TestObjective:
             values[field][1][-1] = bad
         else:
             values[field][1] = bad
-        with pytest.raises(NonFiniteInput):
+        what = "rewards" if field == "rewards" else f"rollout 1: {field}"
+        why = "an integer too large for a float" if bad == 10**400 else f"non-finite value {bad!r}"
+        with pytest.raises(ValueError, match=f"^{what} contains {why}$"):
             grpo_objective(RolloutGroup(**values), GrpoConfig())
+
+    def test_log_ratio_too_large(self):
+        # Every input is finite, but exp(1000 - 0) overflows.
+        g = make_group([0.0, 1.0], [-1.0, 1000.0], [-1.0, 0.0], [-1.0, 1000.0])
+        with pytest.raises(ValueError, match="^rollout 1: log-ratio too large for a finite objective$"):
+            grpo_objective(g, GrpoConfig())
 
     @pytest.mark.parametrize("beta", [0.04, 0.0], ids=["kl-weighted", "kl-unweighted"])
     def test_group_total_too_large(self, beta):
         # Each rollout's KL is exp(709) - 710, about 8.2e307; three of them overflow.
         g = make_group([0.0, 1.0, 0.5], [-710.0] * 3, [-710.0] * 3, [-1.0] * 3)
         assert math.isfinite(kl_term(-710.0, -1.0))
-        with pytest.raises(NonFiniteInput, match="group totals"):
+        with pytest.raises(ValueError, match="^group totals too large for a finite objective and mean KL$"):
             grpo_objective(g, GrpoConfig(beta_kl=beta))
 
 

@@ -1,8 +1,6 @@
 import pytest
 
 from ppc.rewards import (
-    MissingProximity,
-    OutOfRangeGrade,
     RewardWeights,
     adherence_reward,
     composite_reward,
@@ -53,13 +51,13 @@ class TestOutcome:
         ]
 
     def test_missing_proximity(self):
-        with pytest.raises(MissingProximity):
+        with pytest.raises(ValueError, match="^incorrect answers need a proximity grade$"):
             outcome_reward(False)
 
     def test_out_of_range(self):
         for correct in (False, True):
             for prox in (6, 0, "3", 2.0, True):
-                with pytest.raises(OutOfRangeGrade):
+                with pytest.raises(ValueError, match=f"^judge grade must be an integer in 1..5, got {prox!r}$"):
                     outcome_reward(correct, prox)
         assert outcome_reward(True, None) == outcome_reward(True, 5) == 1.0
 
@@ -71,7 +69,7 @@ class TestAdherence:
         assert adherence_reward(3) == 0.5
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRangeGrade):
+        with pytest.raises(ValueError, match="^judge grade must be an integer in 1..5, got 0$"):
             adherence_reward(0)
 
 

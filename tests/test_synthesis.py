@@ -24,7 +24,6 @@ from ppc.evaluation import answers_equivalent
 from ppc.spoiler import DropReason
 from ppc.synthesis import (
     DatasetSummary,
-    DuplicateId,
     GeneratorSuite,
     ProblemRecord,
     StageFailure,
@@ -231,7 +230,7 @@ class TestBuildDataset:
 
     def test_duplicate_ids_rejected(self, tmp_path):
         problems = [make_problem("p1"), make_problem("p1")]
-        with pytest.raises(DuplicateId):
+        with pytest.raises(ValueError, match="^duplicate problem id 'p1'$"):
             self.run(tmp_path, problems, default_stage_texts(problems))
 
     def test_same_seed_same_bytes(self, tmp_path):

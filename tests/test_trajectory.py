@@ -1,10 +1,14 @@
 import dataclasses
 import importlib.util
 import itertools
+import json
+import os
 import random
 import re
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from conftest import outcome
@@ -464,6 +468,28 @@ class TestScanMemo:
         spec.loader.exec_module(fresh)
         assert [v.value for v in fresh.check_format("").violations] == ["MISSING_TAG"] * 3
         assert check_format("").violations == (Violation.MISSING_TAG,) * 3
+
+    def test_first_call_in_a_fresh_interpreter_behaves_like_later_ones(self):
+        # The memo's first key must be no value a caller can pass, None included.
+        code = (
+            "import json\n"
+            "from ppc.trajectory import check_format, read_trajectory\n"
+            "def outcomes():\n"
+            "    seen = []\n"
+            "    for call in (check_format, read_trajectory):\n"
+            "        try:\n"
+            "            seen.append(repr(call(None)))\n"
+            "        except Exception as exc:\n"
+            "            seen.append(type(exc).__name__)\n"
+            "    return seen\n"
+            "first = outcomes()\n"
+            "check_format('<preplan>A</preplan>')\n"
+            "print(json.dumps([first, outcomes()]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(ppc.trajectory.__file__).resolve().parent.parent)}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [["AttributeError", "AttributeError"]] * 2
 
     def test_two_threads_never_get_each_others_verdict(self):
         good, bad = CANONICAL, "<note>" + make("X", "Y", "Z")
