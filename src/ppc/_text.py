@@ -7,8 +7,9 @@ and writer below are the only place the row format is spelled out.
 atomic_open replaces one output file only when its writer succeeds;
 atomic_outputs opens a run's files in its output directory that way, and
 a failed run leaves no directory it created.
-JSON_ENCODER writes every JSONL line and decode_json reads every input
-document, both strict RFC 8259: no NaN or +-Infinity in or out.
+Only this module imports json. JSON_ENCODER (and JSON_INDENTED) writes
+and decode_json reads every JSON text in ppc, both strict RFC 8259: no NaN
+or +-Infinity in or out. json_is is the one type test of a decoded value.
 """
 
 from __future__ import annotations
@@ -41,17 +42,43 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-# Every JSONL line ppc writes: sorted keys, non-ASCII kept, no non-finite number.
+# Every JSON text ppc writes: sorted keys, non-ASCII kept, no non-finite number.
 JSON_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, allow_nan=False)
+# The same, indented two spaces (summary.json).
+JSON_INDENTED = json.JSONEncoder(sort_keys=True, ensure_ascii=False, allow_nan=False, indent=2)
 JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def decode_json(text: str):
-    """Every JSON document ppc reads; `NaN`, `Infinity`, `-Infinity` and nesting too deep for the decoder are a ValueError."""
+    """Every JSON text ppc reads; `NaN`, `Infinity`, `-Infinity` and nesting too deep for the decoder are a ValueError."""
     try:
         return JSON_DECODER.decode(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+
+
+def json_is(value, *kinds: type) -> bool:
+    """Whether a decoded JSON value is one of `kinds`; true and false are bools, never ints or floats."""
+    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
+
+
+def _converted(text: str, convert: Callable, where: str, row: bool):
+    """`convert` of the JSON in `text`, a JSONL `row` (an object) or a whole document.
+
+    Invalid JSON, or a KeyError/ValueError from `convert`, is a ValueError "<where>: ...".
+    """
+    try:
+        data = decode_json(text)
+        if row and not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+        return convert(data)
+    except json.JSONDecodeError as exc:
+        at = f"column {exc.pos + 1}" if row else f"line {exc.lineno} column {exc.colno}"
+        raise ValueError(f"{where}: invalid JSON at {at}: {exc.msg}") from exc
+    except KeyError as exc:
+        raise ValueError(f"{where}: missing field {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def count_tokens(text: str) -> int:
@@ -145,21 +172,18 @@ def read_jsonl(path, convert: Callable[[dict], T] = dict) -> Iterator[T]:
     name = "<stdin>" if std else str(path)
     with nullcontext(sys.stdin) if std else open(path, encoding="utf-8") as stream:
         for line_no, line in enumerate(stream, 1):
-            if not line.strip():
-                continue
-            try:
-                row = decode_json(line)
-                if not isinstance(row, dict):
-                    raise ValueError(f"expected a JSON object, got {type(row).__name__}")
-                value = convert(row)
-            except json.JSONDecodeError as exc:
-                detail = f"invalid JSON at column {exc.pos + 1}: {exc.msg}"
-                raise ValueError(f"{name}:{line_no}: {detail}") from exc
-            except KeyError as exc:
-                raise ValueError(f"{name}:{line_no}: missing field {exc}") from exc
-            except ValueError as exc:
-                raise ValueError(f"{name}:{line_no}: {exc}") from exc
-            yield value
+            if line.strip():
+                yield _converted(line, convert, f"{name}:{line_no}", row=True)
+
+
+def read_json(path, convert: Callable[[object], T]) -> T:
+    """`convert(document)` for the one JSON document in the file at `path`.
+
+    Invalid JSON (NaN and +-Infinity included), or a KeyError/ValueError
+    raised by `convert`, is a ValueError "<path>: ..."; a file that cannot
+    be read is the OSError that names it.
+    """
+    return _converted(Path(path).read_text(encoding="utf-8"), convert, str(path), row=False)
 
 
 def typed_field(row: dict, key: str, kind: type = str, item: type | None = None):
@@ -174,7 +198,7 @@ def typed_field(row: dict, key: str, kind: type = str, item: type | None = None)
 def row_id(row: dict) -> str | int:
     """row["id"], a ValueError unless it is a non-empty string or an integer."""
     value = row["id"]
-    if isinstance(value, bool) or not isinstance(value, (str, int)) or value == "":
+    if not json_is(value, str, int) or value == "":
         raise ValueError(f"field 'id' must be a non-empty string or an integer, got {value!r:.60}")
     return value
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import logging
 import os
 import sys
@@ -19,7 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import prompts
-from ._text import JSON_ENCODER, decode_json, read_jsonl, row_id, typed_field, write_jsonl
+from ._text import JSON_ENCODER, read_json, read_jsonl, row_id, typed_field, write_jsonl
 from .clients import (
     ClientError,
     Facet,
@@ -69,7 +68,7 @@ class _JsonLineFormatter(logging.Formatter):
             "logger": record.name,
             "msg": record.getMessage(),
         }
-        return json.dumps(payload, sort_keys=True)
+        return JSON_ENCODER.encode(payload)
 
 
 def _setup_logging(verbose: bool) -> None:
@@ -121,7 +120,7 @@ def cmd_lint(args) -> int:
 
     write_jsonl(args.out, read_jsonl(getattr(args, "in"), lint))
     summary = {"count": sum(histogram.values()), "histogram": histogram}
-    log.info("lint summary: %s", json.dumps(summary))
+    log.info("lint summary: %s", JSON_ENCODER.encode(summary))
     return EXIT_OK
 
 
@@ -148,7 +147,7 @@ def cmd_synthesize(args) -> int:
         parallelism=args.parallelism or config.parallelism,
         retries=args.retries,
     )
-    print(json.dumps(summary.to_dict(), sort_keys=True))
+    print(JSON_ENCODER.encode(summary.to_dict()))
     if summary.problems and summary.drop_reasons.get("GEN_FAIL") == summary.problems:
         log.error("every chain failed at generation; endpoint unusable")
         return EXIT_ENDPOINT
@@ -181,13 +180,7 @@ def cmd_reward(args) -> int:
 
 
 def cmd_grpo_check(args) -> int:
-    path = getattr(args, "in")
-    try:
-        group = RolloutGroup.from_dict(decode_json(Path(path).read_text(encoding="utf-8")))
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc}") from exc
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    group = read_json(getattr(args, "in"), RolloutGroup.from_dict)
     cfg = _override(
         _load_config(args).grpo or GrpoConfig(),
         epsilon_clip=args.epsilon,
@@ -264,6 +257,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_perturb(args) -> int:
+    _load_config(args)  # perturb reads no config value, but a bad --config is still an error
     rows = list(read_jsonl(getattr(args, "in"), lambda row: (row_id(row), typed_field(row, "preplan"))))
     prefixes = perturb_preplan([preplan for _, preplan in rows], PerturbationMode(args.mode), args.seed)
     write_jsonl(
@@ -297,7 +291,7 @@ def cmd_attribute(args) -> int:
     write_jsonl(args.out, read_jsonl(getattr(args, "in"), attribute))
     what_to_solve = sum(facets.values())
     total = what_to_solve + tally["how_to_solve"]
-    print(json.dumps({**tally, "what_to_solve": what_to_solve, "total": total, "facets": facets}, sort_keys=True))
+    print(JSON_ENCODER.encode({**tally, "what_to_solve": what_to_solve, "total": total, "facets": facets}))
     if tally["failed"] and not total and not tally["unparseable"]:
         log.error("every judge call failed; endpoint unusable")
         return EXIT_ENDPOINT

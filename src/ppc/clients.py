@@ -10,7 +10,6 @@ top of `generate`.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import re
@@ -20,11 +19,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from . import prompts
+from ._text import decode_json
 
 log = logging.getLogger(__name__)
+T = TypeVar("T")
 
 
 class ClientError(Exception):
@@ -306,32 +307,51 @@ def _judge_request(prompt: str) -> GenerationRequest:
     )
 
 
-_YES_NO = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
+# One markdown code fence around the whole text, with or without a language tag.
+_FENCE = re.compile(r"```(?:[\w+-]*\n)?(.*)```", re.DOTALL)
+
+
+def _bare(text: str) -> str:
+    """`text` without surrounding whitespace, one code fence, `*`/`_` emphasis and a final period."""
+    text = text.strip()
+    if fence := _FENCE.fullmatch(text):
+        text = fence[1].strip()
+    return text.strip("*_").strip().removesuffix(".").strip("*_").strip()
+
+
+def _read_verdict(response: str, what: str, parse: Callable[[str], T]) -> T:
+    """`parse` of the whole bared response, else of its last non-empty line.
+
+    `parse` raises KeyError or ValueError on a text that is not a verdict;
+    when both readings fail, the response is an UnparseableVerdict, never a
+    guess from the judge's reasoning.
+    """
+    lines = response.strip().splitlines()
+    for text in (response, lines[-1] if lines else ""):
+        try:
+            return parse(_bare(text))
+        except (KeyError, ValueError):
+            pass
+    raise UnparseableVerdict(f"no {what} in judge response: {response[:80]!r}")
+
+
+_YES_NO = {"yes": True, "no": False}
 
 
 def judge_equivalence(
     client: LlmClient, pred: str, gold: str, question: str = ""
 ) -> bool:
-    """YES/NO equivalence verdict; anything unparseable counts as NO."""
+    """YES/NO equivalence verdict, in any case (see _read_verdict); any other reply raises UnparseableVerdict."""
     prompt = prompts.equivalence_prompt(pred, gold, question)
     response = client.generate(_judge_request(prompt))
-    m = _YES_NO.search(response)
-    if m is None:
-        log.warning("unparseable equivalence verdict %r; treating as NO", response[:80])
-        return False
-    return m.group(1).lower() == "yes"
+    return _read_verdict(response, "YES or NO", lambda text: _YES_NO[text.lower()])
 
 
-def _first_json_object(text: str) -> dict:
-    decoder = json.JSONDecoder()
-    for m in re.finditer(r"\{", text):
-        try:
-            obj, _ = decoder.raw_decode(text, m.start())
-        except ValueError:
-            continue
-        if isinstance(obj, dict):
-            return obj
-    raise UnparseableVerdict(f"no JSON object in judge response: {text[:80]!r}")
+def _json_object(text: str) -> dict:
+    obj = decode_json(text)
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
+    return obj
 
 
 def attribute_error(
@@ -340,12 +360,13 @@ def attribute_error(
     """Root-cause attribution for an incorrect solution: the facet of a
     what-to-solve error, or None for a how-to-solve one.
 
-    Expects {"what_to_solve": bool, "facet": ...} somewhere in the response;
-    a what-to-solve verdict must name one of the four facets.
+    Expects {"what_to_solve": bool, "facet": ...} as the whole response or
+    its last line (see _read_verdict); a what-to-solve verdict must name one
+    of the four facets.
     """
     prompt = prompts.attribution_prompt(question, wrong_solution, gold)
     response = client.generate(_judge_request(prompt))
-    obj = _first_json_object(response)
+    obj = _read_verdict(response, "JSON object", _json_object)
     what = obj.get("what_to_solve")
     if not isinstance(what, bool):
         raise UnparseableVerdict(f"what_to_solve missing or non-boolean: {obj!r}")

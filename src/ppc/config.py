@@ -13,7 +13,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from ._text import decode_json
+from ._text import json_is, read_json
 from .clients import HttpChatClient, LlmClient, RetryPolicy, ScriptedClient
 from .grpo import GrpoConfig
 from .rewards import RewardWeights
@@ -53,7 +53,7 @@ def _load(cls, data, where: str = ""):
         if key not in types:
             raise ValueError(f"{at}unknown key {key!r}")
         kinds = _FIELD_TYPES.get(types[key])
-        if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+        if kinds and not json_is(value, *kinds):
             raise ValueError(f"{at}{key} must be {types[key]}, got {value!r:.60}")
     try:
         return cls(**data)
@@ -143,12 +143,8 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: Path) -> "PipelineConfig":
-        text = Path(path).read_text(encoding="utf-8")
-        try:
-            data = decode_json(text)
-        except ValueError as exc:
-            raise ValueError(f"invalid config JSON in {path}: {exc}") from exc
-        return cls.from_dict(data)
+        """from_dict of the document at `path`; any error in it is a ValueError naming the file."""
+        return read_json(path, cls.from_dict)
 
 
 def _env_for_role(env: Mapping[str, str], role: str, suffix: str) -> str | None:
@@ -161,17 +157,14 @@ def _load_script(path: Path):
     Any other shape, or a response that is not a string, is a ValueError
     naming the file.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        data = decode_json(text)
-    except ValueError as exc:
-        raise ValueError(f"invalid script JSON in {path}: {exc}") from exc
+    return read_json(path, _script)
+
+
+def _script(data):
     if isinstance(data, dict):
         for prompt, response in data.items():
             if not isinstance(response, str):
-                raise ValueError(
-                    f"script file {path}: response to {prompt!r:.60} must be a string"
-                )
+                raise ValueError(f"response to {prompt!r:.60} must be a string")
         return data
     if isinstance(data, list):
         for i, row in enumerate(data):
@@ -181,11 +174,10 @@ def _load_script(path: Path):
                 and isinstance(row.get("response"), str)
             ):
                 raise ValueError(
-                    f"script file {path}: rule {i} must be an object with string "
-                    f"'match' and 'response', got {row!r:.60}"
+                    f"rule {i} must be an object with string 'match' and 'response', got {row!r:.60}"
                 )
         return [(row["match"], row["response"]) for row in data]
-    raise ValueError(f"script file {path} must hold a JSON object or array")
+    raise ValueError("a script must hold a JSON object or array")
 
 
 def build_client(

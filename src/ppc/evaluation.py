@@ -33,6 +33,7 @@ from .clients import (
     ClientError,
     GenerationRequest,
     LlmClient,
+    UnparseableVerdict,
     judge_equivalence,
     run_parallel,
 )
@@ -71,7 +72,9 @@ def normalize_answer(text: str) -> str:
 
     Pipeline: trim, collapse whitespace, strip surrounding dollar signs,
     drop \\left/\\right, map \\dfrac/\\tfrac to \\frac, strip one layer of
-    redundant outer braces, then canonicalize exact rationals (integers,
+    redundant outer braces, and repeat the whitespace, dollar and brace
+    stripping until it changes nothing, so the form of a form is itself
+    ("{$1$}" -> "$1$" -> "1"); then canonicalize exact rationals (integers,
     a/b, \\frac{a}{b} and decimals) in integer arithmetic: "n" when the
     value is whole, else "n/d" in lowest terms with d > 0. A rational with
     a zero denominator, or with a digit run longer than `int` parses, is
@@ -81,6 +84,8 @@ def normalize_answer(text: str) -> str:
     if "\\" in s:
         s = _LEFT_RIGHT.sub("", s).replace("\\dfrac", "\\frac").replace("\\tfrac", "\\frac")
     s = _strip_outer_braces(s).strip()
+    while (bare := _strip_outer_braces(" ".join(s.split()).strip("$").strip()).strip()) != s:
+        s = bare
     try:
         if _INT.match(s):
             return str(int(s))
@@ -112,7 +117,8 @@ def answers_equivalent(
 ) -> bool:
     """True when normalized forms agree; judge fallback when configured.
 
-    Judge failures are logged and count as non-equivalent.
+    Judge failures are logged and count as non-equivalent; a reply that is
+    no verdict raises UnparseableVerdict.
     """
     if pred is None:
         return False
@@ -448,10 +454,10 @@ def evaluate(
     same workers. Gold verdicts start as soon as a problem's samples have
     landed in index order, while its later samples are still being drawn;
     so a problem that fails after part of its samples landed may already
-    have paid judge calls for them. A ClientError from the fallback, gold
-    verdict or linkage, fails only that problem; any other exception, or
-    Ctrl-C, stops every worker after its current call. Rules-only replay
-    makes no call and runs in the caller's thread.
+    have paid judge calls for them. A ClientError or UnparseableVerdict
+    from the fallback, gold verdict or linkage, fails only that problem; any
+    other exception, or Ctrl-C, stops every worker after its current call.
+    Rules-only replay makes no call and runs in the caller's thread.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -524,10 +530,10 @@ def _sample(
     problem's landed prefix (samples 0..m-1) to its scorer, one worker per
     problem at a time, so gold verdicts run while other workers keep
     sampling; the record, with any linkage calls its vote needs, is built
-    once the prefix reaches k. A problem's first ClientError marks it
-    failed: its units not yet started make no call, and its scorer makes no
-    further judge call. Once an error or Ctrl-C sets the pool's stop event,
-    no unit and no judge call starts.
+    once the prefix reaches k. A problem's first ClientError, or a judge's
+    UnparseableVerdict, marks it failed: its units not yet started make no
+    call, and its scorer makes no further judge call. Once an error or
+    Ctrl-C sets the pool's stop event, no unit and no judge call starts.
     """
     busy = [False] * len(problems)  # a worker is feeding the problem's scorer
     failed = [False] * len(problems)
@@ -537,7 +543,7 @@ def _sample(
     lock = threading.Lock()
     stop = threading.Event()
 
-    def fail(i: int, exc: ClientError) -> None:
+    def fail(i: int, exc: Exception) -> None:
         with lock:
             first, failed[i] = not failed[i], True
         if first:
@@ -595,7 +601,7 @@ def _sample(
             feed(i)
         except _Stopped:
             pass
-        except ClientError as exc:
+        except (ClientError, UnparseableVerdict) as exc:
             fail(i, exc)
 
     run_parallel(run, units, parallelism, stop)

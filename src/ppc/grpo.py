@@ -12,6 +12,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Sequence, Union
 
+from ._text import json_is
+
 Logp = Union[float, Sequence[float]]
 
 
@@ -35,10 +37,6 @@ class GrpoConfig:
 
 def _is_tokenwise(value: Logp) -> bool:
     return isinstance(value, (list, tuple))
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _tokens(value: Logp) -> Sequence[float]:
@@ -93,7 +91,7 @@ class RolloutGroup:
         if not isinstance(data, dict):
             raise ValueError(f"a rollout group must be a JSON object, got {type(data).__name__}")
         G = data.get("G")
-        if "G" in data and (isinstance(G, bool) or not isinstance(G, int)):
+        if "G" in data and not json_is(G, int):
             raise ValueError(f"G must be an integer, got {G!r:.60}")
         fields = {}
         for name in ("rewards", "logp_new", "logp_old", "logp_ref"):
@@ -102,7 +100,7 @@ class RolloutGroup:
                 raise ValueError(f"{name} must be a list, got {type(values).__name__}")
             for i, v in enumerate(values):
                 tokens = name != "rewards" and _is_tokenwise(v)
-                if not (all(map(_is_number, v)) if tokens else _is_number(v)):
+                if not all(json_is(x, int, float) for x in (v if tokens else [v])):
                     kind = "a number" if name == "rewards" else "a number or a list of numbers"
                     raise ValueError(f"rollout {i}: {name} must be {kind}, got {v!r}")
             fields[name] = list(values)

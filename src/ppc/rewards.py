@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
+from ._text import json_is
 from .spoiler import SpoilerReport, style_penalty
 from .trajectory import FormatVerdict
 
@@ -51,7 +52,7 @@ class RewardBreakdown:
 
 
 def _check_grade(grade: int) -> int:
-    if not isinstance(grade, int) or isinstance(grade, bool) or not 1 <= grade <= 5:
+    if not json_is(grade, int) or not 1 <= grade <= 5:
         raise ValueError(f"judge grade must be an integer in 1..5, got {grade!r}")
     return grade
 

@@ -9,7 +9,6 @@ before being emitted as SFT-ready JSONL.
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 from dataclasses import asdict, dataclass, replace
@@ -17,7 +16,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import prompts
-from ._text import JSON_ENCODER, atomic_outputs, read_by_id, row_id, typed_field
+from ._text import JSON_ENCODER, JSON_INDENTED, atomic_outputs, json_is, read_by_id, row_id, typed_field
 from .clients import ClientError, GenerationRequest, LlmClient, run_parallel
 from .spoiler import (
     DEFAULT_LENGTH_BOUNDS,
@@ -244,7 +243,7 @@ def build_dataset(
     with atomic_outputs(out_dir, "summary.json", "sft.jsonl", "rejects.jsonl") as (summary_file, sft, rejects):
         run_parallel(run, enumerate(problems), parallelism)
         summary.drop_reasons = dict(sorted(summary.drop_reasons.items()))
-        summary_file.write(json.dumps(summary.to_dict(), sort_keys=True, indent=2) + "\n")
+        summary_file.write(JSON_INDENTED.encode(summary.to_dict()) + "\n")
     return summary
 
 
@@ -255,7 +254,7 @@ def load_problems(path: Path) -> list[ProblemRecord]:
 
 def _problem_from_row(row: dict) -> ProblemRecord:
     answer = row["answer"]
-    if isinstance(answer, bool) or not isinstance(answer, (str, int, float)):
+    if not json_is(answer, str, int, float):
         raise ValueError(f"field 'answer' must be a string or a number, got {answer!r:.60}")
     return ProblemRecord(
         id=str(row_id(row)),

@@ -880,6 +880,19 @@ class TestPerturbCommand:
             assert donor != row["preplan"]
 
 
+    @pytest.mark.parametrize("config", [None, '{"bogus": 1'], ids=["missing", "invalid-json"])
+    def test_bad_config_is_data_error(self, tmp_path, capsys, config):
+        path = tmp_path / "preplans.jsonl"
+        write_jsonl(path, [{"id": "a", "preplan": "x"}])
+        cfg = tmp_path / "cfg.json"
+        if config is not None:
+            cfg.write_text(config)
+        argv = ["perturb", "--config", str(cfg), "--in", str(path), "--mode", "generic", "--seed", "1"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "cfg.json" in err
+
+
 def run_attribute(tmp_path, responses, out=True):
     """`ppc attribute` over one row per scripted judge response (None: no rule,
     so that row's judge call fails); its exit code and the --out path."""
@@ -972,6 +985,58 @@ class TestAttributeCommand:
         assert code == 3
         assert json.loads(capsys.readouterr().out)["failed"] == 2
         assert [row["what_to_solve"] for row in read_jsonl(out_file.read_text())] == [None, None]
+
+
+# One bad document or row per JSON reader: the file, its text, the command
+# that reads it and where its error must begin ("<dir>" is the work dir, which
+# a script path from a config file is resolved against).
+JSON_CONTRACT = {
+    "jsonl-id-true": (
+        "rows.jsonl",
+        '{"id": true, "preplan": "x"}\n',
+        ["perturb", "--in", "rows.jsonl", "--mode", "generic", "--seed", "1"],
+        "rows.jsonl:1",
+    ),
+    "config-parallelism-true": (
+        "cfg.json",
+        '{"parallelism": true}',
+        ["lint", "--config", "cfg.json", "--in", "ok.jsonl"],
+        "cfg.json",
+    ),
+    "config-nan": (
+        "cfg.json",
+        '{"temperature": NaN}',
+        ["lint", "--config", "cfg.json", "--in", "ok.jsonl"],
+        "cfg.json",
+    ),
+    "script-response-true": (
+        "judge.script.json",
+        '{"q": true}',
+        ["attribute", "--config", "judge.cfg.json", "--in", "ok.jsonl"],
+        "<dir>/judge.script.json",
+    ),
+    "grpo-check-reward-true": (
+        "group.json",
+        '{"rewards": [true, 1], "logp_new": [-1, -2], "logp_old": [-1, -2], "logp_ref": [-1, -2]}',
+        ["grpo-check", "--in", "group.json"],
+        "group.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_CONTRACT))
+def test_json_error_names_its_file(tmp_path, monkeypatch, capsys, case):
+    name, text, argv, where = JSON_CONTRACT[case]
+    monkeypatch.chdir(tmp_path)
+    write_jsonl(tmp_path / "ok.jsonl", [{"id": "a", "preplan": "x", "question": "q", "solution": "s", "gold": "7"}])
+    config = {"roles": {"judge": {"kind": "scripted", "script": "judge.script.json"}}}
+    (tmp_path / "judge.cfg.json").write_text(json.dumps(config))
+    (tmp_path / name).write_text(text)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    [message] = [json.loads(line)["msg"] for line in err.splitlines()]
+    assert message.startswith(f"data error: {where.replace('<dir>', str(tmp_path.resolve()))}: "), message
 
 
 VALID_ROWS = {

@@ -264,7 +264,61 @@ class TestJudges:
     def test_equivalence(self):
         assert judge_equivalence(ScriptedClient([("", "YES")]), "a", "b") is True
         assert judge_equivalence(ScriptedClient([("", "No.")]), "a", "b") is False
-        assert judge_equivalence(ScriptedClient([("", "maybe")]), "a", "b") is False
+        with pytest.raises(UnparseableVerdict, match="^no YES or NO in judge response: 'maybe'$"):
+            judge_equivalence(ScriptedClient([("", "maybe")]), "a", "b")
+
+    @pytest.mark.parametrize(
+        "reply,verdict",
+        [
+            ("YES", True),
+            ("no", False),
+            ("No.", False),
+            ("**YES**", True),
+            ("_no_.", False),
+            ("**Yes.**", True),
+            ("  \nYES\n  ", True),
+            ("```\nNO\n```", False),
+            ("The forms differ only in notation.\n\n**YES**", True),
+            ("Checking: 1/2 and 0.5.\nNO.", False),
+            ("There is no difference between them. YES", None),
+            ("Both are 1/2, so yes... wait, no: NO", None),
+            ("YES\nbut on reflection they differ", None),
+            ("YES NO", None),
+            ("yes!", None),
+            ("maybe", None),
+            ("", None),
+            ("```\nYES\n```\nthough I am unsure", None),
+        ],
+    )
+    def test_equivalence_reads_the_whole_reply_or_its_last_line(self, reply, verdict):
+        client = ScriptedClient([("", reply)])
+        if verdict is None:
+            with pytest.raises(UnparseableVerdict):
+                judge_equivalence(client, "a", "b")
+        else:
+            assert judge_equivalence(client, "a", "b") is verdict
+
+    @pytest.mark.parametrize(
+        "reply,facet",
+        [
+            ('{"what_to_solve": false}', None),
+            ('```json\n{"what_to_solve": true, "facet": "tools"}\n```', Facet.TOOLS),
+            ('```\n{"what_to_solve": true,\n "facet": "pitfalls"}\n```', Facet.PITFALLS),
+            ('The solver misread the bounds.\n{"what_to_solve": true, "facet": "constraints"}', Facet.CONSTRAINTS),
+            ('**{"what_to_solve": false}**', None),
+            ('Verdict: {"what_to_solve": true, "facet": "constraints"} done', UnparseableVerdict),
+            ('e.g. {"what_to_solve": false} would mean how-to-solve.\nI cannot tell.', UnparseableVerdict),
+            ('["what_to_solve"]', UnparseableVerdict),
+            ('{"what_to_solve": true, "facet": "tools", "confidence": NaN}', UnparseableVerdict),
+        ],
+    )
+    def test_attribution_reads_the_whole_reply_or_its_last_line(self, reply, facet):
+        client = ScriptedClient([("", reply)])
+        if facet is UnparseableVerdict:
+            with pytest.raises(UnparseableVerdict, match="^no JSON object in judge response: "):
+                attribute_error(client, "q", "bad", "7")
+        else:
+            assert attribute_error(client, "q", "bad", "7") is facet
 
     def test_attribution(self):
         client = ScriptedClient([("", '{"what_to_solve": true, "facet": "CONSTRAINTS"}')])

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from conftest import (
@@ -23,7 +24,7 @@ import ppc.clients
 import ppc.evaluation
 from ppc import prompts
 from ppc._text import JSON_ENCODER, count_tokens
-from ppc.clients import ProtocolError, ScriptedClient
+from ppc.clients import ProtocolError, ScriptedClient, UnparseableVerdict, judge_equivalence
 from ppc.evaluation import (
     EvalRecord,
     EvalReport,
@@ -63,6 +64,9 @@ class TestNormalize:
             ("a  b\n c", "a b c"),
             ("{1}{2}", "{1}{2}"),  # braces not redundant; kept
             ("\\rightarrow", "\\rightarrow"),  # \right only strips as a delimiter
+            ("{{1}}", "1"),  # stripping repeats until nothing changes
+            ("{{ $1$ }}", "1"),
+            ("{ $360.50$ }", "721/2"),
         ],
     )
     def test_pipeline(self, raw, expected):
@@ -106,6 +110,11 @@ def reference_normalize(text):
     s = _REF_LEFT_RIGHT.sub("", s)
     s = s.replace("\\dfrac", "\\frac").replace("\\tfrac", "\\frac")
     s = ppc.evaluation._strip_outer_braces(s).strip()
+    while True:  # the whitespace, dollar and brace stripping, until it changes nothing
+        bare = ppc.evaluation._strip_outer_braces(re.sub(r"\s+", " ", s.strip()).strip("$").strip()).strip()
+        if bare == s:
+            break
+        s = bare
     value = _ref_as_rational(s)
     if value is not None:
         if value.denominator == 1:
@@ -185,6 +194,12 @@ class TestNormalizeMatchesReference:
         assert any(f.startswith("-") and f[1:].isdigit() for f in forms)
         assert any(f.endswith("/0") or f.endswith("{0}") for f in forms)
 
+    def test_normal_form_is_its_own_normal_form(self):
+        rng = random.Random("normalize")
+        for text in (fuzz_answer(rng) for _ in range(20_000)):
+            form = normalize_answer(text)
+            assert normalize_answer(form) == form, text
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -232,6 +247,10 @@ class TestEquivalence:
             assert not answers_equivalent("x+1", "1+x", fallback=judge)
         assert len(judge.calls) == 1
         assert "equivalence judge failed" in caplog.text and "treating as NO" in caplog.text
+
+    def test_unreadable_judge_verdict_is_no_silent_no(self):
+        with pytest.raises(UnparseableVerdict):
+            answers_equivalent("x+1", "1+x", fallback=ScriptedClient([("", "maybe")]))
 
     def test_absent_prediction(self):
         assert not answers_equivalent(None, "2")
@@ -496,6 +515,21 @@ class TestEvaluate:
         assert report.failed == 1 and [r.problem.id for r in report.records] == ["p0", "p2"]
         assert [r.maj_correct for r in report.records] == [True, False]
         assert sum("p1 failed entirely" in r.getMessage() for r in caplog.records) == 1
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_unreadable_judge_verdict_fails_only_its_problem(self, parallelism, caplog):
+        problems = [make_problem(f"p{i}") for i in range(3)]
+        answers = {p.question: completion(a) for p, a in zip(problems, ["7", "seven", "sept"])}
+        policy = ScriptedClient(lambda req: answers[req.user_prompt])
+        judge = ScriptedClient([("Answer A: seven", "YES"), ("Answer A: sept", "maybe")])
+        with caplog.at_level(logging.WARNING, logger="ppc.evaluation"):
+            report = evaluate(
+                problems, 2, policy, equivalence=partial(judge_equivalence, judge), parallelism=parallelism
+            )
+        assert report.failed == 1 and [r.problem.id for r in report.records] == ["p0", "p1"]
+        assert [r.maj_correct for r in report.records] == [True, True]
+        message = "problem p2 failed entirely: no YES or NO in judge response: 'maybe'"
+        assert [r.getMessage() for r in caplog.records].count(message) == 1
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     @pytest.mark.parametrize("mode", [PerturbationMode.SHUFFLED, PerturbationMode.MISMATCHED])
