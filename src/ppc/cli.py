@@ -40,7 +40,7 @@ from .evaluation import (
 from .grpo import GrpoConfig, RolloutGroup, grpo_objective
 from .rewards import composite_reward
 from .spoiler import spoiler_score
-from .synthesis import GeneratorSuite, build_dataset, load_problems
+from .synthesis import STAGES, GeneratorSuite, build_dataset, load_problems
 from .trajectory import check_format, read_trajectory
 
 log = logging.getLogger("ppc")
@@ -116,7 +116,7 @@ def cmd_lint(args) -> int:
     def lint(row: dict) -> dict:
         report = spoiler_score(typed_field(row, "preplan"), cfg)
         histogram[str(report.score)] += 1
-        return {"id": row.get("id"), **report.to_dict()}
+        return {"id": row_id(row), **report.to_dict()}
 
     write_jsonl(args.out, read_jsonl(getattr(args, "in"), lint))
     summary = {"count": sum(histogram.values()), "histogram": histogram}
@@ -128,12 +128,7 @@ def cmd_synthesize(args) -> int:
     config = _load_config(args)
     env = os.environ
     base = _config_dir(args)
-    suite = GeneratorSuite(
-        preplan_gen=build_client(config, "preplan_gen", env, base),
-        plan_gen=build_client(config, "plan_gen", env, base),
-        executor=build_client(config, "executor", env, base),
-        cleanup=build_client(config, "cleanup", env, base),
-    )
+    suite = GeneratorSuite(**{role: build_client(config, role, env, base) for _, role, _, _ in STAGES})
     problems = load_problems(Path(getattr(args, "in")))
     summary = build_dataset(
         problems,
@@ -173,7 +168,7 @@ def cmd_reward(args) -> int:
             correct = typed_field(row, "correct", bool)
         spoiler = spoiler_score(traj.preplan, config.spoiler)
         breakdown = composite_reward(correct, row.get("prox"), row["adh"], fmt, spoiler, weights)
-        return {"id": row.get("id"), **breakdown.to_dict()}
+        return {"id": row_id(row), **breakdown.to_dict()}
 
     write_jsonl(args.out, read_jsonl(getattr(args, "in"), reward))
     return EXIT_OK
@@ -274,19 +269,20 @@ def cmd_attribute(args) -> int:
     facets = {facet.value: 0 for facet in Facet}
 
     def attribute(row: dict) -> dict:
+        rid = row_id(row)  # checked before the judge call, so a bad row costs none
         texts = [typed_field(row, key) for key in ("question", "solution", "gold")]
         try:
             facet = attribute_error(judge, *texts)
         except (UnparseableVerdict, ClientError) as exc:
-            log.warning("row %s: %s", row.get("id"), exc)
+            log.warning("row %s: %s", rid, exc)
             unparseable = isinstance(exc, UnparseableVerdict)
             tally["unparseable" if unparseable else "failed"] += 1
-            return {"id": row.get("id"), "what_to_solve": None, "facet": None, "unparseable": unparseable}
+            return {"id": rid, "what_to_solve": None, "facet": None, "unparseable": unparseable}
         if facet is None:
             tally["how_to_solve"] += 1
-            return {"id": row.get("id"), "what_to_solve": False, "facet": None, "unparseable": False}
+            return {"id": rid, "what_to_solve": False, "facet": None, "unparseable": False}
         facets[facet.value] += 1
-        return {"id": row.get("id"), "what_to_solve": True, "facet": facet.value, "unparseable": False}
+        return {"id": rid, "what_to_solve": True, "facet": facet.value, "unparseable": False}
 
     write_jsonl(args.out, read_jsonl(getattr(args, "in"), attribute))
     what_to_solve = sum(facets.values())

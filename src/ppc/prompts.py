@@ -167,22 +167,6 @@ def fill(template: str, **fields: str) -> str:
     return _PLACEHOLDER.sub(lambda m: fields.get(m.group(1), m.group(0)), template)
 
 
-def preplan_prompt(question: str) -> str:
-    return fill(PREPLAN_PROMPT, question=question)
-
-
-def plan_prompt(question: str, preplan: str) -> str:
-    return fill(PLAN_PROMPT, question=question, preplan=preplan)
-
-
-def raw_solution_prompt(question: str, plan: str) -> str:
-    return fill(RAW_SOLUTION_PROMPT, question=question, plan=plan)
-
-
-def cleanup_prompt(question: str, plan: str, raw_solution: str) -> str:
-    return fill(CLEANUP_PROMPT, question=question, plan=plan, raw_solution=raw_solution)
-
-
 def equivalence_prompt(pred: str, gold: str, question: str = "") -> str:
     return fill(EQUIVALENCE_PROMPT, pred=pred, gold=gold, question=question)
 

@@ -41,9 +41,10 @@ def check_unique_ids(problems: Sequence[ProblemRecord]) -> None:
 
 
 class StageFailure(Exception):
-    def __init__(self, stage: str, cause: Exception):
+    def __init__(self, stage: str, cause: Exception, texts: dict[str, str]):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
+        self.texts = texts  # the stages that landed before it
 
 
 @dataclass(frozen=True)
@@ -84,36 +85,43 @@ class GeneratorSuite:
 
 DEFAULT_SAMPLING = GenerationRequest(user_prompt="")
 
+# The chain, in order: (stage, role, template, the earlier stages its prompt
+# shows). The executor and cleanup prompts never show the preplan.
+STAGES = (
+    ("preplan", "preplan_gen", prompts.PREPLAN_PROMPT, ()),
+    ("plan", "plan_gen", prompts.PLAN_PROMPT, ("preplan",)),
+    ("raw_solution", "executor", prompts.RAW_SOLUTION_PROMPT, ("plan",)),
+    ("execute", "cleanup", prompts.CLEANUP_PROMPT, ("plan", "raw_solution")),
+)
+
 
 def synthesize(
     problem: ProblemRecord,
     generators: GeneratorSuite,
     params: GenerationRequest = DEFAULT_SAMPLING,
+    *,
+    texts: dict[str, str] | None = None,
 ) -> SynthesisRecord:
-    """Run the preplan -> plan -> raw solution -> execute chain for one problem.
+    """Run the `STAGES` chain for one problem, one stage after another.
 
-    Stages are strictly sequential and each prompt carries only the inputs
-    of its stage; in particular neither executor prompt ever contains the
-    preplan. Raises StageFailure naming the stage that failed, with the
-    ClientError as its `__cause__`; `apply_filter` gives the record its verdict.
+    Each prompt shows the question and only the stages its row names.
+    `texts` holds stages already generated, say by a try that failed later:
+    the chain resumes after them and sends none of their requests again.
+    Raises StageFailure naming the stage that failed, carrying the texts
+    that landed before it, with the ClientError as its `__cause__`;
+    `apply_filter` gives the record its verdict.
     """
-    q = problem.question
-
-    def run_stage(name: str, client: LlmClient, prompt: str) -> str:
+    texts = dict(texts or {})
+    for stage, role, template, shown in STAGES:
+        if stage in texts:
+            continue
+        prompt = prompts.fill(template, question=problem.question, **{s: texts[s] for s in shown})
         try:
-            return client.generate(replace(params, user_prompt=prompt, forced_prefix=None))
+            reply = getattr(generators, role).generate(replace(params, user_prompt=prompt, forced_prefix=None))
         except ClientError as exc:
-            raise StageFailure(name, exc) from exc
-
-    preplan = run_stage("preplan", generators.preplan_gen, prompts.preplan_prompt(q)).strip()
-    plan = run_stage("plan", generators.plan_gen, prompts.plan_prompt(q, preplan)).strip()
-    raw_solution = run_stage(
-        "raw_solution", generators.executor, prompts.raw_solution_prompt(q, plan)
-    ).strip()
-    execute = run_stage(
-        "execute", generators.cleanup, prompts.cleanup_prompt(q, plan, raw_solution)
-    ).strip()
-    return SynthesisRecord(problem, preplan, plan, raw_solution, execute)
+            raise StageFailure(stage, exc, texts) from exc
+        texts[stage] = reply.strip()
+    return SynthesisRecord(problem, **texts)
 
 
 def apply_filter(
@@ -182,8 +190,10 @@ def build_dataset(
     parallelism. Memory holds only the summary tallies and the rows that
     wait on an earlier chain; a chain that stalls makes every later row
     wait, up to the whole corpus. `seed` is not read yet: no request
-    carries it. `retries` (>= 0) resamples the whole chain after a filter
-    drop or a StageFailure. A chain is its last try's record and
+    carries it. `retries` (>= 0) is the number of further tries per chain:
+    after a filter drop the next try resamples the whole chain from its
+    preplan, and after a StageFailure it resumes at the stage that failed,
+    keeping the texts before it. A chain is its last try's record and
     `apply_filter` verdict; one whose last try hit a StageFailure has no
     verdict and makes a GEN_FAIL row, with `spoiler_score` and
     `answer_correct` null. After any other exception, or Ctrl-C, only the
@@ -199,16 +209,19 @@ def build_dataset(
     check_unique_ids(problems)
 
     def run_chain(problem: ProblemRecord) -> tuple[SynthesisRecord | None, FilterDecision | None]:
+        texts: dict[str, str] = {}  # where the next try starts
         for _ in range(retries + 1):
             try:
-                rec = synthesize(problem, generators, params)
+                rec = synthesize(problem, generators, params, texts=texts)
             except StageFailure as exc:
                 log.warning("problem %s: %s", problem.id, exc)
                 rec = decision = None
+                texts = exc.texts
                 continue
             decision = apply_filter(rec, spoiler_cfg, bounds, equivalence=equivalence)
             if decision.keep:
                 break
+            texts = {}
         return rec, decision
 
     summary = DatasetSummary(

@@ -1122,12 +1122,21 @@ class TestMalformedRows:
         assert main([command] + paths + argv) == 2
         assert f"rows.jsonl:2: {detail}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad_id", [None, 1.5, ["a"], ""], ids=["null", "float", "list", "empty"])
-    def test_perturb_bad_id(self, tmp_path, capsys, bad_id):
-        path = tmp_path / "rows.jsonl"
-        write_jsonl(path, [{"id": "a", "preplan": "x"}, {"id": bad_id, "preplan": "y"}])
-        assert main(["perturb", "--in", str(path), "--mode", "generic", "--seed", "1"]) == 2
-        assert "rows.jsonl:2: field 'id' must be a non-empty string or an integer" in capsys.readouterr().err
+    @pytest.mark.parametrize("bad_id", [None, 1.5, ["a"], "", True], ids=["null", "float", "list", "empty", "true"])
+    def test_perturb_bad_id(self, tmp_path, capsys, monkeypatch, bad_id):
+        # Every command that copies a row's id checks it; attribute before its judge call.
+        judged = []
+        monkeypatch.setattr(ppc.cli, "attribute_error", lambda judge, *texts: judged.append(texts))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"roles": {"judge": {"kind": "scripted", "default_response": "{}"}}}))
+        attribute = ({"id": "a", "question": "q", "solution": "s", "gold": "7"}, ["--config", str(config)])
+        for command, (row, extra) in sorted({**VALID_ROWS, "attribute": attribute}.items()):
+            path = tmp_path / f"{command}.jsonl"
+            write_jsonl(path, [row, {**row, "id": bad_id}])
+            assert main([command, "--in", str(path)] + extra) == 2, command
+            err = capsys.readouterr().err
+            assert f"{command}.jsonl:2: field 'id' must be a non-empty string or an integer" in err, command
+        assert judged == [("q", "s", "7")]  # the good row's call only
 
     def test_eval_replay_null_id(self, tmp_path, capsys):
         bench, _ = eval_setup(tmp_path, {"a": "7"})

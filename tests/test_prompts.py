@@ -1,6 +1,7 @@
 import hashlib
 
 from ppc import prompts
+from ppc.synthesis import STAGES
 
 # The prompt texts are wire-format assets: generators and judges are only
 # guaranteed to behave as documented when fed these exact strings, so any
@@ -28,24 +29,41 @@ def test_fill_is_literal_replacement():
     assert out == "value a{b}c and {y}"  # braces survive; unknown fields stay
 
 
+def stage_prompt(stage: str, question: str, **shown: str) -> str:
+    """The prompt `synthesize` sends for `stage`: its STAGES template, filled."""
+    [(template, names)] = [(template, names) for name, _, template, names in STAGES if name == stage]
+    assert set(shown) == set(names)
+    return prompts.fill(template, question=question, **shown)
+
+
 def test_fill_never_fills_a_field_s_own_text():
     out = prompts.fill("Q: {question}\nP: {preplan}", question="what is {preplan}?", preplan="SECRET")
     assert out == "Q: what is {preplan}?\nP: SECRET"
-    plan = prompts.plan_prompt("what is {preplan}?", "SECRET")
+    plan = stage_prompt("plan", "what is {preplan}?", preplan="SECRET")
     assert "what is {preplan}?" in plan and plan.count("SECRET") == 1
-    cleanup = prompts.cleanup_prompt("Q", "see {raw_solution}", "RAW")
+    cleanup = stage_prompt("execute", "Q", plan="see {raw_solution}", raw_solution="RAW")
     assert "see {raw_solution}" in cleanup and cleanup.count("RAW") == 1
     assert "{answer}" in cleanup  # the template's own literal placeholder stays
 
 
 def test_builders_embed_their_inputs():
-    assert "Q-TEXT" in prompts.preplan_prompt("Q-TEXT")
-    plan = prompts.plan_prompt("Q-TEXT", "PP-TEXT")
+    assert "Q-TEXT" in stage_prompt("preplan", "Q-TEXT")
+    plan = stage_prompt("plan", "Q-TEXT", preplan="PP-TEXT")
     assert "Q-TEXT" in plan and "PP-TEXT" in plan
-    raw = prompts.raw_solution_prompt("Q-TEXT", "PLAN-TEXT")
+    raw = stage_prompt("raw_solution", "Q-TEXT", plan="PLAN-TEXT")
     assert "PLAN-TEXT" in raw and "PP-TEXT" not in raw
-    cleanup = prompts.cleanup_prompt("Q-TEXT", "PLAN-TEXT", "RAW-TEXT")
+    cleanup = stage_prompt("execute", "Q-TEXT", plan="PLAN-TEXT", raw_solution="RAW-TEXT")
     assert "RAW-TEXT" in cleanup and "PP-TEXT" not in cleanup
+
+
+def test_each_stage_template_spells_exactly_the_stages_it_shows():
+    # fill leaves a {name} with no field as text, so a template that spells a
+    # stage its row does not show (or misses one it does) would reach the endpoint.
+    stages = {stage for stage, *_ in STAGES}
+    for stage, _, template, shown in STAGES:
+        placeholders = set(prompts._PLACEHOLDER.findall(template))
+        assert "question" in placeholders, stage
+        assert placeholders & stages == set(shown), stage
 
 
 def test_attribution_prompt_keeps_json_braces():

@@ -23,6 +23,7 @@ from ppc.clients import ScriptedClient, Timeout
 from ppc.evaluation import answers_equivalent
 from ppc.spoiler import DropReason
 from ppc.synthesis import (
+    STAGES,
     DatasetSummary,
     GeneratorSuite,
     ProblemRecord,
@@ -105,6 +106,18 @@ class TestSynthesize:
             synthesize(p, suite)
         assert err.value.stage == "plan"
         assert isinstance(err.value.__cause__, Timeout)
+        assert err.value.texts == {"preplan": texts["preplan"]}
+
+    def test_resumes_after_the_texts_it_is_given(self):
+        p = make_problem("p1")
+        texts = default_stage_texts([p])[p.question]
+        trace = []
+        held = {"preplan": "PREPLAN-HELD", "plan": "PLAN-HELD"}
+        rec = synthesize(p, make_suite({p.question: texts}, trace=trace), texts=held)
+        assert [role for role, _ in trace] == ["executor", "cleanup"]
+        assert "PLAN-HELD" in trace[0][1].user_prompt
+        assert (rec.preplan, rec.plan, rec.execute) == ("PREPLAN-HELD", "PLAN-HELD", texts["execute"])
+        assert held == {"preplan": "PREPLAN-HELD", "plan": "PLAN-HELD"}
 
 
 def filtered(problem, **overrides):
@@ -284,6 +297,42 @@ class TestBuildDataset:
         assert summary.kept == 1
         assert attempts["n"] == 2
 
+    @pytest.mark.parametrize(
+        "role, first, calls",
+        [
+            ("executor", Timeout("down"), [1, 1, 2, 1]),  # StageFailure: resume at raw_solution
+            ("cleanup", "1. Solve: done. answer seven", [2, 2, 2, 2]),  # NO_ANSWER drop: resample from the preplan
+        ],
+        ids=["stage-failure", "filter-drop"],
+    )
+    def test_a_retry_starts_where_its_try_went_wrong(self, tmp_path, role, first, calls):
+        problem = make_problem("p1")
+        texts = default_stage_texts([problem])
+        good = texts[problem.question]
+
+        def flaky(req):
+            if len(client.calls) > 1:
+                return good["raw" if role == "executor" else "execute"]
+            if isinstance(first, Exception):
+                raise first
+            return first
+
+        client = ScriptedClient(flaky)
+        suite = replace(make_suite(texts), **{role: client})
+        out = tmp_path / "out"
+        summary = build_dataset([problem], suite, out, equivalence=answers_equivalent, bounds=BOUNDS, retries=1)
+        assert [len(getattr(suite, r).calls) for _, r, _, _ in STAGES] == calls
+        assert client.calls[0] == client.calls[1]  # the retry sends the same request again
+        assert summary.kept == 1 and (out / "rejects.jsonl").read_text() == ""
+        [row] = [json.loads(line) for line in (out / "sft.jsonl").read_text().splitlines()]
+        assert row == {
+            "id": "p1",
+            "system": prompts.EVAL_SYSTEM_PROMPT,
+            "prompt": problem.question,
+            "target": f"<preplan>{good['preplan']}</preplan>\n<plan>{good['plan']}</plan>\n"
+            f"<execute>{good['execute']}</execute>",
+        }
+
     def test_gen_fail_recorded(self, tmp_path):
         problems = [make_problem("p1")]
 
@@ -307,7 +356,7 @@ class TestBuildDataset:
         # Chain 1 raises while chain 0 is held: no chain starts after it.
         problems = [make_problem(f"p{i}") for i in range(20)]
         texts = default_stage_texts(problems)
-        by_prompt = {prompts.preplan_prompt(p.question): p for p in problems}
+        by_prompt = {prompts.fill(prompts.PREPLAN_PROMPT, question=p.question): p for p in problems}
         main = threading.main_thread().ident
         deadline = time.monotonic() + 5
         started, joined = [], []
@@ -332,7 +381,7 @@ class TestBuildDataset:
         problems, texts = self.make_corpus(n=6, bad=0)
         for pid in (2, 4):
             texts[problems[pid].question]["preplan"] = "too short to keep."
-        by_prompt = {prompts.preplan_prompt(p.question): p for p in problems}
+        by_prompt = {prompts.fill(prompts.PREPLAN_PROMPT, question=p.question): p for p in problems}
         me = threading.get_ident
         started, held = [], []
 
@@ -359,7 +408,7 @@ class TestBuildDataset:
     def test_a_written_record_is_not_held(self, tmp_path, monkeypatch):
         # At parallelism 1, problem i's record is gone when problem i+1's chain starts.
         problems, texts = self.make_corpus(n=4, bad=1)
-        index = {prompts.preplan_prompt(p.question): i for i, p in enumerate(problems)}
+        index = {prompts.fill(prompts.PREPLAN_PROMPT, question=p.question): i for i, p in enumerate(problems)}
         refs, alive = [], []
         synthesize_one = ppc.synthesis.synthesize
 
