@@ -22,7 +22,6 @@ from ._text import JSON_ENCODER, read_json, read_jsonl, row_id, typed_field, wri
 from .clients import (
     ClientError,
     Facet,
-    GenerationRequest,
     UnparseableVerdict,
     attribute_error,
     judge_equivalence,
@@ -85,16 +84,6 @@ def _load_config(args) -> PipelineConfig:
     return PipelineConfig()
 
 
-def _sampling(config: PipelineConfig, system_prompt: str = "") -> GenerationRequest:
-    return GenerationRequest(
-        user_prompt="",
-        system_prompt=system_prompt,
-        temperature=config.temperature,
-        top_p=config.top_p,
-        max_tokens=config.max_tokens,
-    )
-
-
 def _config_dir(args) -> Path | None:
     if getattr(args, "config", None):
         return Path(args.config).resolve().parent
@@ -135,7 +124,7 @@ def cmd_synthesize(args) -> int:
         suite,
         Path(args.out),
         equivalence=answers_equivalent,
-        params=_sampling(config),
+        params=config.sampling(),
         spoiler_cfg=config.spoiler,
         bounds=config.length_bounds,
         seed=args.seed,
@@ -225,7 +214,7 @@ def cmd_eval(args) -> int:
         judge = build_client(config, "judge", env, _config_dir(args))
         equivalence = functools.partial(judge_equivalence, judge)
 
-    params = _sampling(config, prompts.EVAL_SYSTEM_PROMPT)
+    params = config.sampling(prompts.EVAL_SYSTEM_PROMPT)
 
     reports = []
     for stem, problems in problem_sets.items():

@@ -342,7 +342,7 @@ def judge_equivalence(
     client: LlmClient, pred: str, gold: str, question: str = ""
 ) -> bool:
     """YES/NO equivalence verdict, in any case (see _read_verdict); any other reply raises UnparseableVerdict."""
-    prompt = prompts.equivalence_prompt(pred, gold, question)
+    prompt = prompts.fill(prompts.EQUIVALENCE_PROMPT, question=question, pred=pred, gold=gold)
     response = client.generate(_judge_request(prompt))
     return _read_verdict(response, "YES or NO", lambda text: _YES_NO[text.lower()])
 
@@ -364,7 +364,7 @@ def attribute_error(
     its last line (see _read_verdict); a what-to-solve verdict must name one
     of the four facets.
     """
-    prompt = prompts.attribution_prompt(question, wrong_solution, gold)
+    prompt = prompts.fill(prompts.ATTRIBUTION_PROMPT, question=question, solution=wrong_solution, gold=gold)
     response = client.generate(_judge_request(prompt))
     obj = _read_verdict(response, "JSON object", _json_object)
     what = obj.get("what_to_solve")

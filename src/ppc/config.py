@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ._text import json_is, read_json
-from .clients import HttpChatClient, LlmClient, RetryPolicy, ScriptedClient
+from .clients import GenerationRequest, HttpChatClient, LlmClient, RetryPolicy, ScriptedClient
 from .grpo import GrpoConfig
 from .rewards import RewardWeights
 from .spoiler import DEFAULT_LENGTH_BOUNDS, SpoilerConfig
@@ -102,6 +102,7 @@ class PipelineConfig:
                 raise ValueError(f"unknown role {name!r}; valid: {ROLE_NAMES}")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
+        self.sampling()  # GenerationRequest's checks: a setting no request can carry fails here
         if not 0 <= self.filter_min_tokens <= self.filter_max_tokens:
             raise ValueError(
                 "need 0 <= filter_min_tokens <= filter_max_tokens, got "
@@ -117,6 +118,16 @@ class PipelineConfig:
     @property
     def length_bounds(self) -> tuple[int, int]:
         return (self.filter_min_tokens, self.filter_max_tokens)
+
+    def sampling(self, system_prompt: str = "") -> GenerationRequest:
+        """The request every generation of a run starts from; `user_prompt` is filled per call."""
+        return GenerationRequest(
+            user_prompt="",
+            system_prompt=system_prompt,
+            temperature=self.temperature,
+            top_p=self.top_p,
+            max_tokens=self.max_tokens,
+        )
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PipelineConfig":

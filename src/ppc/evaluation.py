@@ -115,22 +115,18 @@ def normalize_answer(text: str) -> str:
 def answers_equivalent(
     pred: str | None, gold: str, fallback: LlmClient | None = None
 ) -> bool:
-    """True when normalized forms agree; judge fallback when configured.
+    """True when normalized forms agree; else the judge's verdict when a
+    fallback is configured.
 
-    Judge failures are logged and count as non-equivalent; a reply that is
-    no verdict raises UnparseableVerdict.
+    A judge call that fails after the client's retries raises its
+    ClientError, and a reply that is no verdict raises UnparseableVerdict;
+    inside `evaluate` either fails only its problem.
     """
     if pred is None:
         return False
     if normalize_answer(pred) == normalize_answer(gold):
         return True
-    if fallback is not None:
-        try:
-            return judge_equivalence(fallback, pred, gold)
-        except ClientError as exc:
-            log.warning("equivalence judge failed (%s); treating as NO", exc)
-            return False
-    return False
+    return fallback is not None and judge_equivalence(fallback, pred, gold)
 
 
 Equivalence = Callable[[str, str], bool]
@@ -412,15 +408,18 @@ def evaluate(
     mode: PerturbationMode | None = None,
     seed: int = 0,
     equivalence: Equivalence | None = None,
-    replay: Mapping[str, Sequence[str]] | None = None,
+    replay: Mapping[str, Sequence[str | None]] | None = None,
     params: GenerationRequest = DEFAULT_EVAL_SAMPLING,
     parallelism: int = 1,
     benchmark: str = "bench",
 ) -> EvalReport:
     """Score a benchmark with k samples per problem.
 
-    Samples come from `replay` transcripts when given (fully offline),
-    otherwise from the client. With a perturbation `mode`, one unforced base
+    Each problem's k slots start as its `replay` row (none without
+    `replay`), cut to k; every slot still empty, or None, is drawn from
+    `client`, so a full row makes no policy call and a short one draws only
+    its missing slots. Without a client, a row short of k is a ValueError
+    before any call. With a perturbation `mode`, one unforced base
     sample per problem supplies the original preplan; generation then
     restarts from the prefill that `perturb_preplan` draws with `seed`, so a
     mode together with `replay` is a ValueError. The generic mode reads no
@@ -446,24 +445,26 @@ def evaluate(
     fallback; they change with the linkage rule only for a judge that is
     not transitive, which never links a wrong answer to a correct one.
 
-    Base, live and replayed samples go through one scheduler; a replayed
-    problem is one unit that only scores it. `parallelism` (>= 1) bounds the
-    endpoint calls in flight. Live sampling spreads (problem, sample) units
-    over that many workers, so a problem's k samples run side by side and
-    each record still holds sample j at index j. Judge calls run inside the
+    Base samples and the k slots go through one scheduler: each slot to
+    draw is a (problem, sample) unit, and a problem with none is one unit
+    that only scores it. `parallelism` (>= 1) bounds the endpoint calls in
+    flight. The units are spread over that many workers, so a problem's
+    samples run side by side and each record still holds sample j at index
+    j, wherever it came from. Judge calls run inside the
     same workers. Gold verdicts start as soon as a problem's samples have
     landed in index order, while its later samples are still being drawn;
     so a problem that fails after part of its samples landed may already
     have paid judge calls for them. A ClientError or UnparseableVerdict
     from the fallback, gold verdict or linkage, fails only that problem; any
     other exception, or Ctrl-C, stops every worker after its current call.
-    Rules-only replay makes no call and runs in the caller's thread.
+    With no slot to draw and no fallback, no call is made and the work runs
+    in the caller's thread.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    if replay is None and client is None:
+    if client is None and replay is None:
         raise ValueError("need a client or replay transcripts")
     if mode is not None and replay is not None:
         raise ValueError("a perturbation needs live generation, not replay transcripts")
@@ -488,19 +489,16 @@ def evaluate(
         prefixes = {problems[i].id: perturbed[i] for i in landed}
         problems = [problems[i] for i in landed]
 
-    if replay is None:
-        samples: list[list[str | None]] = [[None] * k for _ in problems]
-        requests = [
-            replace(params, user_prompt=p.question, forced_prefix=prefixes.get(p.id))
-            for p in problems
-        ]
-    else:
-        samples, requests = [list(replay.get(p.id, []))[:k] for p in problems], []
-        for problem, drawn in zip(problems, samples):
-            if len(drawn) < k:
-                raise ValueError(f"replay has {len(drawn)} samples for {problem.id!r}, need {k}")
-        if equivalence is None:
-            parallelism = 1  # rules only makes no endpoint call for a thread to overlap
+    samples: list[list[str | None]] = []
+    for problem in problems:
+        row = list((replay or {}).get(problem.id, ()))[:k]
+        row += [None] * (k - len(row))
+        if client is None and None in row:
+            raise ValueError(f"replay has {k - row.count(None)} samples for {problem.id!r}, need {k}")
+        samples.append(row)
+    requests = [replace(params, user_prompt=p.question, forced_prefix=prefixes.get(p.id)) for p in problems]
+    if equivalence is None and not any(None in row for row in samples):
+        parallelism = 1  # rules only, nothing to draw: no endpoint call for a thread to overlap
     outcomes = _sample(problems, samples, requests, client, equivalence, parallelism)
     records = [r for r in outcomes if r is not None]
     return EvalReport(benchmark, k, failed + len(outcomes) - len(records), records)

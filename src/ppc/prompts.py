@@ -165,11 +165,3 @@ def fill(template: str, **fields: str) -> str:
     in one pass: a field's text is never searched for placeholders, and a
     {name} with no field stays as it is."""
     return _PLACEHOLDER.sub(lambda m: fields.get(m.group(1), m.group(0)), template)
-
-
-def equivalence_prompt(pred: str, gold: str, question: str = "") -> str:
-    return fill(EQUIVALENCE_PROMPT, pred=pred, gold=gold, question=question)
-
-
-def attribution_prompt(question: str, solution: str, gold: str) -> str:
-    return fill(ATTRIBUTION_PROMPT, question=question, solution=solution, gold=gold)

@@ -56,7 +56,7 @@ class ProblemRecord:
     def __post_init__(self):
         if not self.id:
             raise ValueError("problem id must be non-empty")
-        if not self.question:
+        if not self.question.strip():
             raise ValueError("question must be non-empty")
         if not self.gold_answer.strip():
             raise ValueError("gold answer must be non-empty")

@@ -703,6 +703,17 @@ class TestEval:
         assert calls == []
         assert not out_dir.exists()
 
+    def test_blank_question_is_data_error_before_any_call(self, tmp_path, monkeypatch, capsys):
+        bench, config = eval_setup(tmp_path, {"a": "7"})
+        write_jsonl(bench, [{"id": "a", "question": "question a", "answer": "7"}, {"id": "b", "question": " \n", "answer": "7"}])
+        calls = []
+        monkeypatch.setattr(ppc.clients.ScriptedClient, "generate", lambda self, req: calls.append(req))
+        out_dir = tmp_path / "o"
+        argv = ["eval", "--config", str(config), "--bench", str(bench), "--k", "2", "--seed", "5", "--out", str(out_dir)]
+        assert main(argv) == 2
+        assert f"{bench}:2: question must be non-empty" in capsys.readouterr().err
+        assert calls == [] and not out_dir.exists()
+
     def test_two_benches_with_one_stem_are_data_error(self, tmp_path, monkeypatch, capsys):
         bench, config = eval_setup(tmp_path, {"a": "7"})
         paths = [tmp_path / d / "mini.jsonl" for d in "ab"]

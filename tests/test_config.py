@@ -6,7 +6,7 @@ import pytest
 import requests
 
 from ppc.cli import main
-from ppc.clients import HttpChatClient, ScriptedClient
+from ppc.clients import GenerationRequest, HttpChatClient, ScriptedClient
 from ppc.config import _FIELD_TYPES, PipelineConfig, RoleConfig, build_client
 from ppc.grpo import GrpoConfig
 from ppc.rewards import RewardWeights
@@ -76,6 +76,24 @@ class TestValidation:
     def test_filter_bounds_that_can_keep(self, bounds):
         doc = {"filter_min_tokens": bounds[0], "filter_max_tokens": bounds[1]}
         assert PipelineConfig.from_dict(doc).length_bounds == bounds
+
+    @pytest.mark.parametrize(
+        "doc",
+        ['{"max_tokens": 0}', '{"max_tokens": 0, "top_p": 7}', '{"top_p": 0}', '{"temperature": -1}', '{"temperature": 1e999}'],
+        ids=["max_tokens-0", "top_p-7", "top_p-0", "negative-temperature", "infinite-temperature"],
+    )
+    def test_sampling_that_no_request_can_carry(self, tmp_path, doc):
+        # The config reports GenerationRequest's own message, prefixed with the file.
+        with pytest.raises(ValueError) as request_error:
+            GenerationRequest(user_prompt="", **json.loads(doc))
+        path = tmp_path / "cfg.json"
+        path.write_text(doc)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {request_error.value}')}$"):
+            PipelineConfig.from_file(path)
+
+    def test_sampling_carries_the_settings(self):
+        config = PipelineConfig.from_dict({"temperature": 0.2, "top_p": 0.5, "max_tokens": 7})
+        assert config.sampling("sys") == GenerationRequest("", "sys", temperature=0.2, top_p=0.5, max_tokens=7)
 
     def test_unknown_role(self):
         with pytest.raises(ValueError, match=r"^unknown role 'mystery'; valid: \('preplan_gen', "):

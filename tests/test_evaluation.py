@@ -7,6 +7,7 @@ import signal
 import sys
 import threading
 import time
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -26,6 +27,7 @@ from ppc import prompts
 from ppc._text import JSON_ENCODER, count_tokens
 from ppc.clients import ProtocolError, ScriptedClient, UnparseableVerdict, judge_equivalence
 from ppc.evaluation import (
+    DEFAULT_EVAL_SAMPLING,
     EvalRecord,
     EvalReport,
     PerturbationMode,
@@ -241,12 +243,11 @@ class TestEquivalence:
     def test_judge_no(self):
         assert not answers_equivalent("x", "y", fallback=ScriptedClient([("", "NO")]))
 
-    def test_failed_judge_call_is_a_logged_no(self, caplog):
+    def test_failed_judge_call_raises(self):
         judge = ScriptedClient([])  # no rule: every call raises ProtocolError
-        with caplog.at_level(logging.WARNING, logger="ppc.evaluation"):
-            assert not answers_equivalent("x+1", "1+x", fallback=judge)
+        with pytest.raises(ProtocolError, match="no scripted response"):
+            answers_equivalent("x+1", "1+x", fallback=judge)
         assert len(judge.calls) == 1
-        assert "equivalence judge failed" in caplog.text and "treating as NO" in caplog.text
 
     def test_unreadable_judge_verdict_is_no_silent_no(self):
         with pytest.raises(UnparseableVerdict):
@@ -515,6 +516,25 @@ class TestEvaluate:
         assert report.failed == 1 and [r.problem.id for r in report.records] == ["p0", "p2"]
         assert [r.maj_correct for r in report.records] == [True, False]
         assert sum("p1 failed entirely" in r.getMessage() for r in caplog.records) == 1
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda judge: partial(judge_equivalence, judge), lambda judge: partial(answers_equivalent, fallback=judge)],
+        ids=["partial", "fallback"],
+    )
+    def test_failing_judge_fails_only_its_problem(self, build, parallelism, caplog):
+        # Both ways of making a judge fallback fail the problem whose call fails after retries.
+        problems = [make_problem(f"p{i}") for i in range(3)]
+        answers = {p.question: completion(a) for p, a in zip(problems, ["7", "seven", "sept"])}
+        policy = ScriptedClient(lambda req: answers[req.user_prompt])
+        judge = ScriptedClient([("Answer A: seven", "YES")], name="judge")  # no rule for sept
+        with caplog.at_level(logging.WARNING, logger="ppc.evaluation"):
+            report = evaluate(problems, 2, policy, equivalence=build(judge), parallelism=parallelism)
+        assert report.failed == 1 and [r.problem.id for r in report.records] == ["p0", "p1"]
+        assert [r.maj_correct for r in report.records] == [True, True]
+        message = "problem p2 failed entirely: no scripted response for request to 'judge'"
+        assert [r.getMessage() for r in caplog.records] == [message]
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_unreadable_judge_verdict_fails_only_its_problem(self, parallelism, caplog):
@@ -1136,6 +1156,34 @@ class TestScheduler:
             assert record.verdicts == [a is not None and equivalence(a, gold) for a in answers]
             assert record.maj_correct == maj_at_k(answers, gold, equivalence)
             assert record.pass_correct == pass_at_k(answers, gold, equivalence)
+
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    def test_client_draws_only_the_empty_slots_of_replay_rows(self, parallelism):
+        problems = [make_problem(f"p{i}") for i in range(4)]
+        answers = {p.question: completion(a) for p, a in zip(problems, ["7", "3", "seven", "7"])}
+        judge = ScriptedClient([("Answer A: seven", "YES")], default="NO")
+        equivalence = partial(judge_equivalence, judge)
+
+        def run(replay, client):
+            report = evaluate(problems, 4, client, replay=replay, equivalence=equivalence, parallelism=parallelism)
+            return [r.to_dict() for r in report.records]
+
+        live = run(None, ScriptedClient(lambda req: answers[req.user_prompt]))
+        samples = {row["id"]: row["samples"] for row in live}
+        replay = {
+            "p0": samples["p0"] + ["past k"],  # full: no call
+            "p1": samples["p1"][:1],  # short of k: three calls
+            "p2": [samples["p2"][0], None, samples["p2"][2]],  # a None slot and one missing: two calls
+        }  # p3 has no row: four calls
+        policy = ScriptedClient(lambda req: answers[req.user_prompt])
+        assert run(replay, policy) == live
+        missing = {problems[1]: 3, problems[2]: 2, problems[3]: 4}
+        want = [replace(DEFAULT_EVAL_SAMPLING, user_prompt=p.question) for p, n in missing.items() for _ in range(n)]
+        assert sorted(policy.calls, key=lambda req: req.user_prompt) == sorted(want, key=lambda req: req.user_prompt)
+        for problem, drawn in (("p1", 1), ("p2", 2), ("p3", 0)):
+            with pytest.raises(ValueError, match=f"^replay has {drawn} samples for '{problem}', need 4$"):
+                run(replay, None)
+            replay[problem] = samples[problem]
 
     def test_rules_only_replay_starts_no_thread(self, monkeypatch):
         def refuse(*args, **kwargs):

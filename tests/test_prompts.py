@@ -67,7 +67,8 @@ def test_each_stage_template_spells_exactly_the_stages_it_shows():
 
 
 def test_attribution_prompt_keeps_json_braces():
-    prompt = prompts.attribution_prompt("Q", "S", "G")
+    prompt = prompts.fill(prompts.ATTRIBUTION_PROMPT, question="Q", solution="S", gold="G")
+    assert "Problem:\nQ\n\nGold answer: G\n" in prompt and "solution:\nS\n" in prompt
     assert '{"what_to_solve": true,' in prompt
     assert '"facet": null}' in prompt
 

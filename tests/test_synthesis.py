@@ -526,6 +526,14 @@ class TestLoadProblems:
         with pytest.raises(ValueError, match="gold answer must be non-empty"):
             ProblemRecord("b", "r?", answer)
 
+    @pytest.mark.parametrize("question", ["", " \n\t"], ids=["empty", "whitespace"])
+    def test_blank_question_names_file_and_line(self, tmp_path, question):
+        path = tmp_path / "bad.jsonl"
+        rows = [{"id": "a", "question": "q?", "answer": "1"}, {"id": "b", "question": question, "answer": "2"}]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: question must be non-empty$"):
+            load_problems(path)
+
     def test_repeated_id_names_file_and_line(self, tmp_path):
         # An integer id is its string, so 1 and "1" are one problem.
         path = tmp_path / "dup.jsonl"
