@@ -84,12 +84,6 @@ def _load_config(args) -> PipelineConfig:
     return PipelineConfig()
 
 
-def _config_dir(args) -> Path | None:
-    if getattr(args, "config", None):
-        return Path(args.config).resolve().parent
-    return None
-
-
 def _override(base, **flags):
     """`base` with each field whose flag was given (not None) replaced."""
     return replace(base, **{k: v for k, v in flags.items() if v is not None})
@@ -115,9 +109,7 @@ def cmd_lint(args) -> int:
 
 def cmd_synthesize(args) -> int:
     config = _load_config(args)
-    env = os.environ
-    base = _config_dir(args)
-    suite = GeneratorSuite(**{role: build_client(config, role, env, base) for _, role, _, _ in STAGES})
+    suite = GeneratorSuite(**{role: build_client(config, role, os.environ) for _, role, _, _ in STAGES})
     problems = load_problems(Path(getattr(args, "in")))
     summary = build_dataset(
         problems,
@@ -177,7 +169,6 @@ def cmd_grpo_check(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _load_config(args)
-    env = os.environ
     out_dir = Path(args.out)
     if args.replay is not None and Path(args.replay).resolve() == out_dir.resolve():
         # This run's transcripts would replace the ones it replays.
@@ -208,10 +199,10 @@ def cmd_eval(args) -> int:
 
     client = None
     if args.replay is None:
-        client = build_client(config, "policy", env, _config_dir(args))
+        client = build_client(config, "policy", os.environ)
     equivalence = None
     if args.judge_fallback:
-        judge = build_client(config, "judge", env, _config_dir(args))
+        judge = build_client(config, "judge", os.environ)
         equivalence = functools.partial(judge_equivalence, judge)
 
     params = config.sampling(prompts.EVAL_SYSTEM_PROMPT)
@@ -253,7 +244,7 @@ def cmd_perturb(args) -> int:
 
 def cmd_attribute(args) -> int:
     config = _load_config(args)
-    judge = build_client(config, "judge", os.environ, _config_dir(args))
+    judge = build_client(config, "judge", os.environ)
     tally = {"how_to_solve": 0, "unparseable": 0, "failed": 0}
     facets = {facet.value: 0 for facet in Facet}
 

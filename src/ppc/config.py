@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from ._text import json_is, read_json
@@ -66,7 +66,6 @@ class RoleConfig:
     kind: str = "http"  # "http" or "scripted"
     endpoint: str | None = None
     model: str | None = None
-    api_key_env: str = "PPC_API_KEY"
     script: str | None = None
     default_response: str | None = None
     max_attempts: int = 3
@@ -75,6 +74,8 @@ class RoleConfig:
     def __post_init__(self):
         if self.kind not in ("http", "scripted"):
             raise ValueError(f"unknown role kind {self.kind!r}")
+        if self.kind == "http" and (self.script, self.default_response) != (None, None):
+            raise ValueError('script and default_response belong to "kind": "scripted" roles')
         if self.kind == "scripted" and not self.script and self.default_response is None:
             raise ValueError("scripted role needs a script file or default_response")
         if self.max_attempts < 1:
@@ -154,24 +155,30 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: Path) -> "PipelineConfig":
-        """from_dict of the document at `path`; any error in it is a ValueError naming the file."""
-        return read_json(path, cls.from_dict)
+        """from_dict of the document at `path`; any error in it is a ValueError naming the file.
+
+        A relative `script` is made absolute against the file's directory, so
+        `asdict` of the result reads back from any working directory.
+        """
+        config = read_json(path, cls.from_dict)
+        base = Path(path).resolve().parent
+        config.roles = {
+            name: replace(rc, script=str(base / rc.script)) if rc.script else rc
+            for name, rc in config.roles.items()
+        }
+        return config
 
 
 def _env_for_role(env: Mapping[str, str], role: str, suffix: str) -> str | None:
     return env.get(f"PPC_{role.upper()}_{suffix}") or env.get(f"PPC_{suffix}")
 
 
-def _load_script(path: Path):
+def _script(data):
     """A prompt -> response object, or an array of {"match", "response"} rules.
 
-    Any other shape, or a response that is not a string, is a ValueError
-    naming the file.
+    Any other shape, or a response that is not a string, is a ValueError;
+    read_json prefixes it with the script file's path.
     """
-    return read_json(path, _script)
-
-
-def _script(data):
     if isinstance(data, dict):
         for prompt, response in data.items():
             if not isinstance(response, str):
@@ -191,34 +198,25 @@ def _script(data):
     raise ValueError("a script must hold a JSON object or array")
 
 
-def build_client(
-    config: PipelineConfig,
-    role: str,
-    env: Mapping[str, str],
-    base_dir: Path | None = None,
-) -> LlmClient:
+def build_client(config: PipelineConfig, role: str, env: Mapping[str, str]) -> LlmClient:
     """Resolve one role to a client; environment overrides the file.
 
+    A scripted role reads `script` as given (from_file has made it absolute).
     PPC_<ROLE>_ENDPOINT / PPC_<ROLE>_MODEL / PPC_<ROLE>_API_KEY take
     precedence over the global PPC_ENDPOINT / PPC_MODEL / PPC_API_KEY,
-    which in turn override the config file entry.
+    which in turn override the config file entry; a key is never in the file.
     """
     if role not in ROLE_NAMES:
         raise ValueError(f"unknown role {role!r}")
     rc = config.roles.get(role, RoleConfig())
 
     if rc.kind == "scripted":
-        script: object = {}
-        if rc.script:
-            script_path = Path(rc.script)
-            if base_dir is not None and not script_path.is_absolute():
-                script_path = Path(base_dir) / script_path
-            script = _load_script(script_path)
+        script = read_json(rc.script, _script) if rc.script else {}
         return ScriptedClient(script, default=rc.default_response, name=role)
 
     endpoint = _env_for_role(env, role, "ENDPOINT") or rc.endpoint
     model = _env_for_role(env, role, "MODEL") or rc.model
-    api_key = _env_for_role(env, role, "API_KEY") or env.get(rc.api_key_env)
+    api_key = _env_for_role(env, role, "API_KEY")
     if not endpoint or not model:
         raise ValueError(
             f"role {role!r} has no endpoint/model (config file or PPC_* env vars)"

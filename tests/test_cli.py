@@ -601,6 +601,15 @@ class TestEval:
             '"mean_tokens_thousands": 0.0, "pass_at_k": 100.0, "problems": 1}\n'
         ).encode("utf-8")
 
+    def test_relative_script_is_read_from_the_config_directory(self, tmp_path, monkeypatch):
+        (tmp_path / "sub").mkdir()
+        bench, config = eval_setup(tmp_path / "sub", {"a": "7"})
+        assert json.loads(config.read_text())["roles"]["policy"]["script"] == "policy.script.json"
+        monkeypatch.chdir(tmp_path)  # the script is not in the working directory
+        argv = ["eval", "--config", "sub/config.json", "--bench", str(bench), "--k", "1", "--seed", "5"]
+        assert main(argv + ["--out", "o"]) == 0
+        assert json.loads((tmp_path / "o" / "mini.report.json").read_text())["maj_at_k"] == 100.0
+
     @pytest.mark.parametrize(
         "answers, code, problems",
         [({"a": "7", "b": "4"}, 0, 1), ({"b": "4"}, 3, 0)],

@@ -113,8 +113,9 @@ class TestValidation:
             ({"temprature": 0.7}, "unknown key 'temprature'"),
             ({"weights": {"lambda_x": 0.1}}, "weights: unknown key 'lambda_x'"),
             ({"spoiler": {"tau": 2}}, "spoiler: unknown key 'tau'"),
+            ({"roles": {"judge": {"kind": "http", "api_key_env": "MY_KEY"}}}, "roles.judge: unknown key 'api_key_env'"),
         ],
-        ids=["role", "grpo", "top-level", "weights", "spoiler"],
+        ids=["role", "grpo", "top-level", "weights", "spoiler", "api_key_env"],
     )
     def test_unknown_key(self, doc, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -232,13 +233,27 @@ class TestBuildClient:
     def test_scripted_role_from_map_file(self, tmp_path):
         script = tmp_path / "script.json"
         script.write_text(json.dumps({"prompt-a": "answer-a"}))
-        config = PipelineConfig.from_dict(
-            {"roles": {"policy": {"kind": "scripted", "script": "script.json"}}}
-        )
-        client = build_client(config, "policy", env={}, base_dir=tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"roles": {"policy": {"kind": "scripted", "script": "script.json"}}}))
+        client = build_client(PipelineConfig.from_file(path), "policy", env={})
         assert isinstance(client, ScriptedClient)
-        from ppc.clients import GenerationRequest
+        assert client.generate(GenerationRequest(user_prompt="prompt-a")) == "answer-a"
 
+    def test_from_file_document_reads_back_in_another_directory(self, tmp_path, monkeypatch):
+        # from_file makes a relative script absolute, so asdict of it is a
+        # document that from_dict reads back from any working directory.
+        for name in ("sub", "elsewhere"):
+            (tmp_path / name).mkdir()
+        script = tmp_path / "sub" / "script.json"
+        script.write_text(json.dumps({"prompt-a": "answer-a"}))
+        (tmp_path / "sub" / "cfg.json").write_text(
+            json.dumps({"roles": {"policy": {"kind": "scripted", "script": "script.json"}}})
+        )
+        monkeypatch.chdir(tmp_path)
+        doc = json.loads(json.dumps(asdict(PipelineConfig.from_file("sub/cfg.json"))))
+        assert doc["roles"]["policy"]["script"] == str(script.resolve())
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        client = build_client(PipelineConfig.from_dict(doc), "policy", env={})
         assert client.generate(GenerationRequest(user_prompt="prompt-a")) == "answer-a"
 
     def test_scripted_role_from_rules_file(self, tmp_path):
@@ -275,9 +290,11 @@ class TestBadScriptFile:
         return {"roles": {"policy": {"kind": "scripted", "script": "policy.script.json"}}}
 
     def test_build_client_names_the_file(self, tmp_path, text):
-        config = PipelineConfig.from_dict(self.config(tmp_path, text))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(self.config(tmp_path, text)))
+        config = PipelineConfig.from_file(path)
         with pytest.raises(ValueError, match="policy.script.json"):
-            build_client(config, "policy", env={}, base_dir=tmp_path)
+            build_client(config, "policy", env={})
 
     def test_eval_exits_2(self, tmp_path, capsys, text):
         assert eval_exit_code(tmp_path, self.config(tmp_path, text)) == 2
@@ -338,6 +355,8 @@ BAD_ROLES = {
     "zero-timeout": ("policy", {**HTTP_POLICY, "timeout": 0}, "timeout must be > 0, got 0"),
     "negative-timeout": ("judge", {**HTTP_POLICY, "timeout": -1.5}, "timeout must be > 0, got -1.5"),
     "zero-attempts": ("executor", {**HTTP_POLICY, "max_attempts": 0}, "max_attempts must be >= 1, got 0"),
+    "http-with-script": ("policy", {"script": "p.json"}, "script and default_response belong to"),
+    "http-with-default-response": ("judge", {**HTTP_POLICY, "default_response": "NO"}, "script and default_response belong to"),
 }
 
 
@@ -354,7 +373,7 @@ class TestBadRoleNamesTheRole:
     def test_eval_exits_2(self, tmp_path, capsys, role, entry, detail):
         assert eval_exit_code(tmp_path, self.doc(role, entry)) == 2
         err = capsys.readouterr().err
-        assert f"roles.{role}: " in err and detail in err
+        assert f"config.json: roles.{role}: " in err and detail in err
 
 
 def test_scalar_types_accepted():

@@ -70,7 +70,7 @@ SERIALIZED_KEYS = [
     pytest.param(
         lambda: dataclasses.asdict(CONFIG)["roles"]["judge"],
         {
-            "kind", "endpoint", "model", "api_key_env", "script", "default_response",
+            "kind", "endpoint", "model", "script", "default_response",
             "max_attempts", "timeout",
         },
         id="PipelineConfig.roles",
