@@ -186,11 +186,11 @@ def read_json(path, convert: Callable[[object], T]) -> T:
     return _converted(Path(path).read_text(encoding="utf-8"), convert, str(path), row=False)
 
 
-def typed_field(row: dict, key: str, kind: type = str, item: type | None = None):
-    """row[key], a ValueError unless it is a `kind` (whose elements are `item`s)."""
+def typed_field(row: dict, key: str, kind: type = str, *items: type):
+    """row[key], a ValueError unless it is a `kind` (whose elements are each one of `items`)."""
     value = row[key]
-    if not isinstance(value, kind) or item and not all(isinstance(v, item) for v in value):
-        of = f" of {item.__name__}" if item else ""
+    if not isinstance(value, kind) or items and not all(isinstance(v, items) for v in value):
+        of = " of " + " or ".join("null" if t is type(None) else t.__name__ for t in items) if items else ""
         raise ValueError(f"field {key!r} must be {kind.__name__}{of}, got {value!r:.60}")
     return value
 

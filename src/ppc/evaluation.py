@@ -245,27 +245,28 @@ class _Form:
     form: str
     raw: str  # the first raw spelling
     first: int  # index of its first answer among the k
-    correct: bool
+    correct: bool | None  # None until its gold verdict is judged
     count: int = 0
 
 
 class _Scorer:
     """Normalized answers, per-answer verdicts, maj@k and pass@k of one problem,
-    scored as its answers arrive in index order, by `maj_at_k`'s rule.
+    fed in index order and scored by `maj_at_k`'s rule.
 
     Each distinct spelling is normalized once, and answers with equal forms
-    share one table row. A new form gets its gold verdict at once: one call
-    per distinct form. The vote is counted from the rows in `result`, after
-    the last answer. The correct forms make one class with no call. The
-    wrong forms are linked (first-match, among wrong forms only) there too,
-    and only when the counts cannot decide the vote: when the correct class
-    neither outranks all wrong answers together nor is outranked by one
-    wrong form alone. Classes rank by (count, -first). The fallback gets
-    each form's first raw spelling, at most once per pair of forms: a new
-    form against gold, and in `result` (once per problem) a wrong form
-    against each earlier class head, which is never gold's form. Feeding
-    the answers in any chunks makes the same calls, in the same order, as
-    feeding them all at once.
+    share one table row. `extend` makes no call: gold's own form is correct
+    and, without a fallback, every other form wrong; it returns each other
+    new row, which needs one `judge` call (its gold verdict) before `result`.
+    The vote is counted from the rows in `result`. The correct forms make
+    one class with no call. The wrong forms are linked (first-match, among
+    wrong forms only) there too, and only when the counts cannot decide the
+    vote: when the correct class neither outranks all wrong answers together
+    nor is outranked by one wrong form alone. Classes rank by
+    (count, -first). The fallback gets each form's first raw spelling, at
+    most once per pair of forms: a form against gold, and in `result` a
+    wrong form against each earlier class head. Feeding the answers in any
+    chunks, and judging the returned rows in order, makes the same calls in
+    the same order as feeding them all at once.
     """
 
     def __init__(self, gold: str, equivalence: Equivalence | None):
@@ -274,27 +275,34 @@ class _Scorer:
         self.form_of: dict[str, str] = {}  # raw spelling -> normalized form
         self.rows: dict[str, _Form] = {}  # form -> its row, in order of first occurrence
         self.forms: list[str | None] = []
-        self.verdicts: list[bool] = []
 
-    def extend(self, answers: Sequence[str | None]) -> None:
-        forms, verdicts, form_of, rows = self.forms, self.verdicts, self.form_of, self.rows
+    def extend(self, answers: Sequence[str | None]) -> list[_Form]:
+        """Add the next answers; the new rows whose gold verdict is still to judge."""
+        forms, form_of, rows = self.forms, self.form_of, self.rows
+        unjudged = []
         for raw in answers:
             if raw is None:
                 forms.append(None)
-                verdicts.append(False)
                 continue
             form = form_of.get(raw)
             if form is None:
                 form = form_of[raw] = normalize_answer(raw)
             row = rows.get(form)
             if row is None:
-                row = rows[form] = _Form(form, raw, len(forms), self._same(form, raw, *self.gold))
+                settled = form == self.gold[0] or (None if self.equivalence else False)
+                row = rows[form] = _Form(form, raw, len(forms), settled)
+                if settled is None:
+                    unjudged.append(row)
             row.count += 1
             forms.append(form)
-            verdicts.append(row.correct)
+        return unjudged
+
+    def judge(self, row: _Form) -> None:
+        row.correct = self.equivalence(row.raw, self.gold[1])
 
     def result(self) -> tuple[list[str | None], list[bool], bool]:
-        return self.forms, self.verdicts, self._vote()
+        verdicts = [form is not None and self.rows[form].correct for form in self.forms]
+        return self.forms, verdicts, self._vote()
 
     def _vote(self) -> bool:
         """Whether the correct class wins; links wrong forms only if the counts cannot tell."""
@@ -313,18 +321,13 @@ class _Scorer:
         sizes: list[int] = []  # and its number of answers
         for row in wrong:
             for n, head in enumerate(heads):
-                if self._same(row.form, row.raw, head.form, head.raw):
+                if self.equivalence(row.raw, head.raw):  # rows hold distinct forms: only the fallback links them
                     sizes[n] += row.count
                     break
             else:
                 heads.append(row)
                 sizes.append(row.count)
         return all(right > (size, -head.first) for head, size in zip(heads, sizes))
-
-    def _same(self, form: str, raw: str, other_form: str, other_raw: str) -> bool:
-        if form == other_form:
-            return True
-        return self.equivalence is not None and self.equivalence(raw, other_raw)
 
 
 @dataclass
@@ -361,12 +364,16 @@ def _percent(hits: list[bool]) -> float | None:
 
 @dataclass
 class EvalReport:
-    """One benchmark's scored problems; each aggregate is read from `records`."""
+    """One benchmark's scored problems; each aggregate is read from `records`.
+
+    `transcripts` holds (id, samples) of every problem with a landed sample,
+    failed ones too, in input order, None for a slot not drawn."""
 
     benchmark: str
     k: int
     failed: int
     records: list[EvalRecord]
+    transcripts: list[tuple[str, list[str | None]]]
 
     @property
     def problems(self) -> int:
@@ -426,7 +433,8 @@ def evaluate(
     preplan and draws no base sample. A repeated problem id, or a mismatched
     mode over fewer than two problems, raises ValueError before any call.
     Problems whose generation fails entirely are counted separately and
-    excluded from the metric denominators. In a perturbed eval, a problem
+    excluded from the metric denominators; the report's transcripts keep
+    their landed samples. In a perturbed eval, a problem
     whose base sample fails is such a problem: it makes no further call and
     is left out of the perturbation pool, so a mismatched pool left with
     fewer than two preplans raises ValueError. A shuffled problem's order
@@ -450,13 +458,14 @@ def evaluate(
     that only scores it. `parallelism` (>= 1) bounds the endpoint calls in
     flight. The units are spread over that many workers, so a problem's
     samples run side by side and each record still holds sample j at index
-    j, wherever it came from. Judge calls run inside the
-    same workers. Gold verdicts start as soon as a problem's samples have
-    landed in index order, while its later samples are still being drawn;
-    so a problem that fails after part of its samples landed may already
-    have paid judge calls for them. A ClientError or UnparseableVerdict
-    from the fallback, gold verdict or linkage, fails only that problem; any
-    other exception, or Ctrl-C, stops every worker after its current call.
+    j, wherever it came from. Judge calls run inside the same workers. A
+    problem's gold verdicts start once its last unit has started; then each
+    worker that lands one of its samples takes one unjudged form at a time,
+    beside the others. The calls are those of scoring all k answers at once,
+    in that order at parallelism 1, and a problem that fails before its last
+    unit starts pays none. A ClientError or UnparseableVerdict from the
+    fallback, gold verdict or linkage, fails only that problem; any other
+    exception, or Ctrl-C, stops every worker after its current call.
     With no slot to draw and no fallback, no call is made and the work runs
     in the caller's thread.
     """
@@ -501,7 +510,8 @@ def evaluate(
         parallelism = 1  # rules only, nothing to draw: no endpoint call for a thread to overlap
     outcomes = _sample(problems, samples, requests, client, equivalence, parallelism)
     records = [r for r in outcomes if r is not None]
-    return EvalReport(benchmark, k, failed + len(outcomes) - len(records), records)
+    landed = [(p.id, row) for p, row in zip(problems, samples) if row.count(None) < k]
+    return EvalReport(benchmark, k, failed + len(outcomes) - len(records), records, landed)
 
 
 class _Stopped(Exception):
@@ -521,20 +531,21 @@ def _sample(
     `samples[i][j]` is sample j of problem i, or None for one still to draw:
     the request's forced prefix (if any) followed by
     `client.generate(requests[i])`, stored at index j whatever order calls
-    finish in. Each sample to draw is one unit of work; a problem with
-    none left to draw gets one unit, which only scores it. The units run on
-    `run_parallel` in problem-major order, so a problem's calls run side by
-    side. A worker that lands a sample, or takes a scoring unit, feeds the
-    problem's landed prefix (samples 0..m-1) to its scorer, one worker per
-    problem at a time, so gold verdicts run while other workers keep
-    sampling; the record, with any linkage calls its vote needs, is built
-    once the prefix reaches k. A problem's first ClientError, or a judge's
-    UnparseableVerdict, marks it failed: its units not yet started make no
-    call, and its scorer makes no further judge call. Once an error or
-    Ctrl-C sets the pool's stop event, no unit and no judge call starts.
+    finish in, and kept if the problem fails. Each sample to draw is one
+    unit of work; a problem with none left to draw gets one unit, which only
+    scores it. The units run on `run_parallel` in problem-major order, so a
+    problem's calls run side by side. A sample that lands before its
+    problem's last unit has started is only stored; after that, each worker
+    that lands one, or takes the scoring unit, drains the problem. A
+    problem's first ClientError, or a judge's UnparseableVerdict, marks it
+    failed: its units not yet started make no call, and it starts no further
+    judge call. Once an error or Ctrl-C sets the pool's stop event, no unit
+    and no judge call starts.
     """
-    busy = [False] * len(problems)  # a worker is feeding the problem's scorer
     failed = [False] * len(problems)
+    draining = [False] * len(problems)  # the problem's last unit has started
+    unjudged: list[list[_Form]] = [[] for _ in problems]  # fed forms no worker has claimed
+    judging = [0] * len(problems)  # gold verdicts in flight; 1 for good once the record is built
     outcomes: list[EvalRecord | None] = [None] * len(problems)
     to_draw = [[j for j, s in enumerate(row) if s is None] or [None] for row in samples]
     units = [(i, j) for i, js in enumerate(to_draw) for j in js]  # (i, None) only scores
@@ -560,30 +571,38 @@ def _sample(
 
     scorers = [_Scorer(p.gold_answer, guarded(i)) for i, p in enumerate(problems)]
 
-    def feed(i: int) -> None:
-        """Score problem i's landed prefix until none is left; the caller set busy[i]."""
-        row, scorer = samples[i], scorers[i]
+    def drain(i: int) -> None:
+        """Feed problem i's landed prefix and judge its unjudged forms, one claim at a time;
+        with every sample fed and no verdict left or in flight, build the record."""
+        row, scorer, queue = samples[i], scorers[i], unjudged[i]
         k = len(row)
+        claimed = None
         while True:
             with lock:
+                judging[i] -= claimed is not None
                 start = end = len(scorer.forms)  # the prefix already fed
                 while end < k and row[end] is not None:
                     end += 1
-                if end == start:
-                    busy[i] = False
-                    return
-                landed = row[start:end]
-            # The whole sample, not just its execute block: eval scores any final boxed answer.
-            scorer.extend([extract_boxed(s) for s in landed])
-            if end == k:
-                forms, verdicts, maj = scorer.result()
-                outcomes[i] = EvalRecord(problems[i], row, forms, verdicts, maj, [count_tokens(s) for s in row])
-                return
+                # The whole sample, not just its execute block: eval scores any final boxed answer.
+                queue += scorer.extend([extract_boxed(s) for s in row[start:end]])
+                if not queue:
+                    if end < k or judging[i]:
+                        return  # the worker that lands the next sample, or ends the last verdict, goes on
+                    judging[i] = 1  # for good: a worker that stored a sample before this but drains after it returns
+                    break
+                claimed = queue.pop(0)
+                judging[i] += 1
+            scorer.judge(claimed)
+        forms, verdicts, maj = scorer.result()
+        outcomes[i] = EvalRecord(problems[i], row, forms, verdicts, maj, [count_tokens(s) for s in row])
 
     def run(unit: tuple[int, int | None]) -> None:
         i, j = unit
         if failed[i]:
             return
+        if j == to_draw[i][-1]:
+            # Set before the call: a landing that still reads False is fed when this unit lands.
+            draining[i] = True
         try:
             text = None if j is None else (requests[i].forced_prefix or "") + client.generate(requests[i])
         except ClientError as exc:
@@ -592,11 +611,10 @@ def _sample(
         with lock:
             if j is not None:
                 samples[i][j] = text
-            if busy[i]:
-                return  # the feeding worker picks this sample up
-            busy[i] = True
+            if not draining[i]:
+                return  # the landing of a later unit feeds this sample
         try:
-            feed(i)
+            drain(i)
         except _Stopped:
             pass
         except (ClientError, UnparseableVerdict) as exc:
@@ -635,7 +653,8 @@ _SAMPLES_STAND_IN = '"samples": null'
 def write_eval_outputs(out_dir: Path, report: EvalReport) -> None:
     """Write <benchmark>.transcripts.jsonl, .records.jsonl and .report.json.
 
-    The transcripts ({id, samples} per problem) are what --replay reads.
+    The transcripts ({id, samples} per `report.transcripts` row, null for a
+    slot not drawn) are what --replay reads; the records are the scored ones.
     Each JSONL line equals json.dumps(row, sort_keys=True, ensure_ascii=False).
     A record's samples, nearly all of both its lines, are encoded once for
     both. `out_dir` and its missing parents are created. The files are
@@ -646,10 +665,13 @@ def write_eval_outputs(out_dir: Path, report: EvalReport) -> None:
     encode = JSON_ENCODER.encode
     stem = report.benchmark
     names = (f"{stem}.report.json", f"{stem}.transcripts.jsonl", f"{stem}.records.jsonl")
+    scored = {rec.problem.id: rec for rec in report.records}
     with atomic_outputs(out_dir, *names) as (report_file, transcripts, records):
-        for rec in report.records:
-            samples = encode(rec.samples)
-            transcripts.write(f'{{"id": {encode(rec.problem.id)}, "samples": {samples}}}\n')
+        for pid, slots in report.transcripts:
+            samples = encode(slots)
+            transcripts.write(f'{{"id": {encode(pid)}, "samples": {samples}}}\n')
+            if (rec := scored.get(pid)) is None:
+                continue
             row = rec.to_dict()
             row["samples"] = None
             head, _, tail = encode(row).rpartition(_SAMPLES_STAND_IN)
@@ -657,6 +679,6 @@ def write_eval_outputs(out_dir: Path, report: EvalReport) -> None:
         report_file.write(encode(report.to_dict()) + "\n")
 
 
-def read_transcripts(path: Path) -> dict[str, list[str]]:
-    """Samples per problem id; a repeated id is a ValueError naming its line."""
-    return read_by_id(path, lambda row: typed_field(row, "samples", list, str))
+def read_transcripts(path: Path) -> dict[str, list[str | None]]:
+    """Samples per problem id, None for a slot not drawn; a repeated id is a ValueError naming its line."""
+    return read_by_id(path, lambda row: typed_field(row, "samples", list, str, type(None)))

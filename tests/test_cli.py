@@ -1118,6 +1118,16 @@ class TestMalformedRows:
         assert main(argv + ["--out", str(tmp_path / "again")]) == 2
         assert "mini.transcripts.jsonl:2: field 'samples' must be list of str" in capsys.readouterr().err
 
+    def test_eval_replay_row_with_a_null_slot_needs_a_client(self, tmp_path, capsys):
+        bench, _ = eval_setup(tmp_path, {"a": "7", "b": "7"})
+        run = tmp_path / "run"
+        run.mkdir()
+        write_jsonl(run / "mini.transcripts.jsonl", [{"id": "a", "samples": ["x", "y"]}, {"id": "b", "samples": ["x", None]}])
+        argv = ["eval", "--bench", str(bench), "--k", "2", "--seed", "5", "--replay", str(run)]
+        assert main(argv + ["--out", str(tmp_path / "again")]) == 2
+        assert "replay has 1 samples for 'b', need 2" in capsys.readouterr().err
+        assert not (tmp_path / "again").exists()
+
     @pytest.mark.parametrize(
         "row, detail",
         [

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import logging
@@ -694,7 +695,7 @@ def adversarial_report():
                 token_counts=[count_tokens(s) for s in samples[: i % 4]],
             )
         )
-    return EvalReport("mini", 3, 0, records)
+    return EvalReport("mini", 3, 0, records, [(r.problem.id, r.samples) for r in records])
 
 
 def dumps_lines(rows):
@@ -713,6 +714,28 @@ class TestWriteEvalOutputs:
         assert read_transcripts(tmp_path / "mini.transcripts.jsonl") == {
             str(rec.problem.id): rec.samples for rec in report.records
         }
+
+    def test_failed_problems_keep_their_landed_samples(self, tmp_path):
+        """p1 fails at its second sample and px at its first: the transcripts
+        hold p1's landed sample, with null in each slot not drawn, and no row
+        for px; the records and report hold only the scored problems."""
+        p1_calls = itertools.count()
+
+        def answer(req):
+            if req.user_prompt.endswith("px") or req.user_prompt.endswith("p1") and next(p1_calls) == 1:
+                raise ProtocolError("down")
+            return completion("7")
+
+        problems = [make_problem("p0"), make_problem("p1"), make_problem("px"), make_problem("p2")]
+        report = evaluate(problems, 3, ScriptedClient(answer), benchmark="mini")
+        assert report.failed == 2 and [r.problem.id for r in report.records] == ["p0", "p2"]
+        write_eval_outputs(tmp_path, report)
+        drawn = completion("7")
+        rows = [("p0", [drawn] * 3), ("p1", [drawn, None, None]), ("p2", [drawn] * 3)]
+        transcripts = tmp_path / "mini.transcripts.jsonl"
+        assert transcripts.read_bytes() == dumps_lines({"id": pid, "samples": samples} for pid, samples in rows)
+        assert (tmp_path / "mini.records.jsonl").read_bytes() == dumps_lines(r.to_dict() for r in report.records)
+        assert read_transcripts(transcripts) == dict(rows)
 
     def test_error_leaves_neither_jsonl_file(self, tmp_path):
         report = adversarial_report()
@@ -736,9 +759,28 @@ class TestWriteEvalOutputs:
         assert list(tmp_path.iterdir()) == []
 
 
+@contextlib.contextmanager
+def failure_logged():
+    """An event that is set once ppc.evaluation logs a problem's failure."""
+    event = threading.Event()
+
+    class OnFailure(logging.Handler):
+        def emit(self, record):
+            if "failed entirely" in record.getMessage():
+                event.set()
+
+    handler = OnFailure()
+    logging.getLogger("ppc.evaluation").addHandler(handler)
+    try:
+        yield event
+    finally:
+        logging.getLogger("ppc.evaluation").removeHandler(handler)
+
+
 class TestScheduler:
-    """evaluate's pool spreads (problem, sample) units and scores each problem's
-    landed prefix as it grows; rules-only replay runs unthreaded."""
+    """evaluate's pool spreads (problem, sample) units; once a problem's last
+    unit has started, every worker that lands one of its samples scores and
+    judges it; rules-only replay runs unthreaded."""
 
     def test_samples_of_one_problem_run_side_by_side(self):
         barrier = threading.Barrier(4, timeout=5)
@@ -798,82 +840,140 @@ class TestScheduler:
             assert record.token_counts == [count_tokens(s) for s in record.samples]
             assert record.verdicts == [a == record.problem.gold_answer for a in record.answers]
 
-    def test_judge_calls_overlap_the_problems_sampling(self):
-        judging = threading.Event()
-        judging_when_sent = []
+    def test_gold_verdicts_wait_for_the_last_sample_then_run_side_by_side(self):
+        """Four samples land as four wrong forms. Calls 1-2 (samples 0-1) and
+        calls 3-4 (samples 2-3) are each held until both are in flight, so
+        both workers land a sample after the last unit has started, and both
+        judge: the first two gold verdicts must be in flight at once."""
+        first_two, last_two, side_by_side = (threading.Barrier(2, timeout=5) for _ in range(3))
+        entered, entered_when_judged = [], []
         lock = threading.Lock()
-
-        def answer(req):
-            with lock:
-                judging_when_sent.append(judging.is_set())
-                n = len(judging_when_sent)
-            if n == 3:
-                # Held until the problem's first judge call has begun, so the
-                # fourth call, from either worker, is sent after it.
-                assert judging.wait(timeout=5)
-            return completion("7" if n in (3, 4) else f"x_{n}")
-
-        def verdict(req):
-            judging.set()
-            return "NO"
-
-        judge = ScriptedClient(verdict)
-        report = evaluate(
-            [make_problem("p0", answer="7")],
-            5,
-            ScriptedClient(answer),
-            equivalence=lambda pred, gold: answers_equivalent(pred, gold, fallback=judge),
-            parallelism=2,
-        )
-        assert judging_when_sent[3]
-        # 2 gold answers outrank each of 3 wrong forms but not all 3 together,
-        # in any sample order: 3 gold verdicts + C(3, 2) linkage pairs, as in one batch
-        assert len(judge.calls) == 3 + 3
-        record = report.records[0]
-        assert record.verdicts == [a == "7" for a in record.answers] and sum(record.verdicts) == 2
-        assert record.maj_correct
-
-    def test_failed_problem_makes_no_judge_call_after_the_failure(self):
-        """Samples 0-2 land as three distinct wrong forms; sample 3 fails while
-        the first of their gold verdicts is in flight. The other two gold
-        verdicts, in the chunk being fed or in the next one, are refused.
-
-        The feeder's first judge call blocks until the failure is logged, so
-        while it runs the other worker makes every later call, in unit order:
-        the 3rd call is sample 2 and the 4th is sample 3. A problem that fails
-        never has all k samples landed, so its record, and any linkage call,
-        is never built; the gold verdicts are what the guard must stop."""
-        first_judge_call = threading.Event()
-        failure_logged = threading.Event()
-        failed_when_judged = []
-        entered = []
-        lock = threading.Lock()
-
-        class OnFailure(logging.Handler):
-            def emit(self, record):
-                if "failed entirely" in record.getMessage():
-                    failure_logged.set()
 
         def answer(req):
             with lock:
                 entered.append(req)
                 n = len(entered)
-            if n <= 3:
-                return completion(f"x_{n}")
-            assert first_judge_call.wait(timeout=5)
-            raise ProtocolError("down")  # sample 3 fails while the landed prefix is judged
+            (first_two if n <= 2 else last_two).wait()
+            return completion(f"x_{n}")
 
         def verdict(req):
-            failed_when_judged.append(failure_logged.is_set())
-            if len(failed_when_judged) == 1:
-                first_judge_call.set()
-                assert failure_logged.wait(timeout=5)
+            with lock:
+                entered_when_judged.append(len(entered))
+                n = len(entered_when_judged)
+            if n <= 2:
+                side_by_side.wait()  # times out unless two gold verdicts are in flight at once
             return "NO"
 
         judge = ScriptedClient(verdict)
-        handler = OnFailure()
-        logging.getLogger("ppc.evaluation").addHandler(handler)
+        report = evaluate(
+            [make_problem("p0", answer="7")],
+            4,
+            ScriptedClient(answer),
+            equivalence=lambda pred, gold: answers_equivalent(pred, gold, fallback=judge),
+            parallelism=2,
+        )
+        assert entered_when_judged == [4] * 4  # no gold verdict before the last sample's call
+        record = report.records[0]
+        assert sorted(record.answers) == [f"x_{n}" for n in range(1, 5)]
+        assert record.verdicts == [False] * 4 and not record.maj_correct
+
+    def test_a_landing_that_drains_after_the_record_is_built_makes_no_call(self):
+        """Calls 1-3 land x_1, x_2 and gold's form before the last unit
+        starts. Call 4 is held until call 5 has entered, so both of the last
+        two units have started; it lands x_3 and its worker holds the first
+        gold verdict. Call 5 lands gold's form again (no verdict to make)
+        while that verdict is in flight, and its worker is held at the entry
+        of its drain. The judging worker then feeds it, makes the other gold
+        verdicts and builds the record, whose three distinct wrong forms need
+        linkage. The held worker must not build it again: the problem makes
+        as many judge calls as at parallelism 1."""
+
+        built, held, last_entered = threading.Event(), threading.Event(), threading.Event()
+
+        def run(parallelism, client):
+            calls = []
+
+            def equivalence(pred, gold):
+                calls.append((pred, gold))
+                if parallelism > 1 and len(calls) == 1:
+                    assert held.wait(timeout=5)
+                elif parallelism > 1 and len(calls) == 4:  # the first linkage call: the record is being built
+                    built.set()
+                return False
+
+            problems = [make_problem("p0", answer="7")]
+            return evaluate(problems, 5, client, equivalence=equivalence, parallelism=parallelism), calls
+
+        answers = ["x_1", "x_2", "7", "x_3", "7"]
+        serial, serial_calls = run(1, ScriptedClient(lambda req, n=iter(answers): completion(next(n))))
+        assert len(serial_calls) == 6  # 3 gold verdicts, 3 linkage pairs
+
+        entered, last_worker = [], []
+        lock = threading.Lock()
+
+        def answer(req):
+            with lock:
+                entered.append(req)
+                n = len(entered)
+            if n == 4:
+                assert last_entered.wait(timeout=5)
+            elif n == 5:
+                last_worker.append(threading.get_ident())
+                last_entered.set()
+            return completion(answers[n - 1])
+
+        def hold_at_drain(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "drain" and threading.get_ident() in last_worker:
+                last_worker.clear()
+                held.set()
+                assert built.wait(timeout=5)
+
+        previous = threading.gettrace()
+        threading.settrace(hold_at_drain)
         try:
+            report, calls = run(2, ScriptedClient(answer))
+        finally:
+            threading.settrace(previous)
+        assert held.is_set() and built.is_set()
+        assert len(calls) == len(serial_calls)
+        record, expected = report.records[0], serial.records[0]
+        assert sorted(record.answers) == sorted(expected.answers) and record.maj_correct == expected.maj_correct
+
+    def test_failed_problem_makes_no_judge_call_after_the_failure(self):
+        """Samples 0-1 land as two distinct wrong forms (calls 1-2, held until
+        both are in flight). Calls 3-4, samples 2-3, are likewise held
+        together, so the last unit has started: call 3 lands x_3 and its
+        worker starts the first gold verdict, and call 4, the last sample to
+        return, fails while that verdict is in flight. The other gold
+        verdicts, claimed after the failure, are refused. A problem that
+        fails never has all k samples landed, so its record, and any linkage
+        call, is never built; the gold verdicts are what the guard must stop."""
+        first_two, last_two = threading.Barrier(2, timeout=5), threading.Barrier(2, timeout=5)
+        first_judge_call = threading.Event()
+        failed_when_judged = []
+        entered = []
+        lock = threading.Lock()
+
+        def answer(req):
+            with lock:
+                entered.append(req)
+                n = len(entered)
+            (first_two if n <= 2 else last_two).wait()
+            if n < 4:
+                return completion(f"x_{n}")
+            assert first_judge_call.wait(timeout=5)
+            raise ProtocolError("down")  # the last sample fails while the landed prefix is judged
+
+        with failure_logged() as failed:
+
+            def verdict(req):
+                failed_when_judged.append(failed.is_set())
+                if len(failed_when_judged) == 1:
+                    first_judge_call.set()
+                    assert failed.wait(timeout=5)
+                return "NO"
+
+            judge = ScriptedClient(verdict)
             report = evaluate(
                 [make_problem("p0", answer="7")],
                 4,
@@ -881,11 +981,43 @@ class TestScheduler:
                 equivalence=lambda pred, gold: answers_equivalent(pred, gold, fallback=judge),
                 parallelism=2,
             )
-        finally:
-            logging.getLogger("ppc.evaluation").removeHandler(handler)
         assert report.failed == 1 and report.records == []
         assert len(entered) == 4
         assert failed_when_judged == [False]  # the 2nd and 3rd gold verdicts are never made
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_problem_failing_before_its_last_sample_lands_pays_no_judge_call(self, parallelism):
+        """Of four samples, the third call fails. At parallelism 1 that is
+        sample k-2, and the last unit never starts; at parallelism 2 the
+        fourth call, if it starts before the failure, is held until the
+        failure is logged. The two samples that landed earlier are never
+        judged."""
+        entered = []
+        lock = threading.Lock()
+        judge = ScriptedClient(lambda req: "NO")
+
+        with failure_logged() as failed:
+
+            def answer(req):
+                with lock:
+                    entered.append(req)
+                    n = len(entered)
+                if n == 3:
+                    raise ProtocolError("down")
+                if n == 4:
+                    assert failed.wait(timeout=5)
+                return completion(f"x_{n}")
+
+            report = evaluate(
+                [make_problem("p0", answer="7")],
+                4,
+                ScriptedClient(answer),
+                equivalence=lambda pred, gold: answers_equivalent(pred, gold, fallback=judge),
+                parallelism=parallelism,
+            )
+        assert report.failed == 1 and report.records == []
+        assert len(entered) == 3 or parallelism == 2 and len(entered) == 4
+        assert judge.calls == []
 
     @pytest.mark.parametrize("parallelism", [1, 4])
     def test_failed_linkage_call_fails_only_its_problem(self, parallelism, caplog):
@@ -1296,11 +1428,13 @@ def chunkings(n, rng):
 
 def fed_in_chunks(gold, equivalence, answers, sizes):
     """The scorer's forms, verdicts and vote after the answers are fed in
-    these chunk sizes, and pass@k as `EvalRecord` reads it from the verdicts."""
+    these chunk sizes, each chunk's new forms judged before the next, and
+    pass@k as `EvalRecord` reads it from the verdicts."""
     scorer = _Scorer(gold, equivalence)
     start = 0
     for size in sizes:
-        scorer.extend(answers[start : start + size])
+        for row in scorer.extend(answers[start : start + size]):
+            scorer.judge(row)
         start += size
     forms, verdicts, maj = scorer.result()
     return forms, verdicts, maj, any(verdicts)
@@ -1461,7 +1595,7 @@ class TestReportAggregates:
                         token_counts=[rng.randint(0, 5000) for _ in range(k)],
                     )
                 )
-            report = EvalReport("b", 5, rng.randint(0, 3), records)
+            report = EvalReport("b", 5, rng.randint(0, 3), records, [])
             for rec in records:
                 assert rec.pass_correct == any(rec.verdicts) == rec.to_dict()["pass_correct"], trial
             n = len(records)
@@ -1482,7 +1616,7 @@ class TestReportAggregates:
 
     def test_aggregates_follow_the_records(self):
         rec = EvalRecord(make_problem("p0"), ["a b"], ["7"], [False], False, [2])
-        report = EvalReport("b", 1, 0, [rec])
+        report = EvalReport("b", 1, 0, [rec], [])
         assert (report.maj_at_k, report.pass_at_k, rec.pass_correct) == (0.0, 0.0, False)
         rec.verdicts[0] = rec.maj_correct = True
         report.records.append(EvalRecord(make_problem("p1"), ["c d e f"], ["7"], [False], False, [4]))
