@@ -38,7 +38,7 @@ from .evaluation import (
 )
 from .grpo import GrpoConfig, RolloutGroup, grpo_objective
 from .rewards import composite_reward
-from .spoiler import spoiler_score
+from .spoiler import SIGNAL_NAMES, spoiler_score
 from .synthesis import STAGES, GeneratorSuite, build_dataset, load_problems
 from .trajectory import check_format, read_trajectory
 
@@ -94,7 +94,7 @@ def _override(base, **flags):
 
 def cmd_lint(args) -> int:
     cfg = _load_config(args).spoiler
-    histogram = {str(s): 0 for s in range(7)}
+    histogram = {str(s): 0 for s in range(len(SIGNAL_NAMES) + 1)}
 
     def lint(row: dict) -> dict:
         report = spoiler_score(typed_field(row, "preplan"), cfg)

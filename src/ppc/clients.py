@@ -93,16 +93,16 @@ class LlmClient:
 
 
 def _with_retries(fn: Callable[[], str], policy: RetryPolicy, sleep=time.sleep) -> str:
-    for attempt in range(policy.max_attempts):
+    for attempt in range(policy.max_attempts - 1):
         try:
             return fn()
         except ClientError as exc:
-            if not exc.retryable or attempt == policy.max_attempts - 1:
+            if not exc.retryable:
                 raise
             delay = policy.delay_for(attempt)
             log.warning("retryable client error (%s); retrying in %.3gs", exc, delay)
             sleep(delay)
-    raise AssertionError("unreachable")
+    return fn()
 
 
 class HttpChatClient(LlmClient):

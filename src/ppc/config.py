@@ -87,9 +87,9 @@ class RoleConfig:
 @dataclass
 class PipelineConfig:
     roles: dict[str, RoleConfig] = field(default_factory=dict)
-    temperature: float = 1.0
-    top_p: float = 0.95
-    max_tokens: int = 4096
+    temperature: float = GenerationRequest.temperature
+    top_p: float = GenerationRequest.top_p
+    max_tokens: int = GenerationRequest.max_tokens
     spoiler: SpoilerConfig = field(default_factory=SpoilerConfig)
     weights: RewardWeights = field(default_factory=RewardWeights)
     grpo: GrpoConfig | None = None

@@ -515,7 +515,7 @@ def evaluate(
 
 
 class _Stopped(Exception):
-    """A judge call refused because the run stopped or the problem failed."""
+    """A judge call refused because the run stopped."""
 
 
 def _sample(
@@ -534,18 +534,20 @@ def _sample(
     finish in, and kept if the problem fails. Each sample to draw is one
     unit of work; a problem with none left to draw gets one unit, which only
     scores it. The units run on `run_parallel` in problem-major order, so a
-    problem's calls run side by side. A sample that lands before its
-    problem's last unit has started is only stored; after that, each worker
-    that lands one, or takes the scoring unit, drains the problem. A
-    problem's first ClientError, or a judge's UnparseableVerdict, marks it
-    failed: its units not yet started make no call, and it starts no further
-    judge call. Once an error or Ctrl-C sets the pool's stop event, no unit
-    and no judge call starts.
+    problem's calls run side by side. Each landing is one locked step: it
+    stores the sample and, once the problem's last unit has started, feeds
+    the landed prefix and claims the next unjudged form; each worker then
+    goes on judging one claimed form per step. The step that finds every
+    sample fed and no verdict left or in flight completes the problem and
+    builds its record. A problem's first ClientError, or a judge's
+    UnparseableVerdict, marks it failed: its units not yet started make no
+    call, and no further form of it is claimed. Once an error or Ctrl-C sets
+    the pool's stop event, no unit and no judge call starts.
     """
     failed = [False] * len(problems)
     draining = [False] * len(problems)  # the problem's last unit has started
     unjudged: list[list[_Form]] = [[] for _ in problems]  # fed forms no worker has claimed
-    judging = [0] * len(problems)  # gold verdicts in flight; 1 for good once the record is built
+    judging = [0] * len(problems)  # gold verdicts in flight
     outcomes: list[EvalRecord | None] = [None] * len(problems)
     to_draw = [[j for j, s in enumerate(row) if s is None] or [None] for row in samples]
     units = [(i, j) for i, js in enumerate(to_draw) for j in js]  # (i, None) only scores
@@ -558,28 +560,27 @@ def _sample(
         if first:
             log.warning("problem %s failed entirely: %s", problems[i].id, exc)
 
-    def guarded(i: int) -> Equivalence | None:
-        if equivalence is None:
-            return None
+    def judge(pred: str, gold: str) -> bool:
+        if stop.is_set():
+            raise _Stopped
+        return equivalence(pred, gold)
 
-        def judge(pred: str, gold: str) -> bool:
-            if stop.is_set() or failed[i]:
-                raise _Stopped
-            return equivalence(pred, gold)
+    scorers = [_Scorer(p.gold_answer, None if equivalence is None else judge) for p in problems]
 
-        return judge
-
-    scorers = [_Scorer(p.gold_answer, guarded(i)) for i, p in enumerate(problems)]
-
-    def drain(i: int) -> None:
-        """Feed problem i's landed prefix and judge its unjudged forms, one claim at a time;
-        with every sample fed and no verdict left or in flight, build the record."""
+    def drain(i: int, j: int | None, text: str | None) -> None:
+        """Store sample j of problem i, then feed its landed prefix and judge its unjudged forms,
+        one claim per locked step; the step that finds every sample fed and no verdict left or
+        in flight builds the record."""
         row, scorer, queue = samples[i], scorers[i], unjudged[i]
         k = len(row)
         claimed = None
         while True:
             with lock:
                 judging[i] -= claimed is not None
+                if claimed is None and j is not None:
+                    row[j] = text
+                if failed[i] or not draining[i]:
+                    return  # failed, or the landing of a later unit feeds this sample
                 start = end = len(scorer.forms)  # the prefix already fed
                 while end < k and row[end] is not None:
                     end += 1
@@ -588,7 +589,6 @@ def _sample(
                 if not queue:
                     if end < k or judging[i]:
                         return  # the worker that lands the next sample, or ends the last verdict, goes on
-                    judging[i] = 1  # for good: a worker that stored a sample before this but drains after it returns
                     break
                 claimed = queue.pop(0)
                 judging[i] += 1
@@ -605,16 +605,7 @@ def _sample(
             draining[i] = True
         try:
             text = None if j is None else (requests[i].forced_prefix or "") + client.generate(requests[i])
-        except ClientError as exc:
-            fail(i, exc)
-            return
-        with lock:
-            if j is not None:
-                samples[i][j] = text
-            if not draining[i]:
-                return  # the landing of a later unit feeds this sample
-        try:
-            drain(i)
+            drain(i, j, text)
         except _Stopped:
             pass
         except (ClientError, UnparseableVerdict) as exc:

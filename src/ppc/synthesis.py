@@ -21,6 +21,7 @@ from .clients import ClientError, GenerationRequest, LlmClient, run_parallel
 from .spoiler import (
     DEFAULT_LENGTH_BOUNDS,
     DEFAULT_SPOILER_CONFIG,
+    SIGNAL_NAMES,
     DropReason,
     FilterDecision,
     SpoilerConfig,
@@ -227,7 +228,7 @@ def build_dataset(
     summary = DatasetSummary(
         problems=len(problems),
         kept=0,
-        score_histogram={str(s): 0 for s in range(7)},
+        score_histogram={str(s): 0 for s in range(len(SIGNAL_NAMES) + 1)},
         drop_reasons={},
     )
     parked: dict[int, tuple[bool, str]] = {}  # finished rows that wait on an earlier one

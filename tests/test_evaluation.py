@@ -881,31 +881,34 @@ class TestScheduler:
         """Calls 1-3 land x_1, x_2 and gold's form before the last unit
         starts. Call 4 is held until call 5 has entered, so both of the last
         two units have started; it lands x_3 and its worker holds the first
-        gold verdict. Call 5 lands gold's form again (no verdict to make)
-        while that verdict is in flight, and its worker is held at the entry
-        of its drain. The judging worker then feeds it, makes the other gold
-        verdicts and builds the record, whose three distinct wrong forms need
-        linkage. The held worker must not build it again: the problem makes
-        as many judge calls as at parallelism 1."""
+        gold verdict. Call 5 returns gold's form again (no verdict to make)
+        while that verdict is in flight, and its worker is held after the
+        call, at the entry of its drain, until the judging worker has made
+        the three gold verdicts and left its drain. The held landing then
+        completes the problem, whose three distinct wrong forms need
+        linkage, and builds the record once: the problem makes as many judge
+        calls as at parallelism 1. A landing stored apart from its drain
+        would be fed by the judging worker, which would build the record,
+        and then build it a second time (9 calls)."""
 
-        built, held, last_entered = threading.Event(), threading.Event(), threading.Event()
+        held, left, last_entered = threading.Event(), threading.Event(), threading.Event()
+        calls = []
 
         def run(parallelism, client):
-            calls = []
+            calls.clear()
 
             def equivalence(pred, gold):
                 calls.append((pred, gold))
                 if parallelism > 1 and len(calls) == 1:
                     assert held.wait(timeout=5)
-                elif parallelism > 1 and len(calls) == 4:  # the first linkage call: the record is being built
-                    built.set()
                 return False
 
             problems = [make_problem("p0", answer="7")]
-            return evaluate(problems, 5, client, equivalence=equivalence, parallelism=parallelism), calls
+            return evaluate(problems, 5, client, equivalence=equivalence, parallelism=parallelism)
 
         answers = ["x_1", "x_2", "7", "x_3", "7"]
-        serial, serial_calls = run(1, ScriptedClient(lambda req, n=iter(answers): completion(next(n))))
+        serial = run(1, ScriptedClient(lambda req, n=iter(answers): completion(next(n))))
+        serial_calls = list(calls)
         assert len(serial_calls) == 6  # 3 gold verdicts, 3 linkage pairs
 
         entered, last_worker = [], []
@@ -922,19 +925,28 @@ class TestScheduler:
                 last_entered.set()
             return completion(answers[n - 1])
 
+        def leave_after_the_gold_verdicts(frame, event, arg):
+            if event == "return" and len(calls) >= 3:
+                left.set()
+            return leave_after_the_gold_verdicts
+
         def hold_at_drain(frame, event, arg):
-            if event == "call" and frame.f_code.co_name == "drain" and threading.get_ident() in last_worker:
-                last_worker.clear()
-                held.set()
-                assert built.wait(timeout=5)
+            if event != "call" or frame.f_code.co_name != "drain":
+                return None
+            if threading.get_ident() not in last_worker:
+                return leave_after_the_gold_verdicts
+            last_worker.clear()
+            held.set()
+            assert left.wait(timeout=5)
+            return None
 
         previous = threading.gettrace()
         threading.settrace(hold_at_drain)
         try:
-            report, calls = run(2, ScriptedClient(answer))
+            report = run(2, ScriptedClient(answer))
         finally:
             threading.settrace(previous)
-        assert held.is_set() and built.is_set()
+        assert held.is_set() and left.is_set()
         assert len(calls) == len(serial_calls)
         record, expected = report.records[0], serial.records[0]
         assert sorted(record.answers) == sorted(expected.answers) and record.maj_correct == expected.maj_correct
