@@ -167,7 +167,37 @@ def cmd_grpo_check(args) -> int:
     return EXIT_OK
 
 
+def _evaluate_perturbed(problems, k, client, mode, seed, base_file: Path, equivalence=None, **kwargs):
+    """`evaluate` with each problem's samples forced to start from its perturbed preplan.
+
+    shuffled and mismatched first draw one unforced base sample per problem
+    and write the preplans that land to `base_file` before perturbing them,
+    so a later error keeps them. A problem whose base sample fails counts as
+    failed and makes no further call; shuffled seeds each problem by its
+    position in `problems`. generic reads no preplan and draws no base sample.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")  # before the base pass spends a call
+    base: list[str | None] = [""] * len(problems)  # the generic prefix reads no preplan
+    failed = 0
+    if mode != PerturbationMode.GENERIC:
+        drawn = evaluate(problems, 1, client, **kwargs)
+        preplans = {r.problem.id: read_trajectory(r.samples[0]).preplan for r in drawn.records}
+        base_file.parent.mkdir(parents=True, exist_ok=True)
+        write_jsonl(base_file, ({"id": pid, "preplan": preplan} for pid, preplan in preplans.items()))
+        base, failed = [preplans.get(p.id) for p in problems], drawn.failed
+    landed = [i for i, preplan in enumerate(base) if preplan is not None]
+    # mismatched deranges the landed preplans; shuffled seeds each row by its input position
+    rows = landed if mode == PerturbationMode.MISMATCHED else range(len(base))
+    perturbed = dict(zip(rows, perturb_preplan([base[i] or "" for i in rows], mode, seed)))
+    prefixes = {problems[i].id: perturbed[i] for i in landed}
+    report = evaluate([problems[i] for i in landed], k, client, prefixes=prefixes, equivalence=equivalence, **kwargs)
+    return replace(report, failed=failed + report.failed)
+
+
 def cmd_eval(args) -> int:
+    if args.perturb and args.replay is not None:
+        raise ValueError("a perturbation needs live generation, not replay transcripts")
     config = _load_config(args)
     out_dir = Path(args.out)
     if args.replay is not None and Path(args.replay).resolve() == out_dir.resolve():
@@ -207,21 +237,15 @@ def cmd_eval(args) -> int:
 
     params = config.sampling(prompts.EVAL_SYSTEM_PROMPT)
 
+    kwargs = dict(equivalence=equivalence, params=params, parallelism=args.parallelism or config.parallelism)
     reports = []
     for stem, problems in problem_sets.items():
-        replay = None if args.replay is None else read_transcripts(transcripts[stem])
-        report = evaluate(
-            problems,
-            args.k,
-            client,
-            mode=mode,
-            seed=args.seed,
-            equivalence=equivalence,
-            replay=replay,
-            params=params,
-            parallelism=args.parallelism or config.parallelism,
-            benchmark=stem,
-        )
+        if mode is None:
+            replay = None if args.replay is None else read_transcripts(transcripts[stem])
+            report = evaluate(problems, args.k, client, replay=replay, benchmark=stem, **kwargs)
+        else:
+            base_file = out_dir / f"{stem}.base.jsonl"
+            report = _evaluate_perturbed(problems, args.k, client, mode, args.seed, base_file, benchmark=stem, **kwargs)
         reports.append(report)
         write_eval_outputs(out_dir, report)
     print(format_report_table(reports))

@@ -38,7 +38,7 @@ from .clients import (
     run_parallel,
 )
 from .synthesis import ProblemRecord, check_unique_ids
-from .trajectory import extract_boxed, forced_prefix_for, read_trajectory
+from .trajectory import extract_boxed, forced_prefix_for
 
 log = logging.getLogger(__name__)
 
@@ -412,8 +412,7 @@ def evaluate(
     k: int,
     client: LlmClient | None = None,
     *,
-    mode: PerturbationMode | None = None,
-    seed: int = 0,
+    prefixes: Mapping[str, str] | None = None,
     equivalence: Equivalence | None = None,
     replay: Mapping[str, Sequence[str | None]] | None = None,
     params: GenerationRequest = DEFAULT_EVAL_SAMPLING,
@@ -425,21 +424,13 @@ def evaluate(
     Each problem's k slots start as its `replay` row (none without
     `replay`), cut to k; every slot still empty, or None, is drawn from
     `client`, so a full row makes no policy call and a short one draws only
-    its missing slots. Without a client, a row short of k is a ValueError
-    before any call. With a perturbation `mode`, one unforced base
-    sample per problem supplies the original preplan; generation then
-    restarts from the prefill that `perturb_preplan` draws with `seed`, so a
-    mode together with `replay` is a ValueError. The generic mode reads no
-    preplan and draws no base sample. A repeated problem id, or a mismatched
-    mode over fewer than two problems, raises ValueError before any call.
-    Problems whose generation fails entirely are counted separately and
-    excluded from the metric denominators; the report's transcripts keep
-    their landed samples. In a perturbed eval, a problem
-    whose base sample fails is such a problem: it makes no further call and
-    is left out of the perturbation pool, so a mismatched pool left with
-    fewer than two preplans raises ValueError. A shuffled problem's order
-    is drawn from its position in `problems`, so it is the same whichever
-    other base samples fail.
+    its missing slots. A problem's draws start from its `prefixes` entry as
+    the forced prefix (unforced when it has none), and each drawn sample is
+    that prefix followed by the continuation. Without a client, a row short
+    of k is a ValueError before any call. A repeated problem id raises
+    ValueError before any call. Problems whose generation fails entirely are
+    counted separately and excluded from the metric denominators; the
+    report's transcripts keep their landed samples.
 
     Answers with equal normalized forms are the same answer, with no call
     made. `equivalence` is a fallback consulted only for answers whose
@@ -453,15 +444,14 @@ def evaluate(
     fallback; they change with the linkage rule only for a judge that is
     not transitive, which never links a wrong answer to a correct one.
 
-    Base samples and the k slots go through one scheduler: each slot to
-    draw is a (problem, sample) unit, and a problem with none is one unit
-    that only scores it. `parallelism` (>= 1) bounds the endpoint calls in
-    flight. The units are spread over that many workers, so a problem's
-    samples run side by side and each record still holds sample j at index
-    j, wherever it came from. Judge calls run inside the same workers. A
-    problem's gold verdicts start once its last unit has started; then each
-    worker that lands one of its samples takes one unjudged form at a time,
-    beside the others. The calls are those of scoring all k answers at once,
+    The k slots go through one scheduler: each slot to draw is a (problem,
+    sample) unit, and a problem with none is one unit that only scores it.
+    `parallelism` (>= 1) bounds the endpoint calls in flight. The units are
+    spread over that many workers, so a problem's samples run side by side
+    and each record still holds sample j at index j, wherever it came from.
+    Judge calls run inside the same workers. A problem's gold verdicts start
+    once its last unit has started; then each worker that lands one of its
+    samples takes one unjudged form at a time, beside the others. The calls are those of scoring all k answers at once,
     in that order at parallelism 1, and a problem that fails before its last
     unit starts pays none. A ClientError or UnparseableVerdict from the
     fallback, gold verdict or linkage, fails only that problem; any other
@@ -475,28 +465,7 @@ def evaluate(
         raise ValueError("parallelism must be >= 1")
     if client is None and replay is None:
         raise ValueError("need a client or replay transcripts")
-    if mode is not None and replay is not None:
-        raise ValueError("a perturbation needs live generation, not replay transcripts")
-    if mode == PerturbationMode.MISMATCHED and len(problems) < 2:
-        raise ValueError("mismatched perturbation needs >= 2 preplans")
     check_unique_ids(problems)
-
-    prefixes: dict[str, str] = {}
-    failed = 0
-    if mode is not None:
-        if mode == PerturbationMode.GENERIC:
-            base: list[str | None] = [""] * len(problems)  # the generic prefix reads no preplan
-        else:
-            unforced = [replace(params, user_prompt=p.question) for p in problems]
-            drawn = _sample(problems, [[None] for _ in problems], unforced, client, None, parallelism)
-            base = [None if r is None else read_trajectory(r.samples[0]).preplan for r in drawn]
-        landed = [i for i, preplan in enumerate(base) if preplan is not None]
-        # mismatched deranges the landed preplans; shuffled seeds each row by its input position
-        rows = landed if mode == PerturbationMode.MISMATCHED else range(len(base))
-        perturbed = dict(zip(rows, perturb_preplan([base[i] or "" for i in rows], mode, seed)))
-        failed = len(problems) - len(landed)
-        prefixes = {problems[i].id: perturbed[i] for i in landed}
-        problems = [problems[i] for i in landed]
 
     samples: list[list[str | None]] = []
     for problem in problems:
@@ -505,13 +474,14 @@ def evaluate(
         if client is None and None in row:
             raise ValueError(f"replay has {k - row.count(None)} samples for {problem.id!r}, need {k}")
         samples.append(row)
-    requests = [replace(params, user_prompt=p.question, forced_prefix=prefixes.get(p.id)) for p in problems]
+    forced = prefixes or {}
+    requests = [replace(params, user_prompt=p.question, forced_prefix=forced.get(p.id)) for p in problems]
     if equivalence is None and not any(None in row for row in samples):
         parallelism = 1  # rules only, nothing to draw: no endpoint call for a thread to overlap
     outcomes = _sample(problems, samples, requests, client, equivalence, parallelism)
     records = [r for r in outcomes if r is not None]
     landed = [(p.id, row) for p, row in zip(problems, samples) if row.count(None) < k]
-    return EvalReport(benchmark, k, failed + len(outcomes) - len(records), records, landed)
+    return EvalReport(benchmark, k, len(outcomes) - len(records), records, landed)
 
 
 class _Stopped(Exception):

@@ -677,8 +677,9 @@ class TestEval:
             ("", ["--k", "0"], "k must be >= 1"),
             ("", ["--parallelism", "-1"], "parallelism must be >= 1"),
             ("", ["--perturb", "mismatched"], "needs >= 2 preplans"),  # one problem, one preplan
+            ("", ["--k", "0", "--perturb", "shuffled"], "k must be >= 1"),  # before the base pass
         ],
-        ids=["infinite-temperature", "k-0", "negative-parallelism", "mismatched-pool-too-small"],
+        ids=["infinite-temperature", "k-0", "negative-parallelism", "mismatched-pool-too-small", "k-0-perturbed"],
     )
     def test_config_error_leaves_no_out_dir(self, tmp_path, capsys, setting, args, message):
         bench, config = eval_setup(tmp_path, {"a": "7"})
@@ -811,6 +812,8 @@ class TestEval:
         assert main(argv + ["--out", str(tmp_path / "out"), "--perturb", "mismatched"]) == 2
         assert "needs >= 2 preplans" in capsys.readouterr().err
         assert [req.user_prompt for req in calls] == ["question a", "question b"]
+        # the base pass returned before the error, so the preplan paid for is kept
+        assert read_jsonl((tmp_path / "out" / "mini.base.jsonl").read_text()) == [{"id": "a", "preplan": "analysis a."}]
 
     def test_rules_only_replay_calls_no_equivalence(self, tmp_path, monkeypatch):
         bench, _ = eval_setup(tmp_path, {"a": "7", "b": "7"})
@@ -899,6 +902,38 @@ class TestPerturbCommand:
         for row, donor in zip(rows, donors):
             assert donor != row["preplan"]
 
+    @pytest.mark.parametrize("mode, down", [("mismatched", None), ("mismatched", "b"), ("shuffled", None)])
+    def test_eval_base_file_gives_the_prefixes_eval_sent(self, tmp_path, capsys, monkeypatch, mode, down):
+        # `ppc perturb` over the base preplans `ppc eval --perturb` recorded
+        # rebuilds the forced prefixes that run sent.
+        pids = "abcd"
+        bench = tmp_path / "mini.jsonl"
+        write_jsonl(bench, [{"id": pid, "question": f"question {pid}", "answer": "7"} for pid in pids])
+
+        def answer(req):
+            pid = req.user_prompt.split()[-1]
+            if req.forced_prefix:
+                return "go.</plan>\n<execute>\\boxed{7}</execute>"
+            if pid == down:
+                raise ppc.clients.ProtocolError("down")
+            preplan = f"First {pid}. Then {pid}. Last {pid}."
+            return f"<preplan>{preplan}</preplan>\n<plan>1. go.</plan>\n<execute>\\boxed{{7}}</execute>"
+
+        policy = ppc.clients.ScriptedClient(answer)
+        monkeypatch.setattr(ppc.cli, "build_client", lambda *args: policy)
+        out = tmp_path / "out"
+        argv = ["eval", "--bench", str(bench), "--k", "2", "--out", str(out), "--seed", "9", "--perturb", mode]
+        assert main(argv) == 0
+        base = out / "mini.base.jsonl"
+        assert [row["id"] for row in read_jsonl(base.read_text())] == [pid for pid in pids if pid != down]
+        capsys.readouterr()
+        assert main(["perturb", "--in", str(base), "--mode", mode, "--seed", "9"]) == 0
+        rows = read_jsonl(capsys.readouterr().out)
+        sent: dict[str, set] = {}
+        for req in policy.calls:
+            if req.forced_prefix:
+                sent.setdefault(req.user_prompt.split()[-1], set()).add(req.forced_prefix)
+        assert sent == {row["id"]: {row["forced_prefix"]} for row in rows}
 
     @pytest.mark.parametrize("config", [None, '{"bogus": 1'], ids=["missing", "invalid-json"])
     def test_bad_config_is_data_error(self, tmp_path, capsys, config):

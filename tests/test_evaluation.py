@@ -8,6 +8,7 @@ import signal
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
@@ -22,10 +23,12 @@ from conftest import (
     waiting_for_workers,
 )
 
+import ppc.cli
 import ppc.clients
 import ppc.evaluation
 from ppc import prompts
 from ppc._text import JSON_ENCODER, count_tokens
+from ppc.cli import _evaluate_perturbed
 from ppc.clients import ProtocolError, ScriptedClient, UnparseableVerdict, judge_equivalence
 from ppc.evaluation import (
     DEFAULT_EVAL_SAMPLING,
@@ -456,13 +459,13 @@ class TestEvaluate:
         assert report.failed == 1
         assert report.pass_at_k == 100.00
 
-    def test_perturbed_eval_forces_prefix(self):
+    def test_perturbed_eval_forces_prefix(self, tmp_path):
         problems = [make_problem(f"p{i}", answer="7") for i in range(2)]
         base = {p.question: completion("7", preplan=f"own analysis {p.id}.") for p in problems}
         client = ScriptedClient(lambda req: (
             "rest</plan><execute>\\boxed{7}</execute>" if req.forced_prefix else base[req.user_prompt]
         ))
-        report = evaluate(problems, 2, client, mode=PerturbationMode.MISMATCHED, seed=1)
+        report = _evaluate_perturbed(problems, 2, client, PerturbationMode.MISMATCHED, 1, tmp_path / "base.jsonl")
         forced = [r for r in client.calls if r.forced_prefix]
         assert len(forced) == 4  # 2 problems x k=2
         for call in forced:
@@ -477,13 +480,17 @@ class TestEvaluate:
             continuation = "rest</plan><execute>\\boxed{7}</execute>"
             assert record.samples == [prefix[record.problem.question] + continuation] * 2
 
-    def test_perturbation_needs_live_generation(self):
-        problems = [make_problem(f"p{i}", answer="7") for i in range(2)]
-        replay = {p.id: [completion("7")] for p in problems}
-        with pytest.raises(ValueError, match="replay"):
-            evaluate(problems, 1, mode=PerturbationMode.MISMATCHED, seed=1, replay=replay)
+    def test_perturbation_needs_live_generation(self, tmp_path, capsys):
+        # `ppc eval` refuses it before reading any file: none of these exists.
+        argv = ["eval", "--config", "no.cfg.json", "--bench", "no.jsonl", "--k", "1", "--seed", "1"]
+        argv += ["--out", str(tmp_path / "out"), "--replay", str(tmp_path / "no-run"), "--perturb", "mismatched"]
+        assert ppc.cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "data error: a perturbation needs live generation, not replay transcripts" in err
+        assert "no.cfg.json" not in err and "no.jsonl" not in err
+        assert not any(tmp_path.iterdir())
 
-    def test_base_preplan_read_without_boxed_answer(self):
+    def test_base_preplan_read_without_boxed_answer(self, tmp_path):
         # A base sample cut off before its \boxed (NO_BOXED) still carries a complete preplan.
         problems = [make_problem(f"p{i}", answer="7") for i in range(2)]
         base = {
@@ -494,7 +501,7 @@ class TestEvaluate:
             "rest</plan><execute>\\boxed{7}</execute>" if req.forced_prefix else base[req.user_prompt]
         ))
         assert all(check_format(b).violations == (Violation.NO_BOXED,) for b in base.values())
-        evaluate(problems, 1, client, mode=PerturbationMode.SHUFFLED, seed=1)
+        _evaluate_perturbed(problems, 1, client, PerturbationMode.SHUFFLED, 1, tmp_path / "base.jsonl")
         forced = sorted(r.forced_prefix for r in client.calls if r.forced_prefix)
         assert forced == [forced_prefix_for(f"own analysis {p.id}.") for p in problems]
 
@@ -554,7 +561,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     @pytest.mark.parametrize("mode", [PerturbationMode.SHUFFLED, PerturbationMode.MISMATCHED])
-    def test_failed_base_sample_fails_only_its_problem(self, mode, parallelism, caplog):
+    def test_failed_base_sample_fails_only_its_problem(self, mode, parallelism, caplog, tmp_path):
         problems = [make_problem(f"p{i}", answer="7") for i in range(3)]
 
         def answer(req):
@@ -566,8 +573,10 @@ class TestEvaluate:
 
         client = ScriptedClient(answer)
         with caplog.at_level(logging.WARNING, logger="ppc.evaluation"):
-            report = evaluate(problems, 2, client, mode=mode, seed=1, parallelism=parallelism)
+            report = _evaluate_perturbed(problems, 2, client, mode, 1, tmp_path / "base.jsonl", parallelism=parallelism)
         assert report.failed == 1 and [r.problem.id for r in report.records] == ["p0", "p2"]
+        base = [json.loads(line) for line in (tmp_path / "base.jsonl").read_text().splitlines()]
+        assert base == [{"id": pid, "preplan": f"own analysis {pid}."} for pid in ("p0", "p2")]
         assert report.problems == 2 and report.pass_at_k == 100.00
         prompts_sent = [req.user_prompt for req in client.calls]
         assert prompts_sent.count(problems[1].question) == 1  # the base call only
@@ -582,7 +591,7 @@ class TestEvaluate:
         assert sum("p1 failed entirely" in r.getMessage() for r in caplog.records) == 1
 
     @pytest.mark.parametrize("parallelism", [1, 3])
-    def test_shuffled_prefix_is_seeded_by_input_position(self, parallelism):
+    def test_shuffled_prefix_is_seeded_by_input_position(self, parallelism, tmp_path):
         # Equal preplans, so each problem's order comes from its seed alone; at seed 5 the four differ.
         problems = [make_problem(f"p{i}", answer="7") for i in range(4)]
         preplan = "A one. B two. C three. D four."
@@ -596,7 +605,9 @@ class TestEvaluate:
                 return completion("7", preplan=preplan)
 
             client = ScriptedClient(answer)
-            report = evaluate(problems, 2, client, mode=PerturbationMode.SHUFFLED, seed=5, parallelism=parallelism)
+            report = _evaluate_perturbed(
+                problems, 2, client, PerturbationMode.SHUFFLED, 5, tmp_path / "base.jsonl", parallelism=parallelism
+            )
             assert report.failed == (down is not None)
             return {req.user_prompt: req.forced_prefix for req in client.calls if req.forced_prefix}
 
@@ -607,7 +618,7 @@ class TestEvaluate:
         # p0's failed base sample moves no other problem's order
         assert forced(problems[0].question) == {p.question: every[p.question] for p in problems[1:]}
 
-    def test_generic_draws_no_base_sample(self):
+    def test_generic_draws_no_base_sample(self, tmp_path):
         problems = [make_problem(f"p{i}", answer="7") for i in range(3)]
 
         def answer(req):
@@ -616,12 +627,13 @@ class TestEvaluate:
             return "rest</plan><execute>\\boxed{7}</execute>"
 
         client = ScriptedClient(answer)
-        report = evaluate(problems, 2, client, mode=PerturbationMode.GENERIC, seed=1)
+        report = _evaluate_perturbed(problems, 2, client, PerturbationMode.GENERIC, 1, tmp_path / "base.jsonl")
         assert report.failed == 0 and report.problems == 3 and report.pass_at_k == 100.00
         assert len(client.calls) == 6
         assert {req.forced_prefix for req in client.calls} == {forced_prefix_for(prompts.GENERIC_PREPLAN)}
+        assert not any(tmp_path.iterdir())  # no base pass, no base file
 
-    def test_failed_base_samples_leave_a_mismatched_pool_too_small(self):
+    def test_failed_base_samples_leave_a_mismatched_pool_too_small(self, tmp_path):
         problems = [make_problem(f"p{i}", answer="7") for i in range(3)]
 
         def answer(req):
@@ -631,30 +643,41 @@ class TestEvaluate:
 
         client = ScriptedClient(answer)
         with pytest.raises(ValueError, match="^mismatched perturbation needs >= 2 preplans$"):
-            evaluate(problems, 2, client, mode=PerturbationMode.MISMATCHED, seed=1)
+            _evaluate_perturbed(problems, 2, client, PerturbationMode.MISMATCHED, 1, tmp_path / "base.jsonl")
         assert len(client.calls) == 3  # the base calls; no forced one
+        # the one preplan paid for is kept
+        assert (tmp_path / "base.jsonl").read_text() == '{"id": "p0", "preplan": "short analysis."}\n'
 
-    def test_one_problem_mismatched_fails_before_its_base_sample(self):
+    def test_one_problem_mismatched_fails_before_its_base_sample(self, tmp_path, monkeypatch, capsys):
         client = ScriptedClient(lambda req: completion("7"))
-        with pytest.raises(ValueError, match="^mismatched perturbation needs >= 2 preplans$"):
-            evaluate([make_problem("p0", answer="7")], 2, client, mode=PerturbationMode.MISMATCHED, seed=1)
-        assert client.calls == []
+        monkeypatch.setattr(ppc.cli, "build_client", lambda *args: client)
+        bench = tmp_path / "one.jsonl"
+        bench.write_text(json.dumps({"id": "p0", "question": "Question p0", "answer": "7"}) + "\n")
+        argv = ["eval", "--bench", str(bench), "--k", "2", "--seed", "1", "--out", str(tmp_path / "out")]
+        assert ppc.cli.main(argv + ["--perturb", "mismatched"]) == 2
+        assert f"data error: --bench {bench}: mismatched perturbation needs >= 2 preplans" in capsys.readouterr().err
+        assert client.calls == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("source", ["live", "replay", "perturb"])
-    def test_repeated_problem_id_rejected_before_any_call(self, source):
+    def test_repeated_problem_id_rejected_before_any_call(self, source, tmp_path):
         # Replay and perturbation look problems up by id, so a repeated id
         # would score one problem's samples, or preplan, as the other's.
         problems = [make_problem("q1", "first question", answer="7"), make_problem("q1", "second", answer="3")]
         client = ScriptedClient(lambda req: completion("7"))
         judged = []
-        kwargs = {
-            "live": {"client": client},
-            "replay": {"replay": {"q1": [completion("7"), completion("3")]}},
-            "perturb": {"client": client, "mode": PerturbationMode.MISMATCHED, "seed": 1},
+        equivalence = lambda pred, gold: judged.append(pred) or False
+        run = {
+            "live": lambda: evaluate(problems, 2, client, equivalence=equivalence),
+            "replay": lambda: evaluate(
+                problems, 2, replay={"q1": [completion("7"), completion("3")]}, equivalence=equivalence
+            ),
+            "perturb": lambda: _evaluate_perturbed(
+                problems, 2, client, PerturbationMode.MISMATCHED, 1, tmp_path / "base.jsonl", equivalence=equivalence
+            ),
         }[source]
         with pytest.raises(ValueError, match="^duplicate problem id 'q1'$"):
-            evaluate(problems, 2, equivalence=lambda pred, gold: judged.append(pred) or False, **kwargs)
-        assert client.calls == [] and judged == []
+            run()
+        assert client.calls == [] and judged == [] and not any(tmp_path.iterdir())
 
 
 class TestTranscripts:
@@ -1200,7 +1223,7 @@ class TestScheduler:
             evaluate([make_problem(f"p{i}") for i in range(4)], 16, ScriptedClient(answer), parallelism=2)
         assert len(calls) <= 4  # of 64 units
 
-    def test_parallelism_does_not_change_outputs(self):
+    def test_parallelism_does_not_change_outputs(self, tmp_path):
         problems = [make_problem(f"p{i}", answer=str(i % 3)) for i in range(12)]
         problems.append(make_problem("px"))  # no script: every call fails
         script = {
@@ -1210,15 +1233,15 @@ class TestScheduler:
         judge = ScriptedClient(lambda req: "NO")
 
         def run(parallelism, mode=None):
-            report = evaluate(
-                problems,
-                8,
-                ScriptedClient(script),
-                mode=mode,
-                seed=3,
-                equivalence=lambda pred, gold: answers_equivalent(pred, gold, fallback=judge),
-                parallelism=parallelism,
-            )
+            kwargs = {
+                "equivalence": lambda pred, gold: answers_equivalent(pred, gold, fallback=judge),
+                "parallelism": parallelism,
+            }
+            if mode is None:
+                report = evaluate(problems, 8, ScriptedClient(script), **kwargs)
+            else:
+                base_file = tmp_path / f"{mode.value}-{parallelism}.jsonl"
+                report = _evaluate_perturbed(problems, 8, ScriptedClient(script), mode, 3, base_file, **kwargs)
             return JSON_ENCODER.encode(report.to_dict()), [r.to_dict() for r in report.records]
 
         def replay(parallelism):
@@ -1247,8 +1270,11 @@ class TestScheduler:
         assert replayed == [serial[1]] * 2
         assert perturbed_parallel == perturbed
         assert all(len(records) == 12 for _, records in perturbed.values())
+        for mode in (PerturbationMode.SHUFFLED, PerturbationMode.MISMATCHED):
+            base = [(tmp_path / f"{mode.value}-{n}.jsonl").read_bytes() for n in (1, 3)]
+            assert base[0] == base[1] and base[0].count(b"\n") == 12
 
-    def test_first_error_stops_the_perturbed_base_calls(self):
+    def test_first_error_stops_the_perturbed_base_calls(self, tmp_path):
         # p1's base call raises while p0's is held: no base call starts after it.
         problems = [make_problem(f"p{i}", answer="7") for i in range(20)]
         main = threading.main_thread().ident
@@ -1267,10 +1293,13 @@ class TestScheduler:
 
         client = ScriptedClient(answer)
         with pytest.raises(RuntimeError):
-            evaluate(problems, 2, client, mode=PerturbationMode.SHUFFLED, seed=1, parallelism=4)
+            _evaluate_perturbed(
+                problems, 2, client, PerturbationMode.SHUFFLED, 1, tmp_path / "base.jsonl", parallelism=4
+            )
         assert "p1" in base_calls and set(base_calls) <= {"p0", "p1", "p2", "p3"}
         assert joined and all(joined)  # each held call returned only after the caller had the error
         assert not any(req.forced_prefix for req in client.calls)
+        assert not any(tmp_path.iterdir())  # the base pass never returned
 
     def test_records_match_their_samples_under_contention(self):
         # Every call draws the next spelling, so samples of one problem differ
@@ -1328,6 +1357,28 @@ class TestScheduler:
             with pytest.raises(ValueError, match=f"^replay has {drawn} samples for '{problem}', need 4$"):
                 run(replay, None)
             replay[problem] = samples[problem]
+
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    def test_prefixes_force_only_the_drawn_slots_of_replay_rows(self, parallelism):
+        problems = [make_problem(f"p{i}") for i in range(4)]
+        prefixes = {p.id: forced_prefix_for(f"plan of {p.id}.") for p in problems[:3]}  # p3 has none
+        continuation = "go.</plan>\n<execute>\\boxed{7}</execute>"
+        policy = ScriptedClient(lambda req: continuation if req.forced_prefix else completion("3"))
+        replay = {
+            "p0": ["kept 0", "kept 1", "kept 2"],  # full: no call
+            "p1": ["kept 0", None],  # a None slot and one missing: two forced calls
+            "p3": ["kept 0"],  # two unforced calls
+        }  # p2 has no row: three forced calls
+        report = evaluate(problems, 3, policy, prefixes=prefixes, replay=replay, parallelism=parallelism)
+        assert dict(report.transcripts) == {
+            "p0": replay["p0"],
+            "p1": ["kept 0"] + [prefixes["p1"] + continuation] * 2,
+            "p2": [prefixes["p2"] + continuation] * 3,
+            "p3": ["kept 0"] + [completion("3")] * 2,
+        }
+        sent = Counter((req.user_prompt, req.forced_prefix) for req in policy.calls)
+        q = [p.question for p in problems]
+        assert sent == {(q[1], prefixes["p1"]): 2, (q[2], prefixes["p2"]): 3, (q[3], None): 2}
 
     def test_rules_only_replay_starts_no_thread(self, monkeypatch):
         def refuse(*args, **kwargs):
