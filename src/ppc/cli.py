@@ -170,28 +170,23 @@ def cmd_grpo_check(args) -> int:
 def _evaluate_perturbed(problems, k, client, mode, seed, base_file: Path, equivalence=None, **kwargs):
     """`evaluate` with each problem's samples forced to start from its perturbed preplan.
 
-    shuffled and mismatched first draw one unforced base sample per problem
-    and write the preplans that land to `base_file` before perturbing them,
-    so a later error keeps them. A problem whose base sample fails counts as
-    failed and makes no further call; shuffled seeds each problem by its
-    position in `problems`. generic reads no preplan and draws no base sample.
+    shuffled and mismatched first draw one unforced base sample per problem and write the
+    preplans that land to `base_file`, so a later error keeps them. Both perturb exactly that
+    file's rows in its order, so `ppc perturb` over it rebuilds the prefixes sent. A failed base
+    sample counts as failed, makes no further call and shifts the shuffled order after it.
+    generic reads no preplan and draws no base sample.
     """
     if k < 1:
         raise ValueError("k must be >= 1")  # before the base pass spends a call
-    base: list[str | None] = [""] * len(problems)  # the generic prefix reads no preplan
-    failed = 0
+    preplans, failed = [""] * len(problems), 0  # the generic prefix reads no preplan
     if mode != PerturbationMode.GENERIC:
         drawn = evaluate(problems, 1, client, **kwargs)
-        preplans = {r.problem.id: read_trajectory(r.samples[0]).preplan for r in drawn.records}
+        problems, failed = [r.problem for r in drawn.records], drawn.failed
+        preplans = [read_trajectory(r.samples[0]).preplan for r in drawn.records]
         base_file.parent.mkdir(parents=True, exist_ok=True)
-        write_jsonl(base_file, ({"id": pid, "preplan": preplan} for pid, preplan in preplans.items()))
-        base, failed = [preplans.get(p.id) for p in problems], drawn.failed
-    landed = [i for i, preplan in enumerate(base) if preplan is not None]
-    # mismatched deranges the landed preplans; shuffled seeds each row by its input position
-    rows = landed if mode == PerturbationMode.MISMATCHED else range(len(base))
-    perturbed = dict(zip(rows, perturb_preplan([base[i] or "" for i in rows], mode, seed)))
-    prefixes = {problems[i].id: perturbed[i] for i in landed}
-    report = evaluate([problems[i] for i in landed], k, client, prefixes=prefixes, equivalence=equivalence, **kwargs)
+        write_jsonl(base_file, ({"id": p.id, "preplan": preplan} for p, preplan in zip(problems, preplans)))
+    prefixes = dict(zip((p.id for p in problems), perturb_preplan(preplans, mode, seed)))
+    report = evaluate(problems, k, client, prefixes=prefixes, equivalence=equivalence, **kwargs)
     return replace(report, failed=failed + report.failed)
 
 

@@ -902,7 +902,10 @@ class TestPerturbCommand:
         for row, donor in zip(rows, donors):
             assert donor != row["preplan"]
 
-    @pytest.mark.parametrize("mode, down", [("mismatched", None), ("mismatched", "b"), ("shuffled", None)])
+    @pytest.mark.parametrize(
+        "mode, down",
+        [("mismatched", None), ("mismatched", "b"), ("shuffled", None), ("shuffled", "a"), ("shuffled", "b")],
+    )
     def test_eval_base_file_gives_the_prefixes_eval_sent(self, tmp_path, capsys, monkeypatch, mode, down):
         # `ppc perturb` over the base preplans `ppc eval --perturb` recorded
         # rebuilds the forced prefixes that run sent.

@@ -132,6 +132,13 @@ class TestRetries:
         with pytest.raises(ValueError, match="delays must be finite and >= 0"):
             RetryPolicy(delays=(1.0, delay))
 
+    def test_fewer_than_one_attempt_is_refused(self):
+        with pytest.raises(ValueError, match="^max_attempts must be >= 1$"):
+            RetryPolicy(max_attempts=0)
+
+    def test_no_delays_means_no_wait(self):
+        assert RetryPolicy(delays=()).delay_for(2) == 0.0
+
 
 class FakeResponse:
     def __init__(self, status_code=200, body=None):
@@ -237,12 +244,13 @@ class TestHttpChatClient:
         assert len(session.requests) == 2
 
     def test_non_transport_error_propagates(self):
-        bug = RuntimeError("session bug")
-        session = FakeSession([bug, FakeResponse(200, chat_body("ok"))])
-        with pytest.raises(RuntimeError) as excinfo:
-            http_client(session).generate(req())
-        assert excinfo.value is bug
-        assert len(session.requests) == 1
+        # A plain OSError is no requests transport error either.
+        for bug in (RuntimeError("session bug"), OSError("session bug")):
+            session = FakeSession([bug, FakeResponse(200, chat_body("ok"))])
+            with pytest.raises(type(bug)) as excinfo:
+                http_client(session).generate(req())
+            assert excinfo.value is bug
+            assert len(session.requests) == 1
 
     def test_malformed_body(self):
         session = FakeSession([FakeResponse(200, {"nope": []})])
@@ -336,6 +344,17 @@ class TestJudges:
         client = ScriptedClient([("", '{"what_to_solve": true}')])
         with pytest.raises(UnparseableVerdict):
             attribute_error(client, "q", "bad", "7")
+
+    @pytest.mark.parametrize(
+        "reply, message",
+        [
+            ('{"what_to_solve": "yes"}', "what_to_solve missing or non-boolean"),
+            ('{"what_to_solve": true, "facet": "luck"}', "unknown facet 'luck'"),
+        ],
+    )
+    def test_attribution_refuses_an_unusable_verdict(self, reply, message):
+        with pytest.raises(UnparseableVerdict, match=f"^{message}"):
+            attribute_error(ScriptedClient([("", reply)]), "q", "bad", "7")
 
 
 class TestRunParallel:

@@ -280,6 +280,7 @@ BAD_SCRIPTS = {
     "invalid-json": '[{"match": "q",',
     "non-finite-number": '[{"match": "q", "response": "a", "weight": NaN}]',
     "nested-too-deeply": "[" * 100_000,
+    "neither-object-nor-array": "5",
 }
 
 

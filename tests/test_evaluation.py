@@ -591,7 +591,7 @@ class TestEvaluate:
         assert sum("p1 failed entirely" in r.getMessage() for r in caplog.records) == 1
 
     @pytest.mark.parametrize("parallelism", [1, 3])
-    def test_shuffled_prefix_is_seeded_by_input_position(self, parallelism, tmp_path):
+    def test_shuffled_prefix_is_seeded_by_position_in_the_base_file(self, parallelism, tmp_path):
         # Equal preplans, so each problem's order comes from its seed alone; at seed 5 the four differ.
         problems = [make_problem(f"p{i}", answer="7") for i in range(4)]
         preplan = "A one. B two. C three. D four."
@@ -615,8 +615,9 @@ class TestEvaluate:
         own = perturb_preplan([preplan] * len(problems), PerturbationMode.SHUFFLED, 5)
         assert every == {p.question: prefix for p, prefix in zip(problems, own)}
         assert len(set(own)) == len(problems)
-        # p0's failed base sample moves no other problem's order
-        assert forced(problems[0].question) == {p.question: every[p.question] for p in problems[1:]}
+        # p0's failed base sample leaves it out of the base file, so p1-p3 are shuffled as its rows 0-2
+        shifted = perturb_preplan([preplan] * 3, PerturbationMode.SHUFFLED, 5)
+        assert forced(problems[0].question) == {p.question: prefix for p, prefix in zip(problems[1:], shifted)}
 
     def test_generic_draws_no_base_sample(self, tmp_path):
         problems = [make_problem(f"p{i}", answer="7") for i in range(3)]
@@ -980,9 +981,11 @@ class TestScheduler:
         together, so the last unit has started: call 3 lands x_3 and its
         worker starts the first gold verdict, and call 4, the last sample to
         return, fails while that verdict is in flight. The other gold
-        verdicts, claimed after the failure, are refused. A problem that
-        fails never has all k samples landed, so its record, and any linkage
-        call, is never built; the gold verdicts are what the guard must stop."""
+        verdicts, claimed after the failure, are refused: each locked step
+        of the claim check reads failed[i] before it claims a verdict. A
+        problem that fails never has all k samples landed, so its record,
+        and any linkage call, is never built; the gold verdicts are what the
+        claim check must stop."""
         first_two, last_two = threading.Barrier(2, timeout=5), threading.Barrier(2, timeout=5)
         first_judge_call = threading.Event()
         failed_when_judged = []

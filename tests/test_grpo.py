@@ -51,6 +51,10 @@ class TestAdvantages:
     def test_zero_floor_identical_rewards(self):
         assert group_advantages([2.0, 2.0], std_floor=0.0) == [0.0, 0.0]
 
+    def test_zero_floor_underflowing_spread(self):
+        # Distinct rewards whose variance underflows to 0.0: no division by zero.
+        assert group_advantages([1e-200, 0.0], std_floor=0.0) == [0.0, 0.0]
+
     def test_positive_scaling_preserves_sign_and_order(self):
         rng = random.Random(17)
         for _ in range(200):
@@ -129,6 +133,10 @@ class TestKlTerm:
         total = kl_term([-1.0, -1.0], [-2.0, -1.0])
         assert total == pytest.approx(math.exp(-1.0), abs=1e-12)
 
+    def test_token_list_against_scalar_is_refused(self):
+        with pytest.raises(ValueError, match="^logp_new and logp_ref must share a shape$"):
+            kl_term([-1.0], -1.0)
+
 
 def make_group(rewards, new, old, ref):
     return RolloutGroup(rewards=rewards, logp_new=new, logp_old=old, logp_ref=ref)
@@ -146,6 +154,10 @@ class TestRolloutGroup:
     def test_token_length_mismatch(self):
         with pytest.raises(ValueError):
             make_group([1.0, 2.0], [[-1.0, -2.0], -1.0], [[-1.0], -1.0], [[-1.0, -2.0], -1.0])
+
+    def test_mixed_scalar_and_token_log_probs(self):
+        with pytest.raises(ValueError, match="^rollout 0: mixed scalar/token log-probs$"):
+            make_group([1.0, 2.0], [[-1.0], -1.0], [-1.0, -1.0], [[-1.0], -1.0])
 
     def test_from_dict(self):
         g = RolloutGroup.from_dict(
@@ -291,3 +303,5 @@ class TestConfig:
                 GrpoConfig(epsilon_clip=value)
             with pytest.raises(ValueError, match="must be finite"):
                 GrpoConfig(std_floor=value)
+        with pytest.raises(ValueError, match="^std_floor must be >= 0$"):
+            GrpoConfig(std_floor=-1.0)

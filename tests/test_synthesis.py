@@ -510,6 +510,10 @@ class TestLoadProblems:
         assert [p.id for p in problems] == ["a", "b"]
         assert problems[1].gold_answer == "2"
 
+    def test_empty_id_is_refused(self):
+        with pytest.raises(ValueError, match="^problem id must be non-empty$"):
+            ProblemRecord("", "q", "7")
+
     def test_missing_field(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "a"}\n')

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from ppc._text import is_boundary, read_jsonl, standalone_integers, write_jsonl
+from ppc._text import is_boundary, math_spans, read_jsonl, standalone_integers, write_jsonl
 
 # Row values the JSON encoder escapes in different ways: plain ASCII, Latin-1, CJK,
 # astral-plane emoji, control characters, DEL, and a literal backslash-u.
@@ -93,3 +93,14 @@ class TestStandaloneIntegersMatchesReference:
     )
     def test_examples(self, text, runs):
         assert standalone_integers(text) == runs == reference_standalone_integers(text)
+
+
+@pytest.mark.parametrize(
+    "text, spans",
+    [
+        ("$x$ and $$y$$", ["x", "y"]),
+        ("$x$ and $$y", ["x"]),  # an unclosed $$ ends the scan
+    ],
+)
+def test_math_spans(text, spans):
+    assert math_spans(text) == spans
