@@ -12,11 +12,8 @@ from .clients import (
     GenerationRequest,
     HttpChatClient,
     LlmClient,
-    ProtocolError,
-    RateLimited,
     RetryPolicy,
     ScriptedClient,
-    Timeout,
     UnparseableVerdict,
     attribute_error,
     judge_equivalence,

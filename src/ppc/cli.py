@@ -9,6 +9,7 @@ go to stderr as line-delimited JSON. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import logging
 import os
@@ -70,12 +71,20 @@ class _JsonLineFormatter(logging.Formatter):
         return JSON_ENCODER.encode(payload)
 
 
-def _setup_logging(verbose: bool) -> None:
+@contextlib.contextmanager
+def _setup_logging(verbose: bool):
+    """JSON lines on stderr from the root logger inside the block; its handlers and level after it."""
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(_JsonLineFormatter())
     root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
     root.handlers[:] = [handler]
     root.setLevel(logging.DEBUG if verbose else logging.INFO)
+    try:
+        yield
+    finally:
+        root.handlers[:] = handlers
+        root.setLevel(level)
 
 
 def _load_config(args) -> PipelineConfig:
@@ -378,18 +387,18 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
 
-    _setup_logging(args.verbose)
-    started = time.monotonic()
-    try:
-        code = args.fn(args)
-    except (ValueError, KeyError, OSError) as exc:
-        log.error("data error: %s", exc)
-        return EXIT_DATA
-    except ClientError as exc:
-        log.error("endpoint failure after retries: %s", exc)
-        return EXIT_ENDPOINT
-    log.info("done in %.2fs", time.monotonic() - started)
-    return code
+    with _setup_logging(args.verbose):
+        started = time.monotonic()
+        try:
+            code = args.fn(args)
+        except (ValueError, KeyError, OSError) as exc:
+            log.error("data error: %s", exc)
+            return EXIT_DATA
+        except ClientError as exc:
+            log.error("endpoint failure after retries: %s", exc)
+            return EXIT_ENDPOINT
+        log.info("done in %.2fs", time.monotonic() - started)
+        return code
 
 
 if __name__ == "__main__":

@@ -29,18 +29,8 @@ T = TypeVar("T")
 
 
 class ClientError(Exception):
-    retryable = False
+    """An endpoint call that failed; `retryable` says whether another attempt may succeed."""
 
-
-class Timeout(ClientError):
-    retryable = True
-
-
-class RateLimited(ClientError):
-    retryable = True
-
-
-class ProtocolError(ClientError):
     def __init__(self, message: str, retryable: bool = False):
         super().__init__(message)
         self.retryable = retryable
@@ -162,27 +152,27 @@ class HttpChatClient(LlmClient):
                 self.endpoint, json=payload, headers=headers, timeout=self.timeout
             )
         except OSError as exc:
-            # requests' errors are OSErrors, and only a loaded requests raises them.
+            # requests' errors are OSErrors, and only a loaded requests raises them. One that
+            # is also a ValueError (a URL or header it cannot send) would fail every retry.
             requests = sys.modules.get("requests")
-            if requests is None or not isinstance(exc, requests.RequestException):
+            transport = requests is not None and isinstance(exc, requests.RequestException)
+            if not transport or isinstance(exc, ValueError):
                 raise
-            if isinstance(exc, (requests.Timeout, requests.ConnectionError)):
-                raise Timeout(f"endpoint unreachable: {exc}") from exc
-            raise ProtocolError(f"transport failure: {exc}", retryable=True) from exc
+            raise ClientError(f"transport failure: {exc}", retryable=True) from exc
 
         if resp.status_code == 429:
-            raise RateLimited(f"rate limited by {self.endpoint}")
+            raise ClientError(f"rate limited by {self.endpoint}", retryable=True)
         if resp.status_code >= 500:
-            raise ProtocolError(f"server error {resp.status_code}", retryable=True)
+            raise ClientError(f"server error {resp.status_code}", retryable=True)
         if resp.status_code != 200:
-            raise ProtocolError(f"unexpected status {resp.status_code}")
+            raise ClientError(f"unexpected status {resp.status_code}")
         try:
             body = resp.json()
             content = body["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise ProtocolError(f"malformed response body: {exc}") from exc
+            raise ClientError(f"malformed response body: {exc}") from exc
         if not isinstance(content, str):
-            raise ProtocolError(f"non-text completion content: {content!r}")
+            raise ClientError(f"non-text completion content: {content!r}")
         return content
 
 
@@ -220,7 +210,7 @@ class ScriptedClient(LlmClient):
                 self._trace.append((self.name, req))
         text = self._resolve(req)
         if text is None:
-            raise ProtocolError(f"no scripted response for request to {self.name!r}")
+            raise ClientError(f"no scripted response for request to {self.name!r}")
         return text
 
     def _resolve(self, req: GenerationRequest) -> str | None:

@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 
 import pytest
 from conftest import default_stage_texts, make_problem
@@ -804,7 +805,7 @@ class TestEval:
         def generate(self, req):
             calls.append(req)
             if req.user_prompt == "question b":
-                raise ppc.clients.ProtocolError("down")
+                raise ppc.clients.ClientError("down")
             return "<preplan>analysis a.</preplan>\n<plan>1. go.</plan>\n<execute>\\boxed{7}</execute>"
 
         monkeypatch.setattr(ppc.clients.ScriptedClient, "generate", generate)
@@ -872,6 +873,19 @@ class TestEval:
         assert "replay" in capsys.readouterr().err
         assert not (tmp_path / "p" / "mini.report.json").exists()
 
+    def test_endpoint_url_requests_cannot_send_is_data_error_without_a_retry(self, tmp_path, monkeypatch, capsys):
+        # requests refuses a URL without a scheme before it opens a connection.
+        bench, _ = eval_setup(tmp_path, {"a": "7"})
+        url = "localhost:8000/v1/chat/completions"
+        monkeypatch.setenv("PPC_ENDPOINT", url)
+        monkeypatch.setenv("PPC_MODEL", "m")
+        out_dir = tmp_path / "out"
+        assert main(["eval", "--bench", str(bench), "--k", "1", "--out", str(out_dir), "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: No connection adapters were found for {url!r}" in err
+        assert "retry" not in err
+        assert not out_dir.exists()
+
 
 class TestPerturbCommand:
     def test_mismatched_outputs_prefixes(self, tmp_path, capsys):
@@ -918,7 +932,7 @@ class TestPerturbCommand:
             if req.forced_prefix:
                 return "go.</plan>\n<execute>\\boxed{7}</execute>"
             if pid == down:
-                raise ppc.clients.ProtocolError("down")
+                raise ppc.clients.ClientError("down")
             preplan = f"First {pid}. Then {pid}. Last {pid}."
             return f"<preplan>{preplan}</preplan>\n<plan>1. go.</plan>\n<execute>\\boxed{{7}}</execute>"
 
@@ -1266,3 +1280,22 @@ class TestAtomicOutput:
         assert main(["lint", "--in", str(rows), "--out", str(out)]) == 2
         assert out.read_bytes() == b'{"id": "old"}\n'
         assert [p.name for p in tmp_path.iterdir() if p.name.startswith("out.jsonl")] == ["out.jsonl"]
+
+
+class TestLogging:
+    @pytest.mark.parametrize("row, code", [({"id": "a", "preplan": "x"}, 0), ({"id": "a"}, 2)], ids=["ok", "data-error"])
+    def test_main_puts_back_the_root_loggers_handlers_and_level(self, tmp_path, capsys, row, code):
+        path = tmp_path / "rows.jsonl"
+        write_jsonl(path, [row])
+        root = logging.getLogger()
+        handlers, level = root.handlers[:], root.level
+        own = logging.NullHandler()
+        root.addHandler(own)
+        root.setLevel(logging.ERROR)
+        try:
+            assert main(["lint", "--in", str(path)]) == code
+            assert root.handlers == handlers + [own]
+            assert root.level == logging.ERROR
+        finally:
+            root.removeHandler(own)
+            root.setLevel(level)

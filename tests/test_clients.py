@@ -8,14 +8,12 @@ import requests
 from conftest import joining_workers, wait_until, waiting_for_workers
 
 from ppc.clients import (
+    ClientError,
     Facet,
     GenerationRequest,
     HttpChatClient,
-    ProtocolError,
-    RateLimited,
     RetryPolicy,
     ScriptedClient,
-    Timeout,
     UnparseableVerdict,
     attribute_error,
     judge_equivalence,
@@ -75,8 +73,9 @@ class TestScriptedClient:
         assert out == "continuation"
 
     def test_missing_response_raises(self):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ClientError, match="^no scripted response for request to 'scripted'$") as excinfo:
             ScriptedClient({}).generate(req("unknown"))
+        assert not excinfo.value.retryable
 
     def test_calls_recorded_and_traced(self):
         trace = []
@@ -105,7 +104,7 @@ class TestRetries:
         from ppc.clients import _with_retries
 
         sleeps = []
-        flaky = FlakyClient([Timeout("t"), RateLimited("r")])
+        flaky = FlakyClient([ClientError("t", retryable=True), ClientError("r", retryable=True)])
         out = _with_retries(flaky, RetryPolicy(max_attempts=3), sleep=sleeps.append)
         assert out == "done"
         assert flaky.attempts == 3
@@ -114,17 +113,19 @@ class TestRetries:
     def test_attempt_cap(self):
         from ppc.clients import _with_retries
 
-        flaky = FlakyClient([Timeout("t")] * 10)
-        with pytest.raises(Timeout):
+        flaky = FlakyClient([ClientError("t", retryable=True)] * 10)
+        with pytest.raises(ClientError, match="^t$") as excinfo:
             _with_retries(flaky, RetryPolicy(max_attempts=3), sleep=lambda _: None)
+        assert excinfo.value.retryable
         assert flaky.attempts == 3
 
     def test_non_retryable_not_retried(self):
         from ppc.clients import _with_retries
 
-        flaky = FlakyClient([ProtocolError("bad request", retryable=False)])
-        with pytest.raises(ProtocolError):
+        flaky = FlakyClient([ClientError("bad request")])
+        with pytest.raises(ClientError, match="^bad request$") as excinfo:
             _with_retries(flaky, RetryPolicy(max_attempts=5), sleep=lambda _: None)
+        assert not excinfo.value.retryable
         assert flaky.attempts == 1
 
     @pytest.mark.parametrize("delay", [-1.0, float("nan"), float("inf")], ids=["negative", "nan", "infinite"])
@@ -168,14 +169,40 @@ def chat_body(content):
 
 def http_client(session, **kwargs):
     kwargs.setdefault("retry", RetryPolicy(max_attempts=3))
+    kwargs.setdefault("sleep", lambda _: None)
     return HttpChatClient(
         "http://example.test/v1/chat/completions",
         "test-model",
         api_key="secret",
         session=session,
-        sleep=lambda _: None,
         **kwargs,
     )
+
+
+# The naps between three attempts under the default delays.
+RETRIED = [1.0, 4.0]
+# The session's own exception reaches the caller unchanged.
+PROPAGATES = object()
+# What the session answers or raises on every attempt -> the message of the
+# ClientError that generate raises (None: it returns "ok"; PROPAGATES), whether
+# that error is retryable, the requests sent and the naps taken.
+POST_OUTCOMES = {
+    "status-200": (FakeResponse(200, chat_body("ok")), None, None, 1, []),
+    "status-400": (FakeResponse(400), "unexpected status 400", False, 1, []),
+    "status-404": (FakeResponse(404), "unexpected status 404", False, 1, []),
+    "status-429": (FakeResponse(429), "rate limited by http://example.test/v1/chat/completions", True, 3, RETRIED),
+    "status-500": (FakeResponse(500), "server error 500", True, 3, RETRIED),
+    "status-503": (FakeResponse(503), "server error 503", True, 3, RETRIED),
+    "malformed-body": (FakeResponse(200, {"nope": []}), "malformed response body: 'choices'", False, 1, []),
+    "non-text-content": (FakeResponse(200, chat_body(None)), "non-text completion content: None", False, 1, []),
+    "timeout": (requests.Timeout("slow"), "transport failure: slow", True, 3, RETRIED),
+    "connection-error": (requests.ConnectionError("refused"), "transport failure: refused", True, 3, RETRIED),
+    "chunked-encoding": (requests.exceptions.ChunkedEncodingError("cut"), "transport failure: cut", True, 3, RETRIED),
+    "invalid-schema": (requests.exceptions.InvalidSchema("No connection adapters"), PROPAGATES, None, 1, []),
+    "missing-schema": (requests.exceptions.MissingSchema("Invalid URL"), PROPAGATES, None, 1, []),
+    "plain-oserror": (OSError("session bug"), PROPAGATES, None, 1, []),
+    "runtime-error": (RuntimeError("session bug"), PROPAGATES, None, 1, []),
+}
 
 
 class TestHttpChatClient:
@@ -221,20 +248,25 @@ class TestHttpChatClient:
 
     def test_client_error_not_retried(self):
         session = FakeSession([FakeResponse(400)])
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ClientError, match="^unexpected status 400$") as excinfo:
             http_client(session).generate(req())
+        assert not excinfo.value.retryable
         assert len(session.requests) == 1
 
     def test_timeout_exhausts_retries(self):
         session = FakeSession([requests.Timeout("slow")] * 3)
-        with pytest.raises(Timeout):
+        with pytest.raises(ClientError, match="^transport failure: slow$") as excinfo:
             http_client(session).generate(req())
+        assert excinfo.value.retryable
+        assert isinstance(excinfo.value.__cause__, requests.Timeout)
         assert len(session.requests) == 3
 
-    def test_connection_error_is_a_timeout(self):
+    def test_connection_error_exhausts_retries(self):
         session = FakeSession([requests.ConnectionError("refused")] * 3)
-        with pytest.raises(Timeout):
+        with pytest.raises(ClientError, match="^transport failure: refused$") as excinfo:
             http_client(session).generate(req())
+        assert excinfo.value.retryable
+        assert isinstance(excinfo.value.__cause__, requests.ConnectionError)
         assert len(session.requests) == 3
 
     def test_other_transport_failure_retried(self):
@@ -254,13 +286,34 @@ class TestHttpChatClient:
 
     def test_malformed_body(self):
         session = FakeSession([FakeResponse(200, {"nope": []})])
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ClientError, match="^malformed response body: ") as excinfo:
             http_client(session).generate(req())
+        assert not excinfo.value.retryable
 
     def test_non_text_content(self):
         session = FakeSession([FakeResponse(200, chat_body(None))])
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ClientError, match="^non-text completion content: None$") as excinfo:
             http_client(session).generate(req())
+        assert not excinfo.value.retryable
+
+    @pytest.mark.parametrize("outcome, error, retryable, sent, naps", POST_OUTCOMES.values(), ids=POST_OUTCOMES.keys())
+    def test_each_outcome_maps_to_one_error_and_retry_decision(self, outcome, error, retryable, sent, naps):
+        session, slept = FakeSession([outcome] * 3), []
+        client = http_client(session, sleep=slept.append)
+        if error is None:
+            assert client.generate(req()) == "ok"
+        elif error is PROPAGATES:
+            with pytest.raises(type(outcome)) as excinfo:
+                client.generate(req())
+            assert excinfo.value is outcome
+        else:
+            with pytest.raises(ClientError) as excinfo:
+                client.generate(req())
+            assert type(excinfo.value) is ClientError
+            assert str(excinfo.value) == error
+            assert excinfo.value.retryable is retryable
+        assert len(session.requests) == sent
+        assert slept == naps
 
 
 class TestJudges:

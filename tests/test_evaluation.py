@@ -29,7 +29,7 @@ import ppc.evaluation
 from ppc import prompts
 from ppc._text import JSON_ENCODER, count_tokens
 from ppc.cli import _evaluate_perturbed
-from ppc.clients import ProtocolError, ScriptedClient, UnparseableVerdict, judge_equivalence
+from ppc.clients import ClientError, ScriptedClient, UnparseableVerdict, judge_equivalence
 from ppc.evaluation import (
     DEFAULT_EVAL_SAMPLING,
     EvalRecord,
@@ -248,9 +248,10 @@ class TestEquivalence:
         assert not answers_equivalent("x", "y", fallback=ScriptedClient([("", "NO")]))
 
     def test_failed_judge_call_raises(self):
-        judge = ScriptedClient([])  # no rule: every call raises ProtocolError
-        with pytest.raises(ProtocolError, match="no scripted response"):
+        judge = ScriptedClient([])  # no rule: every call raises a ClientError
+        with pytest.raises(ClientError, match="no scripted response") as excinfo:
             answers_equivalent("x+1", "1+x", fallback=judge)
+        assert not excinfo.value.retryable
         assert len(judge.calls) == 1
 
     def test_unreadable_judge_verdict_is_no_silent_no(self):
@@ -568,7 +569,7 @@ class TestEvaluate:
             if req.forced_prefix:
                 return "rest</plan><execute>\\boxed{7}</execute>"
             if req.user_prompt == problems[1].question:
-                raise ProtocolError("down")
+                raise ClientError("down")
             return completion("7", preplan=f"own analysis {req.user_prompt.split()[-1]}.")
 
         client = ScriptedClient(answer)
@@ -601,7 +602,7 @@ class TestEvaluate:
                 if req.forced_prefix:
                     return "rest</plan><execute>\\boxed{7}</execute>"
                 if req.user_prompt == down:
-                    raise ProtocolError("down")
+                    raise ClientError("down")
                 return completion("7", preplan=preplan)
 
             client = ScriptedClient(answer)
@@ -624,7 +625,7 @@ class TestEvaluate:
 
         def answer(req):
             if not req.forced_prefix:
-                raise ProtocolError("an unforced call")
+                raise ClientError("an unforced call")
             return "rest</plan><execute>\\boxed{7}</execute>"
 
         client = ScriptedClient(answer)
@@ -639,7 +640,7 @@ class TestEvaluate:
 
         def answer(req):
             if req.user_prompt != problems[0].question:
-                raise ProtocolError("down")
+                raise ClientError("down")
             return completion("7")
 
         client = ScriptedClient(answer)
@@ -747,7 +748,7 @@ class TestWriteEvalOutputs:
 
         def answer(req):
             if req.user_prompt.endswith("px") or req.user_prompt.endswith("p1") and next(p1_calls) == 1:
-                raise ProtocolError("down")
+                raise ClientError("down")
             return completion("7")
 
         problems = [make_problem("p0"), make_problem("p1"), make_problem("px"), make_problem("p2")]
@@ -822,7 +823,7 @@ class TestScheduler:
         def answer(req):
             if req.user_prompt.endswith("px"):
                 barrier.wait()  # all four workers fail px's first four samples together
-                raise ProtocolError("always down")
+                raise ClientError("always down")
             return completion("7")
 
         client = ScriptedClient(answer)
@@ -1000,7 +1001,7 @@ class TestScheduler:
             if n < 4:
                 return completion(f"x_{n}")
             assert first_judge_call.wait(timeout=5)
-            raise ProtocolError("down")  # the last sample fails while the landed prefix is judged
+            raise ClientError("down")  # the last sample fails while the landed prefix is judged
 
         with failure_logged() as failed:
 
@@ -1041,7 +1042,7 @@ class TestScheduler:
                     entered.append(req)
                     n = len(entered)
                 if n == 3:
-                    raise ProtocolError("down")
+                    raise ClientError("down")
                 if n == 4:
                     assert failed.wait(timeout=5)
                 return completion(f"x_{n}")
@@ -1404,7 +1405,7 @@ def down_on_linkage(pred, gold):
     """A custom fallback that says NO to every gold verdict and fails on any
     pair of two wrong answers."""
     if gold != "7":
-        raise ProtocolError("judge down")
+        raise ClientError("judge down")
     return False
 
 

@@ -19,7 +19,7 @@ from conftest import (
 
 import ppc.synthesis
 from ppc import prompts
-from ppc.clients import ScriptedClient, Timeout
+from ppc.clients import ClientError, ScriptedClient
 from ppc.evaluation import answers_equivalent
 from ppc.spoiler import DropReason
 from ppc.synthesis import (
@@ -93,7 +93,7 @@ class TestSynthesize:
 
         class Boom:
             def generate(self, req):
-                raise Timeout("no route")
+                raise ClientError("no route", retryable=True)
 
         texts = default_stage_texts([p])[p.question]
         suite = GeneratorSuite(
@@ -105,7 +105,7 @@ class TestSynthesize:
         with pytest.raises(StageFailure) as err:
             synthesize(p, suite)
         assert err.value.stage == "plan"
-        assert isinstance(err.value.__cause__, Timeout)
+        assert isinstance(err.value.__cause__, ClientError) and err.value.__cause__.retryable
         assert err.value.texts == {"preplan": texts["preplan"]}
 
     def test_resumes_after_the_texts_it_is_given(self):
@@ -300,7 +300,7 @@ class TestBuildDataset:
     @pytest.mark.parametrize(
         "role, first, calls",
         [
-            ("executor", Timeout("down"), [1, 1, 2, 1]),  # StageFailure: resume at raw_solution
+            ("executor", ClientError("down", retryable=True), [1, 1, 2, 1]),  # StageFailure: resume at raw_solution
             ("cleanup", "1. Solve: done. answer seven", [2, 2, 2, 2]),  # NO_ANSWER drop: resample from the preplan
         ],
         ids=["stage-failure", "filter-drop"],
@@ -338,7 +338,7 @@ class TestBuildDataset:
 
         class Boom:
             def generate(self, req):
-                raise Timeout("down")
+                raise ClientError("down", retryable=True)
 
         suite = GeneratorSuite(Boom(), Boom(), Boom(), Boom())
         summary = build_dataset(
@@ -441,7 +441,7 @@ class TestBuildDataset:
 
         def executor(req):
             if "question about fail" in req.user_prompt:
-                raise Timeout("down")
+                raise ClientError("down", retryable=True)
             return next(t["raw"] for q, t in texts.items() if q in req.user_prompt)
 
         suite = replace(make_suite(texts), executor=ScriptedClient(executor))
