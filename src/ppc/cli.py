@@ -276,12 +276,10 @@ def cmd_attribute(args) -> int:
     tally = {"how_to_solve": 0, "unparseable": 0, "failed": 0}
     facets = {facet.value: 0 for facet in Facet}
 
-    def attribute(row: dict) -> dict:
-        rid = row_id(row)  # checked before the judge call, so a bad row costs none
-        texts = [typed_field(row, key) for key in ("question", "solution", "gold")]
+    def attribute(rid, *texts: str) -> dict:
         try:
             facet = attribute_error(judge, *texts)
-        except (UnparseableVerdict, ClientError) as exc:
+        except ClientError as exc:
             log.warning("row %s: %s", rid, exc)
             unparseable = isinstance(exc, UnparseableVerdict)
             tally["unparseable" if unparseable else "failed"] += 1
@@ -292,7 +290,10 @@ def cmd_attribute(args) -> int:
         facets[facet.value] += 1
         return {"id": rid, "what_to_solve": True, "facet": facet.value, "unparseable": False}
 
-    write_jsonl(args.out, read_jsonl(getattr(args, "in"), attribute))
+    # A bad row fails in the reader, before its call; the judge runs outside it, so no call error names a line.
+    keys = ("question", "solution", "gold")
+    rows = read_jsonl(getattr(args, "in"), lambda row: (row_id(row), *(typed_field(row, key) for key in keys)))
+    write_jsonl(args.out, (attribute(*row) for row in rows))
     what_to_solve = sum(facets.values())
     total = what_to_solve + tally["how_to_solve"]
     print(JSON_ENCODER.encode({**tally, "what_to_solve": what_to_solve, "total": total, "facets": facets}))

@@ -36,8 +36,8 @@ class ClientError(Exception):
         self.retryable = retryable
 
 
-class UnparseableVerdict(Exception):
-    """A judge response that carries no usable verdict."""
+class UnparseableVerdict(ClientError):
+    """A judge response that carries no usable verdict; another attempt would not fix it."""
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from .clients import (
     ClientError,
     GenerationRequest,
     LlmClient,
-    UnparseableVerdict,
     judge_equivalence,
     run_parallel,
 )
@@ -118,9 +117,9 @@ def answers_equivalent(
     """True when normalized forms agree; else the judge's verdict when a
     fallback is configured.
 
-    A judge call that fails after the client's retries raises its
-    ClientError, and a reply that is no verdict raises UnparseableVerdict;
-    inside `evaluate` either fails only its problem.
+    A judge call that fails after the client's retries, or whose reply is
+    no verdict, raises a ClientError; inside `evaluate` it fails only its
+    problem.
     """
     if pred is None:
         return False
@@ -453,9 +452,9 @@ def evaluate(
     once its last unit has started; then each worker that lands one of its
     samples takes one unjudged form at a time, beside the others. The calls are those of scoring all k answers at once,
     in that order at parallelism 1, and a problem that fails before its last
-    unit starts pays none. A ClientError or UnparseableVerdict from the
-    fallback, gold verdict or linkage, fails only that problem; any other
-    exception, or Ctrl-C, stops every worker after its current call.
+    unit starts pays none. A ClientError from the fallback, gold verdict
+    or linkage, an unusable verdict included, fails only that problem; any
+    other exception, or Ctrl-C, stops every worker after its current call.
     With no slot to draw and no fallback, no call is made and the work runs
     in the caller's thread.
     """
@@ -509,10 +508,10 @@ def _sample(
     the landed prefix and claims the next unjudged form; each worker then
     goes on judging one claimed form per step. The step that finds every
     sample fed and no verdict left or in flight completes the problem and
-    builds its record. A problem's first ClientError, or a judge's
-    UnparseableVerdict, marks it failed: its units not yet started make no
-    call, and no further form of it is claimed. Once an error or Ctrl-C sets
-    the pool's stop event, no unit and no judge call starts.
+    builds its record. A problem's first ClientError, from its policy or its
+    judge, marks it failed: its units not yet started make no call, and no
+    further form of it is claimed. Once an error or Ctrl-C sets the pool's
+    stop event, no unit and no judge call starts.
     """
     failed = [False] * len(problems)
     draining = [False] * len(problems)  # the problem's last unit has started
@@ -578,7 +577,7 @@ def _sample(
             drain(i, j, text)
         except _Stopped:
             pass
-        except (ClientError, UnparseableVerdict) as exc:
+        except ClientError as exc:
             fail(i, exc)
 
     run_parallel(run, units, parallelism, stop)

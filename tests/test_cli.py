@@ -1058,6 +1058,21 @@ class TestAttributeCommand:
         assert json.loads(capsys.readouterr().out)["failed"] == 2
         assert [row["what_to_solve"] for row in read_jsonl(out_file.read_text())] == [None, None]
 
+    def test_endpoint_url_requests_cannot_send_is_data_error_naming_no_line(self, tmp_path, monkeypatch, capsys):
+        # requests refuses a URL without a scheme before it opens a connection; the error is the
+        # endpoint's, not the first row's.
+        url = "localhost:8000/v1/chat/completions"
+        monkeypatch.setenv("PPC_ENDPOINT", url)
+        monkeypatch.setenv("PPC_MODEL", "m")
+        monkeypatch.chdir(tmp_path)
+        write_jsonl(tmp_path / "a.jsonl", [{"id": n, "question": "q", "solution": "s", "gold": "7"} for n in (1, 2)])
+        assert main(["attribute", "--in", "a.jsonl", "--out", "verdicts.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: No connection adapters were found for {url!r}" in err
+        assert "a.jsonl:" not in err
+        assert "retry" not in err
+        assert not (tmp_path / "verdicts.jsonl").exists()
+
 
 # One bad document or row per JSON reader: the file, its text, the command
 # that reads it and where its error must begin ("<dir>" is the work dir, which

@@ -316,6 +316,11 @@ class TestHttpChatClient:
         assert slept == naps
 
 
+def assert_final(caught):
+    """The raised UnparseableVerdict is a ClientError that no retry would fix."""
+    assert isinstance(caught.value, ClientError) and caught.value.retryable is False
+
+
 class TestJudges:
     def test_judges_decode_greedily(self):
         client = ScriptedClient([("", "YES")])
@@ -325,8 +330,9 @@ class TestJudges:
     def test_equivalence(self):
         assert judge_equivalence(ScriptedClient([("", "YES")]), "a", "b") is True
         assert judge_equivalence(ScriptedClient([("", "No.")]), "a", "b") is False
-        with pytest.raises(UnparseableVerdict, match="^no YES or NO in judge response: 'maybe'$"):
+        with pytest.raises(UnparseableVerdict, match="^no YES or NO in judge response: 'maybe'$") as caught:
             judge_equivalence(ScriptedClient([("", "maybe")]), "a", "b")
+        assert_final(caught)
 
     @pytest.mark.parametrize(
         "reply,verdict",
@@ -354,8 +360,9 @@ class TestJudges:
     def test_equivalence_reads_the_whole_reply_or_its_last_line(self, reply, verdict):
         client = ScriptedClient([("", reply)])
         if verdict is None:
-            with pytest.raises(UnparseableVerdict):
+            with pytest.raises(UnparseableVerdict) as caught:
                 judge_equivalence(client, "a", "b")
+            assert_final(caught)
         else:
             assert judge_equivalence(client, "a", "b") is verdict
 
@@ -376,8 +383,9 @@ class TestJudges:
     def test_attribution_reads_the_whole_reply_or_its_last_line(self, reply, facet):
         client = ScriptedClient([("", reply)])
         if facet is UnparseableVerdict:
-            with pytest.raises(UnparseableVerdict, match="^no JSON object in judge response: "):
+            with pytest.raises(UnparseableVerdict, match="^no JSON object in judge response: ") as caught:
                 attribute_error(client, "q", "bad", "7")
+            assert_final(caught)
         else:
             assert attribute_error(client, "q", "bad", "7") is facet
 
@@ -390,13 +398,15 @@ class TestJudges:
         assert attribute_error(client, "q", "bad", "7") is None
 
     def test_attribution_non_json(self):
-        with pytest.raises(UnparseableVerdict):
+        with pytest.raises(UnparseableVerdict) as caught:
             attribute_error(ScriptedClient([("", "it just failed")]), "q", "bad", "7")
+        assert_final(caught)
 
     def test_attribution_needs_facet_when_what(self):
         client = ScriptedClient([("", '{"what_to_solve": true}')])
-        with pytest.raises(UnparseableVerdict):
+        with pytest.raises(UnparseableVerdict) as caught:
             attribute_error(client, "q", "bad", "7")
+        assert_final(caught)
 
     @pytest.mark.parametrize(
         "reply, message",
@@ -406,8 +416,9 @@ class TestJudges:
         ],
     )
     def test_attribution_refuses_an_unusable_verdict(self, reply, message):
-        with pytest.raises(UnparseableVerdict, match=f"^{message}"):
+        with pytest.raises(UnparseableVerdict, match=f"^{message}") as caught:
             attribute_error(ScriptedClient([("", reply)]), "q", "bad", "7")
+        assert_final(caught)
 
 
 class TestRunParallel:

@@ -2,7 +2,8 @@
 
 `requests` (and with it urllib3, ssl, http.client and email) is imported
 only when an HTTP role's client is built, so `import ppc` and every
-subcommand that calls no endpoint run where importing it fails.
+subcommand that calls no HTTP endpoint (a scripted role is none) runs
+where importing it fails.
 """
 
 import json
@@ -59,6 +60,10 @@ def test_offline_commands_run_without_requests(tmp_path):
     bench = write_rows(tmp_path / "mini.jsonl", [{"id": "a", "question": "q?", "answer": "7"}])
     (tmp_path / "run").mkdir()
     write_rows(tmp_path / "run" / "mini.transcripts.jsonl", [{"id": "a", "samples": [TRAJECTORY] * 2}])
+    wrong = write_rows(tmp_path / "wrong.jsonl", [{"id": "w", "question": "q?", "solution": "s", "gold": "7"}])
+    (tmp_path / "judge.json").write_text(json.dumps([{"match": "q?", "response": '{"what_to_solve": false}'}]))
+    judge_config = tmp_path / "judge.cfg.json"
+    judge_config.write_text(json.dumps({"roles": {"judge": {"kind": "scripted", "script": "judge.json"}}}))
     out = tmp_path / "out"
     out.mkdir()
     commands = [
@@ -69,10 +74,12 @@ def test_offline_commands_run_without_requests(tmp_path):
         ["grpo-check", "--in", str(group)],
         ["eval", "--bench", bench, "--k", "2", "--seed", "1", "--replay", str(tmp_path / "run"),
          "--out", str(out / "eval")],
+        ["attribute", "--config", str(judge_config), "--in", wrong, "--out", str(out / "attribute.jsonl")],
     ]
     assert json.loads(run_python(WITHOUT_REQUESTS, json.dumps(commands))) == [0] * len(commands)
     for name in ("lint.jsonl", "reward.jsonl", "perturb.jsonl", "eval/mini.report.json"):
         assert (out / name).stat().st_size > 0
+    assert json.loads((out / "attribute.jsonl").read_text())["what_to_solve"] is False
 
 
 def test_import_loads_neither_requests_nor_secrets():
